@@ -3,9 +3,8 @@
 //! raw handoff cost of each queued mechanism at fixed oversubscription.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use machk_bench::util::run_concurrent;
-use machk_bench::workloads::simple_lock_counter;
-use machk_core::{Backoff, RawSimpleLock, SpinPolicy};
+use machk_bench::workloads::{lock_counter, POLICY_SWEEP};
+use machk_core::RawSimpleLock;
 
 /// Build-level tracing marker: bench ids carry it so a default run and
 /// a `--features obs` run of the same bench land side by side, and the
@@ -23,14 +22,10 @@ fn contention_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("queued_lock_scaling");
     g.sample_size(10);
     for threads in [1usize, 2, 4, 8, 16] {
-        for policy in SpinPolicy::ALL {
-            g.bench_with_input(
-                BenchmarkId::new(policy.name(), threads),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| simple_lock_counter(policy, Backoff::NONE, threads, 10_000));
-                },
-            );
+        for (name, run) in POLICY_SWEEP {
+            g.bench_with_input(BenchmarkId::new(name, threads), &threads, |b, &threads| {
+                b.iter(|| run(threads, 10_000));
+            });
         }
     }
     g.finish();
@@ -42,31 +37,12 @@ fn contention_scaling(c: &mut Criterion) {
 fn uncontended_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("queued_lock_uncontended");
     g.sample_size(10);
-    for policy in SpinPolicy::ALL {
-        g.bench_with_input(BenchmarkId::new(policy.name(), 1), &1usize, |b, &threads| {
-            b.iter(|| simple_lock_counter(policy, Backoff::NONE, threads, 100_000));
+    for (name, run) in POLICY_SWEEP {
+        g.bench_with_input(BenchmarkId::new(name, 1), &1usize, |b, &threads| {
+            b.iter(|| run(threads, 100_000));
         });
     }
     g.finish();
-}
-
-/// The shared-counter loop against a caller-supplied lock (the
-/// workload crate's version constructs its own anonymous lock, which
-/// an obs build deliberately does not trace).
-fn counter_on(lock: &RawSimpleLock, threads: usize, iters: u64) {
-    let mut counter = 0u64;
-    let cp = &mut counter as *mut u64 as usize;
-    run_concurrent(threads, |_t| {
-        for _ in 0..iters {
-            lock.lock_raw();
-            unsafe {
-                let p = cp as *mut u64;
-                p.write(p.read().wrapping_add(1));
-            }
-            lock.unlock_raw();
-        }
-    });
-    assert_eq!(counter, threads as u64 * iters);
 }
 
 /// Tracing overhead, isolated two ways: the group name carries the
@@ -75,22 +51,20 @@ fn counter_on(lock: &RawSimpleLock, threads: usize, iters: u64) {
 /// full tracing (registry counters + histograms + ring events) from
 /// the clock reads alone (anonymous locks skip recording).
 fn tracing_overhead(c: &mut Criterion) {
-    static NAMED: RawSimpleLock =
-        RawSimpleLock::named_with_policy("bench.queued.named", SpinPolicy::TasThenTtas, Backoff::NONE);
-    static ANON: RawSimpleLock =
-        RawSimpleLock::with_policy(SpinPolicy::TasThenTtas, Backoff::NONE);
+    static NAMED: RawSimpleLock = RawSimpleLock::named("bench.queued.named");
+    static ANON: RawSimpleLock = RawSimpleLock::new();
     let mut g = c.benchmark_group(&format!("queued_lock_tracing_{TRACING}"));
     g.sample_size(10);
     for threads in [1usize, 4] {
         g.bench_with_input(
             BenchmarkId::new("anonymous", threads),
             &threads,
-            |b, &threads| b.iter(|| counter_on(&ANON, threads, 50_000)),
+            |b, &threads| b.iter(|| lock_counter(&ANON, threads, 50_000)),
         );
         g.bench_with_input(
             BenchmarkId::new("named", threads),
             &threads,
-            |b, &threads| b.iter(|| counter_on(&NAMED, threads, 50_000)),
+            |b, &threads| b.iter(|| lock_counter(&NAMED, threads, 50_000)),
         );
     }
     g.finish();
@@ -103,11 +77,7 @@ fn tracing_overhead(c: &mut Criterion) {
 /// anything in this process emits with auto-install still on.
 #[cfg(feature = "obs")]
 fn multi_subscriber(c: &mut Criterion) {
-    static LOCK: RawSimpleLock = RawSimpleLock::named_with_policy(
-        "bench.queued.subs",
-        SpinPolicy::TasThenTtas,
-        Backoff::NONE,
-    );
+    static LOCK: RawSimpleLock = RawSimpleLock::named("bench.queued.subs");
     machk_obs::set_auto_install(false);
     assert_eq!(
         machk_obs::subscriber::subscriber_count(),
@@ -118,13 +88,13 @@ fn multi_subscriber(c: &mut Criterion) {
     g.sample_size(10);
     for threads in [1usize, 4] {
         g.bench_with_input(BenchmarkId::new("subs0", threads), &threads, |b, &t| {
-            b.iter(|| counter_on(&LOCK, t, 50_000));
+            b.iter(|| lock_counter(&LOCK, t, 50_000));
         });
     }
     assert!(machk_obs::subscriber::install_default());
     for threads in [1usize, 4] {
         g.bench_with_input(BenchmarkId::new("subs1", threads), &threads, |b, &t| {
-            b.iter(|| counter_on(&LOCK, t, 50_000));
+            b.iter(|| lock_counter(&LOCK, t, 50_000));
         });
     }
     let (ndjson, _sink) = machk_obs::NdjsonSubscriber::to_shared_vec(4_096);
@@ -136,7 +106,7 @@ fn multi_subscriber(c: &mut Criterion) {
         .expect("subscriber slots exhausted");
     for threads in [1usize, 4] {
         g.bench_with_input(BenchmarkId::new("subs3", threads), &threads, |b, &t| {
-            b.iter(|| counter_on(&LOCK, t, 50_000));
+            b.iter(|| lock_counter(&LOCK, t, 50_000));
         });
     }
     g.finish();

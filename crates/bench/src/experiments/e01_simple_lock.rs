@@ -16,20 +16,20 @@
 //! as *stability* (queued throughput flat vs. erratic) — EXPERIMENTS.md
 //! records the measured shape.
 
-use machk_core::{Backoff, SpinPolicy};
+use machk_core::{Mcs, RawSimpleLock, Tas, TasThenTtas, Ticket, Ttas, WithBackoff};
 
 use crate::report::{BenchReport, Dir};
 use crate::util::{contention_sweep, fmt_rate, thread_sweep, Table};
-use crate::workloads::{simple_lock_counter, simple_lock_first_try_rate};
+use crate::workloads::{simple_lock_counter, simple_lock_first_try_rate, PolicyCounter};
 
 /// The policy sweep, with the JSON field name of each column.
-const POLICIES: [(&str, SpinPolicy, Backoff); 6] = [
-    ("tas", SpinPolicy::Tas, Backoff::NONE),
-    ("ttas", SpinPolicy::Ttas, Backoff::NONE),
-    ("tas_ttas", SpinPolicy::TasThenTtas, Backoff::NONE),
-    ("tas_ttas_backoff", SpinPolicy::TasThenTtas, Backoff::DEFAULT),
-    ("ticket", SpinPolicy::Ticket, Backoff::NONE),
-    ("mcs", SpinPolicy::Mcs, Backoff::NONE),
+const POLICIES: [PolicyCounter; 6] = [
+    ("tas", simple_lock_counter::<Tas>),
+    ("ttas", simple_lock_counter::<Ttas>),
+    ("tas_ttas", simple_lock_counter::<TasThenTtas>),
+    ("tas_ttas_backoff", simple_lock_counter::<WithBackoff<TasThenTtas>>),
+    ("ticket", simple_lock_counter::<Ticket>),
+    ("mcs", simple_lock_counter::<Mcs>),
 ];
 
 /// Run E1 and render its tables.
@@ -60,8 +60,8 @@ pub fn run_report(quick: bool) -> (String, String) {
     for threads in contention_sweep() {
         let mut cells = vec![threads.to_string()];
         let mut rates = Vec::new();
-        for (name, policy, backoff) in POLICIES {
-            let rate = simple_lock_counter(policy, backoff, threads, iters);
+        for (name, run) in POLICIES {
+            let rate = run(threads, iters);
             cells.push(fmt_rate(rate));
             rates.push(format!("\"{name}\":{rate:.0}"));
             // Host throughput: trajectory-only (CI runners vary), at
@@ -83,7 +83,8 @@ pub fn run_report(quick: bool) -> (String, String) {
     );
     let mut first_try_json = Vec::new();
     for threads in thread_sweep() {
-        let r = simple_lock_first_try_rate(SpinPolicy::TasThenTtas, threads, iters / 4);
+        let lock = RawSimpleLock::<TasThenTtas>::new();
+        let r = simple_lock_first_try_rate(&lock, threads, iters / 4);
         t.row(&[threads.to_string(), format!("{:.3}", r)]);
         first_try_json.push(format!("{{\"threads\":{threads},\"rate\":{r:.4}}}"));
         if threads == 1 {

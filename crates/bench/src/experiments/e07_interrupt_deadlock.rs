@@ -171,7 +171,7 @@ fn sim_section(report: &mut BenchReport) -> String {
 /// spins masked.
 fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
     let machine = Arc::new(Machine::new(3));
-    let lock = Arc::new(RawSimpleLock::new());
+    let lock: Arc<RawSimpleLock> = Arc::new(RawSimpleLock::new());
     let stage = Arc::new(AtomicUsize::new(0));
     let finished = Arc::new(AtomicBool::new(false));
 

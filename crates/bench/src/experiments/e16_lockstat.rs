@@ -14,13 +14,15 @@
 //! tracing code is not merely idle, it is not linked).
 
 #[cfg(feature = "obs")]
-use machk_core::{Backoff, ComplexLock, RawSimpleLock, ShardedRefCount, SpinPolicy};
+use machk_core::{ComplexLock, Mcs, RawSimpleLock, ShardedRefCount, Tas, Ticket, Ttas};
 
 use crate::report::BenchReport;
 #[cfg(feature = "obs")]
 use crate::util::run_concurrent;
 #[cfg(not(feature = "obs"))]
 use crate::util::Table;
+#[cfg(feature = "obs")]
+use crate::workloads::lock_counter;
 
 /// The experiment's envelope title (shared by both feature variants).
 const TITLE: &str = "Kernel-wide lockstat: contention, histograms, order cycles (obs layer)";
@@ -30,14 +32,10 @@ const TITLE: &str = "Kernel-wide lockstat: contention, histograms, order cycles 
 /// `&'static str`, as kernel lock names would be).
 #[cfg(feature = "obs")]
 fn drive_workload(quick: bool) {
-    static TAS: RawSimpleLock =
-        RawSimpleLock::named_with_policy("e16.counter.tas", SpinPolicy::Tas, Backoff::NONE);
-    static TTAS: RawSimpleLock =
-        RawSimpleLock::named_with_policy("e16.counter.ttas", SpinPolicy::Ttas, Backoff::NONE);
-    static TICKET: RawSimpleLock =
-        RawSimpleLock::named_with_policy("e16.counter.ticket", SpinPolicy::Ticket, Backoff::NONE);
-    static MCS: RawSimpleLock =
-        RawSimpleLock::named_with_policy("e16.counter.mcs", SpinPolicy::Mcs, Backoff::NONE);
+    static TAS: RawSimpleLock<Tas> = RawSimpleLock::<Tas>::named("e16.counter.tas");
+    static TTAS: RawSimpleLock<Ttas> = RawSimpleLock::<Ttas>::named("e16.counter.ttas");
+    static TICKET: RawSimpleLock<Ticket> = RawSimpleLock::<Ticket>::named("e16.counter.ticket");
+    static MCS: RawSimpleLock<Mcs> = RawSimpleLock::<Mcs>::named("e16.counter.mcs");
     static MAP: ComplexLock = ComplexLock::named("e16.map.lock", false);
     static OBJ_REF: ShardedRefCount = ShardedRefCount::named("e16.object.ref");
     static ORDER_A: RawSimpleLock = RawSimpleLock::named("e16.order.a");
@@ -47,22 +45,10 @@ fn drive_workload(quick: bool) {
     let iters: u64 = if quick { 4_000 } else { 100_000 };
 
     // Simple locks: one contended counter per policy, as in E1.
-    for lock in [&TAS, &TTAS, &TICKET, &MCS] {
-        let mut counter = 0u64;
-        let cp = &mut counter as *mut u64 as usize;
-        run_concurrent(threads, |_t| {
-            for _ in 0..iters {
-                lock.lock_raw();
-                // Tiny critical section, as in kernel hot paths.
-                unsafe {
-                    let p = cp as *mut u64;
-                    p.write(p.read().wrapping_add(1));
-                }
-                lock.unlock_raw();
-            }
-        });
-        assert_eq!(counter, threads as u64 * iters);
-    }
+    lock_counter(&TAS, threads, iters);
+    lock_counter(&TTAS, threads, iters);
+    lock_counter(&TICKET, threads, iters);
+    lock_counter(&MCS, threads, iters);
 
     // Complex lock: mostly readers, a writer minority, periodic upgrade
     // attempts (which drop the read lock on failure, per the paper).

@@ -168,7 +168,7 @@ mod armed {
         // the waiter must succeed once the holder lets go — asserted
         // every seed, independent of how the stochastic storm schedules.
         {
-            let lock = RawSimpleLock::new();
+            let lock: RawSimpleLock = RawSimpleLock::new();
             lock.lock_raw();
             std::thread::scope(|s| {
                 s.spawn(|| {
@@ -190,7 +190,7 @@ mod armed {
             .with_rate(FaultSite::SimpleReleaseDelay, rate_from_prob(0.25))
             .declared_roles_only();
         machk_fault::install(plan);
-        let a = Arc::new(RawSimpleLock::new());
+        let a: Arc<RawSimpleLock> = Arc::new(RawSimpleLock::new());
         let b = Arc::new(RawSimpleLock::new());
         let counter = Arc::new(AtomicU64::new(0));
         let diagnosed = Arc::new(AtomicU64::new(0));
@@ -375,7 +375,7 @@ mod armed {
         std::thread::scope(|s| {
             s.spawn(|| {
                 machk_fault::set_role(0);
-                let lock = RawSimpleLock::new();
+                let lock: RawSimpleLock = RawSimpleLock::new();
                 let map = ComplexLock::new(false);
                 let count = ShardedRefCount::new();
                 let flag = AtomicU64::new(0);

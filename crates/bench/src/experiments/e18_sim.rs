@@ -36,10 +36,10 @@ mod simulated {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use machk_core::sync::{host, Backoff, SpinPolicy};
+    use machk_core::sync::{host, SpinPolicy};
     use machk_core::{
-        assert_wait, thread_block_timeout, thread_wakeup, ComplexLock, Event, JitterBackoff,
-        RawSimpleLock, ShardedRefCount, WaitResult,
+        assert_wait, thread_block_timeout, thread_wakeup, ComplexLock, Event, JitterBackoff, Mcs,
+        RawSimpleLock, ShardedRefCount, TasThenTtas, Ticket, WaitResult, WithBackoff,
     };
     use machk_fault::{rate_from_prob, FaultPlan, FaultSite};
     use machk_sim::{
@@ -175,11 +175,11 @@ mod simulated {
     }
 
     /// E1 on simulated cores: total virtual time for 8 threads × `ops`
-    /// lock/unlock rounds under `policy` on a `cores`-CPU host.
-    fn e1_clock_ns(cores: usize, policy: SpinPolicy, ops: u64) -> u64 {
+    /// lock/unlock rounds under policy `P` on a `cores`-CPU host.
+    fn e1_clock_ns<P: SpinPolicy>(cores: usize, ops: u64) -> u64 {
         let cfg = SimConfig::DEFAULT.with_cores(cores).with_seed(0xE1_51);
         sim_run(&cfg, move || {
-            let lock = Arc::new(RawSimpleLock::with_policy(policy, Backoff::DEFAULT));
+            let lock = Arc::new(RawSimpleLock::<P>::new());
             let ts: Vec<_> = (0..8)
                 .map(|_| {
                     let lock = Arc::clone(&lock);
@@ -197,8 +197,13 @@ mod simulated {
                 host::join(t);
             }
         })
-        .unwrap_or_else(|e| panic!("E1-sim({cores} cores, {policy:?}) failed: {e}"))
+        .unwrap_or_else(|e| panic!("E1-sim({cores} cores, {}) failed: {e}", P::NAME))
         .clock_ns
+    }
+
+    /// `(name, clock at 1 core, clock at 8 cores)` for policy `P`.
+    fn e1_row<P: SpinPolicy>(name: &'static str, ops: u64) -> (&'static str, u64, u64) {
+        (name, e1_clock_ns::<P>(1, ops), e1_clock_ns::<P>(8, ops))
     }
 
     /// Everything the table and the JSON artifact report.
@@ -259,15 +264,11 @@ mod simulated {
         ));
 
         // Campaign 4: E1 on simulated hosts.
-        let policies = [
-            ("tas-then-ttas", SpinPolicy::TasThenTtas),
-            ("ticket", SpinPolicy::Ticket),
-            ("mcs", SpinPolicy::Mcs),
+        let e1 = vec![
+            e1_row::<WithBackoff<TasThenTtas>>("tas-then-ttas", e1_ops),
+            e1_row::<Ticket>("ticket", e1_ops),
+            e1_row::<Mcs>("mcs", e1_ops),
         ];
-        let e1: Vec<(&'static str, u64, u64)> = policies
-            .iter()
-            .map(|&(name, p)| (name, e1_clock_ns(1, p, e1_ops), e1_clock_ns(8, p, e1_ops)))
-            .collect();
         let word_1 = e1[0].1;
         let word_8 = e1[0].2;
         let queued_1 = e1[1..].iter().map(|r| r.1).min().unwrap();

@@ -6,8 +6,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use machk_core::{
-    Backoff, ComplexLock, Kobj, ObjRef, RawSimpleLock, Refable, RwData, SimpleLocked, SpinPolicy,
-    UpgradeFailed,
+    ComplexLock, Kobj, Mcs, ObjRef, RawSimpleLock, Refable, RwData, SimpleLocked, SpinPolicy, Tas,
+    TasThenTtas, Ticket, Ttas, UpgradeFailed,
 };
 use machk_ipc::{DispatchTable, KernError, Message, Port, RefSemantics, RpcStats};
 use machk_kernel::{MonoTask, Task};
@@ -17,21 +17,23 @@ use crate::util::{ops_per_sec, run_concurrent};
 
 // ---------------------------------------------------------------- E1
 
-/// E1: increment a shared counter under a simple lock with the given
-/// acquisition policy; returns aggregate ops/s.
-pub fn simple_lock_counter(
-    policy: SpinPolicy,
-    backoff: Backoff,
-    threads: usize,
-    iters: u64,
-) -> f64 {
-    let lock = RawSimpleLock::with_policy(policy, backoff);
+/// E1: increment a shared counter under a fresh anonymous simple lock
+/// of policy `P`; returns aggregate ops/s.
+pub fn simple_lock_counter<P: SpinPolicy>(threads: usize, iters: u64) -> f64 {
+    lock_counter(&RawSimpleLock::<P>::new(), threads, iters)
+}
+
+/// [`simple_lock_counter`] against a caller-supplied lock (a named one,
+/// for tracing-cost measurements).
+pub fn lock_counter<P: SpinPolicy>(lock: &RawSimpleLock<P>, threads: usize, iters: u64) -> f64 {
     let mut counter = 0u64;
     let cp = &mut counter as *mut u64 as usize;
     let elapsed = run_concurrent(threads, |_t| {
         for _ in 0..iters {
             lock.lock_raw();
             // Tiny critical section, as in kernel hot paths.
+            // SAFETY: `counter` outlives the run and `lock` serializes
+            // every access to it.
             unsafe {
                 let p = cp as *mut u64;
                 p.write(p.read().wrapping_add(1));
@@ -43,18 +45,41 @@ pub fn simple_lock_counter(
     ops_per_sec(threads as u64 * iters, elapsed)
 }
 
-/// E1 (ablation): fraction of first-try acquisitions under the given
-/// policy and thread count (checks "most locks ... are acquired on the
-/// first attempt").
-pub fn simple_lock_first_try_rate(policy: SpinPolicy, threads: usize, iters: u64) -> f64 {
-    use machk_core::sync::InstrumentedSimpleLock;
-    let lock = InstrumentedSimpleLock::with_policy(policy, Backoff::NONE);
+/// One entry of a policy sweep: its label and [`simple_lock_counter`]
+/// for that policy.
+pub type PolicyCounter = (&'static str, fn(usize, u64) -> f64);
+
+/// Every policy without backoff, in presentation order.
+pub const POLICY_SWEEP: [PolicyCounter; 5] = [
+    (Tas::NAME, simple_lock_counter::<Tas>),
+    (Ttas::NAME, simple_lock_counter::<Ttas>),
+    (TasThenTtas::NAME, simple_lock_counter::<TasThenTtas>),
+    (Ticket::NAME, simple_lock_counter::<Ticket>),
+    (Mcs::NAME, simple_lock_counter::<Mcs>),
+];
+
+/// E1 (ablation): fraction of acquisitions of `lock` that succeed on the
+/// first attempt (checks "most locks ... are acquired on the first
+/// attempt"). Each acquisition makes one `try_lock_raw`; when that
+/// fails it counts as contended and falls back to `lock_raw`.
+pub fn simple_lock_first_try_rate<P: SpinPolicy>(
+    lock: &RawSimpleLock<P>,
+    threads: usize,
+    iters: u64,
+) -> f64 {
+    let contended = AtomicU64::new(0);
     run_concurrent(threads, |_t| {
+        let mut misses = 0u64;
         for _ in 0..iters {
-            lock.lock().unlock();
+            if !lock.try_lock_raw() {
+                misses += 1;
+                lock.lock_raw();
+            }
+            lock.unlock_raw();
         }
+        contended.fetch_add(misses, Ordering::Relaxed); // relaxed: read after the join
     });
-    lock.stats().snapshot().first_try_rate()
+    1.0 - contended.into_inner() as f64 / (threads as u64 * iters) as f64
 }
 
 // ---------------------------------------------------------------- E2
@@ -726,11 +751,29 @@ mod tests {
 
     #[test]
     fn e1_kernels_run() {
-        for p in SpinPolicy::ALL {
-            assert!(simple_lock_counter(p, Backoff::NONE, T, N) > 0.0);
+        for (_, run) in POLICY_SWEEP {
+            assert!(run(T, N) > 0.0);
         }
-        let r = simple_lock_first_try_rate(SpinPolicy::TasThenTtas, 1, N);
-        assert!((0.0..=1.0).contains(&r));
+        let r = simple_lock_first_try_rate::<TasThenTtas>(&RawSimpleLock::new(), 1, N);
+        assert_eq!(r, 1.0, "a lone thread always acquires on the first try");
+    }
+
+    #[test]
+    fn first_try_rate_counts_an_acquisition_behind_a_holder() {
+        // A ticket lock registers its waiters, so the test can release
+        // only once the workload's first acquisition is known to wait.
+        let lock = RawSimpleLock::<Ticket>::new();
+        lock.lock_raw();
+        let rate = std::thread::scope(|s| {
+            let worker = s.spawn(|| simple_lock_first_try_rate(&lock, 1, 4));
+            while lock.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            lock.unlock_raw();
+            worker.join().unwrap()
+        });
+        assert!(rate < 1.0, "a held lock's acquisition counted as first-try");
+        assert_eq!(rate, 0.75);
     }
 
     #[test]

@@ -55,6 +55,6 @@ pub use machk_refcount::{
     ObjRef, Refable, ShardedRefCount,
 };
 pub use machk_sync::{
-    AdaptiveSpin, Backoff, JitterBackoff, LockError, LockTimeout, Poisoned, RawSimpleLock,
-    SimpleLocked, SpinPolicy,
+    Backoff, JitterBackoff, LockError, LockTimeout, Mcs, Poisoned, RawSimpleLock, SimpleLocked,
+    SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, WithBackoff,
 };

@@ -402,7 +402,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "blocking operation")]
     fn thread_block_while_holding_simple_lock_panics() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let ev = unique_event();
         assert_wait(ev, true);
         let _g = lock.lock();

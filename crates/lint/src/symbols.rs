@@ -161,7 +161,7 @@ impl Symbols {
                 }
                 if matches!(
                     t.text.as_str(),
-                    "named" | "named_with_policy" | "named_at_level" | "new_sharded_named"
+                    "named" | "named_at_level" | "new_sharded_named"
                 ) {
                     // First string literal in the args is the name.
                     if let Some(s) = toks[i..].iter().take(6).find(|t| t.kind == Kind::Str) {

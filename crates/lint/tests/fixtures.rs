@@ -58,6 +58,18 @@ fn abba_consistent_order_clean() {
 }
 
 #[test]
+fn turbofish_declared_locks_join_the_order_graph() {
+    let analysis = analyze_fixture("turbofish_bad.rs");
+    let slugs: Vec<&str> = analysis.findings.iter().map(|f| f.rule.slug()).collect();
+    assert_eq!(slugs, vec!["lock-order-cycle"]);
+    assert_eq!(
+        analysis.findings[0].context,
+        "fixture.ticket -> x.lock -> fixture.ticket"
+    );
+    assert!(analysis.graph.has_edge("t.lock", "x.lock"));
+}
+
+#[test]
 fn block_under_simple_lock_detected() {
     assert_one("block_bad.rs", Rule::HoldAcrossBlock);
 }

@@ -52,7 +52,6 @@
 pub mod appendix_b;
 pub mod complex;
 pub mod rw_data;
-pub mod stats;
 
 pub use appendix_b::{
     lock_clear_recursive, lock_done, lock_init, lock_read, lock_read_to_write, lock_set_recursive,
@@ -61,4 +60,3 @@ pub use appendix_b::{
 };
 pub use complex::{ComplexLock, HowHeld, ReadGuard, UpgradeFailed, WriteGuard};
 pub use rw_data::{RwData, RwReadGuard, RwWriteGuard};
-pub use stats::{ComplexStatsSnapshot, InstrumentedComplexLock};

@@ -65,8 +65,7 @@ impl Log2Hist {
     }
 
     /// Point-in-time copy. Cross-field consistency is not guaranteed
-    /// while writers are active (same contract as the seed's
-    /// `LockStats`).
+    /// while writers are active.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut buckets = [0u64; BUCKETS];
         for (dst, src) in buckets.iter_mut().zip(&self.buckets) {

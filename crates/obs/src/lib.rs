@@ -38,9 +38,6 @@
 //! * **[`report`]** — the aggregation pass: a `lockstat`-style text or
 //!   JSON report (top-N locks by contention, histograms, reader/writer
 //!   breakdown, per-policy comparison, order cycles).
-//! * **[`snapshot`]** — one trait ([`StatsRows`]) that the per-crate
-//!   statistics snapshots (`machk-sync`'s and `machk-lock`'s) implement
-//!   so reports render both shapes uniformly.
 //!
 //! ## Feature gating and cost
 //!
@@ -68,7 +65,6 @@ pub mod order;
 pub mod registry;
 pub mod report;
 pub mod ring;
-pub mod snapshot;
 pub mod subscriber;
 
 pub use event::{EventKind, TraceEvent, FLAG_CONTENDED};
@@ -77,7 +73,6 @@ pub use hist::{HistSnapshot, Log2Hist};
 pub use ndjson::NdjsonSubscriber;
 pub use registry::{ComplexOp, LockClass, LockTag, RefOp, RingOp};
 pub use report::Lockstat;
-pub use snapshot::{render_stats, StatsRows};
 pub use subscriber::{
     dispatch, install, install_static, set_auto_install, LockSubscriber, SlotsFull,
     StatsSubscriber,

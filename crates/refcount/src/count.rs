@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn concurrent_begin_end_storm_under_lock() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let c = DrainableCount::new();
         std::thread::scope(|s| {
             for _ in 0..4 {

@@ -344,7 +344,7 @@ mod tests {
     fn release_under_simple_lock_is_detected() {
         let (obj, _d) = new_obj(0);
         let o2 = obj.clone();
-        let guard_lock = machk_sync::RawSimpleLock::new();
+        let guard_lock: machk_sync::RawSimpleLock = machk_sync::RawSimpleLock::new();
         let _g = guard_lock.lock();
         drop(o2); // must panic: release while holding a simple lock
     }

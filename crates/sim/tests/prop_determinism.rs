@@ -8,16 +8,13 @@ use std::sync::Arc;
 use machk_refcount::ShardedRefCount;
 use machk_sim::{run, SimConfig};
 use machk_sync::host;
-use machk_sync::{Backoff, RawSimpleLock, SpinPolicy};
+use machk_sync::{RawSimpleLock, Ticket};
 use proptest::prelude::*;
 
 /// A mixed workload touching locks, refcounts, and virtual work, then
 /// rendering an output string the way an experiment would.
 fn scenario() -> String {
-    let lock = Arc::new(RawSimpleLock::with_policy(
-        SpinPolicy::Ticket,
-        Backoff::DEFAULT,
-    ));
+    let lock = Arc::new(RawSimpleLock::<Ticket>::new());
     let count = Arc::new(ShardedRefCount::new());
     let ts: Vec<_> = (0..3)
         .map(|i| {

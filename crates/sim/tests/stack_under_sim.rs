@@ -13,7 +13,7 @@ use machk_lock::ComplexLock;
 use machk_refcount::ShardedRefCount;
 use machk_sim::{run, SimConfig, SimError};
 use machk_sync::host;
-use machk_sync::{Backoff, RawSimpleLock, SpinPolicy};
+use machk_sync::{Mcs, RawSimpleLock, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, WithBackoff};
 
 /// A counter that relies entirely on the lock protecting it (any lost
 /// mutual exclusion shows up as a lost increment).
@@ -31,45 +31,47 @@ fn bump(c: &RacyCounter) {
     }
 }
 
+/// Four simulated threads bump a racy counter 20 times each under a
+/// lock of policy `P`; every increment must land.
+fn excludes<P: SpinPolicy>(name: &str, seed: u64) {
+    let report = run(&SimConfig::DEFAULT.with_seed(seed), move || {
+        let lock = Arc::new(RawSimpleLock::<P>::new());
+        let counter = Arc::new(RacyCounter(UnsafeCell::new(0)));
+        let ts: Vec<_> = (0..4)
+            .map(|_| {
+                let lock = Arc::clone(&lock);
+                let counter = Arc::clone(&counter);
+                host::spawn(move || {
+                    for _ in 0..20 {
+                        let g = lock.lock();
+                        bump(&counter);
+                        drop(g);
+                    }
+                })
+            })
+            .collect();
+        for t in ts {
+            host::join(t);
+        }
+        unsafe { *counter.0.get() }
+    })
+    .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(report.value, 80, "{name} lost increments");
+}
+
 #[test]
 fn simple_lock_excludes_under_every_policy() {
-    for (name, policy) in [
-        ("tas", SpinPolicy::Tas),
-        ("ttas", SpinPolicy::Ttas),
-        ("tas-then-ttas", SpinPolicy::TasThenTtas),
-        ("ticket", SpinPolicy::Ticket),
-        ("mcs", SpinPolicy::Mcs),
-    ] {
-        let report = run(&SimConfig::DEFAULT.with_seed(0xE1 + policy as u64), move || {
-            let lock = Arc::new(RawSimpleLock::with_policy(policy, Backoff::DEFAULT));
-            let counter = Arc::new(RacyCounter(UnsafeCell::new(0)));
-            let ts: Vec<_> = (0..4)
-                .map(|_| {
-                    let lock = Arc::clone(&lock);
-                    let counter = Arc::clone(&counter);
-                    host::spawn(move || {
-                        for _ in 0..20 {
-                            let g = lock.lock();
-                            bump(&counter);
-                            drop(g);
-                        }
-                    })
-                })
-                .collect();
-            for t in ts {
-                host::join(t);
-            }
-            unsafe { *counter.0.get() }
-        })
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(report.value, 80, "{name} lost increments");
-    }
+    excludes::<WithBackoff<Tas>>("tas", 0xE1);
+    excludes::<WithBackoff<Ttas>>("ttas", 0xE2);
+    excludes::<WithBackoff<TasThenTtas>>("tas-then-ttas", 0xE3);
+    excludes::<Ticket>("ticket", 0xE4);
+    excludes::<Mcs>("mcs", 0xE5);
 }
 
 #[test]
 fn deadline_expires_in_virtual_time() {
     let report = run(&SimConfig::DEFAULT, || {
-        let lock = Arc::new(RawSimpleLock::new());
+        let lock: Arc<RawSimpleLock> = Arc::new(RawSimpleLock::new());
         let held = Arc::new(AtomicU32::new(0));
         let release = Arc::new(AtomicU32::new(0));
         let holder = {
@@ -115,8 +117,8 @@ fn ab_ba_deadlock_is_caught_by_step_budget() {
     let mut cfg = SimConfig::DEFAULT;
     cfg.max_steps = 30_000;
     let err = run(&cfg, || {
-        let a = Arc::new(RawSimpleLock::new());
-        let b = Arc::new(RawSimpleLock::new());
+        let a: Arc<RawSimpleLock> = Arc::new(RawSimpleLock::new());
+        let b: Arc<RawSimpleLock> = Arc::new(RawSimpleLock::new());
         let got_a = Arc::new(AtomicU32::new(0));
         let got_b = Arc::new(AtomicU32::new(0));
         let t1 = {
@@ -251,10 +253,7 @@ fn sharded_refcount_ledger_balances_under_sim() {
 #[test]
 fn stack_schedule_is_a_pure_function_of_seed() {
     let scenario = || {
-        let lock = Arc::new(RawSimpleLock::with_policy(
-            SpinPolicy::Mcs,
-            Backoff::DEFAULT,
-        ));
+        let lock = Arc::new(RawSimpleLock::<Mcs>::new());
         let count = Arc::new(ShardedRefCount::new());
         let ts: Vec<_> = (0..4)
             .map(|_| {

@@ -144,8 +144,8 @@ impl JitterBackoff {
     /// Wait out the next jittered delay and return its length.
     ///
     /// Short delays spin, medium delays yield the CPU, long delays
-    /// sleep — mirroring the spin→yield→park escalation of
-    /// [`crate::AdaptiveSpin`] at a finer grain.
+    /// sleep — mirroring the spin→yield→park escalation of contended
+    /// simple-lock waits at a finer grain.
     pub fn pause(&mut self) -> Duration {
         let upper = self.prev_ns.saturating_mul(3).max(Self::BASE_NS + 1);
         let d = (Self::BASE_NS + jitter_rand() % (upper - Self::BASE_NS)).min(Self::CAP_NS);

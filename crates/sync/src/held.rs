@@ -109,8 +109,8 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn held_count_tracks_guards() {
-        let a = RawSimpleLock::new();
-        let b = RawSimpleLock::new();
+        let a: RawSimpleLock = RawSimpleLock::new();
+        let b: RawSimpleLock = RawSimpleLock::new();
         assert_eq!(simple_locks_held(), 0);
         let ga = a.lock();
         assert_eq!(simple_locks_held(), 1);
@@ -126,7 +126,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "blocking operation")]
     fn assert_fires_while_holding() {
-        let a = RawSimpleLock::new();
+        let a: RawSimpleLock = RawSimpleLock::new();
         let _g = a.lock();
         assert_no_simple_locks_held("test_block");
     }
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn held_count_is_per_thread() {
-        let a = RawSimpleLock::new();
+        let a: RawSimpleLock = RawSimpleLock::new();
         let _g = a.lock();
         std::thread::scope(|s| {
             s.spawn(|| {

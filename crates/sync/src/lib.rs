@@ -34,25 +34,39 @@
 //!   to TTAS only if it fails, on the assumption that "most locks in a well
 //!   designed system are acquired on the first attempt".
 //!
-//! All three are available as [`SpinPolicy`] values, optionally combined with
-//! bounded exponential backoff ([`Backoff`]); experiment **E1** in the
-//! repository benchmark suite contrasts them.
+//! All three are zero-sized [`SpinPolicy`] types ([`Tas`], [`Ttas`],
+//! [`TasThenTtas`]), optionally wrapped in [`WithBackoff`] for bounded
+//! exponential backoff ([`Backoff`]); experiment **E1** in the repository
+//! benchmark suite contrasts them.
+//!
+//! ## The policy is a type parameter
+//!
+//! The paper's lock is "a C integer" inside a structure that can carry
+//! debugging fields. [`RawSimpleLock<P>`] keeps that shape: the policy
+//! `P` (default [`TasThenTtas`]) is chosen at compile time and the lock
+//! stores only the state `P` needs. A default lock in a release build is
+//! the lock word plus a poison flag; debug builds add the holder's
+//! thread tag, and the `obs` feature adds its lockstat registration.
+//! Every kernel, IPC and VM lock takes the default; experiments name
+//! other policies as `RawSimpleLock::<Mcs>::new()`. The trait is sealed,
+//! so the set of policies is the one documented here.
 //!
 //! ## Queued policies (beyond the paper)
 //!
 //! Word-spinning policies collapse under sustained contention: every
 //! release invalidates the lock line in every waiter's cache and admission
 //! order is a free-for-all. Two queued policies address this behind the
-//! same interface (see the [`queued`] module for the mechanics):
+//! same interface (see the [`queued`] module for the mechanics); each
+//! owns its queue state, so only a lock that runs it pays for it:
 //!
-//! * **Ticket** ([`SpinPolicy::Ticket`]) — FIFO admission via a
-//!   draw-a-ticket counter.
-//! * **MCS** ([`SpinPolicy::Mcs`]) — FIFO admission *and* local spinning
-//!   on per-waiter queue nodes (Mellor-Crummey & Scott, 1991).
+//! * **Ticket** ([`Ticket`]) — FIFO admission via a draw-a-ticket
+//!   counter.
+//! * **MCS** ([`Mcs`]) — FIFO admission *and* local spinning on
+//!   per-waiter queue nodes (Mellor-Crummey & Scott, 1991).
 //!
-//! All contended waits additionally escalate spin → yield → park under the
-//! per-lock [`AdaptiveSpin`] thresholds, since this reproduction's
-//! "processors" are preemptible OS threads.
+//! All contended waits additionally escalate spin → yield → park under
+//! fixed thresholds (256 spins, 64 yields, then 50 µs parks), since this
+//! reproduction's "processors" are preemptible OS threads.
 //!
 //! ## Usage rules carried over from the paper
 //!
@@ -97,14 +111,13 @@ pub mod ring;
 pub mod seq;
 pub mod simple;
 pub mod simple_locked;
-pub mod stats;
 
 pub use deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
 pub use host::{Host, JoinToken, SpinSite, ThreadToken};
-pub use policy::{AdaptiveSpin, Backoff, SpinPolicy};
+pub use policy::{Backoff, SpinPolicy, Tas, TasThenTtas, Ttas, WithBackoff, WordPolicy};
+pub use queued::{Mcs, Ticket};
 pub use raw::{RawSimpleLock, SimpleGuard};
 pub use ring::MpscRing;
 pub use seq::{SeqCell, SeqWriter};
 pub use simple::{simple_lock, simple_lock_init, simple_lock_try, simple_unlock};
 pub use simple_locked::{SimpleLocked, SimpleLockedGuard};
-pub use stats::{InstrumentedSimpleLock, LockStats, StatsSnapshot};

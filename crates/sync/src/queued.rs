@@ -1,5 +1,4 @@
-//! Queued acquisition state for [`SpinPolicy::Ticket`] and
-//! [`SpinPolicy::Mcs`].
+//! The queued spin policies, [`Ticket`] and [`Mcs`].
 //!
 //! The paper's simple locks spin every waiter on the shared lock word
 //! (section 2); that is fast when contention is rare but collapses under
@@ -14,10 +13,12 @@
 //!   spins on a flag in its *own* node, so a release touches exactly one
 //!   waiter's line (Mellor-Crummey & Scott, 1991).
 //!
-//! Both live in a `QueuedState` (crate-private) embedded in every
-//! [`RawSimpleLock`]; the lock's `word` is kept as a locked/unlocked
-//! mirror so `is_locked`, the debug holder checks, and the macro
-//! initializers keep working regardless of policy.
+//! Each policy value owns its queue state and lives inside a
+//! [`RawSimpleLock<Ticket>`] or [`RawSimpleLock<Mcs>`]; the lock's word is
+//! kept as a locked/unlocked mirror so `is_locked`, the debug holder
+//! checks, and the macro initializers keep working regardless of policy.
+//! Whenever the lock is free the queue state is quiescent, so
+//! `simple_lock_init` on an unheld lock leaves it untouched.
 //!
 //! # MCS node lifetime
 //!
@@ -30,16 +31,15 @@
 //! a node is only ever reachable from the queue between its enqueue and
 //! its handoff.
 //!
-//! [`SpinPolicy::Ticket`]: crate::SpinPolicy::Ticket
-//! [`SpinPolicy::Mcs`]: crate::SpinPolicy::Mcs
-//! [`RawSimpleLock`]: crate::RawSimpleLock
+//! [`RawSimpleLock<Ticket>`]: crate::RawSimpleLock
+//! [`RawSimpleLock<Mcs>`]: crate::RawSimpleLock
 
 use core::ptr;
 use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::cell::RefCell;
 
 use crate::host::{self, SpinSite};
-use crate::policy::{AdaptiveSpin, Spinner, LOCKED, UNLOCKED};
+use crate::policy::{Sealed, SpinPolicy, Spinner, LOCKED, UNLOCKED};
 
 /// Ticket word layout: `[next:16 | owner:16]`.
 ///
@@ -51,7 +51,7 @@ const TICKET_NEXT: u32 = 1 << 16;
 const OWNER_MASK: u32 = 0xFFFF;
 
 /// One waiter's place in the MCS queue.
-pub(crate) struct McsNode {
+struct McsNode {
     next: AtomicPtr<McsNode>,
     /// 1 while waiting for the predecessor's handoff, 0 once admitted.
     waiting: AtomicU32,
@@ -104,91 +104,89 @@ fn node_put(node: *mut McsNode) {
     POOL.with(|p| p.borrow_mut().put(node));
 }
 
-/// Queue state embedded in every [`RawSimpleLock`]; quiescent (all zero /
-/// null) unless the lock's policy is queued.
-///
-/// [`RawSimpleLock`]: crate::RawSimpleLock
-pub(crate) struct QueuedState {
-    /// Ticket policy: `[next:16 | owner:16]`.
-    ticket: AtomicU32,
-    /// MCS policy: queue tail, null when uncontended.
-    tail: AtomicPtr<McsNode>,
-    /// MCS policy: the holder's node, consumed by release.
-    owner_node: AtomicPtr<McsNode>,
-    /// Waiters currently registered on a contended path. Updated only on
-    /// those paths (the uncontended fast path never touches it); the
-    /// `Release` increment is sequenced after the waiter takes its queue
-    /// position, so observing `waiters() == n` (Acquire) proves the first
-    /// `n` registrants' admission order is fixed — the fairness tests
-    /// rely on this.
-    waiters: AtomicU32,
+/// Registered-waiter count shared by both queued policies. Updated only
+/// on the contended paths (the uncontended fast path never touches it);
+/// the `Release` increment is sequenced after the waiter takes its queue
+/// position, so observing `get() == n` (Acquire) proves the first `n`
+/// registrants' admission order is fixed — the fairness tests rely on
+/// this.
+#[derive(Debug)]
+struct Waiters(AtomicU32);
+
+impl Waiters {
+    fn register(&self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+
+    fn retire(&self) {
+        // relaxed: only the *increment* publishes admission order; the
+        // decrement is a stats-only retreat.
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u32 {
+        self.0.load(Ordering::Acquire)
+    }
 }
 
-impl QueuedState {
-    pub(crate) const fn new() -> QueuedState {
-        QueuedState {
-            ticket: AtomicU32::new(0),
-            tail: AtomicPtr::new(ptr::null_mut()),
-            owner_node: AtomicPtr::new(ptr::null_mut()),
-            waiters: AtomicU32::new(0),
-        }
-    }
+/// FIFO ticket lock: acquirers draw a ticket with one atomic add and
+/// wait for the "now serving" counter to reach it.
+///
+/// Not in the paper — tickets are the first step beyond TTAS once
+/// contention makes fairness matter: arrival order is admission order,
+/// so no waiter starves, and release is a single counter bump rather
+/// than a cache-line brawl.
+#[derive(Debug)]
+pub struct Ticket {
+    /// `[next:16 | owner:16]`.
+    ticket: AtomicU32,
+    waiters: Waiters,
+}
 
-    /// Number of registered contended waiters (racy; tests and stats only).
+impl Ticket {
     pub(crate) fn waiters(&self) -> u32 {
-        self.waiters.load(Ordering::Acquire)
-    }
-
-    /// Reset to quiescent for `simple_lock_init` on an unheld lock.
-    pub(crate) fn reset(&self) {
-        // relaxed: `simple_lock_init` requires the lock unheld and
-        // unobserved, so there is no concurrent access to order with.
-        self.ticket.store(0, Ordering::Relaxed);
-        self.tail.store(ptr::null_mut(), Ordering::Relaxed);
-        // relaxed: same re-init contract as above.
-        self.owner_node.store(ptr::null_mut(), Ordering::Relaxed);
-        self.waiters.store(0, Ordering::Relaxed);
-    }
-
-    // --- Ticket -----------------------------------------------------------
-
-    /// Blocking ticket acquisition; returns the number of wait rounds
-    /// (0 = admitted immediately) for the contention statistics.
-    pub(crate) fn ticket_acquire(&self, word: &AtomicU32, adaptive: AdaptiveSpin) -> u64 {
-        let drawn = self.ticket.fetch_add(TICKET_NEXT, Ordering::Acquire);
-        let my_turn = drawn >> 16;
-        if drawn & OWNER_MASK == my_turn {
-            // relaxed: the Acquire ticket draw is the synchronizing
-            // acquisition; `word` only mirrors held/free for debug dumps.
-            word.store(LOCKED, Ordering::Relaxed);
-            return 0;
-        }
-        self.ticket_wait(my_turn, word, adaptive)
+        self.waiters.get()
     }
 
     #[cold]
-    fn ticket_wait(&self, my_turn: u32, word: &AtomicU32, adaptive: AdaptiveSpin) -> u64 {
-        self.waiters.fetch_add(1, Ordering::Release);
+    fn wait(&self, my_turn: u32) {
+        self.waiters.register();
         // Every ticket waiter watches the same "now serving" line.
         let site = SpinSite::SharedLine(&self.ticket as *const AtomicU32 as usize);
-        let mut spinner = Spinner::new(adaptive, site);
-        let mut rounds: u64 = 0;
+        let mut spinner = Spinner::new(site);
         while self.ticket.load(Ordering::Acquire) & OWNER_MASK != my_turn {
-            rounds += 1;
             spinner.relax();
         }
-        // relaxed: only the *increment* publishes admission order (see
-        // `waiters` field doc); the decrement is a stats-only retreat.
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
-        // relaxed: the Acquire "now serving" load above synchronized.
-        word.store(LOCKED, Ordering::Relaxed);
+        self.waiters.retire();
         host::lock_acquired(site);
-        rounds.max(1)
+    }
+}
+
+impl Sealed for Ticket {}
+
+impl SpinPolicy for Ticket {
+    const INIT: Self = Ticket {
+        ticket: AtomicU32::new(0),
+        waiters: Waiters(AtomicU32::new(0)),
+    };
+    const NAME: &'static str = "ticket";
+
+    fn acquire(&self, word: &AtomicU32) -> bool {
+        let drawn = self.ticket.fetch_add(TICKET_NEXT, Ordering::Acquire);
+        let my_turn = drawn >> 16;
+        let contended = drawn & OWNER_MASK != my_turn;
+        if contended {
+            self.wait(my_turn);
+        }
+        // relaxed: the Acquire ticket draw / "now serving" load is the
+        // synchronizing acquisition; `word` only mirrors held/free.
+        word.store(LOCKED, Ordering::Relaxed);
+        contended
     }
 
-    /// Single ticket acquisition attempt: only succeeds when no one is
-    /// waiting (drawing a ticket would otherwise commit us to the queue).
-    pub(crate) fn ticket_try(&self, word: &AtomicU32) -> bool {
+    /// Only succeeds when no one is waiting (drawing a ticket would
+    /// otherwise commit us to the queue).
+    fn try_acquire(&self, word: &AtomicU32) -> bool {
         // relaxed: advisory peek; the CAS below revalidates the value.
         let cur = self.ticket.load(Ordering::Relaxed);
         if cur >> 16 != cur & OWNER_MASK {
@@ -211,7 +209,7 @@ impl QueuedState {
         ok
     }
 
-    pub(crate) fn ticket_release(&self, word: &AtomicU32) {
+    fn release(&self, word: &AtomicU32) {
         // relaxed: the Release CAS below is what publishes the critical
         // section to the next owner; `word` is a debug mirror.
         word.store(UNLOCKED, Ordering::Relaxed);
@@ -234,13 +232,65 @@ impl QueuedState {
             }
         }
     }
+}
 
-    // --- MCS --------------------------------------------------------------
+/// MCS queue lock (Mellor-Crummey & Scott, 1991 — the same year as the
+/// paper): waiters form an explicit queue and each spins on a flag in
+/// its *own* node.
+///
+/// This gives FIFO admission like [`Ticket`] plus local spinning: under
+/// heavy contention each waiter touches only its own cache line until
+/// its predecessor hands the lock over, so coherence traffic stays O(1)
+/// per handoff instead of O(waiters).
+#[derive(Debug)]
+pub struct Mcs {
+    /// Queue tail, null when uncontended.
+    tail: AtomicPtr<McsNode>,
+    /// The holder's node, consumed by release.
+    owner_node: AtomicPtr<McsNode>,
+    waiters: Waiters,
+}
 
-    /// Blocking MCS acquisition; returns the number of wait rounds
-    /// (0 = queue was empty) for the contention statistics.
-    pub(crate) fn mcs_acquire(&self, word: &AtomicU32, adaptive: AdaptiveSpin) -> u64 {
+impl Mcs {
+    pub(crate) fn waiters(&self) -> u32 {
+        self.waiters.get()
+    }
+
+    #[cold]
+    fn wait(&self, prev: *mut McsNode, node: *mut McsNode) {
+        self.waiters.register();
+        // Link behind the predecessor, then spin on our own flag — the
+        // local spinning that distinguishes MCS from every word-spinning
+        // policy.
+        // SAFETY: `prev` was the tail our swap replaced; its owner keeps
+        // it alive until it has handed off to the `next` stored here
+        // (its tail CAS can no longer succeed once we are the tail).
+        unsafe { (*prev).next.store(node, Ordering::Release) };
+        let mut spinner = Spinner::new(SpinSite::LocalLine);
+        // SAFETY: `node` is this thread's own pool node, live until we
+        // return it to the pool at release.
+        while unsafe { (*node).waiting.load(Ordering::Acquire) } != 0 {
+            spinner.relax();
+        }
+        self.waiters.retire();
+        host::lock_acquired(SpinSite::LocalLine);
+    }
+}
+
+impl Sealed for Mcs {}
+
+impl SpinPolicy for Mcs {
+    const INIT: Self = Mcs {
+        tail: AtomicPtr::new(ptr::null_mut()),
+        owner_node: AtomicPtr::new(ptr::null_mut()),
+        waiters: Waiters(AtomicU32::new(0)),
+    };
+    const NAME: &'static str = "mcs";
+
+    fn acquire(&self, word: &AtomicU32) -> bool {
         let node = node_get();
+        // SAFETY: a pool node is a live allocation owned by this thread
+        // and not reachable from any queue until the swap below.
         unsafe {
             // relaxed: the node is ours alone until the AcqRel tail swap
             // publishes it, and that swap orders these init stores.
@@ -248,42 +298,22 @@ impl QueuedState {
             (*node).waiting.store(1, Ordering::Relaxed);
         }
         let prev = self.tail.swap(node, Ordering::AcqRel);
-        let rounds = if prev.is_null() {
-            0
-        } else {
-            self.mcs_wait(prev, node, adaptive)
-        };
+        let contended = !prev.is_null();
+        if contended {
+            self.wait(prev, node);
+        }
         // relaxed: tail swap / waiting handoff already synchronized;
         // `word` mirrors state and `owner_node` is read back only by
         // this same thread at release time.
         word.store(LOCKED, Ordering::Relaxed);
         self.owner_node.store(node, Ordering::Relaxed);
-        rounds
+        contended
     }
 
-    #[cold]
-    fn mcs_wait(&self, prev: *mut McsNode, node: *mut McsNode, adaptive: AdaptiveSpin) -> u64 {
-        self.waiters.fetch_add(1, Ordering::Release);
-        // Link behind the predecessor, then spin on our own flag — the
-        // local spinning that distinguishes MCS from every word-spinning
-        // policy.
-        unsafe { (*prev).next.store(node, Ordering::Release) };
-        let mut spinner = Spinner::new(adaptive, SpinSite::LocalLine);
-        let mut rounds: u64 = 0;
-        while unsafe { (*node).waiting.load(Ordering::Acquire) } != 0 {
-            rounds += 1;
-            spinner.relax();
-        }
-        // relaxed: stats-only retreat; the Acquire `waiting` spin above
-        // is the synchronizing edge.
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
-        host::lock_acquired(SpinSite::LocalLine);
-        rounds.max(1)
-    }
-
-    /// Single MCS acquisition attempt: enqueue only if the queue is empty.
-    pub(crate) fn mcs_try(&self, word: &AtomicU32) -> bool {
+    /// Enqueue only if the queue is empty.
+    fn try_acquire(&self, word: &AtomicU32) -> bool {
         let node = node_get();
+        // SAFETY: as in `acquire`, the node is private until the CAS.
         unsafe {
             // relaxed: node is thread-private until the CAS publishes it.
             (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
@@ -308,7 +338,7 @@ impl QueuedState {
         }
     }
 
-    pub(crate) fn mcs_release(&self, word: &AtomicU32) {
+    fn release(&self, word: &AtomicU32) {
         // relaxed: reading back this thread's own store from acquire;
         // program order suffices for same-thread data.
         let node = self.owner_node.swap(ptr::null_mut(), Ordering::Relaxed);
@@ -316,6 +346,9 @@ impl QueuedState {
         // relaxed: the Release successor-handoff below (or the tail CAS)
         // publishes the critical section; `word` is a debug mirror.
         word.store(UNLOCKED, Ordering::Relaxed);
+        // SAFETY: `node` is the holder's node, recorded by this thread at
+        // acquire and live until `node_put`; `next` is a waiter's node,
+        // live until that waiter sees the `waiting` store below.
         unsafe {
             let mut next = (*node).next.load(Ordering::Acquire);
             if next.is_null() {
@@ -360,51 +393,44 @@ mod tests {
 
     #[test]
     fn ticket_word_wraps_without_corrupting_owner() {
-        let q = QueuedState::new();
+        let q = Ticket::INIT;
         // Park the packed word just below the next-half wrap point.
         q.ticket.store(0xFFFF_u32 << 16 | 0xFFFF, Ordering::Relaxed);
         let word = AtomicU32::new(UNLOCKED);
-        assert_eq!(q.ticket_acquire(&word, AdaptiveSpin::DEFAULT), 0);
-        q.ticket_release(&word);
+        assert!(!q.acquire(&word));
+        q.release(&word);
         // Both halves wrapped to zero in lockstep: lock is free again.
         assert_eq!(q.ticket.load(Ordering::Relaxed), 0);
-        assert!(q.ticket_try(&word));
+        assert!(q.try_acquire(&word));
+    }
+
+    fn try_fails_while_held<P: SpinPolicy>(q: P) {
+        let word = AtomicU32::new(UNLOCKED);
+        assert!(q.try_acquire(&word));
+        assert!(!q.try_acquire(&word));
+        q.release(&word);
+        assert!(q.try_acquire(&word));
+        q.release(&word);
     }
 
     #[test]
-    fn ticket_try_fails_while_held() {
-        let q = QueuedState::new();
-        let word = AtomicU32::new(UNLOCKED);
-        assert!(q.ticket_try(&word));
-        assert!(!q.ticket_try(&word));
-        q.ticket_release(&word);
-        assert!(q.ticket_try(&word));
-        q.ticket_release(&word);
-    }
-
-    #[test]
-    fn mcs_try_fails_while_held() {
-        let q = QueuedState::new();
-        let word = AtomicU32::new(UNLOCKED);
-        assert!(q.mcs_try(&word));
-        assert!(!q.mcs_try(&word));
-        q.mcs_release(&word);
-        assert!(q.mcs_try(&word));
-        q.mcs_release(&word);
+    fn queued_try_fails_while_held() {
+        try_fails_while_held(Ticket::INIT);
+        try_fails_while_held(Mcs::INIT);
     }
 
     #[test]
     fn mcs_handoff_chain() {
-        let q = QueuedState::new();
+        let q = Mcs::INIT;
         let word = AtomicU32::new(UNLOCKED);
         let admitted = AtomicU32::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..2_000 {
-                        q.mcs_acquire(&word, AdaptiveSpin::DEFAULT);
+                        q.acquire(&word);
                         admitted.fetch_add(1, Ordering::Relaxed);
-                        q.mcs_release(&word);
+                        q.release(&word);
                     }
                 });
             }

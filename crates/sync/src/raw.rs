@@ -14,8 +14,8 @@ use std::time::Duration;
 use crate::deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
 use crate::held;
 use crate::host;
-use crate::policy::{self, AdaptiveSpin, Backoff, SpinPolicy};
-use crate::queued::QueuedState;
+use crate::policy::{self, Backoff, SpinPolicy, TasThenTtas, WithBackoff, WordPolicy};
+use crate::queued::{Mcs, Ticket};
 
 /// Observability state carried per lock under the `obs` feature: the
 /// registry tag (lazily resolved from `name` on first acquisition) and
@@ -44,9 +44,10 @@ impl ObsState {
 ///
 /// The lock word is a single `AtomicU32` (the paper: "a C integer has been
 /// sufficient on all architectures we have encountered to date"). The
-/// acquisition policy and backoff are per-lock configuration so that
-/// experiment E1 can compare them; production users should take the
-/// defaults via [`RawSimpleLock::new`].
+/// acquisition policy `P` is a type parameter, so the lock carries only
+/// the state its policy runs: with the default [`TasThenTtas`] (and the
+/// other zero-sized word policies) a release-build lock is the word plus
+/// a poison flag. Other policies are written `RawSimpleLock::<Mcs>::new()`.
 ///
 /// # Usage rules (from the paper, Appendix A)
 ///
@@ -59,28 +60,30 @@ impl ObsState {
 ///
 /// # Examples
 ///
+/// Rust does not fall back to a default type parameter when inferring
+/// a `let` binding, so a local lock whose policy nothing else fixes is
+/// written with its type (fields and statics already carry one):
+///
 /// ```
 /// use machk_sync::RawSimpleLock;
 ///
-/// let lock = RawSimpleLock::new();
+/// let lock: RawSimpleLock = RawSimpleLock::new();
 /// {
 ///     let _guard = lock.lock();
 ///     // critical section
 /// } // released here
 /// assert!(!lock.is_locked());
 /// ```
-pub struct RawSimpleLock {
+pub struct RawSimpleLock<P: SpinPolicy = TasThenTtas> {
     /// Locked/unlocked state. Authoritative for the word-spinning
     /// policies; a mirror maintained by the holder for the queued ones,
     /// so [`is_locked`] and the debug holder checks are policy-agnostic.
     ///
     /// [`is_locked`]: RawSimpleLock::is_locked
     word: AtomicU32,
-    policy: SpinPolicy,
-    backoff: Backoff,
-    adaptive: AdaptiveSpin,
-    /// Ticket/MCS queue state; quiescent for word-spinning policies.
-    queued: QueuedState,
+    /// Policy state: zero-sized for the word policies, the queue for
+    /// the queued ones.
+    policy: P,
     /// Set when a guard is dropped during a panic: the protected
     /// invariant may be torn. Checked (and reported as a typed
     /// [`Poisoned`]) by [`lock_checked`]; the unconditional forms
@@ -96,56 +99,30 @@ pub struct RawSimpleLock {
     obs: ObsState,
 }
 
-impl RawSimpleLock {
-    /// Create an unlocked simple lock with the default policy
-    /// (TAS-then-TTAS, no backoff) — Mach's refined acquisition sequence.
+impl<P: SpinPolicy> RawSimpleLock<P> {
+    /// Create an unlocked simple lock. With the default policy this is
+    /// TAS-then-TTAS with no backoff — Mach's refined acquisition
+    /// sequence.
     pub const fn new() -> Self {
-        Self::with_policy(SpinPolicy::TasThenTtas, Backoff::NONE)
+        Self::build("", P::INIT)
     }
 
-    /// Create an unlocked simple lock with an explicit spin policy.
-    pub const fn with_policy(policy: SpinPolicy, backoff: Backoff) -> Self {
-        Self::with_adaptive(policy, backoff, AdaptiveSpin::DEFAULT)
-    }
-
-    /// Create an unlocked simple lock with explicit spin policy and
-    /// spin-then-yield escalation thresholds.
-    pub const fn with_adaptive(policy: SpinPolicy, backoff: Backoff, adaptive: AdaptiveSpin) -> Self {
-        Self::named_with_adaptive("", policy, backoff, adaptive)
-    }
-
-    /// Create an unlocked, *named* simple lock with the default policy.
+    /// Create an unlocked, *named* simple lock.
     ///
     /// The name identifies the lock in `machk-obs` lockstat reports
     /// (`"vm_object.lock"` rather than an address); without the `obs`
     /// feature it is accepted and ignored, so declarations need no
     /// `cfg`. Anonymous locks ([`RawSimpleLock::new`]) are never traced.
     pub const fn named(name: &'static str) -> Self {
-        Self::named_with_policy(name, SpinPolicy::TasThenTtas, Backoff::NONE)
+        Self::build(name, P::INIT)
     }
 
-    /// Create an unlocked, named simple lock with an explicit policy
-    /// (see [`RawSimpleLock::named`] for what the name does).
-    pub const fn named_with_policy(name: &'static str, policy: SpinPolicy, backoff: Backoff) -> Self {
-        Self::named_with_adaptive(name, policy, backoff, AdaptiveSpin::DEFAULT)
-    }
-
-    /// Fully explicit named constructor; every other constructor
-    /// funnels here.
-    pub const fn named_with_adaptive(
-        name: &'static str,
-        policy: SpinPolicy,
-        backoff: Backoff,
-        adaptive: AdaptiveSpin,
-    ) -> Self {
+    const fn build(name: &'static str, policy: P) -> Self {
         #[cfg(not(feature = "obs"))]
         let _ = name;
         RawSimpleLock {
             word: AtomicU32::new(policy::UNLOCKED),
             policy,
-            backoff,
-            adaptive,
-            queued: QueuedState::new(),
             poisoned: AtomicBool::new(false),
             #[cfg(debug_assertions)]
             holder: AtomicU32::new(0),
@@ -167,7 +144,7 @@ impl RawSimpleLock {
                 "simple_lock_init on a held lock (init is not unlock)"
             );
         }
-        self.queued.reset();
+        // A queued policy's state is quiescent whenever the lock is free.
         self.poisoned.store(false, Ordering::Relaxed); // relaxed: advisory flag, see `is_poisoned`
         policy::release(&self.word);
     }
@@ -175,12 +152,9 @@ impl RawSimpleLock {
     /// Spin until the lock is acquired; returns a guard that releases it
     /// on drop.
     #[inline]
-    pub fn lock(&self) -> SimpleGuard<'_> {
+    pub fn lock(&self) -> SimpleGuard<'_, P> {
         self.lock_raw();
-        SimpleGuard {
-            lock: self,
-            _not_send: core::marker::PhantomData,
-        }
+        self.guard_for_held()
     }
 
     /// Spin until the lock is acquired, without a guard.
@@ -194,13 +168,13 @@ impl RawSimpleLock {
     pub fn lock_raw(&self) {
         self.debug_check_not_holder();
         #[cfg(not(feature = "obs"))]
-        self.acquire_dispatch();
+        self.policy.acquire(&self.word);
         #[cfg(feature = "obs")]
         {
             let id = self.obs_id();
             let t0 = machk_obs::now_ns();
-            let failures = self.acquire_dispatch();
-            self.obs_acquired(id, t0, failures);
+            let contended = self.policy.acquire(&self.word);
+            self.obs_acquired(id, t0, contended);
         }
         self.debug_set_holder();
         held::on_acquire();
@@ -216,7 +190,7 @@ impl RawSimpleLock {
     /// the `machk-intr` watchdog. The backoff desynchronizes waiters so
     /// a storm of bounded acquirers does not reconverge on the lock
     /// word in phase.
-    pub fn lock_with_deadline(&self, limit: Duration) -> Result<SimpleGuard<'_>, LockTimeout> {
+    pub fn lock_with_deadline(&self, limit: Duration) -> Result<SimpleGuard<'_, P>, LockTimeout> {
         if self.try_lock_raw() {
             return Ok(self.guard_for_held());
         }
@@ -252,7 +226,7 @@ impl RawSimpleLock {
     ///
     /// [`lock_with_deadline`]: RawSimpleLock::lock_with_deadline
     /// [`clear_poison`]: RawSimpleLock::clear_poison
-    pub fn lock_checked(&self, limit: Duration) -> Result<SimpleGuard<'_>, LockError> {
+    pub fn lock_checked(&self, limit: Duration) -> Result<SimpleGuard<'_, P>, LockError> {
         if self.is_poisoned() {
             return Err(LockError::Poisoned(Poisoned));
         }
@@ -290,17 +264,6 @@ impl RawSimpleLock {
         self.poisoned.store(true, Ordering::Relaxed);
     }
 
-    /// Policy dispatch for a blocking acquisition; returns the failed /
-    /// waited round count for the contention statistics.
-    #[inline]
-    fn acquire_dispatch(&self) -> u64 {
-        match self.policy {
-            SpinPolicy::Ticket => self.queued.ticket_acquire(&self.word, self.adaptive),
-            SpinPolicy::Mcs => self.queued.mcs_acquire(&self.word, self.adaptive),
-            _ => policy::acquire(&self.word, self.policy, self.backoff, self.adaptive),
-        }
-    }
-
     /// Release the lock without a guard. Pairs with [`RawSimpleLock::lock_raw`].
     ///
     /// Debug builds panic if the calling thread is not the holder.
@@ -309,7 +272,8 @@ impl RawSimpleLock {
         // Fault hook: stretch the hold window by a jittered spin before
         // the word is actually cleared (the lock is still ours here).
         #[cfg(feature = "fault")]
-        if let Some(spins) = machk_fault::fire_jitter(machk_fault::FaultSite::SimpleReleaseDelay, 4096)
+        if let Some(spins) =
+            machk_fault::fire_jitter(machk_fault::FaultSite::SimpleReleaseDelay, 4096)
         {
             host::spin_batch(spins);
         }
@@ -319,11 +283,7 @@ impl RawSimpleLock {
         // the word release lets the next owner overwrite `acquired_at`.
         #[cfg(feature = "obs")]
         self.obs_released();
-        match self.policy {
-            SpinPolicy::Ticket => self.queued.ticket_release(&self.word),
-            SpinPolicy::Mcs => self.queued.mcs_release(&self.word),
-            _ => policy::release(&self.word),
-        }
+        self.policy.release(&self.word);
     }
 
     /// Make a single attempt to acquire the lock.
@@ -334,15 +294,8 @@ impl RawSimpleLock {
     /// could cause deadlock" (see the backout protocol in the pmap module
     /// of `machk-vm`).
     #[inline]
-    pub fn try_lock(&self) -> Option<SimpleGuard<'_>> {
-        if self.try_lock_raw() {
-            Some(SimpleGuard {
-                lock: self,
-                _not_send: core::marker::PhantomData,
-            })
-        } else {
-            None
-        }
+    pub fn try_lock(&self) -> Option<SimpleGuard<'_, P>> {
+        self.try_lock_raw().then(|| self.guard_for_held())
     }
 
     /// Guard-free form of [`RawSimpleLock::try_lock`].
@@ -355,18 +308,13 @@ impl RawSimpleLock {
         let forced_fail = machk_fault::fire(machk_fault::FaultSite::SimpleTryFail);
         #[cfg(not(feature = "fault"))]
         let forced_fail = false;
-        let acquired = !forced_fail
-            && match self.policy {
-                SpinPolicy::Ticket => self.queued.ticket_try(&self.word),
-                SpinPolicy::Mcs => self.queued.mcs_try(&self.word),
-                _ => policy::try_acquire(&self.word),
-            };
+        let acquired = !forced_fail && self.policy.try_acquire(&self.word);
         if acquired {
             #[cfg(feature = "obs")]
             {
                 let id = self.obs_id();
                 let t0 = machk_obs::now_ns();
-                self.obs_acquired(id, t0, 0);
+                self.obs_acquired(id, t0, false);
             }
             self.debug_set_holder();
             held::on_acquire();
@@ -392,40 +340,8 @@ impl RawSimpleLock {
         self.word.load(Ordering::Relaxed) == policy::LOCKED
     }
 
-    /// The acquisition policy this lock was created with.
-    pub fn policy(&self) -> SpinPolicy {
-        self.policy
-    }
-
-    /// Number of threads currently registered on a contended wait path.
-    ///
-    /// Only the queued policies register waiters (the word-spinning
-    /// policies leave no per-waiter trace, and their fast path must stay
-    /// a single atomic). Observing `waiters() == n` guarantees the first
-    /// `n` registrants' admission order is already fixed, which is what
-    /// the FIFO fairness tests key on. Racy otherwise; for tests and
-    /// statistics only.
-    pub fn waiters(&self) -> u32 {
-        self.queued.waiters()
-    }
-
-    /// Acquire while reporting the number of failed attempts
-    /// (support for [`crate::InstrumentedSimpleLock`]).
-    pub(crate) fn acquire_counting(&self) -> u64 {
-        self.debug_check_not_holder();
-        #[cfg(feature = "obs")]
-        let (id, t0) = (self.obs_id(), machk_obs::now_ns());
-        let failures = self.acquire_dispatch();
-        #[cfg(feature = "obs")]
-        self.obs_acquired(id, t0, failures);
-        self.debug_set_holder();
-        held::on_acquire();
-        failures
-    }
-
-    /// Construct a guard for a lock the caller has already acquired via
-    /// [`RawSimpleLock::acquire_counting`].
-    pub(crate) fn guard_for_held(&self) -> SimpleGuard<'_> {
+    /// Construct a guard for a lock this thread has just acquired.
+    fn guard_for_held(&self) -> SimpleGuard<'_, P> {
         SimpleGuard {
             lock: self,
             _not_send: core::marker::PhantomData,
@@ -442,7 +358,7 @@ impl RawSimpleLock {
         } else {
             self.obs
                 .tag
-                .ensure(self.obs.name, machk_obs::LockClass::Simple, self.policy.name())
+                .ensure(self.obs.name, machk_obs::LockClass::Simple, P::NAME)
         }
     }
 
@@ -452,13 +368,12 @@ impl RawSimpleLock {
     /// `machk_obs::StatsSubscriber` now.
     #[cfg(feature = "obs")]
     #[inline]
-    fn obs_acquired(&self, id: u32, t0: u64, failures: u64) {
+    fn obs_acquired(&self, id: u32, t0: u64, contended: bool) {
         if id == 0 {
             return;
         }
         let now = machk_obs::now_ns();
         let wait = now.saturating_sub(t0);
-        let contended = failures > 0;
         // relaxed: timestamp read back only by this holder at release.
         self.obs.acquired_at.store(now, Ordering::Relaxed);
         if contended {
@@ -468,7 +383,11 @@ impl RawSimpleLock {
             machk_obs::EventKind::SimpleAcquire,
             id,
             wait,
-            if contended { machk_obs::FLAG_CONTENDED } else { 0 },
+            if contended {
+                machk_obs::FLAG_CONTENDED
+            } else {
+                0
+            },
         );
     }
 
@@ -530,17 +449,44 @@ impl RawSimpleLock {
     fn debug_clear_holder(&self) {}
 }
 
-impl Default for RawSimpleLock {
+impl<P: WordPolicy> RawSimpleLock<WithBackoff<P>> {
+    /// Create an unlocked simple lock that backs off by `backoff`
+    /// between contended attempts (`new` uses [`Backoff::DEFAULT`]).
+    pub const fn with_backoff(backoff: Backoff) -> Self {
+        Self::build("", WithBackoff::new(backoff))
+    }
+}
+
+impl RawSimpleLock<Ticket> {
+    /// Number of threads currently waiting for their turn.
+    ///
+    /// Observing `waiters() == n` guarantees the first `n` registrants'
+    /// admission order is already fixed, which is what the FIFO fairness
+    /// tests key on. Racy otherwise; for tests and statistics only.
+    pub fn waiters(&self) -> u32 {
+        self.policy.waiters()
+    }
+}
+
+impl RawSimpleLock<Mcs> {
+    /// Number of threads currently queued behind the holder; same
+    /// contract as [`RawSimpleLock::<Ticket>::waiters`].
+    pub fn waiters(&self) -> u32 {
+        self.policy.waiters()
+    }
+}
+
+impl<P: SpinPolicy> Default for RawSimpleLock<P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl fmt::Debug for RawSimpleLock {
+impl<P: SpinPolicy> fmt::Debug for RawSimpleLock<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RawSimpleLock")
             .field("locked", &self.is_locked())
-            .field("policy", &self.policy)
+            .field("policy", &P::NAME)
             .finish()
     }
 }
@@ -549,13 +495,13 @@ impl fmt::Debug for RawSimpleLock {
 ///
 /// Deliberately `!Send`: holding a spin lock is a property of the acquiring
 /// thread in Mach ("holding of a lock is always associated with a thread").
-pub struct SimpleGuard<'a> {
-    lock: &'a RawSimpleLock,
+pub struct SimpleGuard<'a, P: SpinPolicy = TasThenTtas> {
+    lock: &'a RawSimpleLock<P>,
     /// Keeps the guard on the acquiring thread (`*mut ()` is `!Send`).
     _not_send: core::marker::PhantomData<*mut ()>,
 }
 
-impl SimpleGuard<'_> {
+impl<P: SpinPolicy> SimpleGuard<'_, P> {
     /// Release explicitly (equivalent to dropping the guard); useful when
     /// the release point matters for reading the code against the paper's
     /// protocols.
@@ -564,7 +510,7 @@ impl SimpleGuard<'_> {
     }
 }
 
-impl Drop for SimpleGuard<'_> {
+impl<P: SpinPolicy> Drop for SimpleGuard<'_, P> {
     #[inline]
     fn drop(&mut self) {
         // Poison-then-release, not hold-forever: a dead holder that kept
@@ -586,7 +532,7 @@ mod tests {
 
     #[test]
     fn guard_releases_on_drop() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         {
             let g = lock.lock();
             assert!(lock.is_locked());
@@ -597,7 +543,7 @@ mod tests {
 
     #[test]
     fn try_lock_contended() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let g = lock.lock();
         assert!(lock.try_lock().is_none());
         g.unlock();
@@ -608,7 +554,7 @@ mod tests {
     fn mutual_exclusion_under_contention() {
         const THREADS: usize = 8;
         const ITERS: usize = 10_000;
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let mut shared = 0usize; // protected by `lock`
         let shared_ptr = &mut shared as *mut usize as usize;
         let in_cs = AtomicUsize::new(0);
@@ -636,7 +582,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "self-deadlock")]
     fn recursive_acquire_panics_in_debug() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let _g = lock.lock();
         let _g2 = lock.lock();
     }
@@ -645,21 +591,21 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "init is not unlock")]
     fn init_on_held_lock_panics_in_debug() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let _g = lock.lock();
         lock.init();
     }
 
     #[test]
     fn init_resets_unlocked_lock() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         lock.init();
         assert!(!lock.is_locked());
     }
 
     #[test]
     fn deadline_times_out_on_held_lock_and_acquires_free_one() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let g = lock.lock();
         let err = lock
             .lock_with_deadline(std::time::Duration::from_millis(10))
@@ -677,7 +623,7 @@ mod tests {
 
     #[test]
     fn deadline_succeeds_once_holder_releases() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         std::thread::scope(|s| {
             let g = lock.lock();
             s.spawn(|| {
@@ -694,7 +640,7 @@ mod tests {
 
     #[test]
     fn panicking_holder_poisons_but_releases() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = lock.lock();
             panic!("holder dies mid-hold");
@@ -707,7 +653,7 @@ mod tests {
 
     #[test]
     fn checked_acquire_reports_poison_without_spinning() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         lock.poison();
         // Even with the lock *held* and a long deadline, the typed
         // diagnosis must come back immediately — the poison pre-check
@@ -724,7 +670,7 @@ mod tests {
 
     #[test]
     fn clear_poison_restores_checked_acquisition() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = lock.lock();
             panic!("die");
@@ -740,7 +686,7 @@ mod tests {
 
     #[test]
     fn ordinary_drop_does_not_poison() {
-        let lock = RawSimpleLock::new();
+        let lock: RawSimpleLock = RawSimpleLock::new();
         drop(lock.lock());
         assert!(!lock.is_poisoned());
         let g = lock
@@ -749,28 +695,51 @@ mod tests {
         drop(g);
     }
 
+    fn provides_exclusion<P: SpinPolicy>(lock: RawSimpleLock<P>) {
+        let mut value = 0u64;
+        let vp = &mut value as *mut u64 as usize;
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..5_000 {
+                        let _g = lock.lock();
+                        // SAFETY: `value` outlives the scope and the lock
+                        // under test serializes every access to it.
+                        unsafe {
+                            let p = vp as *mut u64;
+                            p.write(p.read() + 1);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(value, 20_000, "policy {} lost updates", P::NAME);
+    }
+
     #[test]
     fn all_policies_provide_exclusion() {
-        for policy in SpinPolicy::ALL {
-            let lock = RawSimpleLock::with_policy(policy, Backoff::DEFAULT);
-            let counter = AtomicUsize::new(0);
-            let mut value = 0u64;
-            let vp = &mut value as *mut u64 as usize;
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        for _ in 0..5_000 {
-                            let _g = lock.lock();
-                            unsafe {
-                                let p = vp as *mut u64;
-                                p.write(p.read() + 1);
-                            }
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            assert_eq!(value, 20_000, "policy {policy:?} lost updates");
-        }
+        use crate::policy::{Tas, Ttas};
+        provides_exclusion(RawSimpleLock::<WithBackoff<Tas>>::new());
+        provides_exclusion(RawSimpleLock::<WithBackoff<Ttas>>::new());
+        provides_exclusion(RawSimpleLock::<WithBackoff<TasThenTtas>>::new());
+        provides_exclusion(RawSimpleLock::<Ticket>::new());
+        provides_exclusion(RawSimpleLock::<Mcs>::new());
+    }
+
+    #[test]
+    fn default_policy_is_tas_then_ttas() {
+        use core::any::TypeId;
+        assert_eq!(TypeId::of::<RawSimpleLock>(), TypeId::of::<RawSimpleLock<TasThenTtas>>());
+        assert_eq!(
+            TypeId::of::<SimpleGuard<'static>>(),
+            TypeId::of::<SimpleGuard<'static, TasThenTtas>>()
+        );
+    }
+
+    #[test]
+    #[cfg(all(not(debug_assertions), not(feature = "obs")))]
+    fn default_lock_is_one_word() {
+        assert!(core::mem::size_of::<RawSimpleLock>() <= 8);
+        assert_eq!(core::mem::size_of::<TasThenTtas>(), 0);
     }
 }

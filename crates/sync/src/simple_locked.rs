@@ -15,7 +15,6 @@ use core::cell::UnsafeCell;
 use core::fmt;
 use core::ops::{Deref, DerefMut};
 
-use crate::policy::{Backoff, SpinPolicy};
 use crate::raw::RawSimpleLock;
 
 /// Data protected by a Mach simple lock.
@@ -52,14 +51,6 @@ impl<T> SimpleLocked<T> {
     pub const fn new(data: T) -> Self {
         SimpleLocked {
             lock: RawSimpleLock::new(),
-            data: UnsafeCell::new(data),
-        }
-    }
-
-    /// Wrap `data` with an explicit spin policy (for experiments).
-    pub const fn with_policy(data: T, policy: SpinPolicy, backoff: Backoff) -> Self {
-        SimpleLocked {
-            lock: RawSimpleLock::with_policy(policy, backoff),
             data: UnsafeCell::new(data),
         }
     }
@@ -249,13 +240,5 @@ mod tests {
         let g = cell.lock();
         assert!(format!("{cell:?}").contains("<locked>"));
         drop(g);
-    }
-
-    #[test]
-    fn policies_constructible() {
-        for p in SpinPolicy::ALL {
-            let cell = SimpleLocked::with_policy(1u8, p, Backoff::DEFAULT);
-            assert_eq!(*cell.lock(), 1);
-        }
     }
 }

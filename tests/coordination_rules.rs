@@ -12,7 +12,7 @@ use mach_locking::core::{
 #[test]
 fn acquiring_references_under_locks_is_legal() {
     let obj = Kobj::create(1u32);
-    let lock = RawSimpleLock::new();
+    let lock: RawSimpleLock = RawSimpleLock::new();
     lock.lock_raw();
     let extra = obj.clone(); // take a reference under a simple lock: fine
     lock.unlock_raw();
@@ -31,7 +31,7 @@ fn releasing_reference_under_simple_lock_is_caught() {
     // Leak the creator handle: its drop during unwind (still under the
     // lock) would panic a second time and abort.
     std::mem::forget(obj);
-    let lock = RawSimpleLock::new();
+    let lock: RawSimpleLock = RawSimpleLock::new();
     lock.lock_raw();
     drop(extra); // panics via the held-lock checker
 }
