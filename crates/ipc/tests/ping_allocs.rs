@@ -1,0 +1,124 @@
+//! The ping path allocates nothing.
+//!
+//! A counting global allocator (per thread, so parallel tests do not
+//! see each other) checks that, once warm, one ping — name translation,
+//! §10 dispatch of the engine's `OP_PING` handler shape, release of the
+//! right — makes zero heap allocations, while a message that does not
+//! fit the inline body still allocates.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use machk_core::{Kobj, ObjRef};
+use machk_ipc::engine::OP_PING;
+use machk_ipc::{
+    DispatchTable, KernError, Message, Port, PortName, PortNameSpace, RefSemantics, RpcStats,
+};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter never touches the memory itself.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // A thread being torn down has no counter left; skip it.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: forwarded contract of `GlobalAlloc::alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded contract of `GlobalAlloc::dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes while running `f`.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+struct Echo;
+type Task = Kobj<Echo>;
+
+/// A populated name space and a table with the engine's ping handler.
+fn rig(names: usize) -> (PortNameSpace, DispatchTable, Vec<PortName>) {
+    let ns = PortNameSpace::new();
+    let names = (0..names)
+        .map(|_| {
+            let port = Port::create();
+            port.set_kernel_object(Kobj::create(Echo).into_dyn());
+            ns.insert(port)
+        })
+        .collect();
+    let mut table = DispatchTable::new();
+    table.register::<Task>(OP_PING, |task, msg| {
+        let nonce = msg.int_at(0).ok_or(KernError::InvalidArgument)?;
+        if !task.is_active() {
+            return Err(KernError::Deactivated);
+        }
+        Ok(Message::new(OP_PING).with_int(nonce ^ 0xABCD))
+    });
+    (ns, table, names)
+}
+
+/// One ping: translate, RPC, release; true if the echo came back.
+fn ping(ns: &PortNameSpace, table: &DispatchTable, stats: &RpcStats, name: PortName) -> bool {
+    let port = ns.translate(name).expect("published name");
+    let reply = table.msg_rpc(
+        &port,
+        Message::new(OP_PING).with_int(u64::from(name.0)),
+        RefSemantics::Mach30,
+        stats,
+    );
+    drop(port);
+    reply.is_ok_and(|r| r.int_at(0) == Some(u64::from(name.0) ^ 0xABCD))
+}
+
+#[test]
+fn warm_ping_path_makes_no_allocation() {
+    let (ns, table, names) = rig(64);
+    let stats = RpcStats::new();
+    for &name in &names {
+        assert!(ping(&ns, &table, &stats, name), "warm-up ping echoed");
+    }
+    let (allocs, echoed) = allocs_during(|| {
+        (0..1_000)
+            .filter(|i| ping(&ns, &table, &stats, names[i % names.len()]))
+            .count()
+    });
+    assert_eq!(echoed, 1_000);
+    assert_eq!(allocs, 0, "translate + msg_rpc + release must not allocate");
+    assert!(stats.balanced());
+}
+
+#[test]
+fn messages_past_the_inline_body_still_allocate() {
+    let (two, _) = allocs_during(|| Message::new(1).with_int(1).with_int(2));
+    assert_eq!(two, 0, "two integers stay inline");
+    let (three, m) = allocs_during(|| Message::new(1).with_int(1).with_int(2).with_int(3));
+    assert!(three >= 1, "a third integer spills to the heap");
+    assert_eq!(m.int_at(2), Some(3));
+    let port = Port::create();
+    let (right, m) = allocs_during(|| Message::new(1).with_port_right(port.clone()));
+    assert!(right >= 1, "a port right spills to the heap");
+    assert_eq!(ObjRef::ref_count(&port), 2);
+    drop(m);
+    assert_eq!(ObjRef::ref_count(&port), 1);
+}
+
+#[test]
+fn message_stays_32_bytes() {
+    // Every port ring preallocates its message slots: a larger
+    // message grows every port in the system.
+    assert_eq!(core::mem::size_of::<Message>(), 32);
+}
