@@ -23,10 +23,16 @@
 //! and reference management of steps 2 and 4, and reports — via
 //! [`RpcStats`] — who released each reference, which is the observable
 //! difference between the 2.5 and 3.0 semantics.
+//!
+//! The table is a short vector searched linearly (real tables hold a
+//! handful of operations), and dispatch calls the handler through a
+//! borrow of the table. So the lookup hashes nothing and the handler
+//! costs no reference-count traffic on a line every dispatching thread
+//! shares: the only references an RPC moves are the ones §10 describes.
 
+use core::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use machk_core::sync::host;
@@ -243,7 +249,7 @@ impl core::fmt::Debug for ReplyCache {
 /// mistake (wrong concrete type) surfaces as a typed error rather than
 /// a panic inside the stub.
 type Handler =
-    Arc<dyn Fn(&ObjRef<dyn Refable>, &Message) -> Result<Message, RpcError> + Send + Sync>;
+    Box<dyn Fn(&ObjRef<dyn Refable>, &Message) -> Result<Message, RpcError> + Send + Sync>;
 
 /// The dispatch table: Mach's MiG-generated kernel server, as data.
 ///
@@ -276,38 +282,42 @@ type Handler =
 /// ```
 #[derive(Default)]
 pub struct DispatchTable {
-    handlers: HashMap<(core::any::TypeId, u32), Handler>,
+    /// `(operation, object type, handler)`, at most one entry per pair.
+    handlers: Vec<(u32, TypeId, Handler)>,
 }
 
 impl DispatchTable {
     /// An empty table.
     pub fn new() -> DispatchTable {
-        DispatchTable {
-            handlers: HashMap::new(),
-        }
+        DispatchTable::default()
     }
 
-    /// Register the handler for operation `op` on objects of type `T`.
+    /// Register the handler for operation `op` on objects of type `T`,
+    /// replacing any handler already registered for the pair.
     pub fn register<T: Refable>(
         &mut self,
         op: u32,
         f: impl Fn(&T, &Message) -> Result<Message, KernError> + Send + Sync + 'static,
     ) {
-        let handler: Handler = Arc::new(move |obj, msg| {
+        let handler: Handler = Box::new(move |obj, msg| {
             let typed = obj
                 .downcast_ref::<T>()
                 .ok_or(RpcError::WrongObjectType)?;
             f(typed, msg).map_err(RpcError::Operation)
         });
-        self.handlers
-            .insert((core::any::TypeId::of::<T>(), op), handler);
+        let ty = TypeId::of::<T>();
+        match self.handlers.iter_mut().find(|e| e.0 == op && e.1 == ty) {
+            Some(entry) => entry.2 = handler,
+            None => self.handlers.push((op, ty, handler)),
+        }
     }
 
-    /// Whether an operation is registered for the concrete type of
-    /// `obj`.
-    fn lookup(&self, obj: &ObjRef<dyn Refable>, op: u32) -> Option<&Handler> {
-        let any: &dyn core::any::Any = &**obj;
-        self.handlers.get(&(any.type_id(), op))
+    /// The handler for operation `op` on objects of type `ty`.
+    fn lookup(&self, ty: TypeId, op: u32) -> Option<&Handler> {
+        self.handlers
+            .iter()
+            .find(|e| e.0 == op && e.1 == ty)
+            .map(|e| &e.2)
     }
 
     /// Execute one kernel RPC: the full five-step sequence of
@@ -418,18 +428,13 @@ impl DispatchTable {
         // port's own synchronization.
         stats.translations.fetch_add(1, Ordering::Relaxed);
 
-        let handler = self.lookup(&obj, request.id()).ok_or_else(|| {
+        let any: &dyn Any = &*obj;
+        let Some(handler) = self.lookup(any.type_id(), request.id()) else {
             // Translation reference released by interface code.
             // relaxed: ledger counter.
             stats.interface_releases.fetch_add(1, Ordering::Relaxed);
-            RpcError::NoSuchOperation
-        });
-        let handler = match handler {
-            Ok(h) => Arc::clone(h),
-            Err(e) => {
-                drop(obj);
-                return Err(e);
-            }
+            drop(obj);
+            return Err(RpcError::NoSuchOperation);
         };
 
         // Step 3: the operation executes. The object cannot vanish: we
@@ -487,6 +492,7 @@ impl core::fmt::Debug for DispatchTable {
 mod tests {
     use super::*;
     use machk_core::Kobj;
+    use std::sync::Arc;
 
     type Counter = Kobj<u64>;
     const OP_ADD: u32 = 1;
@@ -577,14 +583,28 @@ mod tests {
         // dispatch can't misroute; drive the stub directly to prove the
         // defensive path reports instead of panicking.
         let t = table();
-        let h = t
-            .handlers
-            .get(&(core::any::TypeId::of::<Counter>(), OP_GET))
-            .unwrap();
+        let h = t.lookup(TypeId::of::<Counter>(), OP_GET).unwrap();
         let other = Kobj::create(String::from("not a counter")).into_dyn();
         let e = h(&other, &Message::new(OP_GET)).unwrap_err();
         assert_eq!(e, RpcError::WrongObjectType);
         assert!(e.to_string().contains("wrong type"));
+    }
+
+    #[test]
+    fn reregistering_replaces_the_handler() {
+        let mut t = table();
+        let before = t.handlers.len();
+        t.register::<Counter>(OP_GET, |_c, _m| Ok(Message::new(OP_GET).with_int(7)));
+        assert_eq!(t.handlers.len(), before, "same (type, op): no new entry");
+        let (_obj, port) = object_port();
+        let stats = RpcStats::new();
+        let r = t
+            .msg_rpc(&port, Message::new(OP_GET), RefSemantics::Mach25, &stats)
+            .unwrap();
+        assert_eq!(r.int_at(0), Some(7), "the new handler answers");
+        // The same op on another type is an entry of its own.
+        t.register::<Kobj<String>>(OP_GET, |_s, _m| Ok(Message::new(OP_GET)));
+        assert_eq!(t.handlers.len(), before + 1);
     }
 
     #[test]
