@@ -97,6 +97,14 @@
 //! probe). Shedding never consumes extra decision-stream draws, so the
 //! create/terminate/transfer mix stays a pure function of the seed even
 //! when the shed count is schedule-dependent.
+//!
+//! Without bursts a storm still sheds when a worker is preempted
+//! between claiming a transfer-ring slot and publishing it: the drain
+//! stops at the unpublished slot while the other workers keep filling
+//! the ring behind it, up to the watermark. With more workers than
+//! hardware threads that happens in some runs and not others. A
+//! single-worker storm drains its own transfers and never sheds; in
+//! any storm, pings landed plus pings shed is fixed by the seed.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
@@ -1274,9 +1282,13 @@ mod tests {
         // invisible in every counter.
         assert_eq!(report.crashes, 0);
         assert_eq!(report.reconciled, 0);
-        assert_eq!(report.shed, 0, "no overload, nothing shed");
         assert_eq!(report.retries, 0);
         assert_eq!(report.poison_observed, 0);
+        // Four workers may shed even without bursts, when one of them
+        // is preempted mid-publish on the transfer ring (see the module
+        // docs); how many pings were drawn is still fixed by the seed.
+        let again = Engine::new(small(4, 7)).run();
+        assert_eq!(report.pings + report.shed, again.pings + again.shed);
     }
 
     #[test]
@@ -1285,6 +1297,7 @@ mod tests {
         // seed (no cross-worker interleaving at all).
         let a = Engine::new(small(1, 42)).run();
         let b = Engine::new(small(1, 42)).run();
+        assert_eq!(a.shed, 0, "one worker drains its own transfers: nothing shed");
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.pings, b.pings);
         assert_eq!(a.creates, b.creates);
