@@ -12,8 +12,8 @@
 //! message and a kernel RPC allocates nothing for its messages. The
 //! first element of any other kind (bytes, out-of-line data, a right)
 //! moves the body into a heap vector, keeping element order. The body
-//! stays 24 bytes, so `Message` stays 32: every port ring preallocates
-//! its message slots, and a larger message would grow every port.
+//! stays 24 bytes, so `Message` stays 32: a port that has queued holds
+//! 64 ring slots of `Message`, and a larger message would grow each.
 
 use machk_core::ObjRef;
 

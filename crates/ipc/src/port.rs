@@ -17,6 +17,11 @@
 //! *rarely written* state (the kernel-object pointer and port-set
 //! membership), preserving the paper's locking story where it matters.
 //!
+//! The ring installs its message slots on the first queued message, so
+//! a port that only serves RPCs (which dispatch without queueing) never
+//! pays for them: a default port's 64 slots of `Message` are 2.5 KB,
+//! most of what a port would otherwise cost.
+//!
 //! Blocking keeps the §6 split-wait protocol, with one twist: with no
 //! queue lock, the classic "declare the wait while holding the lock"
 //! window does not exist, so each blocking path re-validates its

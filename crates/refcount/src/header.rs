@@ -105,6 +105,10 @@ impl ObjHeader {
     /// The caller must already hold a reference (that is what makes it
     /// safe to touch the header at all); with zero references the object
     /// is being destroyed and the call panics.
+    ///
+    /// Saturates at `u32::MAX` instead of wrapping, like
+    /// [`crate::LockedRefCount::take`]: the pegged object becomes
+    /// immortal rather than destroyable with references outstanding.
     pub fn take_ref(&self) {
         if let Some(sharded) = self.sharded_count() {
             sharded.take();
@@ -115,13 +119,14 @@ impl ObjHeader {
         let old = self.refs.load(Ordering::Relaxed);
         assert!(old > 0, "reference cloned from a dead object (count was 0)");
         // relaxed: still under the header lock.
-        self.refs.store(old + 1, Ordering::Relaxed);
+        self.refs.store(old.saturating_add(1), Ordering::Relaxed);
     }
 
     /// Release one reference: lock, decrement, unlock. Returns `true` if
     /// this was the last reference — the caller must then destroy the
     /// object ("the object and its data structure can be destroyed at
-    /// that time").
+    /// that time"). A pegged count (see [`ObjHeader::take_ref`]) absorbs
+    /// releases without moving and never reports final.
     #[must_use]
     pub fn release_ref(&self) -> bool {
         if let Some(sharded) = self.sharded_count() {
@@ -131,6 +136,9 @@ impl ObjHeader {
         // relaxed: guarded by the header lock held just above.
         let old = self.refs.load(Ordering::Relaxed);
         assert!(old > 0, "reference over-released");
+        if old == u32::MAX {
+            return false; // pegged: immortal
+        }
         // relaxed: still under the header lock.
         self.refs.store(old - 1, Ordering::Relaxed);
         old == 1
@@ -239,6 +247,21 @@ mod tests {
         assert!(!h.release_ref());
         assert!(h.release_ref(), "last release reports zero");
         assert_eq!(h.ref_count(), 0);
+    }
+
+    #[test]
+    fn count_pegs_at_max_instead_of_wrapping() {
+        let h = ObjHeader::new();
+        // relaxed: single-threaded test setup.
+        h.refs.store(u32::MAX - 1, Ordering::Relaxed);
+        h.take_ref();
+        assert_eq!(h.ref_count(), u32::MAX);
+        h.take_ref();
+        assert_eq!(h.ref_count(), u32::MAX, "a pegged count stays put");
+        for _ in 0..3 {
+            assert!(!h.release_ref(), "a pegged count never reports final");
+        }
+        assert_eq!(h.ref_count(), u32::MAX, "a pegged object is immortal");
     }
 
     #[test]
