@@ -12,8 +12,8 @@
 //! uncontended, with a drain-to-exact slow path preserving the
 //! exactly-once final release. Expected shape on multi-core hardware:
 //! locked < atomic < sharded as threads are added; a third table
-//! confirms the two production call sites that adopted the sharded
-//! header (`Task`, `VmObject`) behave like the microbenchmark.
+//! confirms the two production types that adopted the sharded count
+//! (`Task`, `VmObject`) behave like the microbenchmark.
 
 use crate::report::BenchReport;
 use crate::util::{contention_sweep, fmt_rate, thread_sweep, Table};
@@ -97,7 +97,7 @@ pub fn run_report(quick: bool) -> (String, String) {
             "{{\"threads\":{threads},\"task\":{task:.0},\"vm_object\":{vm:.0}}}"
         ));
     }
-    t.note("the production kernel objects promoted to sharded headers at creation");
+    t.note("the production kernel object types whose count is sharded");
     out.push_str(&t.render());
 
     report.extra(&format!(

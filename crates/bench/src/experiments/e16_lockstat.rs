@@ -92,11 +92,42 @@ fn drive_workload(quick: bool) {
     ORDER_B.unlock_raw();
 }
 
+/// The object locks the kernel's object types register.
+#[cfg(feature = "obs")]
+const OBJECT_LOCKS: [&str; 7] = [
+    "task.lock", "thread.lock", "ipc.port.lock", "ipc.port_set.lock",
+    "vm_object.lock", "pset.lock", "mono_task.lock",
+];
+
+/// Drive once each order edge that cloning a reference under another
+/// lock creates between object locks: shard → port, port → exported
+/// thread, task → thread, port set → port, memory object → name port.
+/// `ThreadObj::task` clones the task reference under the thread lock;
+/// the task's count is sharded, so that makes no thread → task edge.
+#[cfg(feature = "obs")]
+fn drive_object_phase() {
+    use machk_kernel::TaskRefExt as _;
+    let task = machk_kernel::Task::create();
+    let (thread, port) = machk_kernel::ops::create_thread_with_port(&task).unwrap();
+    drop(task.port_translate(task.port_insert(port.clone())));
+    drop(port.kernel_object().unwrap());
+    task.suspend_all().unwrap();
+    drop((thread.task(), task.thread_create().unwrap()));
+    let set = machk_ipc::PortSet::create();
+    set.add(port.clone()).unwrap();
+    set.destroy().unwrap();
+    let object = machk_vm::VmObject::create();
+    drop(object.name_port().unwrap());
+    object.terminate().unwrap();
+    task.terminate_simple().unwrap();
+}
+
 /// Run E16: drive the workload, collect the lockstat report, assert its
 /// claims, and return the rendered report.
 #[cfg(feature = "obs")]
 pub fn run(quick: bool) -> String {
     drive_workload(quick);
+    drive_object_phase();
 
     let stat = machk_obs::Lockstat::collect();
     let report = stat.render_text(16, true);
@@ -127,11 +158,25 @@ pub fn run(quick: bool) -> String {
         stat.cycles,
     );
 
+    // The object locks' runtime order graph: the edges driven above were
+    // seen, and none closes a cycle.
+    let is_object = |id: u32| OBJECT_LOCKS.contains(&machk_obs::registry::name_of(id));
+    let object_edges = stat.edges.iter().filter(|&&(_, to, _)| is_object(to)).count();
+    assert!(object_edges >= 5, "object lock order edges not observed: {:?}", stat.edges);
+    assert!(
+        !stat.cycles.iter().any(|c| c.iter().any(|&id| is_object(id))),
+        "object lock order cycle: {:?}",
+        stat.cycles,
+    );
+
     let mut out = String::new();
     out.push_str("\n== E16: lockstat report from the obs layer ==\n");
     out.push_str(&report);
     out.push_str("  note: every e16.* lock is named at its declaration; the registry did the rest\n");
     out.push_str("  note: the a->b->a cycle above is deliberate (one thread, so only *potential*)\n");
+    out.push_str(&format!(
+        "  note: {object_edges} order edges into object locks, none in a cycle\n"
+    ));
     out
 }
 

@@ -19,6 +19,8 @@
 //!    repaired to exactly the engine's own reference, and the counted
 //!    books closed: `creates == terminates` (an uncounted orphan is
 //!    `reconciled`, never a counted create — see `machk_ipc::engine`).
+//!    Each storm runs twice: pings landed plus pings shed must match,
+//!    since several workers may shed even without bursts.
 //! 2. **Overload shedding** — the same seed with and without bursts:
 //!    sheds must be nonzero under burst pressure, pings landed plus
 //!    pings shed must be a run-invariant of the seed, and a calm
@@ -113,17 +115,28 @@ pub fn run_report(quick: bool) -> (String, String) {
     let mut recovery_max_ns = 0u64;
     for i in 0..seeds {
         let seed = STORM_SEED.wrapping_add(i);
-        let r = Engine::new(EngineConfig {
-            workers,
-            ops_per_worker: ops,
-            stable_ports: 8,
-            seed,
-            crash_at: crash_plan(seed, workers, ops),
-            ..EngineConfig::default()
-        })
-        .run();
+        let storm = || {
+            Engine::new(EngineConfig {
+                workers,
+                ops_per_worker: ops,
+                stable_ports: 8,
+                seed,
+                crash_at: crash_plan(seed, workers, ops),
+                ..EngineConfig::default()
+            })
+            .run()
+        };
+        let r = storm();
         assert_survived("crash sweep", &r);
-        assert_eq!(r.shed, 0, "no burst configured: nothing may be shed");
+        // Three workers on fewer hardware threads can shed without
+        // bursts (a worker preempted mid-publish on the transfer ring),
+        // so the seed fixes pings landed plus pings shed, not sheds.
+        let again = storm();
+        assert_eq!(
+            r.pings + r.shed,
+            again.pings + again.shed,
+            "pings drawn must be a run-invariant of the seed"
+        );
         crashes += r.crashes;
         reconciled += r.reconciled;
         poison += r.poison_observed;

@@ -6,8 +6,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use machk_core::{
-    ComplexLock, Kobj, Mcs, ObjRef, RawSimpleLock, Refable, RwData, SimpleLocked, SpinPolicy, Tas,
-    TasThenTtas, Ticket, Ttas, UpgradeFailed,
+    ComplexLock, Kobj, Mcs, ObjHeader, ObjRef, RawSimpleLock, Refable, RwData, ShardedRefCount,
+    SimpleLocked, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, UpgradeFailed,
 };
 use machk_ipc::{DispatchTable, KernError, Message, Port, RefSemantics, RpcStats};
 use machk_kernel::{MonoTask, Task};
@@ -392,24 +392,48 @@ impl RefImpl {
     }
 }
 
+/// E5's sharded arm: a `Kobj` whose count is a [`ShardedRefCount`],
+/// adopted the way `Task` and `VmObject` adopt it — by the type, through
+/// the [`Refable`] count methods.
+pub struct ShardedObj {
+    obj: Kobj<u64>,
+    refs: ShardedRefCount,
+}
+
+impl ShardedObj {
+    /// Create the object, returning the creation reference.
+    pub fn create() -> ObjRef<ShardedObj> {
+        ObjRef::new(ShardedObj {
+            obj: Kobj::new(0),
+            refs: ShardedRefCount::new(),
+        })
+    }
+}
+
+impl Refable for ShardedObj {
+    fn header(&self) -> &ObjHeader {
+        self.obj.header()
+    }
+
+    fn take_ref(&self) {
+        self.refs.take();
+    }
+
+    fn release_ref(&self) -> bool {
+        self.refs.release()
+    }
+
+    fn ref_count(&self) -> u32 {
+        self.refs.get()
+    }
+}
+
 /// E5: clone/release storm on a single shared object. Returns ops/s
 /// (one op = clone + release).
 pub fn refcount_storm(imp: RefImpl, threads: usize, iters: u64) -> f64 {
     match imp {
-        RefImpl::LockedCount | RefImpl::Sharded => {
-            let obj: ObjRef<Kobj<u64>> = match imp {
-                RefImpl::Sharded => Kobj::create_sharded(0u64),
-                _ => Kobj::create(0u64),
-            };
-            let elapsed = run_concurrent(threads, |_t| {
-                for _ in 0..iters {
-                    let c = obj.clone();
-                    std::hint::black_box(&c);
-                    drop(c);
-                }
-            });
-            ops_per_sec(threads as u64 * iters, elapsed)
-        }
+        RefImpl::LockedCount => ref_storm(&Kobj::create(0u64), threads, iters),
+        RefImpl::Sharded => ref_storm(&ShardedObj::create(), threads, iters),
         RefImpl::Arc => {
             let obj = Arc::new(0u64);
             let elapsed = run_concurrent(threads, |_t| {
@@ -424,24 +448,24 @@ pub fn refcount_storm(imp: RefImpl, threads: usize, iters: u64) -> f64 {
     }
 }
 
+/// Clone/release storm on one `ObjRef`; ops/s (one op = clone + release).
+fn ref_storm<T: Refable>(obj: &ObjRef<T>, threads: usize, iters: u64) -> f64 {
+    let elapsed = run_concurrent(threads, |_t| {
+        for _ in 0..iters {
+            let c = obj.clone();
+            std::hint::black_box(&c);
+            drop(c);
+        }
+    });
+    ops_per_sec(threads as u64 * iters, elapsed)
+}
+
 /// E5 (churn): create an object, clone it `fanout` times across the
 /// releasing side, destroy. Returns objects/s.
 pub fn refcount_churn(imp: RefImpl, threads: usize, iters: u64, fanout: usize) -> f64 {
     match imp {
-        RefImpl::LockedCount | RefImpl::Sharded => {
-            let elapsed = run_concurrent(threads, |_t| {
-                for _ in 0..iters {
-                    let obj: ObjRef<Kobj<u64>> = match imp {
-                        RefImpl::Sharded => Kobj::create_sharded(0u64),
-                        _ => Kobj::create(0u64),
-                    };
-                    let clones: Vec<_> = (0..fanout).map(|_| obj.clone()).collect();
-                    drop(clones);
-                    drop(obj);
-                }
-            });
-            ops_per_sec(threads as u64 * iters, elapsed)
-        }
+        RefImpl::LockedCount => ref_churn(|| Kobj::create(0u64), threads, iters, fanout),
+        RefImpl::Sharded => ref_churn(ShardedObj::create, threads, iters, fanout),
         RefImpl::Arc => {
             let elapsed = run_concurrent(threads, |_t| {
                 for _ in 0..iters {
@@ -456,33 +480,33 @@ pub fn refcount_churn(imp: RefImpl, threads: usize, iters: u64, fanout: usize) -
     }
 }
 
+/// Create / clone `fanout` times / destroy, per thread; objects/s.
+fn ref_churn<T: Refable>(
+    create: impl Fn() -> ObjRef<T> + Sync,
+    threads: usize,
+    iters: u64,
+    fanout: usize,
+) -> f64 {
+    let elapsed = run_concurrent(threads, |_t| {
+        for _ in 0..iters {
+            let obj = create();
+            let clones: Vec<_> = (0..fanout).map(|_| obj.clone()).collect();
+            drop(clones);
+            drop(obj);
+        }
+    });
+    ops_per_sec(threads as u64 * iters, elapsed)
+}
+
 /// E5 (adopted call sites): clone/release storm on the real kernel
-/// objects whose headers are sharded in production code — `Task` and
-/// `VmObject` — exercising the unchanged `ObjRef` protocol end to end.
-/// Returns ops/s (one op = clone + release).
+/// objects whose types shard their count in production code — `Task`
+/// and `VmObject` — exercising the unchanged `ObjRef` protocol end to
+/// end. Returns ops/s (one op = clone + release).
 pub fn adopted_ref_storm(use_task: bool, threads: usize, iters: u64) -> f64 {
     if use_task {
-        let task = Task::create();
-        assert!(task.header().is_sharded(), "Task must adopt the sharded count");
-        let elapsed = run_concurrent(threads, |_t| {
-            for _ in 0..iters {
-                let c = task.clone();
-                std::hint::black_box(&c);
-                drop(c);
-            }
-        });
-        ops_per_sec(threads as u64 * iters, elapsed)
+        ref_storm(&Task::create(), threads, iters)
     } else {
-        let obj = VmObject::create();
-        assert!(obj.header().is_sharded(), "VmObject must adopt the sharded count");
-        let elapsed = run_concurrent(threads, |_t| {
-            for _ in 0..iters {
-                let c = obj.clone();
-                std::hint::black_box(&c);
-                drop(c);
-            }
-        });
-        ops_per_sec(threads as u64 * iters, elapsed)
+        ref_storm(&VmObject::create(), threads, iters)
     }
 }
 

@@ -26,17 +26,19 @@
 //! 3. it can be deactivated at any moment it is unlocked, so activity is
 //!    re-checked after every (re)lock.
 //!
-//! [`Kobj<S>`] packages the discipline: state `S` under a simple lock,
-//! next to an [`ObjHeader`]. Its [`Kobj::with_active`] combinator runs a
-//! closure with the state locked after checking the flag, returning
-//! [`Deactivated`] otherwise — the section-9 rules as an API.
+//! [`Kobj<S>`] packages the discipline: state `S` under the lock of its
+//! [`ObjHeader`], the same lock that guards the reference count and the
+//! deactivation flag — one lock per object, as in the paper. Its
+//! [`Kobj::with_active`] combinator runs a closure with the state locked
+//! after checking the flag, returning [`Deactivated`] otherwise — the
+//! section-9 rules as an API.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod kobj;
 
-pub use kobj::Kobj;
+pub use kobj::{Kobj, KobjGuard};
 
 // ---- mechanism re-exports ----
 

@@ -1307,11 +1307,18 @@ mod tests {
 
     #[test]
     fn counter_sums_are_host_independent() {
+        // One worker never sheds, so its pings are exact.
+        let one = Engine::new(small(1, 99)).run();
+        assert_eq!(one.shed, 0, "one worker drains its own transfers: nothing shed");
+        assert_eq!(one.pings, Engine::new(small(1, 99)).run().pings);
         // Multi-worker on the OS host: interleaving varies, but the
         // per-worker op streams (and so every counter sum) must not.
+        // A worker preempted mid-publish can make the others shed (see
+        // the module docs), so the seed fixes pings landed plus pings
+        // shed, not pings alone.
         let a = Engine::new(small(4, 99)).run();
         let b = Engine::new(small(4, 99)).run();
-        assert_eq!(a.pings, b.pings);
+        assert_eq!(a.pings + a.shed, b.pings + b.shed);
         assert_eq!(a.creates, b.creates);
         assert_eq!(a.terminates, b.terminates);
         assert_eq!(a.dead_hits, b.dead_hits);

@@ -2,10 +2,11 @@
 //!
 //! "A port is a protected communication channel with exactly one
 //! receiver and one or more senders." A port is itself a
-//! reference-counted kernel object (its data structure is protected by
-//! a simple lock and survives while references exist), and — for kernel
-//! objects exported via ports — it holds the counted object pointer
-//! that port-to-object translation clones (section 10).
+//! reference-counted kernel object (a [`Kobj`] whose one lock guards its
+//! count, its active flag and its state, and whose data structure
+//! survives while references exist), and — for kernel objects exported
+//! via ports — it holds the counted object pointer that port-to-object
+//! translation clones (section 10).
 //!
 //! ## Lock-free message queue (beyond the paper)
 //!
@@ -13,9 +14,18 @@
 //! ([`machk_core::sync::ring::MpscRing`]) rather than a `VecDeque` under the
 //! port's simple lock: enqueue and dequeue are compare-exchange slot
 //! claims, so senders on different cores never serialize on the port
-//! lock just to move a message. The port's simple lock still guards the
-//! *rarely written* state (the kernel-object pointer and port-set
-//! membership), preserving the paper's locking story where it matters.
+//! lock just to move a message. The port lock still guards the *rarely
+//! written* state (the kernel-object pointer and port-set membership),
+//! preserving the paper's locking story where it matters.
+//!
+//! ## Lock order
+//!
+//! The port lock is also the lock of the port's reference count, so
+//! every reference cloned under another lock orders that lock before
+//! the port's: a name-space shard before the port (translation), a port
+//! set before its members, a memory object before its name port. Port
+//! translation in turn clones the kernel object's reference under the
+//! port lock, so the port comes before the object it exports.
 //!
 //! The ring installs its message slots on the first queued message, so
 //! a port that only serves RPCs (which dispatch without queueing) never
@@ -31,7 +41,7 @@
 
 use machk_core::{
     assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, thread_wakeup,
-    Deactivated, Event, ObjHeader, ObjRef, Refable, SimpleLocked, WaitResult,
+    Deactivated, Event, Kobj, ObjHeader, ObjRef, Refable, WaitResult,
 };
 use machk_core::sync::ring::MpscRing;
 
@@ -75,8 +85,8 @@ impl From<Deactivated> for PortError {
     }
 }
 
-/// Rarely-written port state kept under the port's simple lock: the
-/// message queue no longer lives here (see the module docs).
+/// Rarely-written port state kept under the port lock: the message
+/// queue does not live here (see the module docs).
 struct PortState {
     /// The represented kernel object, if this port exports one.
     /// "If the abstraction is not a port, then the port data structure
@@ -100,17 +110,21 @@ struct PortState {
 /// assert_eq!(msg.int_at(0), Some(10));
 /// ```
 pub struct Port {
-    header: ObjHeader,
+    /// The port lock, count and flag, with the state under the lock.
+    obj: Kobj<PortState>,
     /// Lock-free bounded message ring; see the module docs.
     queue: MpscRing<Message>,
-    state: SimpleLocked<PortState>,
 }
 
 impl Refable for Port {
     fn header(&self) -> &ObjHeader {
-        &self.header
+        self.obj.header()
     }
 }
+
+// Release layout: header 16 + state 32 + ring 40.
+#[cfg(all(not(debug_assertions), not(feature = "obs")))]
+const _: () = assert!(core::mem::size_of::<Port>() <= 88);
 
 impl Port {
     /// Create a port with the default queue limit, returning the
@@ -123,15 +137,17 @@ impl Port {
     pub fn create_with_limit(limit: usize) -> ObjRef<Port> {
         assert!(limit >= 1, "queue limit must be at least 1");
         ObjRef::new(Port {
-            header: ObjHeader::new(),
-            // One trace name for every port queue: the obs registry
-            // dedupes per name, so the lockstat/flame reports show ring
-            // traffic and backpressure aggregated across all ports.
+            // One trace name for every port lock and every port queue:
+            // the obs registry dedupes per name, so the lockstat/flame
+            // reports aggregate across all ports.
+            obj: Kobj::named(
+                "ipc.port.lock",
+                PortState {
+                    kernel_object: None,
+                    pset_event: None,
+                },
+            ),
             queue: MpscRing::with_limit_named(limit, "ipc.port.queue"),
-            state: SimpleLocked::new(PortState {
-                kernel_object: None,
-                pset_event: None,
-            }),
         })
     }
 
@@ -144,7 +160,7 @@ impl Port {
     }
 
     fn pset_event(&self) -> Option<Event> {
-        self.state.lock().pset_event
+        self.obj.lock().pset_event
     }
 
     /// Post-enqueue wakeups: a receiver (directly or through the port
@@ -161,7 +177,7 @@ impl Port {
         // the store buffer while `active` is read early) lets the push
         // miss destroy's drain while we still read `active == true`.
         core::sync::atomic::fence(core::sync::atomic::Ordering::SeqCst);
-        if !self.header.is_active() {
+        if !self.obj.is_active() {
             // A destroy ran concurrently with our push; its drain may
             // have missed our message, so drain again ourselves. Pops
             // are CAS claims, so racing with other cleaners is safe.
@@ -179,7 +195,7 @@ impl Port {
     pub fn send(&self, msg: Message) -> Result<(), PortError> {
         let mut msg = msg;
         loop {
-            self.header.check_active()?;
+            self.header().check_active()?;
             match self.queue.push(msg) {
                 Ok(()) => return self.after_enqueue(),
                 Err(back) => {
@@ -189,7 +205,7 @@ impl Port {
                     // the window, so the re-check after assert_wait is
                     // the §6 discipline's lock-free analogue).
                     assert_wait(self.send_event(), false);
-                    if self.queue.len() < self.queue.limit() || !self.header.is_active() {
+                    if self.queue.len() < self.queue.limit() || !self.obj.is_active() {
                         clear_wait(&current_thread(), WaitResult::Awakened);
                     }
                     thread_block();
@@ -208,7 +224,7 @@ impl Port {
     /// gone and any rights it carried were released, exactly as
     /// [`Port::destroy`] promises for queued messages.
     pub fn try_send(&self, msg: Message) -> Result<(), (Option<Message>, PortError)> {
-        if !self.header.is_active() {
+        if !self.obj.is_active() {
             return Err((Some(msg), PortError::Dead));
         }
         match self.queue.push(msg) {
@@ -231,12 +247,12 @@ impl Port {
                 thread_wakeup(self.send_event());
                 return Ok(m);
             }
-            self.header.check_active()?;
+            self.header().check_active()?;
             assert_wait(self.recv_event(), false);
             // Re-validate after declaring the wait: a sender (or a
             // destroy) that fired its wakeup before our assert_wait
             // must not strand us.
-            if !self.queue.is_empty() || !self.header.is_active() {
+            if !self.queue.is_empty() || !self.obj.is_active() {
                 clear_wait(&current_thread(), WaitResult::Awakened);
             }
             thread_block();
@@ -254,13 +270,13 @@ impl Port {
                 thread_wakeup(self.send_event());
                 return Ok(m);
             }
-            self.header.check_active()?;
+            self.header().check_active()?;
             let now = std::time::Instant::now();
             if now >= deadline {
                 return Err(PortError::TimedOut);
             }
             assert_wait(self.recv_event(), false);
-            if !self.queue.is_empty() || !self.header.is_active() {
+            if !self.queue.is_empty() || !self.obj.is_active() {
                 clear_wait(&current_thread(), WaitResult::Awakened);
             }
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
@@ -284,7 +300,7 @@ impl Port {
             thread_wakeup(self.send_event());
             return Ok(m);
         }
-        self.header.check_active()?;
+        self.header().check_active()?;
         Err(PortError::TimedOut)
     }
 
@@ -300,7 +316,7 @@ impl Port {
             thread_wakeup(self.send_event());
             return Ok(n);
         }
-        self.header.check_active()?;
+        self.header().check_active()?;
         Ok(0)
     }
 
@@ -317,8 +333,7 @@ impl Port {
     /// Join a port set (called by `PortSet::add` with the set lock
     /// held; lock order is set before port).
     pub(crate) fn join_set(&self, set_event: Event) -> Result<(), PortError> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         if s.pset_event.is_some() {
             return Err(PortError::InPortSet);
         }
@@ -328,7 +343,7 @@ impl Port {
 
     /// Leave the port set (called by `PortSet::remove`/`destroy`).
     pub(crate) fn leave_set(&self) {
-        self.state.lock().pset_event = None;
+        self.obj.lock().pset_event = None;
     }
 
     /// Non-blocking dequeue on behalf of the containing port set (the
@@ -338,16 +353,14 @@ impl Port {
             thread_wakeup(self.send_event());
             return Ok(m);
         }
-        self.header.check_active()?;
+        self.header().check_active()?;
         Err(PortError::TimedOut)
     }
 
     /// Attach the kernel object this port represents. The port now owns
     /// the given reference.
     pub fn set_kernel_object(&self, obj: ObjRef<dyn Refable>) {
-        let mut s = self.state.lock();
-        let old = s.kernel_object.replace(obj);
-        drop(s);
+        let old = self.obj.lock().kernel_object.replace(obj);
         // Release any displaced reference outside the lock (the
         // section-8 release rule).
         drop(old);
@@ -357,10 +370,11 @@ impl Port {
     /// reference (the step-2 translation of section 10). Fails once the
     /// pointer has been removed by shutdown.
     pub fn kernel_object(&self) -> Result<ObjRef<dyn Refable>, PortError> {
-        let s = self.state.lock();
+        let s = self.obj.lock();
         match &s.kernel_object {
             // Cloning takes a reference while the port lock preserves
-            // the pointer — the "indirect reference" protocol.
+            // the pointer — the "indirect reference" protocol. For a
+            // plain object that locks it: port before object.
             Some(obj) => Ok(obj.clone()),
             None => Err(PortError::NotAnObjectPort),
         }
@@ -371,8 +385,7 @@ impl Port {
     /// disables port to object translation." Returns the removed
     /// reference for the caller to release (outside any lock).
     pub fn clear_kernel_object(&self) -> Option<ObjRef<dyn Refable>> {
-        let mut s = self.state.lock();
-        s.kernel_object.take()
+        self.obj.lock().kernel_object.take()
     }
 
     /// Destroy the port: deactivate it and wake all blocked senders and
@@ -384,7 +397,7 @@ impl Port {
     /// header *after* its enqueue and runs the same drain itself
     /// (`Port::after_enqueue`), so no message survives destruction.
     pub fn destroy(&self) -> Result<(), PortError> {
-        self.header.deactivate()?;
+        self.obj.deactivate()?;
         // SeqCst fence, pairing with the one in `after_enqueue` (see
         // there): orders the deactivation store against concurrent
         // push/is_active pairs so the drain below and the senders'
@@ -405,7 +418,7 @@ impl Port {
 
     /// Whether the port is still alive.
     pub fn is_alive(&self) -> bool {
-        self.header.is_active()
+        self.obj.is_active()
     }
 }
 

@@ -11,8 +11,8 @@
 //! effectively moves to the set.
 
 use machk_core::{
-    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, Event, ObjHeader,
-    ObjRef, Refable, SimpleLocked, WaitResult,
+    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, Event, Kobj,
+    ObjHeader, ObjRef, Refable, WaitResult,
 };
 
 use crate::message::Message;
@@ -44,13 +44,12 @@ struct PortSetState {
 /// assert!(machk_core::ObjRef::ptr_eq(&from, &b));
 /// ```
 pub struct PortSet {
-    header: ObjHeader,
-    state: SimpleLocked<PortSetState>,
+    obj: Kobj<PortSetState>,
 }
 
 impl Refable for PortSet {
     fn header(&self) -> &ObjHeader {
-        &self.header
+        self.obj.header()
     }
 }
 
@@ -58,11 +57,13 @@ impl PortSet {
     /// Create an empty port set, returning the creation reference.
     pub fn create() -> ObjRef<PortSet> {
         ObjRef::new(PortSet {
-            header: ObjHeader::new(),
-            state: SimpleLocked::new(PortSetState {
-                members: Vec::new(),
-                next: 0,
-            }),
+            obj: Kobj::named(
+                "ipc.port_set.lock",
+                PortSetState {
+                    members: Vec::new(),
+                    next: 0,
+                },
+            ),
         })
     }
 
@@ -77,8 +78,7 @@ impl PortSet {
     /// or if either object is dead.
     pub fn add(&self, port: ObjRef<Port>) -> Result<(), PortError> {
         // Lock order: set before port.
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         port.join_set(self.event())?;
         s.members.push(port);
         Ok(())
@@ -86,7 +86,7 @@ impl PortSet {
 
     /// Remove a port from the set; returns the set's reference to it.
     pub fn remove(&self, port: &ObjRef<Port>) -> Option<ObjRef<Port>> {
-        let mut s = self.state.lock();
+        let mut s = self.obj.lock();
         let i = s.members.iter().position(|m| ObjRef::ptr_eq(m, port))?;
         let member = s.members.swap_remove(i);
         member.leave_set();
@@ -96,7 +96,7 @@ impl PortSet {
 
     /// Number of member ports.
     pub fn len(&self) -> usize {
-        self.state.lock().members.len()
+        self.obj.lock().members.len()
     }
 
     /// Whether the set has no members.
@@ -107,7 +107,7 @@ impl PortSet {
     /// Try each member once (round-robin), without blocking.
     fn poll_members(&self) -> Option<(Message, ObjRef<Port>)> {
         let (members, start) = {
-            let mut s = self.state.lock();
+            let mut s = self.obj.lock();
             if s.members.is_empty() {
                 return None;
             }
@@ -132,8 +132,7 @@ impl PortSet {
                 if let Some(hit) = self.poll_members() {
                     return Ok(hit);
                 }
-                let s = self.state.lock();
-                self.header.check_active()?;
+                let s = self.obj.lock_active()?;
                 // Declare before dropping the set lock (split-wait
                 // protocol) — then re-validate: member queues are
                 // lock-free, so a send may have enqueued and fired its
@@ -160,8 +159,7 @@ impl PortSet {
                 if let Some(hit) = self.poll_members() {
                     return Ok(hit);
                 }
-                let s = self.state.lock();
-                self.header.check_active()?;
+                let s = self.obj.lock_active()?;
                 if std::time::Instant::now() >= deadline {
                     return Err(PortError::TimedOut);
                 }
@@ -186,10 +184,8 @@ impl PortSet {
     /// references for release), wake blocked receivers.
     pub fn destroy(&self) -> Result<(), PortError> {
         let members = {
-            let mut s = self.state.lock();
-            if self.header.deactivate().is_err() {
-                return Err(PortError::Dead);
-            }
+            let mut s = self.obj.lock();
+            s.deactivate()?;
             for m in &s.members {
                 m.leave_set();
             }
@@ -204,7 +200,7 @@ impl PortSet {
 impl core::fmt::Debug for PortSet {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PortSet")
-            .field("alive", &self.header.is_active())
+            .field("alive", &self.obj.is_active())
             .field("members", &self.len())
             .finish()
     }

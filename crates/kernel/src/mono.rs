@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use machk_core::{Deactivated, ObjHeader, ObjRef, Refable, SimpleLocked};
+use machk_core::{Deactivated, Kobj, ObjHeader, ObjRef, Refable};
 use machk_ipc::{Port, PortName};
 
 struct MonoState {
@@ -21,13 +21,13 @@ struct MonoState {
 /// A task whose every operation — including port-name translation —
 /// takes the one task lock.
 pub struct MonoTask {
-    header: ObjHeader,
-    state: SimpleLocked<MonoState>,
+    /// The one lock: count, flag, task state and name table.
+    obj: Kobj<MonoState>,
 }
 
 impl Refable for MonoTask {
     fn header(&self) -> &ObjHeader {
-        &self.header
+        self.obj.header()
     }
 }
 
@@ -35,28 +35,28 @@ impl MonoTask {
     /// Create a single-lock task.
     pub fn create() -> ObjRef<MonoTask> {
         ObjRef::new(MonoTask {
-            header: ObjHeader::new(),
-            state: SimpleLocked::new(MonoState {
-                suspend_count: 0,
-                thread_count: 0,
-                names: HashMap::new(),
-                next_name: 1,
-            }),
+            obj: Kobj::named(
+                "mono_task.lock",
+                MonoState {
+                    suspend_count: 0,
+                    thread_count: 0,
+                    names: HashMap::new(),
+                    next_name: 1,
+                },
+            ),
         })
     }
 
     /// A task operation (suspend), under the single lock.
     pub fn suspend(&self) -> Result<u32, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         s.suspend_count += 1;
         Ok(s.suspend_count)
     }
 
     /// A task operation (resume), under the single lock.
     pub fn resume(&self) -> Result<u32, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         if s.suspend_count > 0 {
             s.suspend_count -= 1;
         }
@@ -66,15 +66,14 @@ impl MonoTask {
     /// A bookkeeping-only thread create (count, no object), enough for
     /// the lock-contention comparison.
     pub fn note_thread_create(&self) -> Result<u32, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         s.thread_count += 1;
         Ok(s.thread_count)
     }
 
     /// Insert a port right — also under the single lock.
     pub fn port_insert(&self, right: ObjRef<Port>) -> PortName {
-        let mut s = self.state.lock();
+        let mut s = self.obj.lock();
         let name = PortName(s.next_name);
         s.next_name += 1;
         s.names.insert(name, right);
@@ -82,17 +81,18 @@ impl MonoTask {
     }
 
     /// Translate a port name — under the *same* lock as task
-    /// operations: the contention E8 measures.
+    /// operations: the contention E8 measures. The clone locks the port
+    /// under the task lock (task before port).
     pub fn port_translate(&self, name: PortName) -> Option<ObjRef<Port>> {
-        let s = self.state.lock();
+        let s = self.obj.lock();
         s.names.get(&name).cloned()
     }
 
     /// Terminate: deactivate and drain.
     pub fn terminate(&self) -> Result<(), Deactivated> {
         let rights: Vec<ObjRef<Port>> = {
-            let mut s = self.state.lock();
-            self.header.deactivate()?;
+            let mut s = self.obj.lock();
+            s.deactivate()?;
             s.names.drain().map(|(_, r)| r).collect()
         };
         drop(rights);
@@ -103,7 +103,7 @@ impl MonoTask {
 impl core::fmt::Debug for MonoTask {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("MonoTask")
-            .field("active", &self.header.is_active())
+            .field("active", &self.obj.is_active())
             .finish()
     }
 }
@@ -133,11 +133,11 @@ mod tests {
         let t = MonoTask::create();
         let p = Port::create();
         let name = t.port_insert(p.clone());
-        let g = t.state.lock();
+        let g = t.obj.lock();
         // A translation from another thread cannot proceed; verify with
         // try-lock semantics from this thread (the lock is not
         // recursive, so a blocking call would deadlock).
-        assert!(t.state.try_lock().is_none());
+        assert!(t.obj.header().lock().try_lock().is_none());
         drop(g);
         assert!(t.port_translate(name).is_some());
     }

@@ -14,7 +14,7 @@
 //! the kernel crate: **pset before task**; two psets by address
 //! (processor reassignment locks source and destination).
 
-use machk_core::{Deactivated, ObjHeader, ObjRef, Refable, SimpleLocked};
+use machk_core::{Deactivated, Kobj, ObjHeader, ObjRef, Refable};
 
 use crate::ordering::order_by_address;
 use crate::task::Task;
@@ -30,13 +30,13 @@ struct PsetState {
 
 /// A set of processors to which tasks (and so threads) are assigned.
 pub struct ProcessorSet {
-    header: ObjHeader,
-    state: SimpleLocked<PsetState>,
+    /// The pset lock, guarding the count, the flag and the state.
+    obj: Kobj<PsetState>,
 }
 
 impl Refable for ProcessorSet {
     fn header(&self) -> &ObjHeader {
-        &self.header
+        self.obj.header()
     }
 }
 
@@ -44,18 +44,19 @@ impl ProcessorSet {
     /// Create an empty set, returning the creation reference.
     pub fn create() -> ObjRef<ProcessorSet> {
         ObjRef::new(ProcessorSet {
-            header: ObjHeader::new(),
-            state: SimpleLocked::new(PsetState {
-                processors: Vec::new(),
-                tasks: Vec::new(),
-            }),
+            obj: Kobj::named(
+                "pset.lock",
+                PsetState {
+                    processors: Vec::new(),
+                    tasks: Vec::new(),
+                },
+            ),
         })
     }
 
     /// Add a processor to the set.
     pub fn add_processor(&self, p: ProcessorId) -> Result<(), Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         if !s.processors.contains(&p) {
             s.processors.push(p);
         }
@@ -64,8 +65,7 @@ impl ProcessorSet {
 
     /// Remove a processor; returns whether it was present.
     pub fn remove_processor(&self, p: ProcessorId) -> Result<bool, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         let before = s.processors.len();
         s.processors.retain(|q| *q != p);
         Ok(s.processors.len() != before)
@@ -73,24 +73,20 @@ impl ProcessorSet {
 
     /// Processors currently in the set.
     pub fn processors(&self) -> Vec<ProcessorId> {
-        self.state.lock().processors.clone()
+        self.obj.lock().processors.clone()
     }
 
     /// Number of assigned tasks.
     pub fn task_count(&self) -> usize {
-        self.state.lock().tasks.len()
+        self.obj.lock().tasks.len()
     }
 
     /// Assign a task to this set. The set holds a task reference.
     pub fn assign_task(&self, task: ObjRef<Task>) -> Result<(), Deactivated> {
         let dropped = {
-            let mut s = self.state.lock();
-            if let Err(e) = self.header.check_active() {
-                drop(s);
-                // Release the offered reference outside the lock.
-                drop(task);
-                return Err(e);
-            }
+            // On failure the offered reference is released on return,
+            // outside the lock.
+            let mut s = self.obj.lock_active()?;
             if s.tasks.iter().any(|t| ObjRef::ptr_eq(t, &task)) {
                 Some(task) // already assigned: surplus reference
             } else {
@@ -106,7 +102,7 @@ impl ProcessorSet {
     /// lock. Returns whether it was assigned.
     pub fn unassign_task(&self, task: &ObjRef<Task>) -> bool {
         let removed = {
-            let mut s = self.state.lock();
+            let mut s = self.obj.lock();
             s.tasks
                 .iter()
                 .position(|t| ObjRef::ptr_eq(t, task))
@@ -130,10 +126,10 @@ impl ProcessorSet {
         }
         // Both locks taken in address order, then one atomic move.
         let (first, second) = order_by_address(from, to);
-        let mut g1 = first.state.lock();
-        let mut g2 = second.state.lock();
-        from.header.check_active()?;
-        to.header.check_active()?;
+        let mut g1 = first.obj.lock();
+        let mut g2 = second.obj.lock();
+        g1.check_active()?;
+        g2.check_active()?;
         let (fs, ts) = if ObjRef::ptr_eq(first, from) {
             (&mut *g1, &mut *g2)
         } else {
@@ -154,8 +150,8 @@ impl ProcessorSet {
     /// Mach; here the caller decides.
     pub fn destroy(&self) -> Result<(), Deactivated> {
         let tasks = {
-            let mut s = self.state.lock();
-            self.header.deactivate()?;
+            let mut s = self.obj.lock();
+            s.deactivate()?;
             core::mem::take(&mut s.tasks)
         };
         drop(tasks); // released outside the lock
@@ -164,15 +160,15 @@ impl ProcessorSet {
 
     /// Whether the set is active.
     pub fn is_active(&self) -> bool {
-        self.header.is_active()
+        self.obj.is_active()
     }
 }
 
 impl core::fmt::Debug for ProcessorSet {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = self.state.lock();
+        let s = self.obj.lock();
         f.debug_struct("ProcessorSet")
-            .field("active", &self.header.is_active())
+            .field("active", &self.obj.is_active())
             .field("processors", &s.processors.len())
             .field("tasks", &s.tasks.len())
             .finish()

@@ -65,9 +65,8 @@ pub fn shutdown_task(port: &ObjRef<Port>, task: ObjRef<Task>) -> Result<(), Deac
         |t| {
             // Step 1 with the Mach atomicity: flag set under the task
             // lock (Task::terminate_simple does steps 1+3; here we need
-            // them split, so deactivate via the header under the state
-            // lock).
-            t.deactivate_locked()
+            // them split).
+            t.deactivate()
         },
         |t| {
             // Step 3: terminate every thread and drain the port space.

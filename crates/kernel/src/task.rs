@@ -3,14 +3,23 @@
 //! "A task is an execution environment in which threads may run, and is
 //! also the basic unit of resource allocation." The task here carries:
 //!
-//! * a **task lock** (a simple lock over the task state) protecting the
-//!   thread list and scheduling state;
+//! * a **task lock** — the object lock of its header, which guards the
+//!   active flag and the task state (the thread list and scheduling
+//!   state);
 //! * a separate **IPC translation lock** (inside the task's
 //!   [`PortNameSpace`]) so port-name translations proceed in parallel
 //!   with task operations — the section-5 two-lock design measured by
 //!   experiment E8.
+//!
+//! The task's reference count is sharded ([`ShardedRefCount`]): task
+//! references churn from every thread that names the task, and a
+//! sharded take never touches the task lock. The lock order relies on
+//! that: the task clones thread references under the task lock (task
+//! before thread), while [`ThreadObj::task`] clones the task reference
+//! under the thread lock. With a plain count the second would be a
+//! thread → task edge and close a cycle.
 
-use machk_core::{Deactivated, ObjHeader, ObjRef, Refable, SimpleLocked};
+use machk_core::{Deactivated, Kobj, ObjHeader, ObjRef, Refable, ShardedRefCount};
 use machk_ipc::{Port, PortName, PortNameSpace};
 
 use crate::thread::ThreadObj;
@@ -35,16 +44,30 @@ pub(crate) struct TaskState {
 /// task.terminate_simple().unwrap();
 /// ```
 pub struct Task {
-    header: ObjHeader,
-    /// The task lock.
-    state: SimpleLocked<TaskState>,
+    /// The task lock, guarding the flag and the task state.
+    obj: Kobj<TaskState>,
+    /// The sharded reference count (see the module docs).
+    refs: ShardedRefCount,
     /// The IPC translation lock lives inside the name space.
     ipc_space: PortNameSpace,
 }
 
 impl Refable for Task {
     fn header(&self) -> &ObjHeader {
-        &self.header
+        self.obj.header()
+    }
+
+    // Sharded: takes and releases never lock the task.
+    fn take_ref(&self) {
+        self.refs.take();
+    }
+
+    fn release_ref(&self) -> bool {
+        self.refs.release()
+    }
+
+    fn ref_count(&self) -> u32 {
+        self.refs.get()
     }
 }
 
@@ -57,14 +80,14 @@ impl Task {
     /// behaviour improves.
     pub fn create() -> ObjRef<Task> {
         ObjRef::new(Task {
-            header: ObjHeader::new_sharded_named("task.ref"),
-            state: SimpleLocked::named(
+            obj: Kobj::named(
                 "task.lock",
                 TaskState {
                     threads: Vec::new(),
                     suspend_count: 0,
                 },
             ),
+            refs: ShardedRefCount::named("task.ref"),
             ipc_space: PortNameSpace::new(),
         })
     }
@@ -73,21 +96,19 @@ impl Task {
 
     /// Number of live threads.
     pub fn thread_count(&self) -> usize {
-        self.state.lock().threads.len()
+        self.obj.lock().threads.len()
     }
 
     /// Increment the task suspend count.
     pub fn suspend(&self) -> Result<u32, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         s.suspend_count += 1;
         Ok(s.suspend_count)
     }
 
     /// Decrement the task suspend count.
     pub fn resume(&self) -> Result<u32, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         if s.suspend_count > 0 {
             s.suspend_count -= 1;
         }
@@ -96,18 +117,18 @@ impl Task {
 
     /// Current suspend count.
     pub fn suspend_count(&self) -> u32 {
-        self.state.lock().suspend_count
+        self.obj.lock().suspend_count
     }
 
     /// Suspend the task *and all its threads* — Mach's `task_suspend`
     /// semantics. Follows the section-5 ordering convention (task
     /// before thread) without holding both locks at once: the thread
-    /// list is copied under the task lock, then each thread is locked
-    /// individually.
+    /// list is copied under the task lock (cloning each thread's
+    /// reference locks that thread: task before thread), then each
+    /// thread is locked individually.
     pub fn suspend_all(&self) -> Result<u32, Deactivated> {
         let threads = {
-            let mut s = self.state.lock();
-            self.header.check_active()?;
+            let mut s = self.obj.lock_active()?;
             s.suspend_count += 1;
             s.threads.clone()
         };
@@ -126,8 +147,7 @@ impl Task {
     /// [`Task::suspend_all`]).
     pub fn resume_all(&self) -> Result<u32, Deactivated> {
         let threads = {
-            let mut s = self.state.lock();
-            self.header.check_active()?;
+            let mut s = self.obj.lock_active()?;
             if s.suspend_count > 0 {
                 s.suspend_count -= 1;
             }
@@ -143,7 +163,7 @@ impl Task {
 
     /// Whether the task is active.
     pub fn is_active(&self) -> bool {
-        self.header.is_active()
+        self.obj.is_active()
     }
 
     /// Remove `thread` from the thread list (called by thread
@@ -152,7 +172,7 @@ impl Task {
     pub(crate) fn unlink_thread(&self, thread: &ThreadObj) {
         let target = thread as *const ThreadObj;
         let removed = {
-            let mut s = self.state.lock();
+            let mut s = self.obj.lock();
             s.threads
                 .iter()
                 .position(|t| core::ptr::eq(&**t as *const ThreadObj, target))
@@ -191,16 +211,15 @@ impl Task {
     /// steps 1 and 3 (there is no port for step 2; the caller's drop of
     /// its reference is step 4).
     pub fn terminate_simple(&self) -> Result<(), Deactivated> {
-        self.deactivate_locked()?;
+        self.deactivate()?;
         self.teardown();
         Ok(())
     }
 
     /// Shutdown step 1: "lock the object, set the deactivated flag,
     /// and unlock the object."
-    pub(crate) fn deactivate_locked(&self) -> Result<(), Deactivated> {
-        let _s = self.state.lock();
-        self.header.deactivate()
+    pub(crate) fn deactivate(&self) -> Result<(), Deactivated> {
+        self.obj.deactivate()
     }
 
     /// Shutdown step 3: destroy the object's state — terminate every
@@ -209,7 +228,7 @@ impl Task {
     pub(crate) fn teardown(&self) {
         // Take the thread list under the task lock, release outside.
         let threads = {
-            let mut s = self.state.lock();
+            let mut s = self.obj.lock();
             core::mem::take(&mut s.threads)
         };
         for thread in &threads {
@@ -240,14 +259,12 @@ impl TaskRefExt for ObjRef<Task> {
         let back = self.clone();
         let thread = ThreadObj::create(back);
         {
-            let mut s = self.state.lock();
-            // Section-9 rule: re-check activity under the lock.
-            if let Err(e) = self.header.check_active() {
-                drop(s);
-                // Recovery: undo the allocation; the thread's back
-                // reference is released by its destruction.
-                return Err(e);
-            }
+            // Section-9 rule: re-check activity under the lock. On
+            // failure, recovery undoes the allocation: the new thread
+            // and its back reference are released on return, outside
+            // the lock.
+            let mut s = self.obj.lock_active()?;
+            // Locks the thread under the task lock: task before thread.
             s.threads.push(thread.clone());
         }
         Ok(thread)
@@ -399,7 +416,7 @@ mod tests {
         let task = Task::create();
         let port = Port::create();
         let name = task.port_insert(port.clone());
-        let state_guard = task.state.lock(); // task lock held
+        let state_guard = task.obj.lock(); // task lock held
         let right = task
             .port_translate(name)
             .expect("translation must not block");

@@ -7,7 +7,7 @@
 //! threads; termination breaks the links (which is also what makes the
 //! reference cycle collectable — Mach's answer, not weak pointers).
 
-use machk_core::{Deactivated, ObjHeader, ObjRef, Refable, SimpleLocked};
+use machk_core::{Deactivated, Kobj, ObjHeader, ObjRef, Refable};
 
 use crate::task::Task;
 
@@ -21,13 +21,13 @@ pub(crate) struct ThreadState {
 
 /// A Mach thread (the kernel object, not an OS thread).
 pub struct ThreadObj {
-    header: ObjHeader,
-    state: SimpleLocked<ThreadState>,
+    /// The thread lock, guarding the count, the flag and the state.
+    obj: Kobj<ThreadState>,
 }
 
 impl Refable for ThreadObj {
     fn header(&self) -> &ObjHeader {
-        &self.header
+        self.obj.header()
     }
 }
 
@@ -37,26 +37,26 @@ impl ThreadObj {
     /// which also links the thread into the task.
     pub(crate) fn create(task: ObjRef<Task>) -> ObjRef<ThreadObj> {
         ObjRef::new(ThreadObj {
-            header: ObjHeader::new(),
-            state: SimpleLocked::new(ThreadState {
-                suspend_count: 0,
-                task: Some(task),
-            }),
+            obj: Kobj::named(
+                "thread.lock",
+                ThreadState {
+                    suspend_count: 0,
+                    task: Some(task),
+                },
+            ),
         })
     }
 
     /// Increment the suspend count.
     pub fn suspend(&self) -> Result<u32, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         s.suspend_count += 1;
         Ok(s.suspend_count)
     }
 
     /// Decrement the suspend count (resume at zero).
     pub fn resume(&self) -> Result<u32, Deactivated> {
-        let mut s = self.state.lock();
-        self.header.check_active()?;
+        let mut s = self.obj.lock_active()?;
         if s.suspend_count == 0 {
             return Ok(0);
         }
@@ -66,36 +66,38 @@ impl ThreadObj {
 
     /// Current suspend count.
     pub fn suspend_count(&self) -> u32 {
-        self.state.lock().suspend_count
+        self.obj.lock().suspend_count
     }
 
     /// The thread's task, if it is still linked (a cloned reference).
+    ///
+    /// Clones the task reference under the thread lock. That is not a
+    /// thread → task lock edge only because the task's count is sharded
+    /// and its take never locks the task (see [`Task`]); with a plain
+    /// count it would invert the task-before-thread order that
+    /// `Task::suspend_all` and `thread_create` follow.
     pub fn task(&self) -> Option<ObjRef<Task>> {
-        let s = self.state.lock();
-        s.task.clone()
+        self.obj.lock().task.clone()
     }
 
     /// Whether the thread is still active.
     pub fn is_active(&self) -> bool {
-        self.header.is_active()
+        self.obj.is_active()
     }
 
     /// Terminate the thread: deactivate it, unlink it from its task,
     /// and release the back reference. Idempotent at the protocol level
     /// (the second caller sees `Deactivated`).
     pub fn terminate(&self) -> Result<(), Deactivated> {
-        // Step 1: lock, set deactivated, unlock.
-        {
-            let _s = self.state.lock();
-            self.header.deactivate()?;
-        }
-        // Unlink from the task (lock order: task before thread, so take
-        // our task reference first and lock the task *without* holding
-        // our own lock).
+        // Step 1 (set deactivated) and detaching the task reference, in
+        // one acquisition of the thread lock.
         let task = {
-            let mut s = self.state.lock();
+            let mut s = self.obj.lock();
+            s.deactivate()?;
             s.task.take()
         };
+        // Unlink from the task (lock order: task before thread, so lock
+        // the task *without* holding our own lock).
         if let Some(task) = task {
             task.unlink_thread(self);
             // Back reference released here, outside all locks.
@@ -154,6 +156,41 @@ mod tests {
         // Deactivated, unlinked, but the data structure exists.
         assert!(!extra.is_active());
         assert_eq!(extra.suspend_count(), 0);
+        task.terminate_simple().unwrap();
+    }
+
+    #[test]
+    fn task_lookup_races_task_wide_operations() {
+        // `task()` clones the task reference under the thread lock while
+        // `suspend_all`/`resume_all`/`thread_create` clone thread
+        // references under the task lock. Only the task's sharded count
+        // (its take never locks the task) keeps the pair from being an
+        // ABBA deadlock, so this must complete.
+        const ROUNDS: usize = 2_000;
+        let task = Task::create();
+        let threads: Vec<_> = (0..3).map(|_| task.thread_create().unwrap()).collect();
+        std::thread::scope(|s| {
+            let task = &task;
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    task.suspend_all().unwrap();
+                    task.resume_all().unwrap();
+                }
+            });
+            s.spawn(move || {
+                for _ in 0..ROUNDS / 50 {
+                    drop(task.thread_create().unwrap());
+                }
+            });
+            for th in &threads {
+                s.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        drop(th.task().expect("linked"));
+                    }
+                });
+            }
+        });
+        assert_eq!(task.thread_count(), 3 + ROUNDS / 50);
         task.terminate_simple().unwrap();
     }
 

@@ -24,7 +24,7 @@ const BLOCKING: [&str; 4] = ["thread_block", "thread_block_timeout", "park", "pa
 
 /// Primitive lock types: acquisitions of `self.…` inside their own
 /// impls are the definitions of the discipline, not uses of it.
-const PRIMITIVE_IMPLS: [&str; 13] = [
+const PRIMITIVE_IMPLS: [&str; 16] = [
     "RawSimpleLock",
     "SimpleLocked",
     "SimpleLockedGuard",
@@ -38,6 +38,9 @@ const PRIMITIVE_IMPLS: [&str; 13] = [
     "RwWriteGuard",
     "LockData",
     "Backoff",
+    "ObjHeader",
+    "Kobj",
+    "KobjGuard",
 ];
 
 /// Impls whose take/release are the §8 primitives themselves.
@@ -187,7 +190,15 @@ impl<'a> FnScan<'a> {
     /// Resolve a receiver chain (`self.header.lock` → segments) to a
     /// graph node key and its discipline class.
     fn resolve(&self, segments: &[String], had_self: bool) -> (Option<String>, Option<LockClass>) {
-        let segs: Vec<&String> = segments.iter().collect();
+        let mut segs: Vec<&String> = segments.iter().collect();
+        // An object's lock is the object: `obj.header().lock()` names
+        // the same lock as `obj`.
+        while segs.len() > 1
+            && matches!(segs[segs.len() - 1].as_str(), "header" | "lock")
+            && self.syms.class_of(segs[segs.len() - 2]) == Some(LockClass::Object)
+        {
+            segs.pop();
+        }
         if segs.is_empty() {
             return (None, None);
         }
@@ -215,6 +226,10 @@ impl<'a> FnScan<'a> {
         } else {
             joined
         };
+        // Object locks are named per type (`Task.obj` → `task.lock`).
+        if let Some(d) = self.syms.display.get(&key).filter(|_| had_self) {
+            return (Some(d.clone()), class);
+        }
         (Some(key), class)
     }
 
@@ -624,7 +639,14 @@ impl<'a> FnScan<'a> {
             // Generic names need a classed receiver.
             "lock" | "try_lock" | "lock_with_deadline" => match class {
                 Some(LockClass::Simple) => acquire(HoldKind::Guard, LockClass::Simple),
+                Some(LockClass::Object) => acquire(HoldKind::Guard, LockClass::Object),
                 Some(LockClass::Spl) => acquire(HoldKind::Raw, LockClass::Spl),
+                _ => None,
+            },
+            // `Kobj`'s own acquisitions: the guard (or the closure)
+            // holds the object lock.
+            "lock_active" | "with_active" | "with_state" => match class {
+                Some(LockClass::Object) => acquire(HoldKind::Guard, LockClass::Object),
                 _ => None,
             },
             "lock_result" => match class {
@@ -698,6 +720,7 @@ impl<'a> FnScan<'a> {
         } else if !PRIMITIVE_METHODS.contains(&name.as_str())
             && !self.holds.is_empty()
             && name != self.func.name
+            && !self.on_guarded_data(&segs)
         {
             self.summary.calls.push(HeldCall {
                 callee: name,
@@ -705,6 +728,18 @@ impl<'a> FnScan<'a> {
                 line,
             });
         }
+    }
+
+    /// Whether a receiver chain starts at a held guard's binding
+    /// (`q.len()`, `s.members.is_empty()`): the call works on the data
+    /// that lock protects — a collection, not another kernel object — so
+    /// it is no call-graph edge to every same-named kernel function.
+    fn on_guarded_data(&self, segs: &[String]) -> bool {
+        segs.first().is_some_and(|root| {
+            self.holds
+                .iter()
+                .any(|h| h.kind == HoldKind::Guard && h.binding.as_deref() == Some(root))
+        })
     }
 
     fn free_call(&mut self, idx: usize, name: String, close: usize) {

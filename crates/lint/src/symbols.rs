@@ -13,10 +13,16 @@
 //!
 //! Named constructors (`RawSimpleLock::named("task.lock")`,
 //! `ComplexLock::named`, `ShardedRefCount::named`,
-//! `SplLock::named_at_level`, `ObjHeader::new_sharded_named`) record
+//! `SplLock::named_at_level`, `ObjHeader::named`, `Kobj::named`) record
 //! the registered name, which the order graph uses as the node's
 //! display name — that is what lets the obs cross-validation test match
 //! runtime cycle names against static nodes.
+//!
+//! Object locks are usually struct fields (`obj: Kobj::named(…)` in a
+//! `Task { … }` literal), and every object type names its field the same
+//! way, so their names are recorded per type (`Task.obj` →
+//! `task.lock`): keyed by the bare field name, every object lock would
+//! merge into one node and their order edges into self-edges.
 
 use std::collections::HashMap;
 
@@ -33,9 +39,13 @@ pub enum LockClass {
     Spl,
     /// `ComplexLock` / `RwData<T>` — sleepable read/write locks.
     Complex,
-    /// `RefCount` / `ShardedRefCount` / `ObjHeader` — §8 reference
-    /// counts with take/release pairing.
+    /// `RefCount` / `ShardedRefCount` — §8 reference counts with
+    /// take/release pairing.
     Ref,
+    /// `ObjHeader` / `Kobj` — a kernel object's lock, which also guards
+    /// its §8 count: a simple lock in the order graph and in the §6
+    /// check, with `take_ref`/`release_ref` pairing like any count.
+    Object,
 }
 
 impl LockClass {
@@ -44,14 +54,15 @@ impl LockClass {
             "RawSimpleLock" | "SimpleLocked" => LockClass::Simple,
             "SplLock" => LockClass::Spl,
             "ComplexLock" | "RwData" | "LockData" => LockClass::Complex,
-            "RefCount" | "ShardedRefCount" | "ObjHeader" => LockClass::Ref,
+            "RefCount" | "ShardedRefCount" => LockClass::Ref,
+            "ObjHeader" | "Kobj" => LockClass::Object,
             _ => return None,
         })
     }
 
     /// Simple in the §6 sense: spinning, non-sleepable.
     pub fn is_simple(self) -> bool {
-        matches!(self, LockClass::Simple | LockClass::Spl)
+        matches!(self, LockClass::Simple | LockClass::Spl | LockClass::Object)
     }
 }
 
@@ -105,8 +116,11 @@ impl Symbols {
                 _ => {
                     // `ident : Type` — field or parameter.
                     if i + 2 < n && toks[i + 1].is(":") {
-                        if let Some((class, _)) = type_class_at(toks, i + 2) {
+                        if let Some((class, at)) = type_class_at(toks, i + 2) {
                             self.classes.entry(t.text.clone()).or_insert(class);
+                            if class == LockClass::Object {
+                                self.collect_object_field(toks, i, at);
+                            }
                         }
                     }
                 }
@@ -159,10 +173,7 @@ impl Symbols {
                         class = Some(c);
                     }
                 }
-                if matches!(
-                    t.text.as_str(),
-                    "named" | "named_at_level" | "new_sharded_named"
-                ) {
+                if matches!(t.text.as_str(), "named" | "named_at_level") {
                     // First string literal in the args is the name.
                     if let Some(s) = toks[i..].iter().take(6).find(|t| t.kind == Kind::Str) {
                         if let Some(id) = &name {
@@ -190,6 +201,33 @@ impl Symbols {
             self.classes.entry(id.clone()).or_insert(c);
         }
         i
+    }
+
+    /// `field: Kobj::named("task.lock", …)` inside a `Task { … }`
+    /// literal: record the name under `Task.field`.
+    fn collect_object_field(&mut self, toks: &[Tok], field: usize, ty: usize) {
+        let named = toks.get(ty + 1).is_some_and(|t| t.is("::"))
+            && toks.get(ty + 2).is_some_and(|t| t.is_ident("named"))
+            && toks.get(ty + 3).is_some_and(|t| t.is("("));
+        let Some(name) = toks.get(ty + 4).filter(|t| named && t.kind == Kind::Str) else {
+            return;
+        };
+        // The literal's type: the ident before the innermost unclosed `{`.
+        let mut depth = 0i32;
+        for k in (1..field).rev() {
+            match toks[k].text.as_str() {
+                "}" => depth += 1,
+                "{" if depth > 0 => depth -= 1,
+                "{" => {
+                    if toks[k - 1].kind == Kind::Ident {
+                        let key = format!("{}.{}", toks[k - 1].text, toks[field].text);
+                        self.display.insert(key, name.text.clone());
+                    }
+                    return;
+                }
+                _ => {}
+            }
+        }
     }
 
     /// `decl_simple_lock_data!(class, NAME)` — the macro names the lock
@@ -280,7 +318,7 @@ mod tests {
         assert_eq!(s.display.get("A").map(String::as_str), Some("e16.order.a"));
         assert_eq!(s.class_of("map"), Some(LockClass::Complex));
         assert_eq!(s.class_of("lock"), Some(LockClass::Simple));
-        assert_eq!(s.class_of("hdr"), Some(LockClass::Ref));
+        assert_eq!(s.class_of("hdr"), Some(LockClass::Object));
         assert_eq!(s.class_of("pm"), Some(LockClass::Spl));
     }
 

@@ -58,6 +58,25 @@ fn abba_consistent_order_clean() {
 }
 
 #[test]
+fn object_lock_abba_detected() {
+    let analysis = analyze_fixture("obj_abba_bad.rs");
+    let slugs: Vec<&str> = analysis.findings.iter().map(|f| f.rule.slug()).collect();
+    assert_eq!(slugs, vec!["lock-order-cycle"]);
+    assert_eq!(
+        analysis.findings[0].context,
+        "fixture.port.lock -> fixture.task.lock -> fixture.port.lock"
+    );
+}
+
+#[test]
+fn object_lock_one_order_clean() {
+    let analysis = analyze_fixture("obj_abba_ok.rs");
+    assert!(analysis.findings.is_empty());
+    assert!(analysis.graph.has_edge("fixture.task.lock", "fixture.port.lock"));
+    assert!(!analysis.graph.has_edge("fixture.port.lock", "fixture.task.lock"));
+}
+
+#[test]
 fn turbofish_declared_locks_join_the_order_graph() {
     let analysis = analyze_fixture("turbofish_bad.rs");
     let slugs: Vec<&str> = analysis.findings.iter().map(|f| f.rule.slug()).collect();

@@ -3,7 +3,8 @@
 //! "The routines that increment and decrement these counts are
 //! implemented as part of each subsystem to allow flexibility in
 //! allocation and deallocation." [`LockedRefCount`] is the raw count such
-//! a subsystem embeds under its own lock; [`DrainableCount`] is the
+//! a subsystem embeds under its own lock (every [`crate::ObjHeader`]
+//! embeds one under the object lock); [`DrainableCount`] is the
 //! reference/lock hybrid of section 8 (the memory object's
 //! paging-in-progress count).
 

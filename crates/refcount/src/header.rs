@@ -1,18 +1,27 @@
-//! The object header: reference count + deactivation flag + their lock.
+//! The object header: the object's lock, its reference count and its
+//! deactivation flag.
 //!
 //! Every reference-counted kernel object embeds an [`ObjHeader`]. The
-//! header owns a simple lock protecting "the portion containing its
-//! reference count" (the paper explicitly allows the count's lock to be
-//! narrower than the whole object) and the active/deactivated flag of
-//! section 9. Substrates keep the rest of their state under their own
-//! simple or complex locks.
+//! header's simple lock is *the* object lock: it guards the count
+//! (section 8: the count "is protected by the object's lock"), the
+//! active/deactivated flag of section 9, and — through
+//! `machk_core::Kobj` — the object's own state. One acquisition
+//! therefore both checks activity and reaches the state, and
+//! deactivation is one acquisition too.
+//!
+//! Because taking a reference locks the object, cloning a reference to
+//! an object while holding *another* object's lock orders the two
+//! locks, and cloning a reference to an object while holding *its own*
+//! lock self-deadlocks (debug builds panic with "self-deadlock").
+//! Objects whose count is sharded (`Refable::take_ref` overridden)
+//! never touch the header lock to take or release.
 
 use core::fmt;
-use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
+use core::sync::atomic::{AtomicBool, Ordering};
 
 use machk_sync::RawSimpleLock;
 
-use crate::sharded::ShardedRefCount;
+use crate::LockedRefCount;
 
 /// Error returned by operations attempted on a deactivated object.
 ///
@@ -30,8 +39,8 @@ impl fmt::Display for Deactivated {
 
 impl std::error::Error for Deactivated {}
 
-/// Reference count, deactivation flag, and the simple lock protecting
-/// them.
+/// The object lock, the reference count it guards, and the
+/// deactivation flag.
 ///
 /// The count and flag are stored in atomics but — matching the paper's
 /// protocol — are only *modified* while holding the header lock; the
@@ -39,87 +48,47 @@ impl std::error::Error for Deactivated {}
 /// revalidated under the lock) well-defined.
 pub struct ObjHeader {
     lock: RawSimpleLock,
-    refs: AtomicU32,
+    refs: LockedRefCount,
     active: AtomicBool,
-    /// Optional contention-scalable count, promoted at creation for hot
-    /// objects ([`ObjHeader::new_sharded`]). When set, it replaces `refs`
-    /// as the authoritative count; the deactivation protocol is
-    /// unaffected and stays on `lock` + `active`.
-    sharded: AtomicPtr<ShardedRefCount>,
 }
 
 impl ObjHeader {
     /// A header for a freshly created object: one reference (the
     /// creator's — "an object is created with a single reference to
-    /// itself") and active.
+    /// itself") and active. The object lock is anonymous.
     pub const fn new() -> Self {
+        Self::named("")
+    }
+
+    /// [`ObjHeader::new`] with a lockstat name for the object lock
+    /// (`"task.lock"`, `"ipc.port.lock"`): with the `obs` feature its
+    /// acquisitions and the object's deactivation report under `name`.
+    /// Without the feature the name is ignored.
+    pub const fn named(name: &'static str) -> Self {
         ObjHeader {
-            lock: RawSimpleLock::new(),
-            refs: AtomicU32::new(1),
+            lock: RawSimpleLock::named(name),
+            refs: LockedRefCount::new(1),
             active: AtomicBool::new(true),
-            sharded: AtomicPtr::new(core::ptr::null_mut()),
         }
-    }
-
-    /// A header whose reference count is sharded for contention
-    /// scalability (see [`ShardedRefCount`]). Behaviour is identical to
-    /// [`ObjHeader::new`] — one creation reference, active, same
-    /// take/release/deactivate interface — but takes and releases stop
-    /// serializing on the header lock. Use for objects whose references
-    /// churn from many threads at once (the kernel task, hot VM objects).
-    pub fn new_sharded() -> Self {
-        Self::new_sharded_named("")
-    }
-
-    /// [`ObjHeader::new_sharded`] with a lockstat name for the count:
-    /// with the `obs` feature, takes/releases/drains of this header's
-    /// references report under `name` (say, `"task.ref"` or
-    /// `"vm_object.ref"`). Without the feature the name is ignored.
-    pub fn new_sharded_named(name: &'static str) -> Self {
-        let header = ObjHeader::new();
-        header.sharded.store(
-            Box::into_raw(Box::new(ShardedRefCount::named(name))),
-            Ordering::Release,
-        );
-        header
-    }
-
-    /// The sharded count, if this header was promoted at creation.
-    #[inline]
-    fn sharded_count(&self) -> Option<&ShardedRefCount> {
-        // Acquire pairs with the Release store in `new_sharded`; the
-        // pointer never changes after construction.
-        unsafe { self.sharded.load(Ordering::Acquire).as_ref() }
-    }
-
-    /// Whether this header uses a sharded reference count.
-    pub fn is_sharded(&self) -> bool {
-        self.sharded_count().is_some()
     }
 
     /// Acquire an additional reference: lock, increment, unlock.
     ///
     /// "Acquiring a new reference to an object will not block, and
-    /// therefore may be done while holding other locks."
+    /// therefore may be done while holding other locks." It does take
+    /// this object's lock, so it must not be done while holding *this*
+    /// object's lock.
     ///
     /// The caller must already hold a reference (that is what makes it
     /// safe to touch the header at all); with zero references the object
     /// is being destroyed and the call panics.
     ///
-    /// Saturates at `u32::MAX` instead of wrapping, like
-    /// [`crate::LockedRefCount::take`]: the pegged object becomes
-    /// immortal rather than destroyable with references outstanding.
+    /// Saturates at `u32::MAX` instead of wrapping
+    /// ([`LockedRefCount::take`]): the pegged object becomes immortal
+    /// rather than destroyable with references outstanding.
     pub fn take_ref(&self) {
-        if let Some(sharded) = self.sharded_count() {
-            sharded.take();
-            return;
-        }
         let _g = self.lock.lock();
-        // relaxed: guarded by the header lock held just above.
-        let old = self.refs.load(Ordering::Relaxed);
-        assert!(old > 0, "reference cloned from a dead object (count was 0)");
-        // relaxed: still under the header lock.
-        self.refs.store(old.saturating_add(1), Ordering::Relaxed);
+        self.refs.take();
     }
 
     /// Release one reference: lock, decrement, unlock. Returns `true` if
@@ -129,28 +98,13 @@ impl ObjHeader {
     /// releases without moving and never reports final.
     #[must_use]
     pub fn release_ref(&self) -> bool {
-        if let Some(sharded) = self.sharded_count() {
-            return sharded.release();
-        }
         let _g = self.lock.lock();
-        // relaxed: guarded by the header lock held just above.
-        let old = self.refs.load(Ordering::Relaxed);
-        assert!(old > 0, "reference over-released");
-        if old == u32::MAX {
-            return false; // pegged: immortal
-        }
-        // relaxed: still under the header lock.
-        self.refs.store(old - 1, Ordering::Relaxed);
-        old == 1
+        self.refs.release()
     }
 
     /// Current reference count (unlocked read; diagnostics only).
     pub fn ref_count(&self) -> u32 {
-        match self.sharded_count() {
-            Some(sharded) => sharded.get(),
-            // relaxed: advisory diagnostic snapshot.
-            None => self.refs.load(Ordering::Relaxed),
-        }
+        self.refs.get()
     }
 
     /// Mark the object deactivated (section 10, shutdown step 1: "lock
@@ -160,15 +114,17 @@ impl ObjHeader {
     /// and exactly one must win.
     pub fn deactivate(&self) -> Result<(), Deactivated> {
         let _g = self.lock.lock();
+        self.deactivate_locked()
+    }
+
+    /// [`ObjHeader::deactivate`] for a caller that already holds the
+    /// header lock (the object's state guard).
+    pub fn deactivate_locked(&self) -> Result<(), Deactivated> {
         // relaxed: flag flips only under the header lock; the lock's
         // release publishes it to the next locker.
         if self.active.swap(false, Ordering::Relaxed) {
             #[cfg(feature = "obs")]
-            machk_obs::emit(
-                machk_obs::EventKind::Deactivate,
-                self.sharded_count().map(|s| s.obs_id()).unwrap_or(0),
-                0,
-            );
+            machk_obs::emit(machk_obs::EventKind::Deactivate, self.lock.obs_id(), 0);
             Ok(())
         } else {
             Err(Deactivated)
@@ -194,26 +150,22 @@ impl ObjHeader {
         }
     }
 
-    /// The header's simple lock. Exposed so protocols can combine the
-    /// reference-count manipulation with other header-scoped state (as
-    /// the memory object does with its paging count).
+    /// The object lock. Exposed so the object's state can live under it
+    /// (`machk_core::Kobj`) and so protocols can sleep on it (the memory
+    /// object drains its paging count with it).
     pub fn lock(&self) -> &RawSimpleLock {
         &self.lock
     }
 }
 
+// A plain header is the lock (word + poison flag), the count and the
+// flag: 16 bytes in a release build without `obs`.
+#[cfg(all(not(debug_assertions), not(feature = "obs")))]
+const _: () = assert!(core::mem::size_of::<ObjHeader>() == 16);
+
 impl Default for ObjHeader {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Drop for ObjHeader {
-    fn drop(&mut self) {
-        let sharded = *self.sharded.get_mut();
-        if !sharded.is_null() {
-            drop(unsafe { Box::from_raw(sharded) });
-        }
     }
 }
 
@@ -250,21 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn count_pegs_at_max_instead_of_wrapping() {
-        let h = ObjHeader::new();
-        // relaxed: single-threaded test setup.
-        h.refs.store(u32::MAX - 1, Ordering::Relaxed);
-        h.take_ref();
-        assert_eq!(h.ref_count(), u32::MAX);
-        h.take_ref();
-        assert_eq!(h.ref_count(), u32::MAX, "a pegged count stays put");
-        for _ in 0..3 {
-            assert!(!h.release_ref(), "a pegged count never reports final");
-        }
-        assert_eq!(h.ref_count(), u32::MAX, "a pegged object is immortal");
-    }
-
-    #[test]
     #[should_panic(expected = "over-released")]
     fn over_release_panics() {
         let h = ObjHeader::new();
@@ -273,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dead object")]
+    #[should_panic(expected = "cloned from a dead")]
     fn clone_from_dead_object_panics() {
         let h = ObjHeader::new();
         let _ = h.release_ref();
@@ -315,48 +252,6 @@ mod tests {
             }
         });
         assert_eq!(h.ref_count(), 1);
-    }
-
-    #[test]
-    fn sharded_header_matches_locked_semantics() {
-        let h = ObjHeader::new_sharded();
-        assert!(h.is_sharded());
-        assert_eq!(h.ref_count(), 1);
-        h.take_ref();
-        h.take_ref();
-        assert_eq!(h.ref_count(), 3);
-        assert!(!h.release_ref());
-        assert!(!h.release_ref());
-        assert!(h.release_ref(), "last release reports zero");
-        assert_eq!(h.ref_count(), 0);
-    }
-
-    #[test]
-    fn sharded_header_keeps_deactivation_protocol() {
-        let h = ObjHeader::new_sharded();
-        h.take_ref();
-        h.deactivate().unwrap();
-        assert_eq!(h.deactivate(), Err(Deactivated));
-        assert_eq!(h.ref_count(), 2);
-        assert!(!h.release_ref());
-        assert!(h.release_ref());
-    }
-
-    #[test]
-    fn sharded_concurrent_take_release_balance() {
-        let h = ObjHeader::new_sharded();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..5_000 {
-                        h.take_ref();
-                        assert!(!h.release_ref());
-                    }
-                });
-            }
-        });
-        assert_eq!(h.ref_count(), 1);
-        assert!(h.release_ref());
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! ## Deactivation (section 9)
 //!
 //! Objects that are *actively terminated* (tasks, threads, ports) carry a
-//! deactivated flag in their header. The rules reproduced by
+//! deactivated flag in their header, under the same object lock as the
+//! count. The rules reproduced by
 //! [`header::ObjHeader`] and checked by the substrates:
 //!
 //! * an operation that depends on the object being active must re-check
@@ -60,9 +61,17 @@
 //! per-thread shards with a drain-to-exact slow path, so the final
 //! release is still detected exactly once (the section-8 destruction
 //! protocol is unchanged) while the common take/release never contends.
-//! Hot objects opt in at creation via [`ObjHeader::new_sharded`];
-//! everything downstream — [`ObjRef`], deactivation, destruction — is
-//! oblivious.
+//!
+//! Which count an object uses is a property of its type, not of the
+//! object: a plain type keeps the count in its [`ObjHeader`] and takes
+//! no branch to find it, while a sharded type embeds a
+//! [`ShardedRefCount`] and overrides [`Refable::take_ref`],
+//! [`Refable::release_ref`] and [`Refable::ref_count`] to use it.
+//! [`ObjRef`], deactivation and destruction are oblivious; so is
+//! `ObjRef<dyn Refable>`, which reaches the count through the vtable.
+//! A sharded take never locks the object, which is what lets a thread
+//! clone its task's reference under the thread lock while the task
+//! clones thread references under the task lock.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

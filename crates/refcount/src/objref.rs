@@ -29,9 +29,35 @@ use crate::header::ObjHeader;
 /// [`Refable::header`]. `Any` is a supertrait so type-erased references
 /// ([`ObjRef::into_dyn`]) can be downcast back — the moral equivalent of
 /// the port-to-object translation recovering a typed object pointer.
+///
+/// The count is a property of the type. By default it is the header's:
+/// taking or releasing a reference locks the object (section 8). A type
+/// whose references churn from many threads at once overrides the three
+/// count methods with a [`crate::ShardedRefCount`] it embeds; its header
+/// count then stays unused, and taking a reference never touches its
+/// lock.
 pub trait Refable: Any + Send + Sync {
-    /// The object's header (reference count + deactivation flag).
+    /// The object's header (lock, reference count and deactivation flag).
     fn header(&self) -> &ObjHeader;
+
+    /// Take one reference (the caller already holds one).
+    #[inline]
+    fn take_ref(&self) {
+        self.header().take_ref();
+    }
+
+    /// Release one reference; `true` if it was the last.
+    #[inline]
+    #[must_use]
+    fn release_ref(&self) -> bool {
+        self.header().release_ref()
+    }
+
+    /// Current reference count (unlocked read; diagnostics only).
+    #[inline]
+    fn ref_count(&self) -> u32 {
+        self.header().ref_count()
+    }
 }
 
 /// An owned reference to a `T`.
@@ -72,7 +98,7 @@ impl<T: Refable> ObjRef<T> {
     /// no longer needed" — in Rust, by dropping the handle.
     pub fn new(object: T) -> ObjRef<T> {
         assert_eq!(
-            object.header().ref_count(),
+            object.ref_count(),
             1,
             "new object must carry exactly the creation reference"
         );
@@ -145,17 +171,17 @@ impl<T: Refable + ?Sized> ObjRef<T> {
 
     /// The object's current reference count (diagnostics).
     pub fn ref_count(this: &ObjRef<T>) -> u32 {
-        this.header().ref_count()
+        (**this).ref_count()
     }
 }
 
 impl<T: Refable + ?Sized> Clone for ObjRef<T> {
-    /// Clone the reference: lock the object('s header), increment the
-    /// count, unlock. "The existing reference ensures that the data
-    /// structure does not get deallocated while the lock is being
-    /// acquired."
+    /// Clone the reference: lock the object, increment the count,
+    /// unlock (or the type's sharded take). "The existing reference
+    /// ensures that the data structure does not get deallocated while
+    /// the lock is being acquired."
     fn clone(&self) -> Self {
-        self.header().take_ref();
+        (**self).take_ref();
         ObjRef { ptr: self.ptr }
     }
 }
@@ -177,7 +203,7 @@ impl<T: Refable + ?Sized> Drop for ObjRef<T> {
             );
         }
         // Safety: the handle owns one count; the object outlives it.
-        let last = unsafe { self.ptr.as_ref() }.header().release_ref();
+        let last = unsafe { self.ptr.as_ref() }.release_ref();
         if last {
             // Safety: count reached zero — no other handles exist, no new
             // ones can be created ("there are no ways to invoke new
@@ -279,7 +305,7 @@ mod tests {
     fn dyn_roundtrip() {
         let (obj, drops) = new_obj(9);
         let erased: ObjRef<dyn Refable> = obj.into_dyn();
-        assert_eq!(erased.header().ref_count(), 1);
+        assert_eq!(ObjRef::ref_count(&erased), 1);
         assert_eq!(erased.downcast_ref::<TestObj>().unwrap().value, 9);
         let back: ObjRef<TestObj> = erased.downcast().ok().unwrap();
         assert_eq!(back.value, 9);

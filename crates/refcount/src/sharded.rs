@@ -160,10 +160,9 @@ impl ShardedRefCount {
     }
 
     /// Registry id: 0 for anonymous counts, else lazily registered.
-    /// Crate-visible so the header's deactivation event can carry it.
     #[cfg(feature = "obs")]
     #[inline]
-    pub(crate) fn obs_id(&self) -> u32 {
+    fn obs_id(&self) -> u32 {
         if self.obs_name.is_empty() {
             0
         } else {

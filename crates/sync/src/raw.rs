@@ -349,10 +349,11 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
     }
 
     /// Registry id for this lock: 0 for anonymous locks, otherwise the
-    /// lazily-registered id for `obs.name`.
+    /// lazily-registered id for its name. Lets a structure that embeds
+    /// the lock (an object header) name itself in its own events.
     #[cfg(feature = "obs")]
     #[inline]
-    fn obs_id(&self) -> u32 {
+    pub fn obs_id(&self) -> u32 {
         if self.obs.name.is_empty() {
             0
         } else {

@@ -104,16 +104,6 @@ impl<T: ?Sized> SimpleLocked<T> {
     pub fn is_locked(&self) -> bool {
         self.lock.is_locked()
     }
-
-    /// The underlying raw lock.
-    ///
-    /// Exposed so protocols that interleave this lock with the Appendix-A
-    /// free functions (or with `thread_sleep`-style release-and-wait) can
-    /// name it. Unlocking the raw lock while a guard is live is a protocol
-    /// error that debug builds detect at guard drop.
-    pub fn raw(&self) -> &RawSimpleLock {
-        &self.lock
-    }
 }
 
 impl<T: Default> Default for SimpleLocked<T> {

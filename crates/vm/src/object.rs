@@ -9,7 +9,8 @@
 //! Two of the paper's most specific mechanisms live here:
 //!
 //! * **Dual reference counts** (section 8): a structure reference count
-//!   (the [`machk_core::ObjHeader`]) plus a *paging-in-progress* count —
+//!   (sharded: a widely mapped object collects references from every
+//!   mapping task) plus a *paging-in-progress* count —
 //!   "a hybrid of a reference and a lock because it excludes operations
 //!   such as object termination that cannot be performed while paging
 //!   is in progress".
@@ -22,8 +23,8 @@
 //!   structure".
 
 use machk_core::{
-    assert_wait, thread_block, thread_wakeup, Deactivated, DrainableCount, Event, ObjHeader,
-    ObjRef, Refable, SimpleLocked,
+    assert_wait, thread_block, thread_wakeup, Deactivated, DrainableCount, Event, Kobj, ObjHeader,
+    ObjRef, Refable, ShardedRefCount,
 };
 use machk_ipc::Port;
 
@@ -49,16 +50,32 @@ struct ObjectState {
 
 /// A memory object.
 pub struct VmObject {
-    header: ObjHeader,
-    state: SimpleLocked<ObjectState>,
+    /// The object lock, guarding the flag and the object state.
+    obj: Kobj<ObjectState>,
+    /// The sharded structure reference count.
+    refs: ShardedRefCount,
     /// The paging-in-progress hybrid count. Manipulated under the
-    /// object's (state) simple lock.
+    /// object lock.
     paging: DrainableCount,
 }
 
 impl Refable for VmObject {
     fn header(&self) -> &ObjHeader {
-        &self.header
+        self.obj.header()
+    }
+
+    // Sharded: references churn from every mapping task and in-flight
+    // pageout, and takes and releases never lock the object.
+    fn take_ref(&self) {
+        self.refs.take();
+    }
+
+    fn release_ref(&self) -> bool {
+        self.refs.release()
+    }
+
+    fn ref_count(&self) -> u32 {
+        self.refs.get()
     }
 }
 
@@ -71,8 +88,7 @@ impl VmObject {
     /// paging hybrid count and the termination protocol are untouched.
     pub fn create() -> ObjRef<VmObject> {
         ObjRef::new(VmObject {
-            header: ObjHeader::new_sharded_named("vm_object.ref"),
-            state: SimpleLocked::named(
+            obj: Kobj::named(
                 "vm_object.lock",
                 ObjectState {
                     ports_creating: false,
@@ -81,6 +97,7 @@ impl VmObject {
                     resident_pages: 0,
                 },
             ),
+            refs: ShardedRefCount::named("vm_object.ref"),
             paging: DrainableCount::new(),
         })
     }
@@ -98,8 +115,7 @@ impl VmObject {
     pub fn ensure_pager_ports(&self) -> Result<(), Deactivated> {
         loop {
             {
-                let mut s = self.state.lock();
-                self.header.check_active()?;
+                let mut s = self.obj.lock_active()?;
                 if s.ports_created {
                     return Ok(());
                 }
@@ -121,10 +137,10 @@ impl VmObject {
             object_name: Port::create(),
         };
         let discarded = {
-            let mut s = self.state.lock();
+            let mut s = self.obj.lock();
             debug_assert!(s.ports_creating && !s.ports_created);
             s.ports_creating = false;
-            if self.header.is_active() {
+            if s.check_active().is_ok() {
                 s.ports = Some(ports);
                 s.ports_created = true;
                 None
@@ -149,13 +165,14 @@ impl VmObject {
 
     /// Whether the pager ports exist.
     pub fn has_pager_ports(&self) -> bool {
-        self.state.lock().ports_created
+        self.obj.lock().ports_created
     }
 
-    /// Clone the object-name port right (creating ports if needed).
+    /// Clone the object-name port right (creating ports if needed). The
+    /// clone locks the port under the object lock (object before port).
     pub fn name_port(&self) -> Result<ObjRef<Port>, Deactivated> {
         self.ensure_pager_ports()?;
-        let s = self.state.lock();
+        let s = self.obj.lock();
         Ok(s.ports.as_ref().expect("created above").object_name.clone())
     }
 
@@ -165,22 +182,19 @@ impl VmObject {
     /// terminated (the hybrid count is also what termination excludes
     /// on).
     pub fn paging_begin(&self) -> Result<PagingOp<'_>, Deactivated> {
-        let _s = self.state.lock();
-        self.header.check_active()?;
-        self.paging.begin();
+        self.paging_begin_raw()?;
         Ok(PagingOp { object: self })
     }
 
     fn paging_end(&self) {
-        let _s = self.state.lock();
+        let _s = self.obj.lock();
         self.paging.end();
     }
 
     /// Guard-free paging begin for crate-internal protocols (the map
     /// fault path) whose control flow outlives a borrow-based guard.
     pub(crate) fn paging_begin_raw(&self) -> Result<(), Deactivated> {
-        let _s = self.state.lock();
-        self.header.check_active()?;
+        let _s = self.obj.lock_active()?;
         self.paging.begin();
         Ok(())
     }
@@ -198,19 +212,19 @@ impl VmObject {
     /// Record a page brought in/out (diagnostics for tests and
     /// benches).
     pub fn note_page_in(&self) {
-        self.state.lock().resident_pages += 1;
+        self.obj.lock().resident_pages += 1;
     }
 
     /// See [`VmObject::note_page_in`].
     pub fn note_page_out(&self) {
-        let mut s = self.state.lock();
+        let mut s = self.obj.lock();
         debug_assert!(s.resident_pages > 0);
         s.resident_pages -= 1;
     }
 
     /// Resident page count (diagnostics).
     pub fn resident_pages(&self) -> u32 {
-        self.state.lock().resident_pages
+        self.obj.lock().resident_pages
     }
 
     /// Terminate the object: deactivate (excluding new paging
@@ -219,21 +233,20 @@ impl VmObject {
     /// as object termination that cannot be performed while paging is
     /// in progress."
     pub fn terminate(&self) -> Result<(), Deactivated> {
-        // Deactivate under the object lock; one terminator wins.
-        {
-            let _s = self.state.lock();
-            self.header.deactivate()?;
-        }
-        // Wait for in-flight paging operations. The drainable count's
-        // wait protocol works on the raw form of the object lock.
-        let lock = self.state.raw();
-        lock.lock_raw();
-        self.paging.wait_drained(lock);
-        lock.unlock_raw();
-        // Deactivated and drained: no new paging, no new ports (the
-        // in-flight creator, if any, discards on seeing deactivation).
-        // Remove the ports under the lock; destroy/release outside it.
-        let ports = self.state.lock().ports.take();
+        let ports = {
+            // Deactivate under the object lock; one terminator wins.
+            let mut s = self.obj.lock();
+            s.deactivate()?;
+            // Wait for in-flight paging operations on the same lock:
+            // `wait_drained` releases it while asleep and returns with it
+            // held again, so the guard is valid again afterwards.
+            self.paging.wait_drained(self.obj.header().lock());
+            // Deactivated and drained: no new paging, no new ports (the
+            // in-flight creator, if any, discards on seeing
+            // deactivation). Remove the ports under the lock;
+            // destroy/release outside it.
+            s.ports.take()
+        };
         if let Some(p) = &ports {
             let _ = p.pager_request.destroy();
             let _ = p.pager_control.destroy();
@@ -262,7 +275,7 @@ impl Drop for PagingOp<'_> {
 impl core::fmt::Debug for VmObject {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("VmObject")
-            .field("active", &self.header.is_active())
+            .field("active", &self.obj.is_active())
             .field("paging_in_progress", &self.paging.get())
             .field("has_ports", &self.has_pager_ports())
             .finish()
@@ -292,7 +305,7 @@ mod tests {
     #[test]
     fn concurrent_port_creation_races_to_one_set() {
         let obj = VmObject::create();
-        let names = SimpleLocked::new(Vec::new());
+        let names = machk_core::SimpleLocked::new(Vec::new());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
