@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use machk_core::{
     ComplexLock, Kobj, Mcs, ObjHeader, ObjRef, RawSimpleLock, Refable, RwData, ShardedRefCount,
+    ShardedRefable,
     SimpleLocked, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, UpgradeFailed,
 };
 use machk_ipc::{DispatchTable, KernError, Message, Port, RefSemantics, RpcStats};
@@ -394,7 +395,7 @@ impl RefImpl {
 
 /// E5's sharded arm: a `Kobj` whose count is a [`ShardedRefCount`],
 /// adopted the way `Task` and `VmObject` adopt it — by the type, through
-/// the [`Refable`] count methods.
+/// [`ShardedRefable`].
 pub struct ShardedObj {
     obj: Kobj<u64>,
     refs: ShardedRefCount,
@@ -410,21 +411,9 @@ impl ShardedObj {
     }
 }
 
-impl Refable for ShardedObj {
-    fn header(&self) -> &ObjHeader {
-        self.obj.header()
-    }
-
-    fn take_ref(&self) {
-        self.refs.take();
-    }
-
-    fn release_ref(&self) -> bool {
-        self.refs.release()
-    }
-
-    fn ref_count(&self) -> u32 {
-        self.refs.get()
+impl ShardedRefable for ShardedObj {
+    fn sharded_parts(&self) -> (&ObjHeader, &ShardedRefCount) {
+        (self.obj.header(), &self.refs)
     }
 }
 
@@ -503,10 +492,14 @@ fn ref_churn<T: Refable>(
 /// and `VmObject` — exercising the unchanged `ObjRef` protocol end to
 /// end. Returns ops/s (one op = clone + release).
 pub fn adopted_ref_storm(use_task: bool, threads: usize, iters: u64) -> f64 {
+    // The bound is the check that both types still shard their count.
+    fn storm<T: ShardedRefable>(obj: &ObjRef<T>, threads: usize, iters: u64) -> f64 {
+        ref_storm(obj, threads, iters)
+    }
     if use_task {
-        ref_storm(&Task::create(), threads, iters)
+        storm(&Task::create(), threads, iters)
     } else {
-        ref_storm(&VmObject::create(), threads, iters)
+        storm(&VmObject::create(), threads, iters)
     }
 }
 

@@ -127,7 +127,7 @@ impl<S> Kobj<S> {
     /// `deactivate` returns no operation that passed its activity check
     /// is still inside the object.
     pub fn deactivate(&self) -> Result<(), Deactivated> {
-        self.header.deactivate()
+        self.lock().deactivate()
     }
 
     /// Whether the object is active (racy without the lock).

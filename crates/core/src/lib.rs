@@ -54,7 +54,7 @@ pub use machk_event::{
 pub use machk_lock::{ComplexLock, HowHeld, RwData, UpgradeFailed};
 pub use machk_refcount::{
     CrashReconciliation, Deactivated, DrainAudit, DrainableCount, LockedRefCount, ObjHeader,
-    ObjRef, Refable, ShardedRefCount,
+    ObjRef, Refable, ShardedRefCount, ShardedRefable,
 };
 pub use machk_sync::{
     Backoff, JitterBackoff, LockError, LockTimeout, Mcs, Poisoned, RawSimpleLock, SimpleLocked,

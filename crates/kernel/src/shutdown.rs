@@ -66,7 +66,7 @@ pub fn shutdown_task(port: &ObjRef<Port>, task: ObjRef<Task>) -> Result<(), Deac
             // Step 1 with the Mach atomicity: flag set under the task
             // lock (Task::terminate_simple does steps 1+3; here we need
             // them split).
-            t.deactivate()
+            t.obj.deactivate()
         },
         |t| {
             // Step 3: terminate every thread and drain the port space.

@@ -19,7 +19,7 @@
 //! under the thread lock. With a plain count the second would be a
 //! thread → task edge and close a cycle.
 
-use machk_core::{Deactivated, Kobj, ObjHeader, ObjRef, Refable, ShardedRefCount};
+use machk_core::{Deactivated, Kobj, ObjHeader, ObjRef, ShardedRefCount, ShardedRefable};
 use machk_ipc::{Port, PortName, PortNameSpace};
 
 use crate::thread::ThreadObj;
@@ -45,29 +45,17 @@ pub(crate) struct TaskState {
 /// ```
 pub struct Task {
     /// The task lock, guarding the flag and the task state.
-    obj: Kobj<TaskState>,
+    pub(crate) obj: Kobj<TaskState>,
     /// The sharded reference count (see the module docs).
     refs: ShardedRefCount,
     /// The IPC translation lock lives inside the name space.
     ipc_space: PortNameSpace,
 }
 
-impl Refable for Task {
-    fn header(&self) -> &ObjHeader {
-        self.obj.header()
-    }
-
-    // Sharded: takes and releases never lock the task.
-    fn take_ref(&self) {
-        self.refs.take();
-    }
-
-    fn release_ref(&self) -> bool {
-        self.refs.release()
-    }
-
-    fn ref_count(&self) -> u32 {
-        self.refs.get()
+// Sharded: takes and releases never lock the task.
+impl ShardedRefable for Task {
+    fn sharded_parts(&self) -> (&ObjHeader, &ShardedRefCount) {
+        (self.obj.header(), &self.refs)
     }
 }
 
@@ -211,15 +199,9 @@ impl Task {
     /// steps 1 and 3 (there is no port for step 2; the caller's drop of
     /// its reference is step 4).
     pub fn terminate_simple(&self) -> Result<(), Deactivated> {
-        self.deactivate()?;
+        self.obj.deactivate()?;
         self.teardown();
         Ok(())
-    }
-
-    /// Shutdown step 1: "lock the object, set the deactivated flag,
-    /// and unlock the object."
-    pub(crate) fn deactivate(&self) -> Result<(), Deactivated> {
-        self.obj.deactivate()
     }
 
     /// Shutdown step 3: destroy the object's state — terminate every
@@ -286,6 +268,19 @@ mod tests {
     use super::*;
     #[allow(unused_imports)]
     use crate::task::TaskRefExt as _;
+
+    #[test]
+    fn count_is_sharded_so_cloning_under_the_task_lock_is_legal() {
+        // The thread ↔ task lock order relies on this (module docs). With
+        // a plain count the clone would lock the task again: debug builds
+        // panic with "self-deadlock".
+        let task = Task::create();
+        let guard = task.obj.lock();
+        let extra = task.clone();
+        drop(guard);
+        drop(extra);
+        assert_eq!(ObjRef::ref_count(&task), 1);
+    }
 
     #[test]
     fn create_and_populate() {

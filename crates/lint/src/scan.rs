@@ -57,6 +57,14 @@ const PRIMITIVE_METHODS: [&str; 30] = [
     "downgrade", "take", "take_ref", "release",
 ];
 
+/// Collection methods that, called on data reached through a held
+/// guard (`q.len()`, `s.members.is_empty()`), work on the guarded
+/// collection, not on another kernel object: no call edge to every
+/// same-named function. Any other call through a guard
+/// (`s.task.suspend()`) keeps its edge.
+const GUARDED_DATA_METHODS: [&str; 8] =
+    ["len", "is_empty", "iter", "get", "push", "push_back", "drain", "clear"];
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HoldKind {
     /// RAII guard: dies with its binding's scope (or `drop`).
@@ -720,7 +728,7 @@ impl<'a> FnScan<'a> {
         } else if !PRIMITIVE_METHODS.contains(&name.as_str())
             && !self.holds.is_empty()
             && name != self.func.name
-            && !self.on_guarded_data(&segs)
+            && !self.on_guarded_collection(&name, &segs)
         {
             self.summary.calls.push(HeldCall {
                 callee: name,
@@ -730,16 +738,15 @@ impl<'a> FnScan<'a> {
         }
     }
 
-    /// Whether a receiver chain starts at a held guard's binding
-    /// (`q.len()`, `s.members.is_empty()`): the call works on the data
-    /// that lock protects — a collection, not another kernel object — so
-    /// it is no call-graph edge to every same-named kernel function.
-    fn on_guarded_data(&self, segs: &[String]) -> bool {
-        segs.first().is_some_and(|root| {
-            self.holds
-                .iter()
-                .any(|h| h.kind == HoldKind::Guard && h.binding.as_deref() == Some(root))
-        })
+    /// Whether `name` is a collection method called on a receiver chain
+    /// that starts at a held guard's binding.
+    fn on_guarded_collection(&self, name: &str, segs: &[String]) -> bool {
+        GUARDED_DATA_METHODS.contains(&name)
+            && segs.first().is_some_and(|root| {
+                self.holds
+                    .iter()
+                    .any(|h| h.kind == HoldKind::Guard && h.binding.as_deref() == Some(root))
+            })
     }
 
     fn free_call(&mut self, idx: usize, name: String, close: usize) {

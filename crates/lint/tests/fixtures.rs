@@ -77,6 +77,22 @@ fn object_lock_one_order_clean() {
 }
 
 #[test]
+fn object_call_through_guard_joins_the_order_graph() {
+    let analysis = analyze_fixture("obj_guard_bad.rs");
+    let slugs: Vec<&str> = analysis.findings.iter().map(|f| f.rule.slug()).collect();
+    assert_eq!(slugs, vec!["lock-order-cycle"]);
+    assert!(analysis.graph.has_edge("fixture.port.lock", "fixture.task.lock"));
+}
+
+#[test]
+fn collection_call_through_guard_is_no_edge() {
+    assert_clean("obj_guard_ok.rs");
+    let analysis = analyze_fixture("obj_guard_ok.rs");
+    assert!(analysis.graph.has_edge("fixture.task.lock", "fixture.port.lock"));
+    assert!(!analysis.graph.has_edge("fixture.port.lock", "fixture.task.lock"));
+}
+
+#[test]
 fn turbofish_declared_locks_join_the_order_graph() {
     let analysis = analyze_fixture("turbofish_bad.rs");
     let slugs: Vec<&str> = analysis.findings.iter().map(|f| f.rule.slug()).collect();

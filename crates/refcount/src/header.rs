@@ -13,7 +13,7 @@
 //! an object while holding *another* object's lock orders the two
 //! locks, and cloning a reference to an object while holding *its own*
 //! lock self-deadlocks (debug builds panic with "self-deadlock").
-//! Objects whose count is sharded (`Refable::take_ref` overridden)
+//! Objects whose count is sharded (`ShardedRefable` types)
 //! never touch the header lock to take or release.
 
 use core::fmt;
@@ -107,19 +107,15 @@ impl ObjHeader {
         self.refs.get()
     }
 
-    /// Mark the object deactivated (section 10, shutdown step 1: "lock
-    /// the object, set the deactivated flag, and unlock the object").
+    /// Mark the object deactivated; the caller holds the header lock
+    /// (section 10, shutdown step 1: "lock the object, set the
+    /// deactivated flag, and unlock the object"). Debug builds panic if
+    /// the calling thread does not hold it.
     ///
     /// Returns `Err(Deactivated)` if it already was — terminators race,
     /// and exactly one must win.
-    pub fn deactivate(&self) -> Result<(), Deactivated> {
-        let _g = self.lock.lock();
-        self.deactivate_locked()
-    }
-
-    /// [`ObjHeader::deactivate`] for a caller that already holds the
-    /// header lock (the object's state guard).
     pub fn deactivate_locked(&self) -> Result<(), Deactivated> {
+        self.lock.debug_assert_held();
         // relaxed: flag flips only under the header lock; the lock's
         // release publishes it to the next locker.
         if self.active.swap(false, Ordering::Relaxed) {
@@ -182,6 +178,11 @@ impl fmt::Debug for ObjHeader {
 mod tests {
     use super::*;
 
+    fn deactivate(h: &ObjHeader) -> Result<(), Deactivated> {
+        let _g = h.lock().lock();
+        h.deactivate_locked()
+    }
+
     #[test]
     fn fresh_header_has_creation_reference() {
         let h = ObjHeader::new();
@@ -199,6 +200,30 @@ mod tests {
         assert!(!h.release_ref());
         assert!(h.release_ref(), "last release reports zero");
         assert_eq!(h.ref_count(), 0);
+    }
+
+    #[test]
+    fn count_pegs_at_max_instead_of_wrapping() {
+        let h = ObjHeader {
+            refs: LockedRefCount::new(u32::MAX - 1),
+            ..ObjHeader::new()
+        };
+        h.take_ref();
+        assert_eq!(h.ref_count(), u32::MAX);
+        h.take_ref();
+        assert_eq!(h.ref_count(), u32::MAX, "a pegged count stays put");
+        for _ in 0..3 {
+            assert!(!h.release_ref(), "a pegged count never reports final");
+        }
+        assert_eq!(h.ref_count(), u32::MAX, "a pegged object is immortal");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not hold")]
+    fn deactivate_locked_without_the_lock_panics() {
+        let h = ObjHeader::new();
+        let _ = h.deactivate_locked();
     }
 
     #[test]
@@ -220,9 +245,9 @@ mod tests {
     #[test]
     fn deactivate_once() {
         let h = ObjHeader::new();
-        assert!(h.deactivate().is_ok());
+        assert!(deactivate(&h).is_ok());
         assert!(!h.is_active());
-        assert_eq!(h.deactivate(), Err(Deactivated));
+        assert_eq!(deactivate(&h), Err(Deactivated));
         assert_eq!(h.check_active(), Err(Deactivated));
     }
 
@@ -232,7 +257,7 @@ mod tests {
         // existence or state of the object."
         let h = ObjHeader::new();
         h.take_ref();
-        h.deactivate().unwrap();
+        deactivate(&h).unwrap();
         assert_eq!(h.ref_count(), 2);
         assert!(!h.release_ref());
         assert!(h.release_ref());
@@ -261,7 +286,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    if h.deactivate().is_ok() {
+                    if deactivate(&h).is_ok() {
                         wins.fetch_add(1, Ordering::SeqCst);
                     }
                 });

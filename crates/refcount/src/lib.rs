@@ -65,8 +65,8 @@
 //! Which count an object uses is a property of its type, not of the
 //! object: a plain type keeps the count in its [`ObjHeader`] and takes
 //! no branch to find it, while a sharded type embeds a
-//! [`ShardedRefCount`] and overrides [`Refable::take_ref`],
-//! [`Refable::release_ref`] and [`Refable::ref_count`] to use it.
+//! [`ShardedRefCount`] and implements [`ShardedRefable`], which
+//! implements [`Refable`] with that count.
 //! [`ObjRef`], deactivation and destruction are oblivious; so is
 //! `ObjRef<dyn Refable>`, which reaches the count through the vtable.
 //! A sharded take never locks the object, which is what lets a thread
@@ -83,5 +83,5 @@ pub mod sharded;
 
 pub use count::{DrainableCount, LockedRefCount};
 pub use header::{Deactivated, ObjHeader};
-pub use objref::{ObjRef, Refable};
+pub use objref::{ObjRef, Refable, ShardedRefable};
 pub use sharded::{CrashReconciliation, DrainAudit, ShardedRefCount};

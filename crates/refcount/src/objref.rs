@@ -22,6 +22,7 @@ use core::ops::Deref;
 use core::ptr::NonNull;
 
 use crate::header::ObjHeader;
+use crate::ShardedRefCount;
 
 /// A reference-counted kernel object.
 ///
@@ -32,10 +33,9 @@ use crate::header::ObjHeader;
 ///
 /// The count is a property of the type. By default it is the header's:
 /// taking or releasing a reference locks the object (section 8). A type
-/// whose references churn from many threads at once overrides the three
-/// count methods with a [`crate::ShardedRefCount`] it embeds; its header
-/// count then stays unused, and taking a reference never touches its
-/// lock.
+/// whose references churn from many threads at once implements
+/// [`ShardedRefable`] instead, which implements `Refable` with the
+/// [`ShardedRefCount`] it embeds.
 pub trait Refable: Any + Send + Sync {
     /// The object's header (lock, reference count and deactivation flag).
     fn header(&self) -> &ObjHeader;
@@ -57,6 +57,40 @@ pub trait Refable: Any + Send + Sync {
     #[inline]
     fn ref_count(&self) -> u32 {
         self.header().ref_count()
+    }
+}
+
+/// A reference-counted object whose count is a [`ShardedRefCount`] it
+/// embeds; implementing this trait implements [`Refable`].
+///
+/// Takes and releases go to the sharded count and never touch the
+/// header lock, so a reference to such an object may be cloned while
+/// holding its own lock. The header's count stays at its creation
+/// value, unused.
+pub trait ShardedRefable: Any + Send + Sync {
+    /// The object's header and the count that replaces the header's.
+    fn sharded_parts(&self) -> (&ObjHeader, &ShardedRefCount);
+}
+
+impl<T: ShardedRefable> Refable for T {
+    #[inline]
+    fn header(&self) -> &ObjHeader {
+        self.sharded_parts().0
+    }
+
+    #[inline]
+    fn take_ref(&self) {
+        self.sharded_parts().1.take();
+    }
+
+    #[inline]
+    fn release_ref(&self) -> bool {
+        self.sharded_parts().1.release()
+    }
+
+    #[inline]
+    fn ref_count(&self) -> u32 {
+        self.sharded_parts().1.get()
     }
 }
 

@@ -340,6 +340,21 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
         self.word.load(Ordering::Relaxed) == policy::LOCKED
     }
 
+    /// Debug builds: panic unless the calling thread holds the lock —
+    /// for operations whose caller must already hold it. Release builds
+    /// keep no holder and check nothing.
+    #[inline]
+    pub fn debug_assert_held(&self) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.is_locked()
+                // relaxed: if this thread holds the lock the holder is
+                // its own earlier write; any other value means it does not.
+                && self.holder.load(Ordering::Relaxed) == held::thread_tag(),
+            "the calling thread does not hold this simple lock"
+        );
+    }
+
     /// Construct a guard for a lock this thread has just acquired.
     fn guard_for_held(&self) -> SimpleGuard<'_, P> {
         SimpleGuard {

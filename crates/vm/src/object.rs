@@ -24,7 +24,7 @@
 
 use machk_core::{
     assert_wait, thread_block, thread_wakeup, Deactivated, DrainableCount, Event, Kobj, ObjHeader,
-    ObjRef, Refable, ShardedRefCount,
+    ObjRef, ShardedRefCount, ShardedRefable,
 };
 use machk_ipc::Port;
 
@@ -59,23 +59,11 @@ pub struct VmObject {
     paging: DrainableCount,
 }
 
-impl Refable for VmObject {
-    fn header(&self) -> &ObjHeader {
-        self.obj.header()
-    }
-
-    // Sharded: references churn from every mapping task and in-flight
-    // pageout, and takes and releases never lock the object.
-    fn take_ref(&self) {
-        self.refs.take();
-    }
-
-    fn release_ref(&self) -> bool {
-        self.refs.release()
-    }
-
-    fn ref_count(&self) -> u32 {
-        self.refs.get()
+// Sharded: references churn from every mapping task and in-flight
+// pageout, and takes and releases never lock the object.
+impl ShardedRefable for VmObject {
+    fn sharded_parts(&self) -> (&ObjHeader, &ShardedRefCount) {
+        (self.obj.header(), &self.refs)
     }
 }
 
@@ -287,6 +275,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
+
+    #[test]
+    fn count_is_sharded_so_cloning_under_the_object_lock_is_legal() {
+        // With a plain count the clone would lock the object again:
+        // debug builds panic with "self-deadlock".
+        let obj = VmObject::create();
+        let guard = obj.obj.lock();
+        let extra = obj.clone();
+        drop(guard);
+        drop(extra);
+        assert_eq!(ObjRef::ref_count(&obj), 1);
+    }
 
     #[test]
     fn pager_ports_created_once() {
