@@ -7,13 +7,10 @@ use machk_bench::workloads::{lock_counter, POLICY_SWEEP};
 use machk_core::RawSimpleLock;
 
 /// Build-level tracing marker: bench ids carry it so a default run and
-/// a `--features obs` run of the same bench land side by side, and the
-/// obs-on/obs-off delta can be read straight off the report (recorded
-/// in EXPERIMENTS.md).
-#[cfg(feature = "obs")]
-const TRACING: &str = "obs-on";
-#[cfg(not(feature = "obs"))]
-const TRACING: &str = "obs-off";
+/// a `--features probe` run of the same bench land side by side, and
+/// the probe-on/probe-off delta can be read straight off the report
+/// (recorded in EXPERIMENTS.md).
+const TRACING: &str = if machk_core::sync::probe::ENABLED { "probe-on" } else { "probe-off" };
 
 /// Throughput of the shared-counter workload per policy as waiters pile
 /// up; 8 and 16 threads oversubscribe small hosts on purpose — that is
@@ -46,10 +43,11 @@ fn uncontended_cost(c: &mut Criterion) {
 }
 
 /// Tracing overhead, isolated two ways: the group name carries the
-/// build's obs state (compare across a default and a `--features obs`
-/// run), and within an obs build the named/anonymous pair separates
-/// full tracing (registry counters + histograms + ring events) from
-/// the clock reads alone (anonymous locks skip recording).
+/// build's probe state (compare across a default and a `--features
+/// probe` run), and within a probe build the named/anonymous pair
+/// separates full tracing (registry counters + histograms + ring
+/// events) from the bare hook (anonymous locks skip the clock and the
+/// recording).
 fn tracing_overhead(c: &mut Criterion) {
     static NAMED: RawSimpleLock = RawSimpleLock::named("bench.queued.named");
     static ANON: RawSimpleLock = RawSimpleLock::new();
@@ -74,16 +72,12 @@ fn tracing_overhead(c: &mut Criterion) {
 /// counter loop at 0, 1 (stats), and 3 (stats + ndjson + flame)
 /// subscribers. Must be listed FIRST in the group macro — installation
 /// is forever, so the 0-subscriber case is only measurable before
-/// anything in this process emits with auto-install still on.
-#[cfg(feature = "obs")]
+/// anything in this process installs one.
+#[cfg(feature = "probe")]
 fn multi_subscriber(c: &mut Criterion) {
+    use machk_core::sync::probe;
     static LOCK: RawSimpleLock = RawSimpleLock::named("bench.queued.subs");
-    machk_obs::set_auto_install(false);
-    assert_eq!(
-        machk_obs::subscriber::subscriber_count(),
-        0,
-        "another bench emitted first; subs0 would not measure the empty dispatcher"
-    );
+    assert_eq!(probe::subscriber_count(), 0, "subs0 would not measure the empty dispatcher");
     let mut g = c.benchmark_group("queued_lock_subscribers");
     g.sample_size(10);
     for threads in [1usize, 4] {
@@ -91,18 +85,15 @@ fn multi_subscriber(c: &mut Criterion) {
             b.iter(|| lock_counter(&LOCK, t, 50_000));
         });
     }
-    assert!(machk_obs::subscriber::install_default());
+    machk_obs::install_stats();
     for threads in [1usize, 4] {
         g.bench_with_input(BenchmarkId::new("subs1", threads), &threads, |b, &t| {
             b.iter(|| lock_counter(&LOCK, t, 50_000));
         });
     }
     let (ndjson, _sink) = machk_obs::NdjsonSubscriber::to_shared_vec(4_096);
-    machk_obs::install(Box::new(ndjson))
-        .ok()
-        .expect("subscriber slots exhausted");
-    machk_obs::install(Box::new(machk_obs::FlameSubscriber::new()))
-        .ok()
+    probe::install(Box::leak(Box::new(ndjson))).expect("subscriber slots exhausted");
+    probe::install(Box::leak(Box::new(machk_obs::FlameSubscriber::new())))
         .expect("subscriber slots exhausted");
     for threads in [1usize, 4] {
         g.bench_with_input(BenchmarkId::new("subs3", threads), &threads, |b, &t| {
@@ -112,9 +103,9 @@ fn multi_subscriber(c: &mut Criterion) {
     g.finish();
 }
 
-/// Without obs there is no dispatcher to scale; keep the group list
+/// Without probes there is no dispatcher to scale; keep the group list
 /// identical across builds.
-#[cfg(not(feature = "obs"))]
+#[cfg(not(feature = "probe"))]
 fn multi_subscriber(_c: &mut Criterion) {}
 
 criterion_group!(

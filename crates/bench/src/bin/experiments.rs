@@ -19,15 +19,15 @@
 //!
 //! `--seeds N` overrides E17's seed count (each seed drives two
 //! determinism-probe runs plus four chaos scenarios). Requires a build
-//! with `--features fault`.
+//! with `--features probe`.
 //!
 //! `--artifacts DIR` additionally writes each experiment's
 //! `machk-bench/v1` envelope as `BENCH_E01.json` … `BENCH_E20.json`
 //! into `DIR` — the files CI uploads as run artifacts and diffs against
 //! `bench/baselines/` with `bench-compare`. Feature-gated experiments
-//! (E16 obs, E17 fault, E18/E19/E20-sim sim) still emit envelopes when the
+//! (E16/E17 probe, E18/E19/E20-sim sim) still emit envelopes when the
 //! feature is off, carrying an `*_enabled = 0` exact metric so compare
-//! flags a misbuilt trajectory run. Under `--features obs` the E16
+//! flags a misbuilt trajectory run. Under `--features probe` the E16
 //! exporter outputs (`E16.ndjson`, `E16.folded`) are written too.
 //!
 //! E18 (schedule exploration on simulated hosts) requires a build with
@@ -36,7 +36,7 @@
 //!
 //! `lockstat` runs the E16 workload and prints only the lockstat
 //! report (text, or JSON with `--json`) — the `lockstat(1M)`-style
-//! entry point. Requires a build with `--features obs`.
+//! entry point. Requires a build with `--features probe`.
 
 use machk_bench::experiments;
 
@@ -145,10 +145,10 @@ fn write_artifact(dir: Option<&str>, name: &str, json: &str) {
     println!("  [artifact: {}]", path.display());
 }
 
-/// After E16 has run with obs, its exporter subscribers hold the
+/// After E16 has run with probes, its exporter subscribers hold the
 /// NDJSON backlog (whatever arrived after the in-run drain) and the
 /// cumulative flamegraph rollup; write both next to the envelopes.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 fn write_e16_exporter_artifacts(dir: Option<&str>) {
     if dir.is_none() {
         return;
@@ -164,11 +164,11 @@ fn write_e16_exporter_artifacts(dir: Option<&str>) {
     );
 }
 
-#[cfg(not(feature = "obs"))]
+#[cfg(not(feature = "probe"))]
 fn write_e16_exporter_artifacts(_dir: Option<&str>) {}
 
 /// The `lockstat` subcommand: drive the E16 workload, print the report.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 fn lockstat(quick: bool, json: bool) {
     // The experiment runner asserts the report's claims as it goes.
     let rendered = experiments::e16_lockstat::run(quick);
@@ -179,10 +179,10 @@ fn lockstat(quick: bool, json: bool) {
     }
 }
 
-/// Without the obs feature there is nothing to trace — say so and fail,
-/// so scripts notice a mis-built binary.
-#[cfg(not(feature = "obs"))]
+/// Without the probe feature there is nothing to trace — say so and
+/// fail, so scripts notice a mis-built binary.
+#[cfg(not(feature = "probe"))]
 fn lockstat(_quick: bool, _json: bool) {
-    eprintln!("lockstat requires a build with `--features obs` (tracing is compiled out)");
+    eprintln!("lockstat requires a build with `--features probe` (tracing is compiled out)");
     std::process::exit(2);
 }

@@ -9,19 +9,22 @@
 //! contention shows up where the workload contends, and a deliberately
 //! inverted acquisition order is called out as a potential deadlock.
 //!
-//! With the `obs` feature disabled the experiment degrades to a single
-//! row saying so; that degradation is itself the zero-cost claim (the
-//! tracing code is not merely idle, it is not linked).
+//! With the `probe` feature disabled the experiment degrades to a
+//! single row saying so; that degradation is itself the zero-cost claim
+//! (the hooks are not merely idle, they are compiled out and no
+//! subscriber crate is linked).
 
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
+use machk_core::sync::probe;
+#[cfg(feature = "probe")]
 use machk_core::{ComplexLock, Mcs, RawSimpleLock, ShardedRefCount, Tas, Ticket, Ttas};
 
 use crate::report::BenchReport;
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 use crate::util::run_concurrent;
-#[cfg(not(feature = "obs"))]
+#[cfg(not(feature = "probe"))]
 use crate::util::Table;
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 use crate::workloads::lock_counter;
 
 /// The experiment's envelope title (shared by both feature variants).
@@ -30,7 +33,7 @@ const TITLE: &str = "Kernel-wide lockstat: contention, histograms, order cycles 
 /// Drive named locks of every class through a contended workload. The
 /// locks are statics so their names outlive the run (registration wants
 /// `&'static str`, as kernel lock names would be).
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 fn drive_workload(quick: bool) {
     static TAS: RawSimpleLock<Tas> = RawSimpleLock::<Tas>::named("e16.counter.tas");
     static TTAS: RawSimpleLock<Ttas> = RawSimpleLock::<Ttas>::named("e16.counter.ttas");
@@ -93,7 +96,7 @@ fn drive_workload(quick: bool) {
 }
 
 /// The object locks the kernel's object types register.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 const OBJECT_LOCKS: [&str; 7] = [
     "task.lock", "thread.lock", "ipc.port.lock", "ipc.port_set.lock",
     "vm_object.lock", "pset.lock", "mono_task.lock",
@@ -104,7 +107,7 @@ const OBJECT_LOCKS: [&str; 7] = [
 /// thread, task → thread, port set → port, memory object → name port.
 /// `ThreadObj::task` clones the task reference under the thread lock;
 /// the task's count is sharded, so that makes no thread → task edge.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 fn drive_object_phase() {
     use machk_kernel::TaskRefExt as _;
     let task = machk_kernel::Task::create();
@@ -124,8 +127,9 @@ fn drive_object_phase() {
 
 /// Run E16: drive the workload, collect the lockstat report, assert its
 /// claims, and return the rendered report.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 pub fn run(quick: bool) -> String {
+    machk_obs::install_stats();
     drive_workload(quick);
     drive_object_phase();
 
@@ -150,9 +154,9 @@ pub fn run(quick: bool) -> String {
     assert!(
         stat.cycles.iter().any(|c| {
             c.iter()
-                .any(|&id| machk_obs::registry::name_of(id) == "e16.order.a")
+                .any(|&id| probe::name_of(id) == "e16.order.a")
                 && c.iter()
-                    .any(|&id| machk_obs::registry::name_of(id) == "e16.order.b")
+                    .any(|&id| probe::name_of(id) == "e16.order.b")
         }),
         "order inversion e16.order.a/e16.order.b not diagnosed; cycles: {:?}",
         stat.cycles,
@@ -160,7 +164,7 @@ pub fn run(quick: bool) -> String {
 
     // The object locks' runtime order graph: the edges driven above were
     // seen, and none closes a cycle.
-    let is_object = |id: u32| OBJECT_LOCKS.contains(&machk_obs::registry::name_of(id));
+    let is_object = |id: u32| OBJECT_LOCKS.contains(&probe::name_of(id));
     let object_edges = stat.edges.iter().filter(|&&(_, to, _)| is_object(to)).count();
     assert!(object_edges >= 5, "object lock order edges not observed: {:?}", stat.edges);
     assert!(
@@ -182,7 +186,7 @@ pub fn run(quick: bool) -> String {
 
 /// The E16 exporter set: NDJSON subscriber, its shared sink, and the
 /// flamegraph aggregator (all install-forever statics).
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 pub type Exporters = (
     &'static machk_obs::NdjsonSubscriber,
     &'static std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
@@ -193,7 +197,7 @@ pub type Exporters = (
 /// (dispatcher slots are install-forever; later calls return the same
 /// set). The NDJSON queue is bounded; overflow past it is the
 /// drop-counting behaviour E16 reports.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 pub fn exporters() -> Exporters {
     use std::sync::OnceLock;
     static SLOT: OnceLock<Exporters> = OnceLock::new();
@@ -203,8 +207,8 @@ pub fn exporters() -> Exporters {
         let buf = Box::leak(Box::new(buf));
         let flame: &'static machk_obs::FlameSubscriber =
             Box::leak(Box::new(machk_obs::FlameSubscriber::new()));
-        machk_obs::install_static(ndjson).expect("subscriber slots exhausted");
-        machk_obs::install_static(flame).expect("subscriber slots exhausted");
+        probe::install(ndjson).expect("subscriber slots exhausted");
+        probe::install(flame).expect("subscriber slots exhausted");
         (ndjson, buf, flame)
     })
 }
@@ -212,7 +216,7 @@ pub fn exporters() -> Exporters {
 /// A short IPC storm so lockstat and the flamegraph attribute the
 /// engine's rings and sharded namespace (`ipc.port.queue`,
 /// `ipc.ns.shardNN`, `ipc.engine.loop`) alongside the e16.* locks.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 fn drive_ipc_phase(quick: bool) {
     use machk_ipc::engine::{Engine, EngineConfig};
     let report = Engine::new(EngineConfig {
@@ -233,7 +237,7 @@ fn drive_ipc_phase(quick: bool) {
 /// bounded queue) and the flamegraph aggregator attributes wait/hold
 /// time per lock-class × call-site, including the `ipc.*` sites the
 /// IPC phase drives.
-#[cfg(feature = "obs")]
+#[cfg(feature = "probe")]
 pub fn run_report(quick: bool) -> (String, String) {
     let (ndjson, buf, flame) = exporters();
     let mut out = run(quick);
@@ -302,24 +306,24 @@ pub fn run_report(quick: bool) -> (String, String) {
     (out, report.render())
 }
 
-/// Without obs there is nothing to trace or serialize; the envelope
-/// says so (and a baseline recorded with obs will fail against it —
+/// Without probes there is nothing to trace or serialize; the envelope
+/// says so (and a baseline recorded with probes will fail against it —
 /// a misbuilt trajectory run, not a measurement).
-#[cfg(not(feature = "obs"))]
+#[cfg(not(feature = "probe"))]
 pub fn run_report(quick: bool) -> (String, String) {
     let mut report = BenchReport::new("E16", TITLE, quick);
     report.exact("obs_enabled", 0.0, "bool");
     (run(quick), report.render())
 }
 
-/// Without the obs feature there is nothing to report — which is the
+/// Without the probe feature there is nothing to report — which is the
 /// zero-cost claim, stated as a table.
-#[cfg(not(feature = "obs"))]
+#[cfg(not(feature = "probe"))]
 pub fn run(_quick: bool) -> String {
     let mut t = Table::new("E16: lockstat (obs layer)", &["status"]);
     t.row(&[
-        "obs feature disabled: tracing compiled out (machk-obs not linked)".to_string(),
+        "probe feature disabled: tracing compiled out (machk-obs not linked)".to_string(),
     ]);
-    t.note("rebuild with `--features obs` to trace; default builds pay nothing");
+    t.note("rebuild with `--features probe` to trace; default builds pay nothing");
     t.render()
 }

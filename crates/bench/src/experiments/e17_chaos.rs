@@ -20,12 +20,13 @@
 //! Every plan is scoped to declared roles so the armed windows cannot
 //! perturb bystander threads of the enclosing test process.
 
-#[cfg(feature = "fault")]
+#[cfg(feature = "probe")]
 mod armed {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
+    use machk_core::sync::probe::set_role;
     use machk_core::{
         assert_wait, thread_block_timeout, thread_wakeup, ComplexLock, Event, JitterBackoff,
         Kobj, RawSimpleLock, ShardedRefCount, WaitResult,
@@ -52,7 +53,21 @@ mod armed {
         pub spl_diagnosed: u64,
         pub replies_dropped: u64,
         pub dead_ports: u64,
+        /// FNV-1a-64 of each seed's rendered probe trace, in seed order.
+        pub trace_digests: Vec<u64>,
     }
+
+    /// FNV-1a-64 over `bytes`, continuing from `h` (start from
+    /// [`FNV_OFFSET`]).
+    fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
     fn finish(
         name: &str,
@@ -80,7 +95,7 @@ mod armed {
         );
         std::thread::scope(|s| {
             s.spawn(|| {
-                machk_fault::set_role(10);
+                set_role(10);
                 let flag = AtomicU64::new(0);
                 let ev = Event::from_addr(&flag);
                 assert_wait(ev, false);
@@ -108,7 +123,7 @@ mod armed {
         let producer = {
             let items = Arc::clone(&items);
             Box::new(move || {
-                machk_fault::set_role(11);
+                set_role(11);
                 for i in 0..n {
                     // Pace production so the consumer genuinely drains
                     // and blocks (on a 1-CPU host an unpaced producer
@@ -126,7 +141,7 @@ mod armed {
             let items = Arc::clone(&items);
             let recovered = Arc::clone(&recovered);
             Box::new(move || {
-                machk_fault::set_role(12);
+                set_role(12);
                 let ev = Event::from_addr(&*items);
                 let mut taken = 0u64;
                 while taken < n {
@@ -202,7 +217,7 @@ mod armed {
                 let (a, b) = (Arc::clone(&a), Arc::clone(&b));
                 let (counter, diagnosed) = (Arc::clone(&counter), Arc::clone(&diagnosed));
                 Box::new(move || {
-                    machk_fault::set_role(20 + t as u32);
+                    set_role(20 + t as u32);
                     let (first, second) = if t % 2 == 0 { (&*a, &*b) } else { (&*b, &*a) };
                     for _ in 0..pairs {
                         let mut backoff = JitterBackoff::new();
@@ -259,7 +274,7 @@ mod armed {
         let sat = ShardedRefCount::new_with_count(u32::MAX - 64);
         std::thread::scope(|s| {
             s.spawn(|| {
-                machk_fault::set_role(30);
+                set_role(30);
                 for _ in 0..128 {
                     sat.take();
                 }
@@ -282,7 +297,7 @@ mod armed {
             .map(|t| {
                 let count = Arc::clone(&count);
                 Box::new(move || {
-                    machk_fault::set_role(31 + t as u32);
+                    set_role(31 + t as u32);
                     for _ in 0..200 {
                         count.take();
                         assert!(!count.release(), "final with creation ref held");
@@ -321,7 +336,7 @@ mod armed {
                 let stats = Arc::clone(&stats);
                 let outcomes = Arc::clone(&outcomes);
                 Box::new(move || {
-                    machk_fault::set_role(40 + t as u32);
+                    set_role(40 + t as u32);
                     for _ in 0..ops_per_thread {
                         let slot = match table.msg_rpc(
                             &port,
@@ -343,7 +358,7 @@ mod armed {
         {
             let port = port.clone();
             bodies.push(Box::new(move || {
-                machk_fault::set_role(43);
+                set_role(43);
                 std::thread::sleep(Duration::from_millis(1));
                 // Shutdown must win exactly once whatever the chaos.
                 shutdown::shutdown_task(&port, task).expect("first shutdown wins");
@@ -374,7 +389,7 @@ mod armed {
         let spl_diagnosed = AtomicU64::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                machk_fault::set_role(0);
+                set_role(0);
                 let lock: RawSimpleLock = RawSimpleLock::new();
                 let map = ComplexLock::new(false);
                 let count = ShardedRefCount::new();
@@ -453,6 +468,7 @@ mod armed {
             let t2 = probe(seed, &mut totals);
             assert_eq!(t1, t2, "seed {seed}: fault trace not byte-identical on rerun");
             assert!(!t1.is_empty(), "seed {seed}: probe recorded no decisions");
+            totals.trace_digests.push(fnv1a(FNV_OFFSET, t1.as_bytes()));
             // Claims 1 and 2: diagnosed-never-hung, balanced ledgers.
             lost_wakeup_storm(seed, &mut totals);
             deadlock_storm(seed, &mut totals);
@@ -486,17 +502,33 @@ mod armed {
         report.exact("fault_enabled", 1.0, "bool");
         report.exact("hangs", 0.0, "count");
         report.exact("replay_identical", 1.0, "bool");
+        // The probe traces themselves must not move between builds: the
+        // high 48 bits of the fold (an f64 holds them exactly).
+        report.exact("probe_trace_fnv", (trace_fold(totals) >> 16) as f64, "hash");
         report.info("schedules", totals.schedules as f64, "count");
         report.info("faults_fired", totals.faults_fired as f64, "count");
         report.info("deadlocks_diagnosed", totals.deadlocks_diagnosed as f64, "count");
         report.info("wakeups_recovered", totals.wakeups_recovered as f64, "count");
         report.info("upgrades_refused", totals.upgrades_refused as f64, "count");
         report.info("spl_diagnosed", totals.spl_diagnosed as f64, "count");
+        let digests: Vec<String> =
+            totals.trace_digests.iter().map(|d| format!("\"{d:#018x}\"")).collect();
         report.extra(&format!(
-            "{{\"seeds\":{},\"replies_dropped\":{},\"dead_ports\":{}}}",
-            seeds, totals.replies_dropped, totals.dead_ports,
+            "{{\"seeds\":{},\"replies_dropped\":{},\"dead_ports\":{},\
+             \"probe_trace_fnv\":\"{:#018x}\",\"probe_trace_fnv_per_seed\":[{}]}}",
+            seeds,
+            totals.replies_dropped,
+            totals.dead_ports,
+            trace_fold(totals),
+            digests.join(","),
         ));
         report.render()
+    }
+
+    /// The per-seed trace digests folded in seed order: FNV-1a-64 over
+    /// their little-endian bytes.
+    fn trace_fold(totals: &Totals) -> u64 {
+        totals.trace_digests.iter().fold(FNV_OFFSET, |h, d| fnv1a(h, &d.to_le_bytes()))
     }
 
     /// Run the full suite over `seeds` seeds and return the rendered
@@ -531,50 +563,21 @@ mod armed {
         t.row(&["rpc replies dropped".into(), totals.replies_dropped.to_string()]);
         t.row(&["rpc dead-port failures".into(), totals.dead_ports.to_string()]);
         t.row(&["scenarios hung".into(), "0".into()]);
+        t.row(&["probe trace fold (FNV-1a-64)".into(), format!("{:#018x}", trace_fold(&totals))]);
         t.note("every seed's probe trace was byte-identical across two runs");
         t.note("every ledger balanced; saturated counts pegged, never wrapped");
         (t.render(), json)
     }
-
-    /// Table-only entry point (the binary's `--seeds N` path).
-    pub fn run_with_seeds(seeds: u64) -> String {
-        run_report(seeds).0
-    }
 }
 
-#[cfg(feature = "fault")]
-pub use armed::{run_report, run_with_seeds};
+#[cfg(feature = "probe")]
+pub use armed::run_report;
 
-/// Run E17 with the default seed counts (quick: 5 for CI smoke; full:
-/// 200 → 1200 schedules, past the 1000-schedule acceptance floor).
-#[cfg(feature = "fault")]
-pub fn run(quick: bool) -> String {
-    run_with_seeds(if quick { 5 } else { 200 })
-}
-
-/// Without the fault feature there is no adversary — which is the
-/// zero-cost claim, stated as a table.
-#[cfg(not(feature = "fault"))]
-pub fn run(_quick: bool) -> String {
-    let mut t = crate::util::Table::new("E17: seeded chaos (fault layer)", &["status"]);
-    t.row(&[
-        "fault feature disabled: injection compiled out (machk-fault not linked)".to_string(),
-    ]);
-    t.note("rebuild with `--features fault` to run chaos; default builds pay nothing");
-    t.render()
-}
-
-/// Seed-count override entry point for the disabled build: report the
-/// degradation no matter how many seeds were requested.
-#[cfg(not(feature = "fault"))]
-pub fn run_with_seeds(_seeds: u64) -> String {
-    run(false)
-}
-
-/// Report-producing entry point for the disabled build. The envelope
-/// says the adversary is compiled out; a baseline recorded with the
-/// fault feature fails against it (a misbuilt run, not a measurement).
-#[cfg(not(feature = "fault"))]
+/// Without the probe feature there is no adversary — which is the
+/// zero-cost claim, stated as a table. The envelope says the adversary
+/// is compiled out; a baseline recorded with the probe feature fails
+/// against it (a misbuilt run, not a measurement).
+#[cfg(not(feature = "probe"))]
 pub fn run_report(seeds: u64) -> (String, String) {
     let mut report = crate::report::BenchReport::with_mode(
         "E17",
@@ -582,7 +585,18 @@ pub fn run_report(seeds: u64) -> (String, String) {
         &format!("seeds={seeds}"),
     );
     report.exact("fault_enabled", 0.0, "bool");
-    (run(false), report.render())
+    let mut t = crate::util::Table::new("E17: seeded chaos (fault layer)", &["status"]);
+    t.row(&[
+        "probe feature disabled: injection compiled out (machk-fault not linked)".to_string(),
+    ]);
+    t.note("rebuild with `--features probe` to run chaos; default builds pay nothing");
+    (t.render(), report.render())
+}
+
+/// Run E17 with the default seed counts (quick: 5 for CI smoke; full:
+/// 200 → 1200 schedules, past the 1000-schedule acceptance floor).
+pub fn run(quick: bool) -> String {
+    run_report_default(quick).0
 }
 
 /// Uniform `fn(bool) -> (String, String)` entry point for the

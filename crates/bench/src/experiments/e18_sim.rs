@@ -135,7 +135,7 @@ mod simulated {
             let items = Arc::clone(&items);
             let count = Arc::clone(&count);
             host::spawn(move || {
-                machk_fault::set_role(21);
+                machk_core::sync::probe::set_role(21);
                 for _ in 0..N {
                     count.take(); // reference travels with the item
                     items.fetch_add(1, Ordering::Release);
@@ -148,7 +148,7 @@ mod simulated {
             let items = Arc::clone(&items);
             let count = Arc::clone(&count);
             host::spawn(move || {
-                machk_fault::set_role(22);
+                machk_core::sync::probe::set_role(22);
                 let mut got = 0;
                 while got < N {
                     if items

@@ -9,7 +9,7 @@
 //! what the linter predicted. A runtime edge the static graph lacks
 //! would mean the scanner has a blind spot (an acquisition path it
 //! cannot see), which is exactly the regression this test pins down.
-#![cfg(feature = "obs")]
+#![cfg(feature = "probe")]
 
 use std::path::Path;
 
@@ -50,7 +50,7 @@ fn e16_runtime_cycle_edges_are_in_the_static_order_graph() {
     for cycle in &stat.cycles {
         let names: Vec<&str> = cycle
             .iter()
-            .map(|&id| machk_obs::registry::name_of(id))
+            .map(|&id| machk_core::sync::probe::name_of(id))
             .collect();
         if names.iter().any(|n| n.is_empty()) {
             continue;

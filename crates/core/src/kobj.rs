@@ -67,7 +67,7 @@ impl<S> Kobj<S> {
     }
 
     /// [`Kobj::new`] with a lockstat name for the object lock
-    /// (`"task.lock"`): with the `obs` feature its acquisitions report
+    /// (`"task.lock"`): with the `probe` feature its acquisitions report
     /// under `name`. Without the feature the name is ignored.
     pub const fn named(name: &'static str, state: S) -> Kobj<S> {
         Kobj {
@@ -204,9 +204,9 @@ impl<S> DerefMut for KobjGuard<'_, S> {
     }
 }
 
-// Release layout: header (16) plus a zero-sized state.
-#[cfg(all(not(debug_assertions), not(feature = "obs")))]
-const _: () = assert!(core::mem::size_of::<Kobj<()>>() <= 16);
+// Release layout without probes: header (16) plus a zero-sized state.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(machk_sync::probe::ENABLED || core::mem::size_of::<Kobj<()>>() == 16);
 
 #[cfg(test)]
 mod tests {

@@ -11,42 +11,45 @@
 //! * a [`FaultPlan`] names a run **seed** and a per-[`FaultSite`]
 //!   firing rate;
 //! * each participating thread declares a small integer **role**
-//!   ([`set_role`]); its decision stream is a pure function of
-//!   `(seed, role)` (SplitMix64, see [`plan`]) — wall-clock time and OS
-//!   scheduling never enter a decision;
-//! * the runtime crates ask [`fire`] at their injection points (the
-//!   hook inventory is the [`FaultSite`] enum itself); without each
-//!   crate's `fault` feature the hooks compile to nothing and this
-//!   crate is not even linked (CI asserts `cargo tree` shows neither
-//!   `machk-fault` nor `machk-obs` in the default graph);
+//!   (`machk_sync::probe::set_role`); its decision stream is a pure
+//!   function of `(seed, role)` (SplitMix64, see [`plan`]) — wall-clock
+//!   time and OS scheduling never enter a decision;
+//! * the runtime crates ask `machk_sync::probe::fire` at their
+//!   injection points (the hook inventory is the [`FaultSite`] enum
+//!   itself), and the installed plan is the probe subscriber that
+//!   answers. This crate depends on `machk-sync` with its `probe`
+//!   feature; no runtime crate names it, and the default build links it
+//!   nowhere (CI asserts `cargo tree`);
 //! * decisions are counted per site ([`stats`]) and, when the plan has
 //!   `record_trace`, appended to a canonical-order trace ([`trace`])
-//!   that two runs of the same seed reproduce byte-for-byte.
+//!   that two runs of the same seed reproduce byte-for-byte. Only fault
+//!   decisions draw from a stream; trace events never do.
 //!
 //! ## Arming discipline
 //!
-//! [`install`] arms a plan process-wide and resets counters and trace;
-//! [`disarm`] disarms. A disarmed process answers every [`fire`] with
-//! `false` at the cost of one relaxed atomic load — cheap enough that
-//! fault-feature builds can run their ordinary test suites unperturbed.
-//! The E17 chaos harness is the intended driver: install a plan, run a
-//! scenario with each thread's role set, snapshot stats and trace,
-//! disarm.
+//! [`install`] arms a plan process-wide (installing the plan's probe
+//! subscriber on first use) and resets counters and trace; [`disarm`]
+//! disarms. A disarmed plan answers every decision with "no" at the
+//! cost of one atomic load — cheap enough that probe builds can run
+//! their ordinary test suites unperturbed. The E17 chaos harness is the
+//! intended driver: install a plan, run a scenario with each thread's
+//! role set, snapshot stats and trace, disarm.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod plan;
-pub mod site;
 pub mod trace;
 
+pub use machk_sync::probe::FaultSite;
 pub use plan::{expand_stream, rate_from_prob, FaultPlan, ALWAYS};
-pub use site::FaultSite;
 pub use trace::FaultRecord;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+use machk_sync::probe::{self, Subscriber};
 
 /// Bumped on every install/disarm so thread-local caches refresh.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -57,9 +60,14 @@ static DECISIONS: [AtomicU64; FaultSite::COUNT] =
     [const { AtomicU64::new(0) }; FaultSite::COUNT];
 static FIRED: [AtomicU64; FaultSite::COUNT] = [const { AtomicU64::new(0) }; FaultSite::COUNT];
 
-/// Role a thread uses before `set_role`: decisions still deterministic
+/// Role of a thread that declared none: decisions still deterministic
 /// per (seed, UNSET_ROLE) but shared by all undeclared threads.
 const UNSET_ROLE: u32 = u32::MAX;
+
+/// The calling thread's declared role, or [`UNSET_ROLE`].
+fn role() -> u32 {
+    probe::role().unwrap_or(UNSET_ROLE)
+}
 
 #[derive(Clone, Copy)]
 struct ThreadFault {
@@ -72,7 +80,6 @@ struct ThreadFault {
 }
 
 thread_local! {
-    static ROLE: Cell<u32> = const { Cell::new(UNSET_ROLE) };
     static CACHE: Cell<ThreadFault> = const {
         Cell::new(ThreadFault {
             epoch: 0,
@@ -84,10 +91,41 @@ thread_local! {
     };
 }
 
+/// The installed plan as a probe subscriber: it answers the fault
+/// sites' decisions and nothing else.
+struct PlanSubscriber;
+
+impl Subscriber for PlanSubscriber {
+    fn name(&self) -> &'static str {
+        "fault"
+    }
+
+    fn decide(&self, site: FaultSite) -> Option<u64> {
+        decide(site)
+    }
+
+    fn may_fire(&self, site: FaultSite) -> bool {
+        PLAN.lock().unwrap().is_some_and(|p| p.rate(site) > 0)
+    }
+
+    /// A (re-)declared role restarts the thread's decision stream.
+    fn on_role(&self, _role: u32) {
+        CACHE.with(|c| {
+            let mut tf = c.get();
+            tf.epoch = 0;
+            c.set(tf);
+        });
+    }
+}
+
 /// Install `plan` process-wide: arms injection, resets per-site
 /// counters and the decision trace, and restarts every role's decision
 /// stream from the plan seed.
 pub fn install(plan: FaultPlan) {
+    static SUBSCRIBED: OnceLock<()> = OnceLock::new();
+    SUBSCRIBED.get_or_init(|| {
+        probe::install(&PlanSubscriber).expect("probe subscriber slots exhausted");
+    });
     let mut p = PLAN.lock().unwrap();
     *p = Some(plan);
     for i in 0..FaultSite::COUNT {
@@ -107,47 +145,18 @@ pub fn disarm() {
     EPOCH.fetch_add(1, Ordering::Release);
 }
 
-/// Whether a plan is currently installed.
-pub fn is_armed() -> bool {
-    PLAN.lock().unwrap().is_some()
-}
-
-/// Whether the installed plan (if any) can ever fire `site`. Lets a
-/// subsystem decide *up front* whether to pay for recovery machinery —
-/// the IPC engine, for example, only checkpoints worker state when a
-/// plan could actually kill a worker, so unperturbed storms keep their
-/// zero-overhead hot path.
-pub fn site_enabled(site: FaultSite) -> bool {
-    PLAN.lock().unwrap().is_some_and(|p| p.rate(site) > 0)
-}
-
-/// Declare the calling thread's role. Decision streams are derived
-/// from `(plan seed, role)`, so scenario threads that want replayable
-/// streams must each declare a distinct, stable role before their first
-/// decision. Re-declaring restarts the stream.
-pub fn set_role(role: u32) {
-    ROLE.with(|r| r.set(role));
-    // Invalidate the cache so the next decision reseeds.
-    CACHE.with(|c| {
-        let mut tf = c.get();
-        tf.epoch = 0;
-        c.set(tf);
-    });
-}
-
 #[inline]
 fn refresh(c: &Cell<ThreadFault>) -> ThreadFault {
     let epoch = EPOCH.load(Ordering::Acquire);
     let mut tf = c.get();
     if tf.epoch != epoch || tf.epoch == 0 {
         let plan = *PLAN.lock().unwrap();
-        let role = ROLE.with(|r| r.get());
         tf = match plan {
             Some(p) => ThreadFault {
                 epoch,
                 armed: true,
                 plan: p,
-                rng: plan::stream_seed(p.seed, role),
+                rng: plan::stream_seed(p.seed, role()),
                 seq: 0,
             },
             None => ThreadFault {
@@ -163,16 +172,16 @@ fn refresh(c: &Cell<ThreadFault>) -> ThreadFault {
     tf
 }
 
-/// One decision at `site`: returns `(fired, draw)` or `None` when
-/// disarmed. The shared core of [`fire`] and [`fire_jitter`].
+/// One decision at `site`, counted and traced: the draw when it fires,
+/// `None` when it does not (or when disarmed).
 #[inline]
-fn decide(site: FaultSite) -> Option<(bool, u64)> {
+fn decide(site: FaultSite) -> Option<u64> {
     CACHE.with(|c| {
         let mut tf = refresh(c);
         if !tf.armed {
             return None;
         }
-        if tf.plan.declared_only && ROLE.with(|r| r.get()) == UNSET_ROLE {
+        if tf.plan.declared_only && probe::role().is_none() {
             return None; // bystander thread: plan scoped to declared roles
         }
         let draw = plan::splitmix64(&mut tf.rng);
@@ -187,33 +196,14 @@ fn decide(site: FaultSite) -> Option<(bool, u64)> {
         }
         if tf.plan.record_trace {
             trace::push(FaultRecord {
-                role: ROLE.with(|r| r.get()),
+                role: role(),
                 seq,
                 site,
                 fired,
             });
         }
-        Some((fired, draw))
+        fired.then_some(draw)
     })
-}
-
-/// Ask whether the fault at `site` fires for this decision. `false`
-/// whenever disarmed. This is the call every hook makes.
-#[inline]
-pub fn fire(site: FaultSite) -> bool {
-    matches!(decide(site), Some((true, _)))
-}
-
-/// Like [`fire`], but a firing decision also yields a deterministic
-/// magnitude in `0..max` (drawn from the same stream), for hooks that
-/// need a jitter amount — e.g. how long to delay a lock release.
-#[inline]
-pub fn fire_jitter(site: FaultSite, max: u32) -> Option<u32> {
-    match decide(site) {
-        Some((true, draw)) if max > 0 => Some(((draw >> 16) % u64::from(max)) as u32),
-        Some((true, _)) => Some(0),
-        _ => None,
-    }
 }
 
 /// Per-site decision statistics since the last [`install`].
@@ -249,6 +239,7 @@ pub fn total_fired() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use machk_sync::probe::{fire, jitter, set_role};
 
     /// The global plan is process state; tests that install plans
     /// serialize on this.
@@ -317,7 +308,7 @@ mod tests {
             set_role(1);
             for _ in 0..64 {
                 let _ = fire(FaultSite::EventDropWakeup);
-                let _ = fire_jitter(FaultSite::SimpleReleaseDelay, 512);
+                let _ = jitter(FaultSite::SimpleReleaseDelay, 512);
             }
             let rendered = trace::render(trace::snapshot());
             disarm();
@@ -336,7 +327,7 @@ mod tests {
             install(FaultPlan::uniform(5, 40_000));
             set_role(3);
             let v = (0..128)
-                .map(|_| fire_jitter(FaultSite::SimpleReleaseDelay, 100))
+                .map(|_| jitter(FaultSite::SimpleReleaseDelay, 100))
                 .collect();
             disarm();
             v

@@ -7,7 +7,7 @@
 //! makes a fault schedule *replayable*: rerunning a seed against the
 //! same per-role decision sequence reproduces the identical trace.
 
-use crate::site::FaultSite;
+use crate::FaultSite;
 
 /// Firing rate that means "always fire" (the other values are
 /// numerators over 2^16, so `u16::MAX` would otherwise be 65535/65536).
@@ -38,7 +38,7 @@ pub struct FaultPlan {
     /// [`crate::trace`]). Counters are always maintained.
     pub record_trace: bool,
     /// When set, only threads that declared a role with
-    /// [`crate::set_role`] take fault decisions; undeclared threads see
+    /// `machk_sync::probe::set_role` take fault decisions; undeclared threads see
     /// every hook answer `false`. This lets a chaos harness arm a plan
     /// inside a larger test process without perturbing bystander
     /// threads (whose blocking patterns may not tolerate, say, a

@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use crate::site::FaultSite;
+use crate::FaultSite;
 
 /// Upper bound on stored records; decisions past the cap are counted
 /// (see [`crate::stats`]) but not traced, and [`truncated`] reports the
@@ -20,7 +20,7 @@ pub const TRACE_CAP: usize = 1 << 20;
 /// One recorded fault decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultRecord {
-    /// The deciding thread's role (see [`crate::set_role`]).
+    /// The deciding thread's role (see `machk_sync::probe::set_role`).
     pub role: u32,
     /// Index of this decision in the role's stream.
     pub seq: u32,

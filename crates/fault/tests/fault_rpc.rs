@@ -1,12 +1,12 @@
-//! Armed-fault tests for the RPC dispatch hooks.
+//! Armed-fault tests for the RPC dispatch hooks in `machk-ipc`.
 //!
 //! Lives in its own integration binary (own process) because
 //! [`machk_fault::install`] arms injection process-wide: arming
 //! `rpc_dead_port` here must not perturb the ordinary unit tests.
 
-#![cfg(feature = "fault")]
-
 use std::sync::Mutex;
+
+use machk_core::sync::probe::set_role;
 
 use machk_core::Kobj;
 use machk_fault::{FaultPlan, FaultSite, ALWAYS};
@@ -43,7 +43,7 @@ fn dead_port_fault_is_err_and_takes_no_reference() {
     let stats = RpcStats::new();
 
     machk_fault::install(FaultPlan::new(0xD0A).with_rate(FaultSite::RpcDeadPort, ALWAYS));
-    machk_fault::set_role(0);
+    set_role(0);
     let e = t
         .msg_rpc(
             &port,
@@ -72,7 +72,7 @@ fn dropped_reply_is_err_but_operation_and_ledger_stand() {
     let stats = RpcStats::new();
 
     machk_fault::install(FaultPlan::new(0xD0B).with_rate(FaultSite::RpcDropReply, ALWAYS));
-    machk_fault::set_role(0);
+    set_role(0);
     let e = t
         .msg_rpc(
             &port,

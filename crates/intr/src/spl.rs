@@ -7,6 +7,7 @@
 
 use core::fmt;
 
+use machk_sync::probe::{self, EventKind, FaultSite};
 use machk_sync::RawSimpleLock;
 
 use crate::cpu::{current_cpu, Cpu};
@@ -84,8 +85,7 @@ pub struct SplToken {
 /// not bound to a CPU (see [`Cpu::enter`]).
 pub fn spl_raise(level: SplLevel) -> SplToken {
     let cpu = current_cpu().expect("spl_raise: thread not bound to a simulated CPU");
-    #[cfg(feature = "obs")]
-    machk_obs::emit(machk_obs::EventKind::SplRaise, 0, level as u64);
+    probe::event(EventKind::SplRaise, 0, level as u64);
     SplToken {
         previous: cpu.raise_spl(level),
     }
@@ -96,12 +96,7 @@ pub fn spl_raise(level: SplLevel) -> SplToken {
 /// level run before this returns.
 pub fn spl_restore(token: SplToken) {
     let cpu = current_cpu().expect("spl_restore: thread not bound to a simulated CPU");
-    #[cfg(feature = "obs")]
-    machk_obs::emit(
-        machk_obs::EventKind::SplRestore,
-        0,
-        token.previous as u64,
-    );
+    probe::event(EventKind::SplRestore, 0, token.previous as u64);
     cpu.set_spl(token.previous);
     cpu.poll();
 }
@@ -152,6 +147,10 @@ pub struct SplLock {
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
+// Release layout without probes: the simple lock and the level byte.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<SplLock>() == 12);
+
 const LEVEL_UNSET: u8 = u8::MAX;
 
 impl SplLock {
@@ -172,7 +171,7 @@ impl SplLock {
         }
     }
 
-    /// [`SplLock::new`] with a lockstat name: with the `obs` feature,
+    /// [`SplLock::new`] with a lockstat name: with the `probe` feature,
     /// acquisitions of the inner simple lock report under `name`.
     /// Without the feature the name is ignored.
     pub const fn named(name: &'static str) -> Self {
@@ -257,8 +256,7 @@ impl SplLock {
             self.check_level_result(&cpu)?;
             // Fault hook: pretend the acquisition arrived at the wrong
             // interrupt priority level even though it did not.
-            #[cfg(feature = "fault")]
-            if machk_fault::fire(machk_fault::FaultSite::SplWrongLevel) {
+            if probe::fire(FaultSite::SplWrongLevel) {
                 return Err(SplViolation {
                     required: self.required_level().unwrap_or(SplLevel::Spl0),
                     actual: cpu.spl(),

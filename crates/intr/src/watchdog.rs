@@ -10,7 +10,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use machk_sync::host;
+use machk_sync::{host, probe};
 
 /// Error reported when a deadline expires while a coordination step is
 /// still incomplete — the simulation's verdict that the configured
@@ -56,11 +56,12 @@ impl fmt::Display for DeadlockReport {
 /// bare error: the recovery discipline is *diagnose, never hang*, and a
 /// diagnosis is only useful if it says what the system was doing.
 ///
-/// With the `obs` feature the dump embeds the lockstat capture at the
-/// instant of detection — hottest locks, lock-order cycles, trace
-/// totals — which is precisely the state a kernel debugger would want
-/// first. Without it, the dump says what was detected and how to get
-/// the richer capture.
+/// The dump embeds every installed probe subscriber's description
+/// ([`probe::describe`]): with `machk-obs`'s lockstat subscriber
+/// installed, that is the capture at the instant of detection —
+/// hottest locks, lock-order cycles, trace totals — which is precisely
+/// the state a kernel debugger would want first. Without one, the dump
+/// says what was detected and how to get the richer capture.
 ///
 /// When the detecting thread runs under a simulated host (`machk-sim`),
 /// the dump also embeds the host's self-description — scheduler seed,
@@ -76,22 +77,13 @@ pub fn escalate(err: DeadlockDetected) -> DeadlockReport {
             report.push('\n');
         }
     }
-    #[cfg(feature = "obs")]
-    {
-        let stat = machk_obs::Lockstat::collect();
-        if stat.cycles.is_empty() {
-            report.push_str("no lock-order cycles on record; lockstat at detection:\n");
-        } else {
-            report.push_str("lock-order cycles on record (likely culprit first):\n");
-            for c in &stat.cycles {
-                report.push_str(&machk_obs::order::render_cycle(c));
-                report.push('\n');
-            }
-        }
-        report.push_str(&stat.render_text(5, false));
+    match probe::describe() {
+        Some(dump) => report.push_str(&dump),
+        None => report.push_str(
+            "(build with the `probe` feature and install a lockstat subscriber \
+             for a lockstat dump at detection)\n",
+        ),
     }
-    #[cfg(not(feature = "obs"))]
-    report.push_str("(build with the `obs` feature for a lockstat dump at detection)\n");
     DeadlockReport {
         waited: err.waited,
         report,

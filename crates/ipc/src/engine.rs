@@ -47,7 +47,7 @@
 //!
 //! A storm becomes **supervised** when a kill is possible: either
 //! [`EngineConfig::crash_at`] schedules deterministic worker deaths, or
-//! (under the `fault` feature) the installed plan arms the
+//! (under the `probe` feature) an installed fault plan arms the
 //! `worker_crash` / `worker_crash_holding` sites. Supervision is a
 //! *runtime* mode, decided per storm — an unsupervised storm pays
 //! nothing for it (no checkpoint writes, no scratch-lock traffic), so
@@ -113,6 +113,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use machk_core::sync::host;
+use machk_core::sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
 use machk_core::{Kobj, LockError, ObjRef, RawSimpleLock, ShardedRefCount};
 
 use crate::message::Message;
@@ -284,7 +285,14 @@ pub struct EngineReport {
     /// Times the scratch lock was observed in the typed poisoned state.
     pub poison_observed: u64,
     /// Torn scratch invariants repaired under the re-acquired lock.
+    /// Counted outside the checkpointed tallies, so a repairer that dies
+    /// later in the same op still counts its repair.
     pub scratch_repairs: u64,
+    /// Holding kills that tore the scratch invariant. Every completed
+    /// storm repairs each exactly once (`scratch_repairs ==
+    /// torn_sections`), so the fingerprint carries it through
+    /// `scratch_repairs`.
+    pub torn_sections: u64,
     /// RPC retries that followed a dropped reply or dead-port race.
     pub retries: u64,
     /// RPCs whose retry deadline expired (op abandoned; any leaked
@@ -389,7 +397,6 @@ struct WorkerTally {
     shed: u64,
     rehomed: u64,
     poison_observed: u64,
-    scratch_repairs: u64,
     retries: u64,
     retry_exhausted: u64,
     lock_timeouts: u64,
@@ -428,6 +435,10 @@ struct Shared {
     /// hold) that the poison/repair protocol restores.
     scratch_lock: RawSimpleLock,
     scratch: AtomicU64,
+    /// Holding kills (each leaves `scratch` odd) and repairs (each
+    /// makes it even again); both change only under `scratch_lock`.
+    tears: AtomicU64,
+    repairs: AtomicU64,
     supervised: bool,
 }
 
@@ -451,13 +462,7 @@ const TEARDOWN_INDEX: usize = 0xFFFF;
 /// `worker_crash` / `worker_crash_holding` sites) — one of the two
 /// triggers for supervised mode.
 fn crash_sites_armed() -> bool {
-    #[cfg(feature = "fault")]
-    {
-        machk_fault::site_enabled(machk_fault::FaultSite::WorkerCrash)
-            || machk_fault::site_enabled(machk_fault::FaultSite::WorkerCrashHolding)
-    }
-    #[cfg(not(feature = "fault"))]
-    false
+    probe::may_fire(FaultSite::WorkerCrash) || probe::may_fire(FaultSite::WorkerCrashHolding)
 }
 
 thread_local! {
@@ -484,21 +489,15 @@ fn install_quiet_panic_hook() {
     });
 }
 
-/// Trace one completed dispatch-loop batch (`obs` feature): the
+/// Trace one completed dispatch-loop batch (`probe` feature): the
 /// `EngineBatch` event under the shared `ipc.engine.loop` name, `arg`
 /// = operations dispatched since the previous drain point. Workers are
 /// distinguished downstream by the per-thread tag every event carries.
-#[cfg(feature = "obs")]
 #[inline]
-fn obs_engine_batch(ops: u64) {
-    static TAG: machk_obs::LockTag = machk_obs::LockTag::new();
-    let id = TAG.ensure("ipc.engine.loop", machk_obs::LockClass::Other, "engine");
-    machk_obs::emit(machk_obs::EventKind::EngineBatch, id, ops);
+fn probe_engine_batch(ops: u64) {
+    static TAG: Tag = Tag::new("ipc.engine.loop", LockClass::Other, "engine");
+    TAG.event(EventKind::EngineBatch, ops);
 }
-
-#[cfg(not(feature = "obs"))]
-#[inline]
-fn obs_engine_batch(_ops: u64) {}
 
 /// The engine: shared state plus the dispatch table. Build one with
 /// [`Engine::new`], fire storms with [`Engine::run`].
@@ -676,16 +675,20 @@ impl Engine {
                     // race before it re-acquired: the tear is ours.
                     // relaxed: under scratch_lock, see above.
                     shared.scratch.store(v + 1, Ordering::Relaxed);
-                    t.scratch_repairs += 1;
+                    // relaxed: under scratch_lock, see above.
+                    shared.repairs.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
                 // relaxed: under scratch_lock, see above.
                 shared.scratch.store(v + 1, Ordering::Relaxed);
                 if generation == 0 && shared.cfg.crash_due(index, op, CrashKind::Holding) {
+                    // relaxed: under scratch_lock, see above.
+                    shared.tears.fetch_add(1, Ordering::Relaxed);
                     panic!("injected crash: worker {index} at op {op} (holding scratch lock)");
                 }
-                #[cfg(feature = "fault")]
-                if machk_fault::fire(machk_fault::FaultSite::WorkerCrashHolding) {
+                if probe::fire(FaultSite::WorkerCrashHolding) {
+                    // relaxed: under scratch_lock, see above.
+                    shared.tears.fetch_add(1, Ordering::Relaxed);
                     panic!("injected crash: worker {index} at op {op} (seeded, holding scratch lock)");
                 }
                 // relaxed: under scratch_lock, see above.
@@ -703,7 +706,8 @@ impl Engine {
                 if v & 1 == 1 {
                     // relaxed: under scratch_lock, see above.
                     shared.scratch.store(v + 1, Ordering::Relaxed);
-                    t.scratch_repairs += 1;
+                    // relaxed: under scratch_lock, see above.
+                    shared.repairs.fetch_add(1, Ordering::Relaxed);
                 }
             }
             Err(LockError::Timeout(_)) => t.lock_timeouts += 1,
@@ -721,8 +725,7 @@ impl Engine {
         // Each incarnation declares a fresh fault role: replaying the
         // dead incarnation's decision stream would kill every restart
         // at the same op, forever.
-        #[cfg(feature = "fault")]
-        machk_fault::set_role(generation.wrapping_mul(cfg.workers as u32) + index as u32);
+        probe::set_role(generation.wrapping_mul(cfg.workers as u32) + index as u32);
 
         let mut mix = Mix(resume.mix);
         let mut t = resume.tally;
@@ -749,8 +752,7 @@ impl Engine {
                 if generation == 0 && cfg.crash_due(index, op, CrashKind::OpStart) {
                     panic!("injected crash: worker {index} at op {op} (op start)");
                 }
-                #[cfg(feature = "fault")]
-                if machk_fault::fire(machk_fault::FaultSite::WorkerCrash) {
+                if probe::fire(FaultSite::WorkerCrash) {
                     panic!("injected crash: worker {index} at op {op} (seeded)");
                 }
                 Self::scratch_section(shared, index, op, generation, &mut t, deadline);
@@ -821,8 +823,7 @@ impl Engine {
                             if generation == 0 && cfg.crash_due(index, op, CrashKind::AfterCreate) {
                                 panic!("injected crash: worker {index} at op {op} (after create)");
                             }
-                            #[cfg(feature = "fault")]
-                            if machk_fault::fire(machk_fault::FaultSite::WorkerCrash) {
+                            if probe::fire(FaultSite::WorkerCrash) {
                                 panic!(
                                     "injected crash: worker {index} at op {op} (seeded, after create)"
                                 );
@@ -920,7 +921,7 @@ impl Engine {
                     t.drained += n as u64;
                 }
                 batch.clear(); // rights released in bulk
-                obs_engine_batch(cfg.drain_every as u64);
+                probe_engine_batch(cfg.drain_every as u64);
             }
         }
 
@@ -1019,6 +1020,8 @@ impl Engine {
             cache: ReplyCache::new(),
             scratch_lock: RawSimpleLock::named("ipc.engine.scratch"),
             scratch: AtomicU64::new(0),
+            tears: AtomicU64::new(0),
+            repairs: AtomicU64::new(0),
             supervised,
         });
         let slots: Vec<Arc<Mutex<Checkpoint>>> = (0..workers)
@@ -1219,7 +1222,10 @@ impl Engine {
             rehomed_ports: 0,
             reconciled,
             poison_observed: poison_teardown,
-            scratch_repairs: repairs_teardown,
+            // relaxed: every incarnation has been joined.
+            scratch_repairs: shared.repairs.load(Ordering::Relaxed) + repairs_teardown,
+            // relaxed: as above.
+            torn_sections: shared.tears.load(Ordering::Relaxed),
             retries: retries_teardown,
             retry_exhausted: 0,
             lock_timeouts: 0,
@@ -1242,7 +1248,6 @@ impl Engine {
             report.shed += t.shed;
             report.rehomed_ports += t.rehomed;
             report.poison_observed += t.poison_observed;
-            report.scratch_repairs += t.scratch_repairs;
             report.retries += t.retries;
             report.retry_exhausted += t.retry_exhausted;
             report.lock_timeouts += t.lock_timeouts;
@@ -1366,7 +1371,7 @@ mod tests {
         // torn; someone (a survivor or the teardown) must observe the
         // typed poison and repair the tear.
         assert!(report.poison_observed >= 1, "poison observed");
-        assert!(report.scratch_repairs >= 1, "parity repaired");
+        assert_eq!((report.torn_sections, report.scratch_repairs), (1, 1), "one repair per tear");
     }
 
     #[test]

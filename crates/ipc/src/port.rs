@@ -122,9 +122,9 @@ impl Refable for Port {
     }
 }
 
-// Release layout: header 16 + state 32 + ring 40.
-#[cfg(all(not(debug_assertions), not(feature = "obs")))]
-const _: () = assert!(core::mem::size_of::<Port>() <= 88);
+// Release layout without probes: header 16 + state 32 + ring 40.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(machk_core::sync::probe::ENABLED || core::mem::size_of::<Port>() == 88);
 
 impl Port {
     /// Create a port with the default queue limit, returning the

@@ -56,7 +56,8 @@ proptest! {
                 report.poison_observed >= 1,
                 "a poisoned scratch lock must be observed, not spun on"
             );
-            prop_assert!(report.scratch_repairs >= 1, "the torn parity must be repaired");
+            prop_assert_eq!(report.torn_sections, 1);
+            prop_assert_eq!(report.scratch_repairs, 1, "the torn parity must be repaired once");
         }
     }
 }

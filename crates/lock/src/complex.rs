@@ -17,6 +17,7 @@ use std::time::Duration;
 use machk_sync::host;
 
 use machk_event::{assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event};
+use machk_sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
 use machk_sync::{LockError, LockTimeout, Poisoned, SimpleLocked, SimpleLockedGuard};
 
 /// Error returned by a failed read→write upgrade.
@@ -112,33 +113,12 @@ pub struct ComplexLock {
     /// into a system hang — but the flag makes the suspect state
     /// *diagnosable* ([`ComplexLock::is_poisoned`]).
     poisoned: AtomicBool,
-    /// Lockstat registration and hold-time state (`obs` feature only).
-    #[cfg(feature = "obs")]
-    obs: ComplexObs,
-}
-
-/// Per-lock observability state: registry tag (resolved lazily from
-/// `name`) plus the most recent acquisition timestamp. With concurrent
-/// readers the hold sample recorded at each release measures time
-/// since the *most recent* acquisition — exact for writers, a lower
-/// bound for overlapping readers, which is the useful shape for a
-/// contention profile.
-#[cfg(feature = "obs")]
-struct ComplexObs {
-    name: &'static str,
-    tag: machk_obs::LockTag,
-    acquired_at: core::sync::atomic::AtomicU64,
-}
-
-#[cfg(feature = "obs")]
-impl ComplexObs {
-    const fn new(name: &'static str) -> ComplexObs {
-        ComplexObs {
-            name,
-            tag: machk_obs::LockTag::new(),
-            acquired_at: core::sync::atomic::AtomicU64::new(0),
-        }
-    }
+    /// Probe identity and the most recent acquisition's timestamp.
+    /// With concurrent readers the hold sample recorded at each release
+    /// measures time since the *most recent* acquisition — exact for
+    /// writers, a lower bound for overlapping readers, which is the
+    /// useful shape for a contention profile.
+    tag: Tag,
 }
 
 impl ComplexLock {
@@ -151,19 +131,16 @@ impl ComplexLock {
         Self::named("", can_sleep)
     }
 
-    /// Create a *named* lock: with the `obs` feature the name
+    /// Create a *named* lock: with the `probe` feature the name
     /// identifies this lock in lockstat reports (reader/writer/upgrade
     /// breakdown, wait and hold histograms, order diagnostics).
     /// Without the feature the name is accepted and ignored; anonymous
     /// locks ([`ComplexLock::new`]) are never traced.
     pub const fn named(name: &'static str, can_sleep: bool) -> Self {
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         ComplexLock {
             state: SimpleLocked::new(LockState::new(can_sleep)),
             poisoned: AtomicBool::new(false),
-            #[cfg(feature = "obs")]
-            obs: ComplexObs::new(name),
+            tag: Tag::new(name, LockClass::Complex, "rw"),
         }
     }
 
@@ -253,90 +230,11 @@ impl ComplexLock {
         s.recursive_holder == Some(Self::me())
     }
 
-    // ----- observability hooks (`obs` feature; no-ops otherwise) -----
-
-    /// Registry id: 0 for anonymous locks, else lazily registered.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_id(&self) -> u32 {
-        if self.obs.name.is_empty() {
-            0
-        } else {
-            self.obs
-                .tag
-                .ensure(self.obs.name, machk_obs::LockClass::Complex, "rw")
-        }
-    }
-
-    /// Trace a successful read or write acquisition: emit the acquire
-    /// event (with the contended flag); counters, histograms, and the
-    /// order graph live downstream in `machk_obs::StatsSubscriber`.
-    #[cfg(feature = "obs")]
-    fn obs_acquired(&self, _op: machk_obs::ComplexOp, kind: machk_obs::EventKind, t0: u64, waited: bool) {
-        let id = self.obs_id();
-        if id == 0 {
-            return;
-        }
-        let now = machk_obs::now_ns();
-        let wait = now.saturating_sub(t0);
-        self.obs
-            .acquired_at
-            // relaxed: obs timestamp written by the holder; readers of
-            // the hold time are the same holder at release.
-            .store(now, core::sync::atomic::Ordering::Relaxed);
-        machk_obs::emit_flags(
-            kind,
-            id,
-            wait,
-            if waited { machk_obs::FLAG_CONTENDED } else { 0 },
-        );
-    }
-
-    /// Trace a mode transition on an already-held lock (upgrade ok,
-    /// upgrade failed, downgrade). The subscriber knows an upgrade
-    /// failure implies the read hold was lost (§7.1) and pops the
-    /// order stack itself.
-    #[cfg(feature = "obs")]
-    fn obs_transition(&self, _op: machk_obs::ComplexOp, kind: machk_obs::EventKind) {
-        let id = self.obs_id();
-        if id == 0 {
-            return;
-        }
-        machk_obs::emit(kind, id, 0);
-    }
-
-    /// Trace a release (`lock_done`) with the measured hold time.
-    #[cfg(feature = "obs")]
-    fn obs_released(&self) {
-        let Some(id) = self.obs.tag.get() else {
-            return;
-        };
-        let hold = machk_obs::now_ns().saturating_sub(
-            self.obs
-                .acquired_at
-                // relaxed: same-holder read of the timestamp stored at
-                // acquisition; the lock itself orders the pair.
-                .load(core::sync::atomic::Ordering::Relaxed),
-        );
-        machk_obs::emit(machk_obs::EventKind::ComplexRelease, id, hold);
-    }
-
-    /// Trace a failed try operation.
-    #[cfg(feature = "obs")]
-    fn obs_try_fail(&self) {
-        let id = self.obs_id();
-        if id == 0 {
-            return;
-        }
-        machk_obs::emit(machk_obs::EventKind::ComplexTryFail, id, 0);
-    }
-
     // ----- raw operations (Appendix B semantics) -----
 
     /// Acquire for writing (`lock_write`).
     pub fn write_raw(&self) {
-        #[cfg(feature = "obs")]
-        let t0 = machk_obs::now_ns();
+        let t0 = self.tag.start();
         let mut waited = false;
         let mut s = self.state.lock();
         if Self::is_recursive_holder(&s) {
@@ -364,20 +262,12 @@ impl ComplexLock {
             s = self.wait(s, &mut spins);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Write,
-            machk_obs::EventKind::ComplexWrite,
-            t0,
-            waited,
-        );
-        let _ = waited;
+        self.tag.acquired(EventKind::ComplexWrite, t0, waited);
     }
 
     /// Acquire for reading (`lock_read`).
     pub fn read_raw(&self) {
-        #[cfg(feature = "obs")]
-        let t0 = machk_obs::now_ns();
+        let t0 = self.tag.start();
         let mut waited = false;
         let mut s = self.state.lock();
         if Self::is_recursive_holder(&s) {
@@ -396,14 +286,7 @@ impl ComplexLock {
         }
         s.read_count += 1;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Read,
-            machk_obs::EventKind::ComplexRead,
-            t0,
-            waited,
-        );
-        let _ = waited;
+        self.tag.acquired(EventKind::ComplexRead, t0, waited);
     }
 
     /// Bounded [`ComplexLock::write_raw`]: give up (with the lock fully
@@ -445,13 +328,7 @@ impl ComplexLock {
             s = self.wait_deadline(s, &mut spins, start, limit);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Write,
-            machk_obs::EventKind::ComplexWrite,
-            machk_obs::now_ns(),
-            true,
-        );
+        self.tag.acquired(EventKind::ComplexWrite, 0, true);
         Ok(())
     }
 
@@ -475,13 +352,7 @@ impl ComplexLock {
         }
         s.read_count += 1;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Read,
-            machk_obs::EventKind::ComplexRead,
-            machk_obs::now_ns(),
-            true,
-        );
+        self.tag.acquired(EventKind::ComplexRead, 0, true);
         Ok(())
     }
 
@@ -510,8 +381,7 @@ impl ComplexLock {
         }
         self.wake_waiters(&mut s);
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_released();
+        self.tag.released(EventKind::ComplexRelease);
     }
 
     /// Upgrade read → write (`lock_read_to_write`).
@@ -534,10 +404,7 @@ impl ComplexLock {
         // semantically identical to a pending upgrade, so the caller's
         // §7.1 recovery logic (restart from scratch) is exercised on
         // demand.
-        #[cfg(feature = "fault")]
-        let forced_fail = machk_fault::fire(machk_fault::FaultSite::ComplexUpgradeFail);
-        #[cfg(not(feature = "fault"))]
-        let forced_fail = false;
+        let forced_fail = probe::fire(FaultSite::ComplexUpgradeFail);
         if s.want_upgrade || forced_fail {
             // Another upgrade pending: we lose. Our read lock is gone; if
             // that makes the reader count zero the pending upgrader may
@@ -548,11 +415,7 @@ impl ComplexLock {
             drop(s);
             // The failed upgrade released our read hold; the stats
             // subscriber pops the order stack on this event.
-            #[cfg(feature = "obs")]
-            self.obs_transition(
-                machk_obs::ComplexOp::UpgradeFailed,
-                machk_obs::EventKind::ComplexUpgradeFail,
-            );
+            self.tag.event(EventKind::ComplexUpgradeFail, 0);
             return true;
         }
         s.want_upgrade = true;
@@ -561,11 +424,7 @@ impl ComplexLock {
             s = self.wait(s, &mut spins);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_transition(
-            machk_obs::ComplexOp::UpgradeOk,
-            machk_obs::EventKind::ComplexUpgradeOk,
-        );
+        self.tag.event(EventKind::ComplexUpgradeOk, 0);
         false
     }
 
@@ -589,11 +448,7 @@ impl ComplexLock {
         // Other readers may now enter.
         self.wake_waiters(&mut s);
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_transition(
-            machk_obs::ComplexOp::Downgrade,
-            machk_obs::EventKind::ComplexDowngrade,
-        );
+        self.tag.event(EventKind::ComplexDowngrade, 0);
     }
 
     /// Single attempt to acquire for writing (`lock_try_write`).
@@ -609,19 +464,12 @@ impl ComplexLock {
         }
         if s.want_write || s.want_upgrade || s.read_count > 0 {
             drop(s);
-            #[cfg(feature = "obs")]
-            self.obs_try_fail();
+            self.tag.event(EventKind::ComplexTryFail, 0);
             return false;
         }
         s.want_write = true;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Write,
-            machk_obs::EventKind::ComplexWrite,
-            machk_obs::now_ns(),
-            false,
-        );
+        self.tag.acquired(EventKind::ComplexWrite, 0, false);
         true
     }
 
@@ -635,19 +483,12 @@ impl ComplexLock {
         }
         if s.want_write || s.want_upgrade {
             drop(s);
-            #[cfg(feature = "obs")]
-            self.obs_try_fail();
+            self.tag.event(EventKind::ComplexTryFail, 0);
             return false;
         }
         s.read_count += 1;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Read,
-            machk_obs::EventKind::ComplexRead,
-            machk_obs::now_ns(),
-            false,
-        );
+        self.tag.acquired(EventKind::ComplexRead, 0, false);
         true
     }
 
@@ -673,8 +514,7 @@ impl ComplexLock {
         );
         if s.want_upgrade {
             drop(s);
-            #[cfg(feature = "obs")]
-            self.obs_try_fail();
+            self.tag.event(EventKind::ComplexTryFail, 0);
             return false; // keep the read lock
         }
         s.want_upgrade = true;
@@ -684,11 +524,7 @@ impl ComplexLock {
             s = self.wait(s, &mut spins);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_transition(
-            machk_obs::ComplexOp::UpgradeOk,
-            machk_obs::EventKind::ComplexUpgradeOk,
-        );
+        self.tag.event(EventKind::ComplexUpgradeOk, 0);
         true
     }
 
@@ -853,6 +689,11 @@ impl ComplexLock {
         })
     }
 }
+
+// Release layout without probes: the interlocked state (lock 8, state
+// 24) and the poison flag.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<ComplexLock>() == 40);
 
 impl Default for ComplexLock {
     /// A sleepable lock — the common configuration ("most complex locks

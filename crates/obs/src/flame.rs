@@ -1,4 +1,4 @@
-//! Flamegraph-style aggregation: a [`LockSubscriber`] that rolls
+//! Flamegraph-style aggregation: a probe [`Subscriber`] that rolls
 //! events up into lock-class × call-site wait/hold totals.
 //!
 //! Lock *names* in this repository identify call sites — every named
@@ -15,10 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use crate::event::TraceEvent;
-use crate::registry;
-use crate::subscriber::LockSubscriber;
-use crate::EventKind;
+use machk_sync::probe::{self, EventKind, Subscriber, TraceEvent};
 
 /// Which per-site measure a folded rendering reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,7 +118,7 @@ impl FlameSubscriber {
                 let (class, site) = if id == 0 {
                     ("other", "<anonymous>".to_string())
                 } else {
-                    (registry::class_of(id).label(), registry::name_of(id).to_string())
+                    (probe::class_of(id).label(), probe::name_of(id).to_string())
                 };
                 (class, site, c)
             })
@@ -135,7 +132,7 @@ impl Default for FlameSubscriber {
     }
 }
 
-impl LockSubscriber for FlameSubscriber {
+impl Subscriber for FlameSubscriber {
     fn name(&self) -> &'static str {
         "flame"
     }
@@ -190,7 +187,7 @@ mod tests {
 
     #[test]
     fn rollup_sums_wait_hold_and_ops() {
-        let id = registry::register("test.flame.site", registry::LockClass::Simple, "tas");
+        let id = probe::register("test.flame.site", probe::LockClass::Simple, "tas");
         let f = FlameSubscriber::new();
         f.on_event(&ev(EventKind::SimpleAcquire, id, 100));
         f.on_event(&ev(EventKind::SimpleAcquire, id, 50));
@@ -209,8 +206,8 @@ mod tests {
 
     #[test]
     fn folded_sorts_descending_and_skips_zero() {
-        let hot = registry::register("test.flame.hot", registry::LockClass::Simple, "");
-        let cold = registry::register("test.flame.cold", registry::LockClass::Simple, "");
+        let hot = probe::register("test.flame.hot", probe::LockClass::Simple, "");
+        let cold = probe::register("test.flame.cold", probe::LockClass::Simple, "");
         let f = FlameSubscriber::new();
         f.on_event(&ev(EventKind::SimpleAcquire, hot, 900));
         f.on_event(&ev(EventKind::SimpleAcquire, cold, 10));

@@ -1,4 +1,4 @@
-//! Streaming NDJSON export: a [`LockSubscriber`] that buffers events
+//! Streaming NDJSON export: a probe [`Subscriber`] that buffers events
 //! and drains them as newline-delimited JSON to a pluggable writer.
 //!
 //! The hot path must never block on I/O (it runs while the traced lock
@@ -16,9 +16,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::event::TraceEvent;
-use crate::registry;
-use crate::subscriber::LockSubscriber;
+use machk_sync::probe::{self, Subscriber, TraceEvent};
 
 /// Bounded, drop-counting, writer-pluggable NDJSON exporter.
 pub struct NdjsonSubscriber {
@@ -100,7 +98,7 @@ impl NdjsonSubscriber {
     }
 }
 
-impl LockSubscriber for NdjsonSubscriber {
+impl Subscriber for NdjsonSubscriber {
     fn name(&self) -> &'static str {
         "ndjson"
     }
@@ -137,7 +135,7 @@ pub fn line_for(ev: &TraceEvent) -> String {
 }
 
 fn json_name(id: u32) -> String {
-    let name = if id == 0 { "" } else { registry::name_of(id) };
+    let name = if id == 0 { "" } else { probe::name_of(id) };
     let mut out = String::with_capacity(name.len() + 2);
     out.push('"');
     for c in name.chars() {
@@ -169,7 +167,7 @@ impl Write for VecWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
+    use machk_sync::probe::EventKind;
 
     fn ev(arg: u64) -> TraceEvent {
         TraceEvent {

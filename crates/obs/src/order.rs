@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock};
 
-use crate::registry;
+use machk_sync::probe;
 
 thread_local! {
     /// Registered ids of the locks the current thread holds, in
@@ -153,7 +153,7 @@ fn canonical(cycle: &[u32]) -> Vec<u32> {
 pub fn render_cycle(cycle: &[u32]) -> String {
     let mut parts: Vec<String> = cycle
         .iter()
-        .map(|&id| registry::name_of(id).to_string())
+        .map(|&id| probe::name_of(id).to_string())
         .collect();
     if let Some(first) = parts.first().cloned() {
         parts.push(first);

@@ -1,19 +1,16 @@
-//! The global lock registry: names, classes, and per-lock counters.
+//! Per-lock counters and histograms, indexed by probe id.
 //!
-//! A trace that says "lock 0x7f3a… was contended" is useless; the
-//! registry is what lets the report say `vm_object.ref` instead. Locks
-//! register lazily on their first traced operation through a
-//! [`LockTag`] — a single atomic embedded in the lock — so `const`
-//! constructors stay `const` and the untraced build carries nothing.
-//!
-//! Counters and histograms live in a static slab indexed by id, so the
-//! traced hot path is entirely lock-free: resolve the id (one relaxed
-//! load after the first operation), then a few relaxed increments.
-//! Names and classes live in a mutex-protected side table consulted
-//! only at registration and reporting time.
+//! A trace that says "lock 0x7f3a… was contended" is useless; names
+//! come from the probe name table (`machk_sync::probe::register`), in
+//! which every named lock registers lazily through its `probe::Tag`.
+//! This module keeps what lockstat counts per id. Counters and
+//! histograms live in a static slab indexed by id, so the
+//! [`crate::StatsSubscriber`] path is entirely lock-free: a few relaxed
+//! increments per event.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+
+use machk_sync::probe::{self, EventKind, LockClass};
 
 use crate::hist::{HistSnapshot, Log2Hist};
 
@@ -22,34 +19,6 @@ use crate::hist::{HistSnapshot, Log2Hist};
 /// shows an `<overflow>` row if a run creates this many distinct
 /// *named* locks (per-object anonymous locks are not registered).
 pub const MAX_LOCKS: usize = 512;
-
-/// What kind of synchronization object an id names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LockClass {
-    /// A `machk-sync` simple (spin) lock.
-    Simple,
-    /// A `machk-lock` complex (reader/writer) lock.
-    Complex,
-    /// A `machk-intr` spl-checked lock.
-    Spl,
-    /// A reference count (`ShardedRefCount` or a locked count).
-    RefCount,
-    /// Anything else.
-    Other,
-}
-
-impl LockClass {
-    /// Short label for report columns.
-    pub fn label(self) -> &'static str {
-        match self {
-            LockClass::Simple => "simple",
-            LockClass::Complex => "complex",
-            LockClass::Spl => "spl",
-            LockClass::RefCount => "refcount",
-            LockClass::Other => "other",
-        }
-    }
-}
 
 /// Per-lock counters and distributions, all updated with relaxed
 /// atomics from the traced paths.
@@ -105,52 +74,6 @@ impl LockEntry {
 
 static ENTRIES: [LockEntry; MAX_LOCKS] = [const { LockEntry::new() }; MAX_LOCKS];
 
-/// Ids are handed out from 1; 0 means "unregistered / overflow".
-static NEXT_ID: AtomicU32 = AtomicU32::new(1);
-
-#[derive(Clone)]
-struct LockMeta {
-    id: u32,
-    name: &'static str,
-    class: LockClass,
-    /// Acquisition-policy label for the per-policy report section
-    /// (`"tas"`, `"mcs"`, …; empty when not applicable).
-    policy: &'static str,
-}
-
-fn meta_table() -> &'static Mutex<Vec<LockMeta>> {
-    static META: OnceLock<Mutex<Vec<LockMeta>>> = OnceLock::new();
-    META.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Register a lock, returning its id. Prefer [`LockTag`] from lock
-/// implementations; this is the raw entry point for one-off sites.
-///
-/// Registration dedupes on `(name, class, policy)`: every instance of a
-/// per-object lock (each task's `"task.lock"`, each map's
-/// `"vm_map.lock"`) shares one id and one set of counters. That is what
-/// makes the report aggregate per lock *name* — and what keeps the
-/// fixed [`MAX_LOCKS`] slab from being exhausted by object churn.
-pub fn register(name: &'static str, class: LockClass, policy: &'static str) -> u32 {
-    let mut meta = meta_table().lock().unwrap();
-    if let Some(m) = meta
-        .iter()
-        .find(|m| m.name == name && m.class == class && m.policy == policy)
-    {
-        return m.id;
-    }
-    // relaxed: id uniqueness comes from fetch_add atomicity; the
-    // meta-table mutex held here orders everything else.
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-    meta.push(LockMeta {
-        id,
-        name,
-        class,
-        policy,
-    });
-    id
-}
-
 /// The counter slab entry for `id` (slot 0 is the shared overflow /
 /// unregistered bucket).
 #[inline]
@@ -163,79 +86,7 @@ pub fn entry(id: u32) -> &'static LockEntry {
     }
 }
 
-/// A lazily-registered lock identity, embeddable in `const` contexts.
-///
-/// The id is assigned on the first [`LockTag::ensure`] call; a
-/// `REGISTERING` sentinel makes racing first calls converge on one id.
-pub struct LockTag {
-    id: AtomicU32,
-}
-
-const REGISTERING: u32 = u32::MAX;
-
-impl LockTag {
-    /// An unregistered tag.
-    pub const fn new() -> LockTag {
-        LockTag {
-            id: AtomicU32::new(0),
-        }
-    }
-
-    /// The registry id, registering `name` on first use.
-    #[inline]
-    pub fn ensure(&self, name: &'static str, class: LockClass, policy: &'static str) -> u32 {
-        // relaxed: the id is a plain table index; lookups that
-        // dereference it go through the meta-table mutex, which
-        // supplies the ordering.
-        let id = self.id.load(Ordering::Relaxed);
-        if id != 0 && id != REGISTERING {
-            return id;
-        }
-        self.ensure_slow(name, class, policy)
-    }
-
-    #[cold]
-    fn ensure_slow(&self, name: &'static str, class: LockClass, policy: &'static str) -> u32 {
-        match self
-            .id
-            // relaxed: only elects the registering thread; the meta
-            // is published by `register`'s mutex + the Release store.
-            .compare_exchange(0, REGISTERING, Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => {
-                let id = register(name, class, policy);
-                self.id.store(id, Ordering::Release);
-                id
-            }
-            Err(_) => {
-                // Another thread is registering (or has registered);
-                // wait out the sentinel.
-                loop {
-                    let id = self.id.load(Ordering::Acquire);
-                    if id != REGISTERING && id != 0 {
-                        return id;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-
-    /// The id, if already registered.
-    pub fn get(&self) -> Option<u32> {
-        // relaxed: plain index read, as in `ensure`.
-        let id = self.id.load(Ordering::Relaxed);
-        (id != 0 && id != REGISTERING).then_some(id)
-    }
-}
-
-impl Default for LockTag {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---- record helpers (the functions trace hooks call) ----
+// ---- record helpers (the functions the stats subscriber calls) ----
 
 /// Record a blocking acquisition: wait time and whether it contended.
 #[inline]
@@ -248,6 +99,14 @@ pub fn record_acquire(id: u32, wait_ns: u64, contended: bool) {
         e.contended.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
     }
     e.wait.record(wait_ns);
+}
+
+/// Record an accepted message-ring push: an acquisition without a
+/// wait sample.
+#[inline]
+pub fn record_push(id: u32) {
+    // relaxed: monotone stats counter.
+    entry(id).acquires.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record a release with the observed hold time.
@@ -263,31 +122,16 @@ pub fn record_try_failure(id: u32) {
     entry(id).try_failures.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
 }
 
-/// Complex-lock operations for [`record_complex`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ComplexOp {
-    /// Read acquisition.
-    Read,
-    /// Write acquisition.
-    Write,
-    /// Upgrade that succeeded.
-    UpgradeOk,
-    /// Upgrade that failed (read lock released).
-    UpgradeFailed,
-    /// Write→read downgrade.
-    Downgrade,
-}
-
-/// Record a complex-lock operation. `wait_ns` counts toward the wait
-/// histogram for read/write/upgrade-ok; `contended` says whether the
-/// acquisition actually waited for another holder (the trace hook
-/// knows; elapsed time alone cannot distinguish a slow clock read
-/// from a real wait).
+/// Record a complex-lock event (`ComplexRead`, `ComplexWrite`,
+/// `ComplexUpgradeOk`, `ComplexUpgradeFail`, `ComplexDowngrade`; other
+/// kinds are ignored). `wait_ns` counts toward the wait histogram for
+/// read/write/upgrade-ok; `contended` says whether the acquisition
+/// actually waited for another holder.
 #[inline]
-pub fn record_complex(id: u32, op: ComplexOp, wait_ns: u64, contended: bool) {
+pub fn record_complex(id: u32, kind: EventKind, wait_ns: u64, contended: bool) {
     let e = entry(id);
-    match op {
-        ComplexOp::Read => {
+    match kind {
+        EventKind::ComplexRead => {
             e.reads.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             e.acquires.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             if contended {
@@ -295,7 +139,7 @@ pub fn record_complex(id: u32, op: ComplexOp, wait_ns: u64, contended: bool) {
             }
             e.wait.record(wait_ns);
         }
-        ComplexOp::Write => {
+        EventKind::ComplexWrite => {
             e.writes.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             e.acquires.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             if contended {
@@ -303,70 +147,33 @@ pub fn record_complex(id: u32, op: ComplexOp, wait_ns: u64, contended: bool) {
             }
             e.wait.record(wait_ns);
         }
-        ComplexOp::UpgradeOk => {
+        EventKind::ComplexUpgradeOk => {
             e.upgrades_ok.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             e.wait.record(wait_ns);
         }
-        ComplexOp::UpgradeFailed => {
+        EventKind::ComplexUpgradeFail => {
             e.upgrades_failed.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
         }
-        ComplexOp::Downgrade => {
+        EventKind::ComplexDowngrade => {
             e.downgrades.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
         }
+        _ => {}
     }
 }
 
-/// Reference-count operations for [`record_ref`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RefOp {
-    /// Reference taken.
-    Take,
-    /// Reference released.
-    Release,
-    /// Drain-to-exact slow path ran.
-    Drain,
-}
-
-/// Record reference-count traffic.
+/// Record reference-count traffic (`RefTake`; `RefRelease` and
+/// `RefFinal` count as releases; `RefDrain`).
 #[inline]
-pub fn record_ref(id: u32, op: RefOp) {
+pub fn record_ref(id: u32, kind: EventKind) {
     let e = entry(id);
-    // relaxed: monotone stats counters.
-    match op {
-        RefOp::Take => e.ref_takes.fetch_add(1, Ordering::Relaxed),
-        RefOp::Release => e.ref_releases.fetch_add(1, Ordering::Relaxed),
-        RefOp::Drain => e.ref_drains.fetch_add(1, Ordering::Relaxed),
+    let counter = match kind {
+        EventKind::RefTake => &e.ref_takes,
+        EventKind::RefRelease | EventKind::RefFinal => &e.ref_releases,
+        EventKind::RefDrain => &e.ref_drains,
+        _ => return,
     };
-}
-
-/// Message-ring operations for [`record_ring`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RingOp {
-    /// Push accepted.
-    Push,
-    /// Pop / batch drain (trace-ring only; no registry counter).
-    Pop,
-    /// Push refused at the logical limit (§3 backpressure).
-    Full,
-}
-
-/// Record message-ring traffic against a registered ring name:
-/// accepted pushes count as acquisitions, limit rejections as try
-/// failures (the ring's analogue of a failed `simple_lock_try`), so
-/// per-ring backpressure shows up in the ordinary contention columns.
-#[inline]
-pub fn record_ring(id: u32, op: RingOp) {
-    let e = entry(id);
-    // relaxed: monotone stats counters.
-    match op {
-        RingOp::Push => {
-            e.acquires.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-        }
-        RingOp::Pop => {}
-        RingOp::Full => {
-            e.try_failures.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-        }
-    }
+    // relaxed: monotone stats counter.
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 // ---- snapshotting for reports ----
@@ -423,8 +230,8 @@ impl LockReport {
 
 /// Snapshot every registered lock's counters.
 pub fn snapshot() -> Vec<LockReport> {
-    let meta: Vec<LockMeta> = meta_table().lock().unwrap().clone();
-    meta.iter()
+    probe::names()
+        .into_iter()
         .map(|m| {
             let e = entry(m.id);
             LockReport {
@@ -450,57 +257,10 @@ pub fn snapshot() -> Vec<LockReport> {
         .collect()
 }
 
-/// Resolve an id to its registered class ([`LockClass::Other`] for
-/// unregistered ids) — flame rollups group by it.
-pub fn class_of(id: u32) -> LockClass {
-    meta_table()
-        .lock()
-        .unwrap()
-        .iter()
-        .find(|m| m.id == id)
-        .map(|m| m.class)
-        .unwrap_or(LockClass::Other)
-}
-
-/// Resolve an id to its registered name (reports, cycle rendering).
-pub fn name_of(id: u32) -> &'static str {
-    meta_table()
-        .lock()
-        .unwrap()
-        .iter()
-        .find(|m| m.id == id)
-        .map(|m| m.name)
-        .unwrap_or("<unregistered>")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn register_assigns_distinct_ids_and_names() {
-        let a = register("test.registry.a", LockClass::Simple, "tas");
-        let b = register("test.registry.b", LockClass::Complex, "");
-        assert_ne!(a, b);
-        assert_eq!(name_of(a), "test.registry.a");
-        assert_eq!(name_of(b), "test.registry.b");
-        assert_eq!(name_of(u32::MAX - 1), "<unregistered>");
-    }
-
-    #[test]
-    fn tag_registers_once_across_threads() {
-        static TAG: LockTag = LockTag::new();
-        let ids: Vec<u32> = std::thread::scope(|s| {
-            (0..8)
-                .map(|_| s.spawn(|| TAG.ensure("test.registry.tag", LockClass::Simple, "mcs")))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert!(ids.windows(2).all(|w| w[0] == w[1]), "one id for all: {ids:?}");
-        assert_eq!(TAG.get(), Some(ids[0]));
-    }
+    use machk_sync::probe::register;
 
     #[test]
     fn counters_accumulate_and_snapshot() {
@@ -524,14 +284,14 @@ mod tests {
     #[test]
     fn complex_and_ref_breakdowns() {
         let id = register("test.registry.cx", LockClass::Complex, "");
-        record_complex(id, ComplexOp::Read, 0, false);
-        record_complex(id, ComplexOp::Write, 10, true);
-        record_complex(id, ComplexOp::UpgradeOk, 5, false);
-        record_complex(id, ComplexOp::UpgradeFailed, 0, false);
-        record_complex(id, ComplexOp::Downgrade, 0, false);
-        record_ref(id, RefOp::Take);
-        record_ref(id, RefOp::Release);
-        record_ref(id, RefOp::Drain);
+        record_complex(id, EventKind::ComplexRead, 0, false);
+        record_complex(id, EventKind::ComplexWrite, 10, true);
+        record_complex(id, EventKind::ComplexUpgradeOk, 5, false);
+        record_complex(id, EventKind::ComplexUpgradeFail, 0, false);
+        record_complex(id, EventKind::ComplexDowngrade, 0, false);
+        record_ref(id, EventKind::RefTake);
+        record_ref(id, EventKind::RefFinal);
+        record_ref(id, EventKind::RefDrain);
         let rep = snapshot().into_iter().find(|r| r.id == id).unwrap();
         assert_eq!(
             (rep.reads, rep.writes, rep.upgrades_ok, rep.upgrades_failed, rep.downgrades),

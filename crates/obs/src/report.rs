@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 
 use crate::hist::{fmt_ns, HistSnapshot};
 use crate::order;
-use crate::registry::{self, LockClass, LockReport};
+use machk_sync::probe::{self, LockClass};
+
+use crate::registry::{self, LockReport};
 use crate::ring;
 
 /// A frozen, plain-data lockstat capture.
@@ -210,8 +212,8 @@ impl Lockstat {
         for (a, b, n) in self.edges.iter().take(top) {
             out.push_str(&format!(
                 "  {} -> {}  ({} acquisition pair(s))\n",
-                registry::name_of(*a),
-                registry::name_of(*b),
+                probe::name_of(*a),
+                probe::name_of(*b),
                 n
             ));
         }
@@ -265,15 +267,15 @@ impl Lockstat {
         for (i, (a, b, n)) in self.edges.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"from\": {}, \"to\": {}, \"count\": {}}}{}\n",
-                json_string(registry::name_of(*a)),
-                json_string(registry::name_of(*b)),
+                json_string(probe::name_of(*a)),
+                json_string(probe::name_of(*b)),
                 n,
                 if i + 1 == self.edges.len() { "" } else { "," },
             ));
         }
         out.push_str("  ],\n  \"cycles\": [\n");
         for (i, c) in self.cycles.iter().enumerate() {
-            let names: Vec<String> = c.iter().map(|&id| json_string(registry::name_of(id))).collect();
+            let names: Vec<String> = c.iter().map(|&id| json_string(probe::name_of(id))).collect();
             out.push_str(&format!(
                 "    [{}]{}\n",
                 names.join(", "),
@@ -311,7 +313,8 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{record_acquire, record_hold, register};
+    use crate::registry::{record_acquire, record_hold};
+    use machk_sync::probe::register;
 
     #[test]
     fn collect_and_render_include_registered_locks() {

@@ -13,17 +13,39 @@
 //! validates with an acquire fence between the data loads and the
 //! sequence re-check.
 
-use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::event::TraceEvent;
+use machk_sync::probe::{EventKind, TraceEvent};
 
 /// Events per ring. Power of two; at ~1 event per traced lock
 /// operation this holds the most recent few thousand operations per
 /// thread, which is what a post-run report wants (totals live in the
 /// registry, not the ring).
 pub const RING_CAPACITY: usize = 4096;
+
+/// Pack an event into four words for atomic slot storage. Word 1:
+/// bits 0–31 lock id, bits 32–39 kind, bits 40–47 flags.
+fn pack(ev: &TraceEvent) -> [u64; 4] {
+    [
+        ev.ts_ns,
+        (u64::from(ev.flags) << 40) | (u64::from(ev.kind as u8) << 32) | u64::from(ev.lock_id),
+        u64::from(ev.thread),
+        ev.arg,
+    ]
+}
+
+/// Inverse of [`pack`].
+fn unpack(w: [u64; 4]) -> TraceEvent {
+    TraceEvent {
+        ts_ns: w[0],
+        kind: EventKind::from_u8((w[1] >> 32) as u8),
+        lock_id: w[1] as u32,
+        thread: w[2] as u32,
+        arg: w[3],
+        flags: (w[1] >> 40) as u8,
+    }
+}
 
 /// One slot: a sequence word and the packed event.
 ///
@@ -102,7 +124,7 @@ impl TraceRing {
         // reject any slot whose seq moved or is odd.
         slot.seq.store(2 * generation + 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        let w = ev.pack();
+        let w = pack(ev);
         for (dst, src) in slot.words.iter().zip(w) {
             // relaxed: guarded by the seq protocol above.
             dst.store(src, Ordering::Relaxed);
@@ -137,7 +159,7 @@ impl TraceRing {
                 // relaxed: ordered by the Acquire fence just above.
                 let s2 = slot.seq.load(Ordering::Relaxed);
                 if s1 == s2 {
-                    out.push(TraceEvent::unpack(w));
+                    out.push(unpack(w));
                     break;
                 }
                 // The owner lapped us mid-copy; retry with the newer
@@ -160,27 +182,18 @@ fn all_rings() -> &'static Mutex<Vec<Arc<TraceRing>>> {
 
 thread_local! {
     static MY_RING: Arc<TraceRing> = {
-        let ring = Arc::new(TraceRing::new(crate::thread_tag()));
+        let ring = Arc::new(TraceRing::new(machk_sync::probe::thread_tag()));
         all_rings().lock().unwrap().push(Arc::clone(&ring));
         ring
     };
-    /// Reentrancy latch: registering a ring takes a mutex, which is a
-    /// lock acquisition that could itself be traced. Drop events
-    /// emitted while the ring is being set up.
-    static IN_SETUP: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Record `ev` in the calling thread's ring.
+/// Record `ev` in the calling thread's ring. (Events emitted while the
+/// ring is being set up cannot recurse here: the probe dispatcher's
+/// per-thread latch drops them.)
 #[inline]
 pub fn push(ev: TraceEvent) {
-    IN_SETUP.with(|flag| {
-        if flag.get() {
-            return;
-        }
-        flag.set(true);
-        MY_RING.with(|r| r.push_owned(&ev));
-        flag.set(false);
-    });
+    MY_RING.with(|r| r.push_owned(&ev));
 }
 
 /// Snapshot of every thread's ring, merged oldest-first.
@@ -205,7 +218,21 @@ pub fn totals() -> (u64, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+
+    #[test]
+    fn pack_roundtrips_every_kind_and_extreme_fields() {
+        for kind in EventKind::ALL {
+            let ev = TraceEvent {
+                ts_ns: u64::MAX - 1,
+                kind,
+                lock_id: u32::MAX,
+                thread: 42,
+                arg: u64::MAX - 7,
+                flags: 0x81,
+            };
+            assert_eq!(unpack(pack(&ev)), ev, "flags must not bleed into the id");
+        }
+    }
 
     fn ev(i: u64) -> TraceEvent {
         TraceEvent {

@@ -6,22 +6,21 @@
 //! process-forever, and the capacity arithmetic below assumes no other
 //! test shares the stream.
 
-use machk_obs::{registry, EventKind, LockClass, NdjsonSubscriber};
+use machk_obs::NdjsonSubscriber;
+use machk_sync::probe::{self, EventKind, LockClass};
 
 #[test]
 fn dispatcher_fed_exporter_drops_and_counts_past_capacity() {
-    machk_obs::set_auto_install(false);
-
     const CAPACITY: usize = 16;
     let (sub, buf) = NdjsonSubscriber::to_shared_vec(CAPACITY);
     let sub: &'static NdjsonSubscriber = Box::leak(Box::new(sub));
-    machk_obs::install_static(sub).expect("slot");
+    probe::install(sub).expect("slot");
 
     // Overflow the queue through the real emit path.
-    let id = registry::register("ndjson.probe", LockClass::Simple, "tas");
+    let id = probe::register("ndjson.probe", LockClass::Simple, "tas");
     let emits = (CAPACITY * 3) as u64;
     for i in 0..emits {
-        machk_obs::emit(EventKind::SimpleAcquire, id, i);
+        probe::event(EventKind::SimpleAcquire, id, i);
     }
 
     assert_eq!(sub.accepted(), CAPACITY as u64, "queue accepts exactly capacity");
@@ -44,7 +43,7 @@ fn dispatcher_fed_exporter_drops_and_counts_past_capacity() {
     }
 
     // The queue freed up: the stream resumes without further drops.
-    machk_obs::emit(EventKind::SimpleRelease, id, 7);
+    probe::event(EventKind::SimpleRelease, id, 7);
     assert_eq!(sub.drain().unwrap(), 1);
     assert_eq!(sub.dropped(), emits - CAPACITY as u64, "post-drain emit was dropped");
     assert_eq!(sub.accepted(), CAPACITY as u64 + 1);

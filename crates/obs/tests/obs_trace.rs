@@ -1,9 +1,7 @@
-//! End-to-end checks of the `obs` tracing hooks (only built with
-//! `--features obs`): named locks register, counters and histograms
-//! fill in, events land in the trace ring, and acquisition order feeds
-//! the deadlock-diagnostic graph.
-
-#![cfg(feature = "obs")]
+//! End-to-end checks of the simple-lock probes through the lockstat
+//! subscriber: named locks register, counters and histograms fill in,
+//! events land in the trace ring, and acquisition order feeds the
+//! deadlock-diagnostic graph.
 
 use machk_obs::EventKind;
 use machk_sync::{decl_simple_lock_data, simple_lock, simple_unlock, RawSimpleLock};
@@ -12,6 +10,7 @@ decl_simple_lock_data!(, OBS_TEST_LOCK);
 
 #[test]
 fn named_lock_reports_into_registry_and_ring() {
+    machk_obs::install_stats();
     static LOCK: RawSimpleLock = RawSimpleLock::named("obs_test.named");
     for _ in 0..10 {
         LOCK.lock().unlock();
@@ -40,6 +39,7 @@ fn named_lock_reports_into_registry_and_ring() {
 
 #[test]
 fn decl_macro_uses_identifier_as_name() {
+    machk_obs::install_stats();
     simple_lock(&OBS_TEST_LOCK);
     simple_unlock(&OBS_TEST_LOCK);
     assert!(machk_obs::registry::snapshot()
@@ -49,6 +49,7 @@ fn decl_macro_uses_identifier_as_name() {
 
 #[test]
 fn anonymous_locks_stay_unregistered() {
+    machk_obs::install_stats();
     // Compare by name, not by registry size: the other tests in this
     // binary register their named locks concurrently.
     let lock: RawSimpleLock = RawSimpleLock::new();
@@ -58,6 +59,7 @@ fn anonymous_locks_stay_unregistered() {
 
 #[test]
 fn nested_acquisitions_record_order_edges() {
+    machk_obs::install_stats();
     static OUTER: RawSimpleLock = RawSimpleLock::named("obs_test.outer");
     static INNER: RawSimpleLock = RawSimpleLock::named("obs_test.inner");
     {

@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use machk_obs::{EventKind, LockSubscriber, TraceEvent};
+use machk_sync::probe::{self, EventKind, Subscriber, TraceEvent};
 
 /// Records every `(kind, lock_id, arg)` it is handed.
 struct Recorder {
@@ -23,7 +23,7 @@ impl Recorder {
     }
 }
 
-impl LockSubscriber for Recorder {
+impl Subscriber for Recorder {
     fn name(&self) -> &'static str {
         "recorder"
     }
@@ -38,15 +38,10 @@ fn every_subscriber_sees_the_same_event_sequence() {
     static B: Recorder = Recorder::new();
     static C: Recorder = Recorder::new();
 
-    // Keep the stats subscriber out so the install set is exactly ours.
-    machk_obs::set_auto_install(false);
-    machk_obs::install_static(&A).expect("slot");
-    machk_obs::install_static(&B).expect("slot");
-    machk_obs::install_static(&C).expect("slot");
-    assert_eq!(
-        machk_obs::subscriber::subscriber_names(),
-        vec!["recorder"; 3]
-    );
+    probe::install(&A).expect("slot");
+    probe::install(&B).expect("slot");
+    probe::install(&C).expect("slot");
+    assert_eq!(probe::subscriber_names(), vec!["recorder"; 3]);
 
     let sequence: Vec<(EventKind, u32, u64)> = vec![
         (EventKind::SimpleAcquire, 1, 0),
@@ -59,7 +54,7 @@ fn every_subscriber_sees_the_same_event_sequence() {
         (EventKind::ComplexRelease, 2, 900),
     ];
     for &(kind, id, arg) in &sequence {
-        machk_obs::emit(kind, id, arg);
+        probe::event(kind, id, arg);
     }
 
     for rec in [&A, &B, &C] {
@@ -69,5 +64,5 @@ fn every_subscriber_sees_the_same_event_sequence() {
             "a subscriber saw a different event sequence"
         );
     }
-    assert_eq!(machk_obs::subscriber::reentrant_drops(), 0);
+    assert_eq!(probe::reentrant_drops(), 0);
 }

@@ -19,6 +19,7 @@
 use core::fmt;
 use core::sync::atomic::{AtomicBool, Ordering};
 
+use machk_sync::probe::{self, EventKind};
 use machk_sync::RawSimpleLock;
 
 use crate::LockedRefCount;
@@ -61,7 +62,7 @@ impl ObjHeader {
     }
 
     /// [`ObjHeader::new`] with a lockstat name for the object lock
-    /// (`"task.lock"`, `"ipc.port.lock"`): with the `obs` feature its
+    /// (`"task.lock"`, `"ipc.port.lock"`): with the `probe` feature its
     /// acquisitions and the object's deactivation report under `name`.
     /// Without the feature the name is ignored.
     pub const fn named(name: &'static str) -> Self {
@@ -119,8 +120,7 @@ impl ObjHeader {
         // relaxed: flag flips only under the header lock; the lock's
         // release publishes it to the next locker.
         if self.active.swap(false, Ordering::Relaxed) {
-            #[cfg(feature = "obs")]
-            machk_obs::emit(machk_obs::EventKind::Deactivate, self.lock.obs_id(), 0);
+            probe::event(EventKind::Deactivate, self.lock.probe_id(), 0);
             Ok(())
         } else {
             Err(Deactivated)
@@ -155,9 +155,9 @@ impl ObjHeader {
 }
 
 // A plain header is the lock (word + poison flag), the count and the
-// flag: 16 bytes in a release build without `obs`.
-#[cfg(all(not(debug_assertions), not(feature = "obs")))]
-const _: () = assert!(core::mem::size_of::<ObjHeader>() == 16);
+// flag: 16 bytes in a release build without probes.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<ObjHeader>() == 16);
 
 impl Default for ObjHeader {
     fn default() -> Self {

@@ -36,6 +36,7 @@
 use core::fmt;
 use core::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
+use machk_sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
 use machk_sync::RawSimpleLock;
 
 /// Number of count shards. Eight covers the span of per-object
@@ -101,11 +102,10 @@ pub struct ShardedRefCount {
     /// Serializes every slow path; held for the full drain, so a closed
     /// shard always means "the holder of this lock is reconciling".
     drain_lock: RawSimpleLock,
-    /// Lockstat registration (`obs` feature only).
-    #[cfg(feature = "obs")]
-    obs_tag: machk_obs::LockTag,
-    #[cfg(feature = "obs")]
-    obs_name: &'static str,
+    /// Probe identity (zero-sized without the `probe` feature).
+    /// Subscribers count `RefFinal` as a release, the destroy-now
+    /// transition being a release on top.
+    tag: Tag,
 }
 
 impl ShardedRefCount {
@@ -115,10 +115,10 @@ impl ShardedRefCount {
         Self::named("")
     }
 
-    /// A *named* count: with the `obs` feature, takes/releases/drains
-    /// report into the lockstat registry and trace rings under this
-    /// name. Without the feature the name is accepted and ignored;
-    /// anonymous counts are never traced.
+    /// A *named* count: with the `probe` feature, takes/releases/drains
+    /// report to probe subscribers (lockstat) under this name. Without
+    /// the feature the name is accepted and ignored; anonymous counts
+    /// are never traced.
     pub const fn named(name: &'static str) -> ShardedRefCount {
         Self::named_with_count(name, 1)
     }
@@ -137,16 +137,11 @@ impl ShardedRefCount {
     /// Named form of [`ShardedRefCount::new_with_count`].
     pub const fn named_with_count(name: &'static str, count: u32) -> ShardedRefCount {
         assert!(count >= 1, "a reference count starts with >= 1 reference");
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         ShardedRefCount {
             shards: [const { Shard(AtomicU32::new(0)) }; NSHARDS],
             base: AtomicU32::new(count),
             drain_lock: RawSimpleLock::new(),
-            #[cfg(feature = "obs")]
-            obs_tag: machk_obs::LockTag::new(),
-            #[cfg(feature = "obs")]
-            obs_name: name,
+            tag: Tag::new(name, LockClass::RefCount, "sharded"),
         }
     }
 
@@ -157,31 +152,6 @@ impl ShardedRefCount {
         // relaxed: pegging is permanent once set; a stale read only
         // delays observing immortality.
         self.base.load(Ordering::Relaxed) == PEGGED
-    }
-
-    /// Registry id: 0 for anonymous counts, else lazily registered.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_id(&self) -> u32 {
-        if self.obs_name.is_empty() {
-            0
-        } else {
-            self.obs_tag
-                .ensure(self.obs_name, machk_obs::LockClass::RefCount, "sharded")
-        }
-    }
-
-    /// Trace one refcount operation (take / release / drain / final):
-    /// emit the event; the counters live downstream in
-    /// `machk_obs::StatsSubscriber` (which counts `RefFinal` as a
-    /// release, the destroy-now transition being a release on top).
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_ref(&self, _op: machk_obs::RefOp, kind: machk_obs::EventKind, arg: u64) {
-        let id = self.obs_id();
-        if id != 0 {
-            machk_obs::emit(kind, id, arg);
-        }
     }
 
     /// Acquire an additional reference. Never blocks on other takers or
@@ -197,8 +167,7 @@ impl ShardedRefCount {
     pub fn take(&self) {
         // Fault hook: divert to the serialized slow path, perturbing
         // the base/shard distribution the drain must reconcile.
-        #[cfg(feature = "fault")]
-        if machk_fault::fire(machk_fault::FaultSite::RefTakeSlow) {
+        if probe::fire(FaultSite::RefTakeSlow) {
             return self.take_slow();
         }
         let shard = &self.shards[shard_index()].0;
@@ -218,8 +187,7 @@ impl ShardedRefCount {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    #[cfg(feature = "obs")]
-                    self.obs_ref(machk_obs::RefOp::Take, machk_obs::EventKind::RefTake, 0);
+                    self.tag.event(EventKind::RefTake, 0);
                     return;
                 }
                 Err(v) => seen = v,
@@ -237,8 +205,7 @@ impl ShardedRefCount {
         // Saturating: `MAX - 1` pegs, `MAX` (already pegged) stays put.
         // relaxed: still under the drain lock.
         self.base.store(base.saturating_add(1), Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        self.obs_ref(machk_obs::RefOp::Take, machk_obs::EventKind::RefTake, 1);
+        self.tag.event(EventKind::RefTake, 1);
     }
 
     /// Release one reference. Returns `true` iff this was the final
@@ -248,8 +215,7 @@ impl ShardedRefCount {
     pub fn release(&self) -> bool {
         // Fault hook: divert to the slow path, forcing extra
         // drain-to-exact passes.
-        #[cfg(feature = "fault")]
-        if machk_fault::fire(machk_fault::FaultSite::RefReleaseSlow) {
+        if probe::fire(FaultSite::RefReleaseSlow) {
             return self.release_slow();
         }
         let shard = &self.shards[shard_index()].0;
@@ -264,8 +230,7 @@ impl ShardedRefCount {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    #[cfg(feature = "obs")]
-                    self.obs_ref(machk_obs::RefOp::Release, machk_obs::EventKind::RefRelease, 0);
+                    self.tag.event(EventKind::RefRelease, 0);
                     return false;
                 }
                 Err(v) => seen = v,
@@ -290,8 +255,7 @@ impl ShardedRefCount {
             // final.
             // relaxed: still under the drain lock.
             self.base.store(base - 1, Ordering::Relaxed);
-            #[cfg(feature = "obs")]
-            self.obs_ref(machk_obs::RefOp::Release, machk_obs::EventKind::RefRelease, 0);
+            self.tag.event(EventKind::RefRelease, 0);
             return false;
         }
         // base == 1: releasing the last *known-exact* reference. Drain to
@@ -318,19 +282,9 @@ impl ShardedRefCount {
         for s in &self.shards {
             s.0.store(0, Ordering::Release);
         }
-        #[cfg(feature = "obs")]
-        {
-            self.obs_ref(machk_obs::RefOp::Drain, machk_obs::EventKind::RefDrain, outstanding);
-            self.obs_ref(
-                machk_obs::RefOp::Release,
-                if final_release {
-                    machk_obs::EventKind::RefFinal
-                } else {
-                    machk_obs::EventKind::RefRelease
-                },
-                0,
-            );
-        }
+        self.tag.event(EventKind::RefDrain, outstanding);
+        let kind = if final_release { EventKind::RefFinal } else { EventKind::RefRelease };
+        self.tag.event(kind, 0);
         final_release
     }
 
@@ -431,8 +385,7 @@ impl ShardedRefCount {
         for s in &self.shards {
             s.0.store(0, Ordering::Release);
         }
-        #[cfg(feature = "obs")]
-        self.obs_ref(machk_obs::RefOp::Drain, machk_obs::EventKind::RefDrain, outstanding);
+        self.tag.event(EventKind::RefDrain, outstanding);
         CrashReconciliation {
             before,
             released: leaked,
@@ -485,6 +438,11 @@ pub struct CrashReconciliation {
     /// The count was saturated/immortal; nothing was released.
     pub pegged: bool,
 }
+
+// Release layout without probes: eight 128-byte shards, then base and
+// the drain lock padded to the shards' alignment.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<ShardedRefCount>() == 1152);
 
 impl Default for ShardedRefCount {
     fn default() -> Self {

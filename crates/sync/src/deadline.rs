@@ -15,7 +15,7 @@
 //! deterministic `(scheduler seed, thread id)` stream under `machk-sim`).
 //! It is deliberately *not* the `machk-fault` decision PRNG: recovery
 //! must work (and stay uncorrelated across threads) in builds with no
-//! fault feature at all, and fault-decision streams must not be
+//! probes at all, and fault-decision streams must not be
 //! perturbed by how often a waiter backs off.
 
 use core::fmt;

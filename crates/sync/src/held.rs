@@ -74,13 +74,11 @@ pub(crate) fn on_release() {
     });
 }
 
-// NOTE: with the `obs` feature the same layer also answers "in what
-// order does the kernel acquire its lock classes?" — but since the
-// subscriber refactor that lives downstream of the event stream: the
-// lock hooks emit acquire/release events and
-// `machk_obs::StatsSubscriber` feeds the order graph
-// (`machk_obs::order`), synchronously on the acquiring thread, so the
-// per-thread held stack semantics are unchanged.
+// NOTE: "in what order does the kernel acquire its lock classes?" is
+// answered downstream of the probe events: the lock hooks emit
+// acquire/release events and `machk_obs::StatsSubscriber` feeds its
+// order graph synchronously on the acquiring thread, so its per-thread
+// held stack sees each thread's acquisitions in program order.
 
 /// A small nonzero tag identifying the current thread, used by the
 /// debug-only holder field of [`crate::RawSimpleLock`].

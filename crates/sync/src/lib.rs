@@ -46,7 +46,7 @@
 //! `P` (default [`TasThenTtas`]) is chosen at compile time and the lock
 //! stores only the state `P` needs. A default lock in a release build is
 //! the lock word plus a poison flag; debug builds add the holder's
-//! thread tag, and the `obs` feature adds its lockstat registration.
+//! thread tag, and the `probe` feature adds its probe [`probe::Tag`].
 //! Every kernel, IPC and VM lock takes the default; experiments name
 //! other policies as `RawSimpleLock::<Mcs>::new()`. The trait is sealed,
 //! so the set of policies is the one documented here.
@@ -78,15 +78,18 @@
 //!   level (section 7); the `machk-intr` crate enforces this for code running
 //!   on its simulated CPUs.
 //!
-//! ## Observability (`obs` feature)
+//! ## Probes (`probe` feature)
 //!
-//! With the `obs` feature, every *named* lock (declared via
-//! [`decl_simple_lock_data!`] or [`RawSimpleLock::named`]) reports into
-//! the `machk-obs` lockstat layer: acquisitions and contention counts,
-//! wait/hold-time histograms, per-thread trace-ring events, and
-//! lock-order edges for deadlock diagnostics. The feature is strictly
-//! opt-in: the default build does not depend on `machk-obs` at all, so
-//! the fast paths measured by E1/E5 are bit-for-bit unaffected.
+//! The [`probe`] module is the stack's one instrumentation surface.
+//! Every *named* lock (declared via [`decl_simple_lock_data!`] or
+//! [`RawSimpleLock::named`]) emits acquire, release and try-failure
+//! events, and the fault-injection sites ask [`probe::fire`]. The
+//! consumers are subscribers installed at run time: `machk-obs`
+//! (lockstat: counters, wait/hold histograms, trace rings, the
+//! lock-order graph) and `machk-fault` (seeded fault plans). Both
+//! depend on this crate; this crate depends on neither. Without the
+//! feature every hook compiles to nothing, so the fast paths measured
+//! by E1/E5 are the untraced code.
 //!
 //! ## Uniprocessor compile-out
 //!
@@ -105,6 +108,7 @@ pub mod deadline;
 pub mod held;
 pub mod host;
 pub mod policy;
+pub mod probe;
 pub mod queued;
 pub mod raw;
 pub mod ring;

@@ -15,30 +15,8 @@ use crate::deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
 use crate::held;
 use crate::host;
 use crate::policy::{self, Backoff, SpinPolicy, TasThenTtas, WithBackoff, WordPolicy};
+use crate::probe::{self, EventKind, FaultSite, LockClass, Tag};
 use crate::queued::{Mcs, Ticket};
-
-/// Observability state carried per lock under the `obs` feature: the
-/// registry tag (lazily resolved from `name` on first acquisition) and
-/// the timestamp of the current acquisition, for hold times. Anonymous
-/// locks (`name == ""`) are never registered and never traced — only
-/// locks declared with a name appear in lockstat reports.
-#[cfg(feature = "obs")]
-struct ObsState {
-    name: &'static str,
-    tag: machk_obs::LockTag,
-    acquired_at: core::sync::atomic::AtomicU64,
-}
-
-#[cfg(feature = "obs")]
-impl ObsState {
-    const fn new(name: &'static str) -> ObsState {
-        ObsState {
-            name,
-            tag: machk_obs::LockTag::new(),
-            acquired_at: core::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
 
 /// A Mach simple lock: a spinning, non-blocking mutual exclusion lock.
 ///
@@ -94,9 +72,8 @@ pub struct RawSimpleLock<P: SpinPolicy = TasThenTtas> {
     /// Debug-only: `ThreadId` hash of the holder, to catch self-deadlock.
     #[cfg(debug_assertions)]
     holder: AtomicU32,
-    /// Lockstat registration and hold-time state (`obs` feature only).
-    #[cfg(feature = "obs")]
-    obs: ObsState,
+    /// Probe identity (zero-sized without the `probe` feature).
+    tag: Tag,
 }
 
 impl<P: SpinPolicy> RawSimpleLock<P> {
@@ -109,25 +86,23 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
 
     /// Create an unlocked, *named* simple lock.
     ///
-    /// The name identifies the lock in `machk-obs` lockstat reports
-    /// (`"vm_object.lock"` rather than an address); without the `obs`
-    /// feature it is accepted and ignored, so declarations need no
-    /// `cfg`. Anonymous locks ([`RawSimpleLock::new`]) are never traced.
+    /// The name identifies the lock to probe subscribers — lockstat
+    /// reports say `"vm_object.lock"` rather than an address. Without
+    /// the `probe` feature it is accepted and ignored, so declarations
+    /// need no `cfg`. Anonymous locks ([`RawSimpleLock::new`]) are
+    /// never traced.
     pub const fn named(name: &'static str) -> Self {
         Self::build(name, P::INIT)
     }
 
     const fn build(name: &'static str, policy: P) -> Self {
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         RawSimpleLock {
             word: AtomicU32::new(policy::UNLOCKED),
             policy,
             poisoned: AtomicBool::new(false),
             #[cfg(debug_assertions)]
             holder: AtomicU32::new(0),
-            #[cfg(feature = "obs")]
-            obs: ObsState::new(name),
+            tag: Tag::new(name, LockClass::Simple, P::NAME),
         }
     }
 
@@ -167,15 +142,9 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
     #[inline]
     pub fn lock_raw(&self) {
         self.debug_check_not_holder();
-        #[cfg(not(feature = "obs"))]
-        self.policy.acquire(&self.word);
-        #[cfg(feature = "obs")]
-        {
-            let id = self.obs_id();
-            let t0 = machk_obs::now_ns();
-            let contended = self.policy.acquire(&self.word);
-            self.obs_acquired(id, t0, contended);
-        }
+        let t0 = self.tag.start();
+        let contended = self.policy.acquire(&self.word);
+        self.tag.acquired(EventKind::SimpleAcquire, t0, contended);
         self.debug_set_holder();
         held::on_acquire();
     }
@@ -271,18 +240,14 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
     pub fn unlock_raw(&self) {
         // Fault hook: stretch the hold window by a jittered spin before
         // the word is actually cleared (the lock is still ours here).
-        #[cfg(feature = "fault")]
-        if let Some(spins) =
-            machk_fault::fire_jitter(machk_fault::FaultSite::SimpleReleaseDelay, 4096)
-        {
+        if let Some(spins) = probe::jitter(FaultSite::SimpleReleaseDelay, 4096) {
             host::spin_batch(spins);
         }
         self.debug_clear_holder();
         held::on_release();
         // Hold time must be read while the lock is still held, before
-        // the word release lets the next owner overwrite `acquired_at`.
-        #[cfg(feature = "obs")]
-        self.obs_released();
+        // the word release lets the next owner overwrite the stamp.
+        self.tag.released(EventKind::SimpleRelease);
         self.policy.release(&self.word);
     }
 
@@ -303,30 +268,16 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
     pub fn try_lock_raw(&self) -> bool {
         // Fault hook: force the attempt to fail without touching the
         // word (models a lost CAS / stale view); takes the ordinary
-        // failure path below so obs accounting stays truthful.
-        #[cfg(feature = "fault")]
-        let forced_fail = machk_fault::fire(machk_fault::FaultSite::SimpleTryFail);
-        #[cfg(not(feature = "fault"))]
-        let forced_fail = false;
-        let acquired = !forced_fail && self.policy.try_acquire(&self.word);
-        if acquired {
-            #[cfg(feature = "obs")]
-            {
-                let id = self.obs_id();
-                let t0 = machk_obs::now_ns();
-                self.obs_acquired(id, t0, false);
-            }
+        // failure path below so the trace stays truthful. The decision
+        // precedes every event of this attempt.
+        let forced_fail = probe::fire(FaultSite::SimpleTryFail);
+        if !forced_fail && self.policy.try_acquire(&self.word) {
+            self.tag.acquired(EventKind::SimpleAcquire, 0, false);
             self.debug_set_holder();
             held::on_acquire();
             true
         } else {
-            #[cfg(feature = "obs")]
-            {
-                let id = self.obs_id();
-                if id != 0 {
-                    machk_obs::emit(machk_obs::EventKind::SimpleTryFail, id, 0);
-                }
-            }
+            self.tag.event(EventKind::SimpleTryFail, 0);
             false
         }
     }
@@ -363,61 +314,13 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
         }
     }
 
-    /// Registry id for this lock: 0 for anonymous locks, otherwise the
-    /// lazily-registered id for its name. Lets a structure that embeds
-    /// the lock (an object header) name itself in its own events.
-    #[cfg(feature = "obs")]
+    /// Probe id of this lock: 0 for anonymous locks (and whenever no
+    /// subscriber listens), otherwise the lazily registered id of its
+    /// name. Lets a structure that embeds the lock (an object header)
+    /// name itself in its own events.
     #[inline]
-    pub fn obs_id(&self) -> u32 {
-        if self.obs.name.is_empty() {
-            0
-        } else {
-            self.obs
-                .tag
-                .ensure(self.obs.name, machk_obs::LockClass::Simple, P::NAME)
-        }
-    }
-
-    /// Post-acquisition tracing: emit the acquire event (with the
-    /// contended flag) into the subscriber dispatcher — counters,
-    /// histograms, and the lock-order graph all live downstream in
-    /// `machk_obs::StatsSubscriber` now.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_acquired(&self, id: u32, t0: u64, contended: bool) {
-        if id == 0 {
-            return;
-        }
-        let now = machk_obs::now_ns();
-        let wait = now.saturating_sub(t0);
-        // relaxed: timestamp read back only by this holder at release.
-        self.obs.acquired_at.store(now, Ordering::Relaxed);
-        if contended {
-            machk_obs::emit(machk_obs::EventKind::SimpleContended, id, wait);
-        }
-        machk_obs::emit_flags(
-            machk_obs::EventKind::SimpleAcquire,
-            id,
-            wait,
-            if contended {
-                machk_obs::FLAG_CONTENDED
-            } else {
-                0
-            },
-        );
-    }
-
-    /// Pre-release tracing: emit the release event with the measured
-    /// hold time. Must run while the lock is still held.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_released(&self) {
-        let Some(id) = self.obs.tag.get() else {
-            return;
-        };
-        // relaxed: written by this same holder at acquire time.
-        let hold = machk_obs::now_ns().saturating_sub(self.obs.acquired_at.load(Ordering::Relaxed));
-        machk_obs::emit(machk_obs::EventKind::SimpleRelease, id, hold);
+    pub fn probe_id(&self) -> u32 {
+        self.tag.id()
     }
 
     #[cfg(debug_assertions)]
@@ -491,6 +394,10 @@ impl RawSimpleLock<Mcs> {
         self.policy.waiters()
     }
 }
+
+// Release layout without probes: the word plus the poison flag.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<RawSimpleLock>() == 8);
 
 impl<P: SpinPolicy> Default for RawSimpleLock<P> {
     fn default() -> Self {
@@ -753,9 +660,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg(all(not(debug_assertions), not(feature = "obs")))]
+    #[cfg(not(debug_assertions))]
     fn default_lock_is_one_word() {
-        assert!(core::mem::size_of::<RawSimpleLock>() <= 8);
+        assert!(probe::ENABLED || core::mem::size_of::<RawSimpleLock>() <= 8);
         assert_eq!(core::mem::size_of::<TasThenTtas>(), 0);
     }
 }

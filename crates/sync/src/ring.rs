@@ -59,6 +59,7 @@ use core::ptr;
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use crate::host::{self, SpinSite};
+use crate::probe::{self, EventKind, LockClass, Tag};
 
 /// One ring slot: a sequence word (the slot's reuse generation) plus
 /// the payload cell it guards.
@@ -102,12 +103,15 @@ pub struct MpscRing<T> {
     limit: usize,
     enqueue_pos: AtomicUsize,
     dequeue_pos: AtomicUsize,
-    /// Registered trace name ("" = anonymous, untraced).
-    #[cfg(feature = "obs")]
-    obs_name: &'static str,
-    #[cfg(feature = "obs")]
-    obs_tag: machk_obs::LockTag,
+    /// Probe identity ("" = anonymous, untraced; zero-sized without
+    /// the `probe` feature).
+    tag: Tag,
 }
+
+// Release layout without probes: slot pointer, mask, limit and the
+// two positions.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<MpscRing<u64>>() == 40);
 
 // Safety: slots are transferred between threads with release/acquire
 // sequence handoffs; a slot's payload is touched only by the thread
@@ -122,48 +126,19 @@ impl<T> MpscRing<T> {
     }
 
     /// [`MpscRing::with_limit`] with a static trace name. With the
-    /// `obs` feature on, named rings emit `RingPush` / `RingPop` /
-    /// `RingFull` trace events (per-name aggregation, like every named
-    /// lock); anonymous rings stay untraced. Without the feature the
-    /// name is discarded at compile time.
+    /// `probe` feature on, named rings emit `RingPush` / `RingPop` /
+    /// `RingFull` events (per-name aggregation, like every named lock);
+    /// anonymous rings stay untraced. Without the feature the name is
+    /// discarded at compile time.
     pub fn with_limit_named(limit: usize, name: &'static str) -> MpscRing<T> {
         assert!(limit >= 1, "ring limit must be at least 1");
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         MpscRing {
             buf: AtomicPtr::new(ptr::null_mut()),
             mask: limit.next_power_of_two() - 1,
             limit,
             enqueue_pos: AtomicUsize::new(0),
             dequeue_pos: AtomicUsize::new(0),
-            #[cfg(feature = "obs")]
-            obs_name: name,
-            #[cfg(feature = "obs")]
-            obs_tag: machk_obs::LockTag::new(),
-        }
-    }
-
-    /// Registry id: 0 for anonymous rings, else lazily registered
-    /// under [`machk_obs::LockClass::Other`] with the `"ring"` policy
-    /// label.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_id(&self) -> u32 {
-        if self.obs_name.is_empty() {
-            0
-        } else {
-            self.obs_tag
-                .ensure(self.obs_name, machk_obs::LockClass::Other, "ring")
-        }
-    }
-
-    /// Emit one ring trace event (named rings only).
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_ring(&self, kind: machk_obs::EventKind, arg: u64) {
-        let id = self.obs_id();
-        if id != 0 {
-            machk_obs::emit(kind, id, arg);
+            tag: Tag::new(name, LockClass::Other, "ring"),
         }
     }
 
@@ -244,8 +219,7 @@ impl<T> MpscRing<T> {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed); // relaxed: CAS below re-validates the claim
         loop {
             if pos.wrapping_sub(self.dequeue_pos.load(Ordering::Acquire)) >= self.limit {
-                #[cfg(feature = "obs")]
-                self.obs_ring(machk_obs::EventKind::RingFull, self.limit as u64);
+                self.tag.event(EventKind::RingFull, self.limit as u64);
                 return Err(v);
             }
             let slot = &buf[pos & self.mask];
@@ -266,16 +240,16 @@ impl<T> MpscRing<T> {
                         // ownership of the slot for this lap.
                         unsafe { (*slot.val.get()).write(v) };
                         slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        #[cfg(feature = "obs")]
-                        self.obs_ring(machk_obs::EventKind::RingPush, self.len() as u64);
+                        if probe::ENABLED {
+                            self.tag.event(EventKind::RingPush, self.len() as u64);
+                        }
                         return Ok(());
                     }
                     Err(now) => pos = now,
                 }
             } else if dif < 0 {
                 // A whole lap behind: physically full.
-                #[cfg(feature = "obs")]
-                self.obs_ring(machk_obs::EventKind::RingFull, self.limit as u64);
+                self.tag.event(EventKind::RingFull, self.limit as u64);
                 return Err(v);
             } else {
                 // Another producer advanced the position under us.
@@ -290,9 +264,8 @@ impl<T> MpscRing<T> {
     /// Pop the oldest item, if any.
     pub fn pop(&self) -> Option<T> {
         let v = self.pop_inner();
-        #[cfg(feature = "obs")]
         if v.is_some() {
-            self.obs_ring(machk_obs::EventKind::RingPop, 1);
+            self.tag.event(EventKind::RingPop, 1);
         }
         v
     }
@@ -355,9 +328,8 @@ impl<T> MpscRing<T> {
                 None => break,
             }
         }
-        #[cfg(feature = "obs")]
         if n > 0 {
-            self.obs_ring(machk_obs::EventKind::RingPop, n as u64);
+            self.tag.event(EventKind::RingPop, n as u64);
         }
         n
     }

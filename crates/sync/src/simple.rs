@@ -72,8 +72,8 @@ pub fn simple_lock_try(lock: &RawSimpleLock) -> bool {
 /// ("one example of the use of this prefix is to declare a lock static").
 ///
 /// Locks declared through this macro are *named* after their
-/// identifier: with the `obs` feature enabled they register in the
-/// `machk-obs` lock registry on first acquisition, so lockstat reports
+/// identifier: with the `probe` feature they register in the probe
+/// name table on their first traced acquisition, so lockstat reports
 /// say `MASTER_LOCK`, not an address. Without the feature the name
 /// costs nothing.
 ///

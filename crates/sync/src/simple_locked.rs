@@ -55,8 +55,8 @@ impl<T> SimpleLocked<T> {
         }
     }
 
-    /// [`SimpleLocked::new`] with a lockstat name: with the `obs`
-    /// feature, acquisitions report under `name` in lock statistics.
+    /// [`SimpleLocked::new`] with a lockstat name: with the `probe`
+    /// feature, acquisitions report under `name` to probe subscribers.
     /// Without the feature the name is ignored.
     pub const fn named(name: &'static str, data: T) -> Self {
         SimpleLocked {

@@ -17,6 +17,10 @@ use mach_locking::vm::{
 };
 
 fn main() {
+    // With `--features probe`, count every lock operation from here on.
+    #[cfg(feature = "probe")]
+    machk_obs::install_stats();
+
     // ---- Part 1: parallel faults ------------------------------------------
     let pool = Arc::new(PagePool::new(128));
     let map = Arc::new(VmMap::new(Arc::clone(&pool)));
@@ -77,10 +81,10 @@ fn main() {
     );
     println!("parallel_vm done");
 
-    // With `--features obs`, end with the lockstat view of the run —
+    // With `--features probe`, end with the lockstat view of the run —
     // the vm_map lock's reader parallelism and the §7.1 write-lock
     // contention show up as numbers instead of anecdotes.
-    #[cfg(feature = "obs")]
+    #[cfg(feature = "probe")]
     {
         println!();
         print!("{}", machk_obs::Lockstat::collect().render_text(8, false));
