@@ -38,11 +38,11 @@ pub struct FaultPlan {
     /// [`crate::trace`]). Counters are always maintained.
     pub record_trace: bool,
     /// When set, only threads that declared a role with
-    /// `machk_sync::probe::set_role` take fault decisions; undeclared threads see
-    /// every hook answer `false`. This lets a chaos harness arm a plan
-    /// inside a larger test process without perturbing bystander
-    /// threads (whose blocking patterns may not tolerate, say, a
-    /// dropped wakeup).
+    /// `machk_sync::probe::set_role` take fault decisions; undeclared
+    /// threads see every hook answer `false`. This lets a chaos harness
+    /// arm a plan inside a larger test process without perturbing
+    /// bystander threads (whose blocking patterns may not tolerate,
+    /// say, a dropped wakeup).
     pub declared_only: bool,
     rates: [u16; FaultSite::COUNT],
 }

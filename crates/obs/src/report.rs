@@ -10,10 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::hist::{fmt_ns, HistSnapshot};
-use crate::order;
 use machk_sync::probe::{self, LockClass};
 
+use crate::hist::{fmt_ns, HistSnapshot};
+use crate::order;
 use crate::registry::{self, LockReport};
 use crate::ring;
 
