@@ -305,7 +305,11 @@ mod tests {
                 std::thread::yield_now();
             };
             assert!(!clear_wait(h, WaitResult::Interrupted));
-            // A normal wakeup still lands.
+            // A normal wakeup still lands. `is_waiting` turns true just
+            // before the wait is queued on its event: wait for the queue.
+            while waiters_on(ev) < 1 {
+                std::thread::yield_now();
+            }
             assert_eq!(thread_wakeup(ev), 1);
         });
     }

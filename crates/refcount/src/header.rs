@@ -115,6 +115,7 @@ impl ObjHeader {
     ///
     /// Returns `Err(Deactivated)` if it already was — terminators race,
     /// and exactly one must win.
+    #[inline]
     pub fn deactivate_locked(&self) -> Result<(), Deactivated> {
         self.lock.debug_assert_held();
         // relaxed: flag flips only under the header lock; the lock's

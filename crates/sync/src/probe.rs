@@ -475,6 +475,7 @@ fn decide(site: FaultSite) -> Option<u64> {
 /// subsystem decide up front whether to pay for recovery machinery:
 /// the IPC engine checkpoints worker state only when a worker could be
 /// killed.
+#[inline(always)]
 pub fn may_fire(site: FaultSite) -> bool {
     subscribers(subscriber_count()).any(|s| s.may_fire(site))
 }
@@ -483,6 +484,7 @@ pub fn may_fire(site: FaultSite) -> bool {
 /// decision stream from `(seed, role)`, so replayable threads declare a
 /// distinct, stable role before their first decision; re-declaring
 /// restarts the stream.
+#[inline(always)]
 pub fn set_role(role: u32) {
     if ENABLED {
         ROLE.with(|r| r.set(Some(role)));
