@@ -133,19 +133,11 @@ pub fn record_complex(id: u32, kind: EventKind, wait_ns: u64, contended: bool) {
     match kind {
         EventKind::ComplexRead => {
             e.reads.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-            e.acquires.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-            if contended {
-                e.contended.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-            }
-            e.wait.record(wait_ns);
+            record_acquire(id, wait_ns, contended);
         }
         EventKind::ComplexWrite => {
             e.writes.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-            e.acquires.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-            if contended {
-                e.contended.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-            }
-            e.wait.record(wait_ns);
+            record_acquire(id, wait_ns, contended);
         }
         EventKind::ComplexUpgradeOk => {
             e.upgrades_ok.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
