@@ -6,10 +6,29 @@
 //! declaration/occurrence pair atomic: a wakeup that takes the bucket lock
 //! after an insertion is guaranteed to see the waiter; one that takes it
 //! before cannot miss a waiter that has not yet declared itself.
+//!
+//! ## The no-waiter fast path (beyond the paper)
+//!
+//! Most occurrences have nobody waiting (every message a port queues
+//! declares one), so each bucket also keeps its entry count where a
+//! waker can read it without the lock, and a wakeup that reads 0 returns
+//! without locking. The count is stored under the lock; a `SeqCst` fence
+//! follows the store in `enqueue` and precedes the load in `wakeup`.
+//! A waiter re-checks its condition after `assert_wait` and a waker
+//! makes the condition true before declaring the occurrence, so in the
+//! single order of the two fences either the waiter's comes first, and
+//! the waker reads a count of at least 1 and takes the lock, or the
+//! waker's comes first, and the waiter's re-check sees the condition and
+//! does not block. Without the fences a store→load reordering (legal
+//! even on x86) lets both read the old values: the waker skips an entry
+//! that is there and the waiter sleeps through its occurrence. This is
+//! the same fence pair as `Port::after_enqueue` / `Port::destroy` in
+//! machk-ipc.
 
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use machk_sync::SimpleLocked;
+use machk_sync::{CachePadded, SimpleLocked};
 
 use crate::record::{WaitRecord, WaitResult};
 use crate::Event;
@@ -24,10 +43,36 @@ struct Waiter {
     record: Arc<WaitRecord>,
 }
 
-/// One wait queue.
-type Bucket = SimpleLocked<Vec<Waiter>>;
+/// One wait queue, on a cache line of its own so wakeups of unrelated
+/// events do not write a line another bucket's users read.
+struct Bucket {
+    waiters: SimpleLocked<Vec<Waiter>>,
+    /// `waiters.len()`, stored under the lock and read without it by
+    /// [`wakeup`]'s fast path (see the module docs).
+    len: AtomicUsize,
+}
 
-static TABLE: [Bucket; BUCKETS] = [const { SimpleLocked::new(Vec::new()) }; BUCKETS];
+impl Bucket {
+    /// Publish the entry count; the caller holds the bucket lock.
+    fn set_len(&self, len: usize) {
+        // relaxed: stores are serialized by the bucket lock, and the
+        // SeqCst fences in `enqueue` and `wakeup` order this store
+        // against the lock-free load.
+        self.len.store(len, Ordering::Relaxed);
+    }
+}
+
+// Release layout without probes: lock 8 + vector 24 + count 8, padded.
+#[cfg(not(debug_assertions))]
+const _: () =
+    assert!(machk_sync::probe::ENABLED || core::mem::size_of::<CachePadded<Bucket>>() == 64);
+
+static TABLE: [CachePadded<Bucket>; BUCKETS] = [const {
+    CachePadded::new(Bucket {
+        waiters: SimpleLocked::new(Vec::new()),
+        len: AtomicUsize::new(0),
+    })
+}; BUCKETS];
 
 #[inline]
 fn bucket_for(event: Event) -> &'static Bucket {
@@ -39,17 +84,24 @@ fn bucket_for(event: Event) -> &'static Bucket {
 /// Record that `record`'s wait `generation` is for `event`.
 ///
 /// Called by `assert_wait` *after* the record itself has been moved to the
-/// waiting state; the bucket lock closes the race with wakers.
+/// waiting state; the bucket lock closes the race with wakers that lock,
+/// and the fence after it closes the race with wakers that do not.
 pub(crate) fn enqueue(event: Event, generation: u64, record: &Arc<WaitRecord>) {
-    let mut bucket = bucket_for(event).lock();
+    let bucket = bucket_for(event);
+    let mut waiters = bucket.waiters.lock();
     // Lazily drop entries whose waits are long over (timed out or
     // clear_wait-ed) so stale entries cannot accumulate.
-    bucket.retain(|w| w.record.is_waiting_gen(w.generation));
-    bucket.push(Waiter {
+    waiters.retain(|w| w.record.is_waiting_gen(w.generation));
+    waiters.push(Waiter {
         event,
         generation,
         record: Arc::clone(record),
     });
+    bucket.set_len(waiters.len());
+    drop(waiters);
+    // Pairs with the fence in `wakeup`: the count store above is ordered
+    // before the caller's re-check of its wait condition.
+    fence(Ordering::SeqCst);
 }
 
 /// Declare the occurrence of `event`, waking matching waiters.
@@ -58,9 +110,17 @@ pub(crate) fn enqueue(event: Event, generation: u64, record: &Arc<WaitRecord>) {
 /// broadcast `thread_wakeup`, 1 for `thread_wakeup_one`). Returns the
 /// number of threads actually awakened.
 pub(crate) fn wakeup(event: Event, limit: usize, result: WaitResult) -> usize {
+    let bucket = bucket_for(event);
+    // Pairs with the fence in `enqueue`: the caller's store making the
+    // wait condition true is ordered before the count load below.
+    fence(Ordering::SeqCst);
+    // relaxed: ordered by the fence above; see the module docs.
+    if bucket.len.load(Ordering::Relaxed) == 0 {
+        return 0;
+    }
     let mut woken = 0usize;
-    let mut bucket = bucket_for(event).lock();
-    bucket.retain(|w| {
+    let mut waiters = bucket.waiters.lock();
+    waiters.retain(|w| {
         if woken >= limit || w.event != event {
             return true;
         }
@@ -71,12 +131,14 @@ pub(crate) fn wakeup(event: Event, limit: usize, result: WaitResult) -> usize {
         }
         false
     });
+    bucket.set_len(waiters.len());
     woken
 }
 
 /// Number of declared waiters for `event` (racy; tests/diagnostics only).
 pub(crate) fn waiter_count(event: Event) -> usize {
     bucket_for(event)
+        .waiters
         .lock()
         .iter()
         .filter(|w| w.event == event && w.record.is_waiting_gen(w.generation))
@@ -95,6 +157,20 @@ mod tests {
     fn wakeup_on_empty_event_wakes_nobody() {
         let ev = Event(0xdead_0001);
         assert_eq!(wakeup(ev, usize::MAX, WaitResult::Awakened), 0);
+    }
+
+    #[test]
+    fn wakeup_with_no_entry_skips_the_bucket_lock() {
+        // Find an event whose bucket no concurrent test is using, and
+        // hold its lock: a wakeup that took the lock would deadlock.
+        for raw in 0xdead_1000usize.. {
+            let ev = Event(raw);
+            let waiters = bucket_for(ev).waiters.lock();
+            if waiters.is_empty() {
+                assert_eq!(wakeup(ev, usize::MAX, WaitResult::Awakened), 0);
+                return;
+            }
+        }
     }
 
     #[test]

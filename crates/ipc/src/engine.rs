@@ -9,7 +9,9 @@
 //! * **lock-free message rings** inside every [`Port`] with batched
 //!   dequeue ([`Port::receive_batch`]),
 //! * the §10 five-step kernel RPC protocol ([`DispatchTable::msg_rpc`])
-//!   with its [`RpcStats`] reference ledger,
+//!   with its [`RpcStats`] reference ledger, one per worker on a cache
+//!   line of its own (and one for the teardown), so workers never
+//!   write a shared ledger line,
 //! * a [`ShardedRefCount`] object ledger audited by
 //!   `drain_audit` at the end of every storm.
 //!
@@ -112,8 +114,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use machk_core::sync::host;
 use machk_core::sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
+use machk_core::sync::{host, CachePadded};
 use machk_core::{Kobj, LockError, ObjRef, RawSimpleLock, ShardedRefCount};
 
 use crate::message::Message;
@@ -309,7 +311,8 @@ pub struct EngineReport {
     pub recovery_ns_max: u64,
     /// Order-insensitive checksum over every reply payload.
     pub digest: u64,
-    /// `RpcStats` translation ledger balanced at quiescence.
+    /// Every `RpcStats` translation ledger (one per worker, one for the
+    /// teardown) balanced at quiescence.
     pub rpc_balanced: bool,
     /// Object-ledger audit result (must be 1: only the creation
     /// reference outlives the storm, even after crash reconciliation).
@@ -424,7 +427,9 @@ struct Shared {
     cfg: EngineConfig,
     ns: Arc<PortNameSpace>,
     table: Arc<DispatchTable>,
-    stats: Arc<RpcStats>,
+    /// The §10 ledgers: one per worker index, shared by its
+    /// incarnations, then one for the teardown terminates.
+    stats: Box<[CachePadded<RpcStats>]>,
     server_port: ObjRef<Port>,
     transfer: ObjRef<Port>,
     stable: Arc<Vec<PortName>>,
@@ -538,7 +543,6 @@ pub struct Engine {
     cfg: EngineConfig,
     ns: Arc<PortNameSpace>,
     table: Arc<DispatchTable>,
-    stats: Arc<RpcStats>,
     ledger: Arc<ShardedRefCount>,
     server_port: ObjRef<Port>,
     transfer: ObjRef<Port>,
@@ -637,7 +641,6 @@ impl Engine {
             cfg,
             ns,
             table: Arc::new(table),
-            stats: Arc::new(RpcStats::new()),
             ledger,
             server_port,
             transfer,
@@ -720,6 +723,7 @@ impl Engine {
     /// (inherited through the checkpoint across restarts).
     fn worker_resume(shared: &Shared, index: usize, slot: &Mutex<Checkpoint>) -> WorkerTally {
         let cfg = &shared.cfg;
+        let stats = &shared.stats[index];
         let resume = slot.lock().unwrap().clone();
         let generation = resume.generation;
         // Each incarnation declares a fresh fault role: replaying the
@@ -779,7 +783,7 @@ impl Engine {
                         &port,
                         || Message::new(OP_PING).with_int(nonce),
                         cfg.semantics,
-                        &shared.stats,
+                        stats,
                         seq_key(index, generation, seq),
                         &shared.cache,
                         deadline,
@@ -803,7 +807,7 @@ impl Engine {
                     &shared.server_port,
                     || Message::new(OP_TASK_CREATE).with_int(id),
                     cfg.semantics,
-                    &shared.stats,
+                    stats,
                     seq_key(index, generation, seq),
                     &shared.cache,
                     deadline,
@@ -849,7 +853,7 @@ impl Engine {
                         &shared.server_port,
                         || Message::new(OP_TASK_TERMINATE).with_int(u64::from(name.0)),
                         cfg.semantics,
-                        &shared.stats,
+                        stats,
                         seq_key(index, generation, seq),
                         &shared.cache,
                         deadline,
@@ -868,7 +872,7 @@ impl Engine {
                                     &doomed,
                                     Message::new(OP_PING).with_int(1),
                                     cfg.semantics,
-                                    &shared.stats,
+                                    stats,
                                 )
                                 .expect_err("RPC at a destroyed port must fail");
                             t.rpcs += 1;
@@ -945,7 +949,7 @@ impl Engine {
                 &shared.server_port,
                 || Message::new(OP_TASK_TERMINATE).with_int(u64::from(name.0)),
                 cfg.semantics,
-                &shared.stats,
+                stats,
                 seq_key(index, generation, seq),
                 &shared.cache,
                 deadline,
@@ -1013,7 +1017,7 @@ impl Engine {
             cfg: self.cfg.clone(),
             ns: Arc::clone(&self.ns),
             table: Arc::clone(&self.table),
-            stats: Arc::clone(&self.stats),
+            stats: (0..=workers).map(|_| CachePadded::default()).collect(),
             server_port: self.server_port.clone(),
             transfer: self.transfer.clone(),
             stable: Arc::clone(&self.stable),
@@ -1148,7 +1152,7 @@ impl Engine {
                 &self.server_port,
                 || Message::new(OP_TASK_TERMINATE).with_int(u64::from(name.0)),
                 self.cfg.semantics,
-                &self.stats,
+                &shared.stats[workers],
                 seq_key(TEARDOWN_INDEX, 0, i as u64),
                 &shared.cache,
                 deadline,
@@ -1233,7 +1237,7 @@ impl Engine {
             recovery_ns_total,
             recovery_ns_max,
             digest: 0,
-            rpc_balanced: self.stats.balanced(),
+            rpc_balanced: shared.stats.iter().all(|s| s.balanced()),
             ledger_total: audit.total,
         };
         for t in tallies {

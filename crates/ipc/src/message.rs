@@ -9,11 +9,14 @@
 //!
 //! Every request and reply the kernel operations build carries at most
 //! two integers, so a body of up to two integers is stored inline in the
-//! message and a kernel RPC allocates nothing for its messages. The
-//! first element of any other kind (bytes, out-of-line data, a right)
-//! moves the body into a heap vector, keeping element order. The body
-//! stays 24 bytes, so `Message` stays 32: a port that has queued holds
-//! 64 ring slots of `Message`, and a larger message would grow each.
+//! message and a kernel RPC allocates nothing for its messages. A body
+//! that is one port right is inline too, so moving a right through a
+//! port allocates nothing either (and the receiving processor frees
+//! nothing the sending one allocated). Any other body (bytes,
+//! out-of-line data, a third integer, a right beside another element)
+//! lives in a heap vector, in element order. The body stays 24 bytes, so
+//! `Message` stays 32: a port that has queued holds 64 ring slots of
+//! `Message`, and a larger message would grow each.
 
 use machk_core::ObjRef;
 
@@ -53,18 +56,23 @@ pub struct Message {
     body: Body,
 }
 
-/// A message body. Up to two integers live inline, so the kernel RPCs
-/// (every request and reply carries at most two) never allocate; any
-/// other element moves the body to the heap, in element order. The
-/// `Vec`'s capacity niche holds the tag, so `Message` stays 32 bytes.
+/// A message body. Up to two integers, or one port right, live inline,
+/// so the kernel RPCs (every request and reply carries at most two
+/// integers) and right transfers never allocate; any other element
+/// moves the body to the heap, in element order. The `Vec`'s capacity
+/// niche holds the tag, so `Message` stays 32 bytes.
 #[derive(Debug, Default)]
 enum Body {
     #[default]
     Empty,
     One(u64),
     Two(u64, u64),
+    Right(ObjRef<Port>),
     Heap(Vec<MsgElement>),
 }
+
+// Id 4 (padded to 8) + body 24.
+const _: () = assert!(core::mem::size_of::<Message>() == 32);
 
 impl Message {
     /// An empty message with operation id `id`.
@@ -120,6 +128,7 @@ impl Message {
         self.body = match (core::mem::take(&mut self.body), el) {
             (Body::Empty, MsgElement::Int(a)) => Body::One(a),
             (Body::One(a), MsgElement::Int(b)) => Body::Two(a, b),
+            (Body::Empty, MsgElement::PortRight(r)) => Body::Right(r),
             (body, el) => {
                 let mut v = body.into_heap();
                 v.push(el);
@@ -129,7 +138,7 @@ impl Message {
     }
 
     /// The heap element at `i`; `None` for an inline body, which holds
-    /// integers only.
+    /// integers or one right.
     fn heap_at(&self, i: usize) -> Option<&MsgElement> {
         match &self.body {
             Body::Heap(v) => v.get(i),
@@ -158,9 +167,12 @@ impl Message {
 
     /// Borrow the port right at body index `i`.
     pub fn port_right_at(&self, i: usize) -> Option<&ObjRef<Port>> {
-        match self.heap_at(i) {
-            Some(MsgElement::PortRight(p)) => Some(p),
-            _ => None,
+        match (&self.body, i) {
+            (Body::Right(p), 0) => Some(p),
+            _ => match self.heap_at(i) {
+                Some(MsgElement::PortRight(p)) => Some(p),
+                _ => None,
+            },
         }
     }
 
@@ -168,6 +180,10 @@ impl Message {
     /// the reference to the caller (receiving a right).
     pub fn take_port_right(&mut self, i: usize) -> Option<ObjRef<Port>> {
         match &mut self.body {
+            Body::Right(_) if i == 0 => match core::mem::take(&mut self.body) {
+                Body::Right(p) => Some(p),
+                _ => unreachable!(),
+            },
             Body::Heap(v) if matches!(v.get(i), Some(MsgElement::PortRight(_))) => {
                 match v.remove(i) {
                     MsgElement::PortRight(p) => Some(p),
@@ -189,6 +205,7 @@ impl Message {
                     MsgElement::PortRight(_) => core::mem::size_of::<usize>(),
                 })
                 .sum(),
+            Body::Right(_) => core::mem::size_of::<usize>(),
             inline => 8 * inline.len(),
         }
     }
@@ -200,6 +217,7 @@ impl Body {
             Body::Empty => 0,
             Body::One(_) => 1,
             Body::Two(..) => 2,
+            Body::Right(_) => 1,
             Body::Heap(v) => v.len(),
         }
     }
@@ -210,6 +228,7 @@ impl Body {
             Body::Empty => Vec::new(),
             Body::One(a) => vec![MsgElement::Int(a)],
             Body::Two(a, b) => vec![MsgElement::Int(a), MsgElement::Int(b)],
+            Body::Right(r) => vec![MsgElement::PortRight(r)],
             Body::Heap(v) => v,
         }
     }

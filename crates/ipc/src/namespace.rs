@@ -38,6 +38,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use machk_core::sync::CachePadded;
 use machk_core::{ObjRef, SimpleLocked};
 
 use crate::port::Port;
@@ -159,9 +160,13 @@ struct Table {
     next: u32,
 }
 
-struct Shard {
-    table: SimpleLocked<Table>,
-}
+/// One shard's lock and table, on a line of its own so neighbouring
+/// shard locks do not share one.
+type Shard = CachePadded<SimpleLocked<Table>>;
+
+// Release layout without probes: lock 8 + map 32 + counter 4, padded.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(machk_core::sync::probe::ENABLED || core::mem::size_of::<Shard>() == 64);
 
 /// The name → right table of one task.
 ///
@@ -173,8 +178,10 @@ struct Shard {
 pub struct PortNameSpace {
     shards: Box<[Shard]>,
     /// Round-robin allocation cursor (advisory; any distribution is
-    /// correct, even spreading is just better).
-    cursor: AtomicUsize,
+    /// correct, even spreading is just better). Every insert writes it,
+    /// so it sits on its own line, away from the `shards` pointer that
+    /// every translation reads.
+    cursor: CachePadded<AtomicUsize>,
     /// Modeled per-operation critical-section cost in virtual
     /// nanoseconds, charged to the `machk-sim` clock *while the shard
     /// lock is held*. Zero (the default, and always on a real OS host)
@@ -206,20 +213,19 @@ impl PortNameSpace {
             (1..=MAX_SHARDS).contains(&nshards),
             "shard count must be in 1..={MAX_SHARDS}"
         );
-        let shards: Vec<Shard> = (0..nshards)
-            .map(|i| Shard {
-                table: SimpleLocked::named(
-                    SHARD_LOCK_NAMES[i],
-                    Table {
-                        map: HashMap::default(),
-                        next: 1,
-                    },
-                ),
-            })
-            .collect();
         PortNameSpace {
-            shards: shards.into_boxed_slice(),
-            cursor: AtomicUsize::new(0),
+            shards: (0..nshards)
+                .map(|i| {
+                    CachePadded::new(SimpleLocked::named(
+                        SHARD_LOCK_NAMES[i],
+                        Table {
+                            map: HashMap::default(),
+                            next: 1,
+                        },
+                    ))
+                })
+                .collect(),
+            cursor: CachePadded::new(AtomicUsize::new(0)),
             cs_work_ns,
         }
     }
@@ -250,7 +256,7 @@ impl PortNameSpace {
         // relaxed: the cursor only balances allocation across shards;
         // any interleaving of increments yields correct (unique) names.
         let i = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
-        let mut t = self.shards[i].table.lock();
+        let mut t = self.shards[i].lock();
         self.charge_cs();
         // Checked: after ~2^32/n allocations on one shard the name
         // space is genuinely exhausted — fail loudly rather than wrap
@@ -275,7 +281,7 @@ impl PortNameSpace {
     /// own. Returns `None` for names not in the space (including
     /// removed ones). Touches exactly one shard lock.
     pub fn translate(&self, name: PortName) -> Option<ObjRef<Port>> {
-        let t = self.shard_of(name).table.lock();
+        let t = self.shard_of(name).lock();
         self.charge_cs();
         t.map.get(&name).cloned()
     }
@@ -283,7 +289,7 @@ impl PortNameSpace {
     /// Remove a name, returning the right it held so the caller can
     /// release it outside the table lock.
     pub fn remove(&self, name: PortName) -> Option<ObjRef<Port>> {
-        let mut t = self.shard_of(name).table.lock();
+        let mut t = self.shard_of(name).lock();
         self.charge_cs();
         t.map.remove(&name)
     }
@@ -291,10 +297,7 @@ impl PortNameSpace {
     /// Number of live names (diagnostics; locks shards one at a time,
     /// so the sum is a snapshot only if writers are quiesced).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.table.lock().map.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// Whether the space is empty.
@@ -308,7 +311,7 @@ impl PortNameSpace {
     pub fn drain(&self) -> Vec<ObjRef<Port>> {
         let mut rights = Vec::new();
         for s in self.shards.iter() {
-            let mut t = s.table.lock();
+            let mut t = s.lock();
             rights.extend(t.map.drain().map(|(_, r)| r));
         }
         rights
@@ -364,7 +367,7 @@ mod tests {
     fn name_exhaustion_panics_instead_of_wrapping() {
         let ns = PortNameSpace::with_shards(2);
         for s in ns.shards.iter() {
-            s.table.lock().next = u32::MAX;
+            s.lock().next = u32::MAX;
         }
         let _ = ns.insert(Port::create());
     }

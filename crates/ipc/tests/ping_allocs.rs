@@ -3,9 +3,10 @@
 //! A counting global allocator (per thread, so parallel tests do not
 //! see each other) checks that, once warm, one ping — name translation,
 //! §10 dispatch of the engine's `OP_PING` handler shape, release of the
-//! right — makes zero heap allocations, while a message that does not
-//! fit the inline body still allocates. A port pays for its message
-//! slots only when its first message is queued.
+//! right — makes zero heap allocations, and so does moving a right
+//! through a port's ring, while a message that does not fit the inline
+//! body still allocates. A port pays for its message slots only when
+//! its first message is queued.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -119,11 +120,52 @@ fn messages_past_the_inline_body_still_allocate() {
     assert!(three >= 1, "a third integer spills to the heap");
     assert_eq!(m.int_at(2), Some(3));
     let port = Port::create();
-    let (right, m) = allocs_during(|| Message::new(1).with_port_right(port.clone()));
-    assert!(right >= 1, "a port right spills to the heap");
+    let (lone, m) = allocs_during(|| Message::new(1).with_port_right(port.clone()));
+    assert_eq!(lone, 0, "a lone port right stays inline");
     assert_eq!(ObjRef::ref_count(&port), 2);
     drop(m);
     assert_eq!(ObjRef::ref_count(&port), 1);
+    let (after_int, m) =
+        allocs_during(|| Message::new(1).with_int(1).with_port_right(port.clone()));
+    assert!(after_int >= 1, "a right after an integer spills");
+    assert!(m.port_right_at(1).is_some());
+    drop(m);
+    let (second, m) = allocs_during(|| {
+        Message::new(1)
+            .with_port_right(port.clone())
+            .with_port_right(port.clone())
+    });
+    assert!(second >= 1, "a second right spills to the heap");
+    assert_eq!(ObjRef::ref_count(&port), 3);
+    drop(m);
+    assert_eq!(ObjRef::ref_count(&port), 1);
+}
+
+#[test]
+fn port_transfer_makes_no_allocation() {
+    // The engine's transfer op: translate a name, send the right
+    // through a port's ring, drain the ring in a batch, release.
+    let (ns, _table, names) = rig(8);
+    let transfer = Port::create();
+    let mut out = Vec::with_capacity(8);
+    let mut move_rights = || {
+        for &name in &names {
+            let right = ns.translate(name).expect("published name");
+            let sent = transfer.try_send(Message::new(0).with_port_right(right));
+            assert!(sent.is_ok());
+        }
+        let received = transfer.receive_batch(&mut out, 8);
+        out.clear();
+        received
+    };
+    // The first send installs the ring's slots.
+    assert_eq!(move_rights(), Ok(names.len()));
+    let (allocs, ()) = allocs_during(|| {
+        for _ in 0..100 {
+            assert_eq!(move_rights(), Ok(names.len()));
+        }
+    });
+    assert_eq!(allocs, 0, "translate, try_send, receive_batch, drop");
 }
 
 #[test]

@@ -107,6 +107,7 @@
 pub mod deadline;
 pub mod held;
 pub mod host;
+pub mod pad;
 pub mod policy;
 pub mod probe;
 pub mod queued;
@@ -118,6 +119,7 @@ pub mod simple_locked;
 
 pub use deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
 pub use host::{Host, JoinToken, SpinSite, ThreadToken};
+pub use pad::CachePadded;
 pub use policy::{Backoff, SpinPolicy, Tas, TasThenTtas, Ttas, WithBackoff, WordPolicy};
 pub use queued::{Mcs, Ticket};
 pub use raw::{RawSimpleLock, SimpleGuard};
