@@ -34,8 +34,9 @@
 //! `--features sim`; `--sim-seed N` overrides its base scheduler seed
 //! (CI runs a small fixed matrix of seeds).
 //!
-//! `lockstat` runs the E16 workload and prints only the lockstat
-//! report (text, or JSON with `--json`) — the `lockstat(1M)`-style
+//! `lockstat` runs E16 and prints its tables — the subscriber fan-out,
+//! the lockstat report and the exporter summary — or, with `--json`,
+//! only the lockstat report as JSON: the `lockstat(1M)`-style
 //! entry point. Requires a build with `--features probe`.
 
 use machk_bench::experiments;
@@ -171,7 +172,7 @@ fn write_e16_exporter_artifacts(_dir: Option<&str>) {}
 #[cfg(feature = "probe")]
 fn lockstat(quick: bool, json: bool) {
     // The experiment runner asserts the report's claims as it goes.
-    let rendered = experiments::e16_lockstat::run(quick);
+    let rendered = experiments::e16_lockstat::run_report(quick).0;
     if json {
         println!("{}", machk_obs::Lockstat::collect().render_json());
     } else {

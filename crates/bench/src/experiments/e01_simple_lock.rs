@@ -11,31 +11,20 @@
 //! MCS): FIFO admission with — for MCS — local spinning. Expected shape
 //! on multi-core hardware: word-spinning policies degrade super-linearly
 //! with waiters while the queued ones degrade linearly, so ticket/mcs
-//! overtake tas from ~8 threads. On a single-CPU host contention shows
-//! as preemption rather than cache traffic, so the separation appears
-//! as *stability* (queued throughput flat vs. erratic) — EXPERIMENTS.md
+//! overtake tas from ~8 threads. Once waiters outnumber CPUs a queued
+//! lock hands off to a preempted waiter and collapses — EXPERIMENTS.md
 //! records the measured shape.
+//!
+//! A third table prices the probe hooks: the same counter loop on a
+//! named and an anonymous lock, in whichever build (probes on or off)
+//! is running.
 
-use machk_core::{Mcs, RawSimpleLock, Tas, TasThenTtas, Ticket, Ttas, WithBackoff};
+use machk_core::sync::probe;
+use machk_core::{RawSimpleLock, TasThenTtas};
 
 use crate::report::{BenchReport, Dir};
-use crate::util::{contention_sweep, fmt_rate, thread_sweep, Table};
-use crate::workloads::{simple_lock_counter, simple_lock_first_try_rate, PolicyCounter};
-
-/// The policy sweep, with the JSON field name of each column.
-const POLICIES: [PolicyCounter; 6] = [
-    ("tas", simple_lock_counter::<Tas>),
-    ("ttas", simple_lock_counter::<Ttas>),
-    ("tas_ttas", simple_lock_counter::<TasThenTtas>),
-    ("tas_ttas_backoff", simple_lock_counter::<WithBackoff<TasThenTtas>>),
-    ("ticket", simple_lock_counter::<Ticket>),
-    ("mcs", simple_lock_counter::<Mcs>),
-];
-
-/// Run E1 and render its tables.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
+use crate::util::{contention_sweep, sample, thread_sweep, Table};
+use crate::workloads::{lock_counter, simple_lock_first_try_rate, POLICY_SWEEP};
 
 /// Run E1; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E01.json`, `machk-bench/v1` envelope).
@@ -44,30 +33,25 @@ pub fn run_report(quick: bool) -> (String, String) {
     let mut report = BenchReport::new("E01", "Simple lock acquisition policies (paper §2)", quick);
     let mut out = String::new();
 
+    let mut headers = vec!["threads"];
+    headers.extend(POLICY_SWEEP.map(|(label, _)| label));
     let mut t = Table::new(
-        "E1a: shared-counter throughput by policy (ops/s)",
-        &[
-            "threads",
-            "tas",
-            "ttas",
-            "tas+ttas",
-            "tas+ttas+backoff",
-            "ticket",
-            "mcs",
-        ],
+        "E1a: shared-counter throughput by policy (ops/s, median ±MAD)",
+        &headers,
     );
     let mut sweep_json = Vec::new();
     for threads in contention_sweep() {
         let mut cells = vec![threads.to_string()];
         let mut rates = Vec::new();
-        for (name, run) in POLICIES {
-            let rate = run(threads, iters);
-            cells.push(fmt_rate(rate));
-            rates.push(format!("\"{name}\":{rate:.0}"));
+        for (label, run) in POLICY_SWEEP {
+            let name = label.replace('+', "_");
+            let s = sample(quick, threads, |n| run(threads, n));
+            cells.push(s.cell());
+            rates.push(format!("\"{name}\":{:.0}", s.median));
             // Host throughput: trajectory-only (CI runners vary), at
             // the sweep's host-independent anchor points.
             if threads == 1 || threads == 8 {
-                report.info(&format!("{name}_ops_per_sec_{threads}t"), rate, "ops/s");
+                report.sampled(&format!("{name}_ops_per_sec_{threads}t"), s, "ops/s");
             }
         }
         t.row(&cells);
@@ -96,6 +80,7 @@ pub fn run_report(quick: bool) -> (String, String) {
     }
     t.note("paper: 'most locks in a well designed system are acquired on the first attempt'");
     out.push_str(&t.render());
+    out.push_str(&tracing_table(quick, &mut report));
 
     report.extra(&format!(
         "{{\"iters\":{iters},\"throughput_ops_per_sec\":[{}],\"first_try_rate\":[{}]}}",
@@ -103,4 +88,41 @@ pub fn run_report(quick: bool) -> (String, String) {
         first_try_json.join(","),
     ));
     (out, report.render())
+}
+
+/// The counter loop on a named and an anonymous lock. With probes on, a
+/// named lock's hooks reach the registry and any subscribers, while an
+/// anonymous one's skip the clock and the recording; with probes off
+/// both compile to the bare lock, so the two columns should agree.
+fn tracing_table(quick: bool, report: &mut BenchReport) -> String {
+    static NAMED: RawSimpleLock = RawSimpleLock::named("e1.tracing.named");
+    static ANON: RawSimpleLock = RawSimpleLock::new();
+    let state = if probe::ENABLED {
+        "probe-on"
+    } else {
+        "probe-off"
+    };
+    let mut t = Table::new(
+        &format!("E1c: tracing overhead, {state} build (ops/s, median ±MAD)"),
+        &["threads", "anonymous", "named", "named / anonymous"],
+    );
+    for threads in [1usize, 2] {
+        let anon = sample(quick, threads, |n| lock_counter(&ANON, threads, n));
+        let named = sample(quick, threads, |n| lock_counter(&NAMED, threads, n));
+        t.row(&[
+            threads.to_string(),
+            anon.cell(),
+            named.cell(),
+            format!("{:.2}", named.median / anon.median),
+        ]);
+        if threads == 1 {
+            report.sampled("anonymous_lock_ops_per_sec_1t", anon, "ops/s");
+            report.sampled("named_lock_ops_per_sec_1t", named, "ops/s");
+        }
+    }
+    t.note(&format!(
+        "{} probe subscriber(s) installed while measured",
+        probe::subscriber_count()
+    ));
+    t.render()
 }

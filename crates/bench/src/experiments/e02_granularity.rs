@@ -17,23 +17,17 @@
 //! simulated cores, gone (≤ 2×) at 1.
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, thread_sweep, Table};
+use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{granularity_bank, Granularity};
-
-/// Run E2 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E2; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E02.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 5_000 } else { 100_000 };
     let nstructs = 64;
     let mut report = BenchReport::new("E02", "Locking granularity: code vs data (paper §2)", quick);
     let mut out = String::new();
     let mut t = Table::new(
-        "E2: ops/s on a bank of 64 independent structures",
+        "E2: ops/s on a bank of 64 independent structures (median ±MAD)",
         &[
             "threads",
             "global-lock",
@@ -43,19 +37,21 @@ pub fn run_report(quick: bool) -> (String, String) {
         ],
     );
     for threads in thread_sweep() {
-        let global = granularity_bank(Granularity::GlobalLock, nstructs, threads, iters);
-        let master = granularity_bank(Granularity::MasterProcessor, nstructs, threads, iters / 4);
-        let fine = granularity_bank(Granularity::PerStructure, nstructs, threads, iters);
+        let [global, master, fine] = Granularity::ALL.map(|g| {
+            sample(quick, threads, |n| {
+                granularity_bank(g, nstructs, threads, n)
+            })
+        });
         t.row(&[
             threads.to_string(),
-            fmt_rate(global),
-            fmt_rate(master),
-            fmt_rate(fine),
-            format!("{:.1}x", fine / global),
+            global.cell(),
+            master.cell(),
+            fine.cell(),
+            format!("{:.1}x", fine.median / global.median),
         ]);
         if threads == 4 {
-            report.info("global_lock_ops_per_sec_4t", global, "ops/s");
-            report.info("per_structure_ops_per_sec_4t", fine, "ops/s");
+            report.sampled("global_lock_ops_per_sec_4t", global, "ops/s");
+            report.sampled("per_structure_ops_per_sec_4t", fine, "ops/s");
         }
     }
     t.note("paper: locks on code serialize the kernel; locks on data let it run in parallel with itself");

@@ -10,18 +10,12 @@
 use std::time::Duration;
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, thread_sweep, Table};
+use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{complex_lock_mix, writer_latency_under_readers};
-
-/// Run E3 and render its tables.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E3; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E03.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 10_000 } else { 200_000 };
     let mut report = BenchReport::new(
         "E03",
         "Complex lock: reader parallelism & writers priority (paper §4)",
@@ -30,7 +24,7 @@ pub fn run_report(quick: bool) -> (String, String) {
     let mut out = String::new();
 
     let mut t = Table::new(
-        "E3a: readers/writer mix throughput (ops/s)",
+        "E3a: readers/writer mix throughput (ops/s, median ±MAD)",
         &[
             "threads",
             "0% writes",
@@ -42,10 +36,10 @@ pub fn run_report(quick: bool) -> (String, String) {
     for threads in thread_sweep() {
         let mut cells = vec![threads.to_string()];
         for pct in [0, 1, 10, 50] {
-            let rate = complex_lock_mix(pct, threads, iters);
-            cells.push(fmt_rate(rate));
+            let rate = sample(quick, threads, |n| complex_lock_mix(pct, threads, n));
+            cells.push(rate.cell());
             if threads == 4 && (pct == 0 || pct == 50) {
-                report.info(&format!("mix_w{pct}_ops_per_sec_4t"), rate, "ops/s");
+                report.sampled(&format!("mix_w{pct}_ops_per_sec_4t"), rate, "ops/s");
             }
         }
         t.row(&cells);

@@ -12,29 +12,23 @@
 //! upgrade strategy pays failed upgrades that grow with contention.
 //!
 //! An upgrade fails only when it *collides* with another pending
-//! upgrade — a razor-thin window on a time-sliced 1-CPU host, so the
-//! host table may legitimately show zero failures. The `--features sim`
-//! half closes that gap: the same two-reader upgrade race runs on a
-//! simulated 2-core host across hundreds of seeded schedules, where the
-//! scheduler can interleave the two upgrade attempts every way they can
-//! collide — failed upgrades are actually observed (asserted > 0) and
-//! every one is recovered by the §7.1 restart logic, while the
-//! downgrade strategy completes the same schedules with structurally
-//! zero failures.
+//! upgrade — a thin window, which the host table catches once the
+//! workers start together and two CPUs overlap their upgrades. The
+//! `--features sim` half makes the collision systematic: the same
+//! two-reader upgrade race runs on a simulated 2-core host across
+//! hundreds of seeded schedules, where the scheduler can interleave the
+//! two upgrade attempts every way they can collide — failed upgrades
+//! are actually observed (asserted > 0) and every one is recovered by
+//! the §7.1 restart logic, while the downgrade strategy completes the
+//! same schedules with structurally zero failures.
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, thread_sweep, Table};
+use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{lookup_insert_upgrade, lookup_insert_write_downgrade};
-
-/// Run E4 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E4; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E04.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 5_000 } else { 100_000 };
     let mut report = BenchReport::new("E04", "Upgrade vs write-then-downgrade (paper §7.1)", quick);
     let mut out = String::new();
     let mut downgrade_failures = 0u64;
@@ -50,21 +44,31 @@ pub fn run_report(quick: bool) -> (String, String) {
             ],
         );
         for threads in thread_sweep() {
-            let a = lookup_insert_upgrade(threads, iters, miss_pct);
-            let b = lookup_insert_write_downgrade(threads, iters, miss_pct);
-            downgrade_failures += b.failed_upgrades;
+            let (mut failed, mut failed_down) = (0, 0);
+            let a = sample(quick, threads, |n| {
+                let o = lookup_insert_upgrade(threads, n, miss_pct);
+                failed += o.failed_upgrades;
+                o.ops_per_sec
+            });
+            let b = sample(quick, threads, |n| {
+                let o = lookup_insert_write_downgrade(threads, n, miss_pct);
+                failed_down += o.failed_upgrades; // structurally zero
+                o.ops_per_sec
+            });
+            downgrade_failures += failed_down;
             t.row(&[
                 threads.to_string(),
-                fmt_rate(a.ops_per_sec),
-                a.failed_upgrades.to_string(),
-                fmt_rate(b.ops_per_sec),
-                b.failed_upgrades.to_string(), // structurally zero
+                a.cell(),
+                failed.to_string(),
+                b.cell(),
+                failed_down.to_string(),
             ]);
             if threads == 4 && miss_pct == 50 {
-                report.info("upgrade_ops_per_sec_4t_miss50", a.ops_per_sec, "ops/s");
-                report.info("downgrade_ops_per_sec_4t_miss50", b.ops_per_sec, "ops/s");
+                report.sampled("upgrade_ops_per_sec_4t_miss50", a, "ops/s");
+                report.sampled("downgrade_ops_per_sec_4t_miss50", b, "ops/s");
             }
         }
+        t.note("ops/s are median ±MAD; failures are summed over the warm-up and every sample");
         t.note("downgrade 'cannot fail and does not require any special logic in the caller'");
         out.push_str(&t.render());
     }

@@ -23,32 +23,26 @@ use machk_core::{
 };
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, Table};
+use crate::util::{sample, Table};
 use crate::workloads::{condvar_handoff, event_handoff};
-
-/// Run E6 and render its tables.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E6; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E06.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 2_000 } else { 50_000 };
     let mut report = BenchReport::new("E06", "Event wait: the split-wait protocol (paper §6)", quick);
     let mut out = String::new();
 
     let mut t = Table::new(
-        "E6a: producer/consumer handoffs per second",
+        "E6a: producer/consumer handoffs per second (median ±MAD)",
         &["pairs", "event-wait (Mach)", "condvar (host)"],
     );
     for pairs in [1usize, 2, 4] {
-        let mach = event_handoff(pairs, iters);
-        let host = condvar_handoff(pairs, iters);
-        t.row(&[pairs.to_string(), fmt_rate(mach), fmt_rate(host)]);
+        let mach = sample(quick, pairs, |n| event_handoff(pairs, n));
+        let host = sample(quick, pairs, |n| condvar_handoff(pairs, n));
+        t.row(&[pairs.to_string(), mach.cell(), host.cell()]);
         if pairs == 1 {
-            report.info("event_handoffs_per_sec_1pair", mach, "ops/s");
-            report.info("condvar_handoffs_per_sec_1pair", host, "ops/s");
+            report.sampled("event_handoffs_per_sec_1pair", mach, "ops/s");
+            report.sampled("condvar_handoffs_per_sec_1pair", host, "ops/s");
         }
     }
     t.note("the Mach protocol is assert_wait -> release locks -> thread_block");

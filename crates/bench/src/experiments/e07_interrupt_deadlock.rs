@@ -27,11 +27,6 @@ use machk_intr::{barrier_synchronize, spl_raise, spl_restore, BarrierOutcome, Ma
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E7 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
-
 /// Run E7; returns the rendered table plus the JSON artifact body
 /// (`BENCH_E07.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {

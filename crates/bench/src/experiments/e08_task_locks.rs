@@ -7,40 +7,36 @@
 //! workload stop contending at all).
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, thread_sweep, Table};
+use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{task_mixed_ops, TaskFlavor};
-
-/// Run E8 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E8; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E08.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 10_000 } else { 200_000 };
     let mut report = BenchReport::new("E08", "The task's two locks (paper §5)", quick);
     let mut out = String::new();
     for translate_pct in [50u32, 90u32] {
         let mut t = Table::new(
-            &format!("E8: task ops + translations, {translate_pct}% translations (ops/s)"),
+            &format!(
+                "E8: task ops + translations, {translate_pct}% translations (ops/s, median ±MAD)"
+            ),
             &["threads", "two-lock (Mach)", "one-lock", "two-lock gain"],
         );
         for threads in thread_sweep() {
-            let two = task_mixed_ops(TaskFlavor::TwoLock, translate_pct, threads, iters);
-            let one = task_mixed_ops(TaskFlavor::OneLock, translate_pct, threads, iters);
+            let [two, one] = TaskFlavor::ALL.map(|f| {
+                sample(quick, threads, |n| {
+                    task_mixed_ops(f, translate_pct, threads, n)
+                })
+            });
+            let gain = two.median / one.median;
             t.row(&[
                 threads.to_string(),
-                fmt_rate(two),
-                fmt_rate(one),
-                format!("{:.2}x", two / one),
+                two.cell(),
+                one.cell(),
+                format!("{gain:.2}x"),
             ]);
             if threads == 4 {
-                report.info(
-                    &format!("two_lock_gain_4t_t{translate_pct}"),
-                    two / one,
-                    "ratio",
-                );
+                report.info(&format!("two_lock_gain_4t_t{translate_pct}"), gain, "ratio");
             }
         }
         t.note(

@@ -13,36 +13,30 @@
 use machk_vm::OrderingDiscipline;
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, thread_sweep, Table};
+use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::pmap_storm;
-
-/// Run E9 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E9; returns the rendered table plus the JSON artifact body
 /// (`BENCH_E09.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 2_000 } else { 50_000 };
     let mut report =
         BenchReport::new("E09", "pmap/pv-list lock ordering disciplines (paper §5)", quick);
     let mut t = Table::new(
-        "E9: mixed pmap_enter/remove/page_protect storm (ops/s)",
+        "E9: mixed pmap_enter/remove/page_protect storm (ops/s, median ±MAD)",
         &["threads", "system-lock", "backout", "backout gain"],
     );
     for threads in thread_sweep() {
-        let sl = pmap_storm(OrderingDiscipline::SystemLock, threads, iters);
-        let bo = pmap_storm(OrderingDiscipline::Backout, threads, iters);
+        let [sl, bo] = [OrderingDiscipline::SystemLock, OrderingDiscipline::Backout]
+            .map(|d| sample(quick, threads, |n| pmap_storm(d, threads, n)));
         t.row(&[
             threads.to_string(),
-            fmt_rate(sl),
-            fmt_rate(bo),
-            format!("{:.2}x", bo / sl),
+            sl.cell(),
+            bo.cell(),
+            format!("{:.2}x", bo.median / sl.median),
         ]);
         if threads == 4 {
-            report.info("system_lock_ops_per_sec_4t", sl, "ops/s");
-            report.info("backout_ops_per_sec_4t", bo, "ops/s");
+            report.sampled("system_lock_ops_per_sec_4t", sl, "ops/s");
+            report.sampled("backout_ops_per_sec_4t", bo, "ops/s");
         }
     }
     t.note("both disciplines deadlock-free and consistent (asserted inside the workload)");

@@ -19,11 +19,6 @@ use machk_vm::{
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E10 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
-
 /// Run E10; returns the rendered table plus the JSON artifact body
 /// (`BENCH_E10.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {

@@ -16,31 +16,25 @@ use std::time::Instant;
 use machk_vm::VmObject;
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, thread_sweep, Table};
+use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::vm_object_paging_storm;
-
-/// Run E11 and render its tables.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E11; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E11.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 10_000 } else { 200_000 };
     let mut report =
         BenchReport::new("E11", "Memory object dual reference counts (paper §8)", quick);
     let mut out = String::new();
 
     let mut t = Table::new(
-        "E11a: paging_begin/paging_end throughput (ops/s)",
+        "E11a: paging_begin/paging_end throughput (ops/s, median ±MAD)",
         &["threads", "paging ops/s"],
     );
     for threads in thread_sweep() {
-        let rate = vm_object_paging_storm(threads, iters);
-        t.row(&[threads.to_string(), fmt_rate(rate)]);
+        let rate = sample(quick, threads, |n| vm_object_paging_storm(threads, n));
+        t.row(&[threads.to_string(), rate.cell()]);
         if threads == 4 {
-            report.info("paging_ops_per_sec_4t", rate, "ops/s");
+            report.sampled("paging_ops_per_sec_4t", rate, "ops/s");
         }
     }
     out.push_str(&t.render());

@@ -13,18 +13,12 @@ use std::sync::atomic::Ordering;
 use machk_ipc::RefSemantics;
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, thread_sweep, Table};
+use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::rpc_storm;
-
-/// Run E12 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E12; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E12.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 2_000 } else { 50_000 };
     let mut report = BenchReport::new("E12", "Kernel RPC reference protocol (paper §10)", quick);
     let mut ledger_violations = 0u64;
     let mut out = String::new();
@@ -33,30 +27,35 @@ pub fn run_report(quick: bool) -> (String, String) {
             &format!("E12: msg_rpc throughput, {semantics:?} semantics"),
             &[
                 "threads",
-                "rpc/s",
+                "rpc/s (median ±MAD)",
                 "translations",
                 "interface rel.",
                 "op consumes",
             ],
         );
         for threads in thread_sweep() {
-            let (rate, stats) = rpc_storm(semantics, threads, iters);
-            let translations = stats.translations.load(Ordering::Relaxed); // relaxed: read after storm threads joined
-            let releases = stats.interface_releases.load(Ordering::Relaxed); // relaxed: read after storm threads joined
-            let consumes = stats.operation_consumes.load(Ordering::Relaxed); // relaxed: read after storm threads joined
+            // The ledger counts add up over the warm-up and every sample.
+            let (mut translations, mut releases, mut consumes) = (0, 0, 0);
+            let rate = sample(quick, threads, |n| {
+                let (rate, stats) = rpc_storm(semantics, threads, n);
+                translations += stats.translations.load(Ordering::Relaxed); // relaxed: read after storm threads joined
+                releases += stats.interface_releases.load(Ordering::Relaxed); // relaxed: read after storm threads joined
+                consumes += stats.operation_consumes.load(Ordering::Relaxed); // relaxed: read after storm threads joined
+                rate
+            });
             // §10 ledger: every translation reference is given back
             // exactly once, by the interface or by the operation.
             ledger_violations +=
                 (translations as i128 - releases as i128 - consumes as i128).unsigned_abs() as u64;
             t.row(&[
                 threads.to_string(),
-                fmt_rate(rate),
+                rate.cell(),
                 translations.to_string(),
                 releases.to_string(),
                 consumes.to_string(),
             ]);
             if threads == 4 && matches!(semantics, RefSemantics::Mach30) {
-                report.info("mach30_rpc_per_sec_4t", rate, "ops/s");
+                report.sampled("mach30_rpc_per_sec_4t", rate, "ops/s");
             }
         }
         t.note(match semantics {

@@ -16,11 +16,6 @@ use machk_kernel::{kernel_dispatch_table, op_ids, ops::create_task_with_port, sh
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E13 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
-
 /// Run E13; returns the rendered table plus the JSON artifact body
 /// (`BENCH_E13.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {

@@ -18,11 +18,6 @@ use machk_vm::{PageId, TlbSystem};
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E14 and render its tables.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
-
 /// Run E14; returns the rendered tables plus the JSON artifact body
 /// (`BENCH_E14.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {

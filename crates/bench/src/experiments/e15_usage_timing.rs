@@ -13,37 +13,31 @@
 //! path pays for every reader.
 
 use crate::report::BenchReport;
-use crate::util::{fmt_rate, Table};
+use crate::util::{sample, Table};
 use crate::workloads::{timer_tick_storm, TimerImpl};
-
-/// Run E15 and render its table.
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
 
 /// Run E15; returns the rendered table plus the JSON artifact body
 /// (`BENCH_E15.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
-    let iters: u64 = if quick { 20_000 } else { 400_000 };
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(2, 4);
     let mut report = BenchReport::new("E15", "Usage timing without locks (paper §2)", quick);
     let mut t = Table::new(
-        &format!("E15: timer ticks/s on {cpus} CPUs"),
+        &format!("E15: timer ticks/s on {cpus} CPUs (median ±MAD)"),
         &["readers", "per-cpu cell (Mach)", "simple lock"],
     );
     for readers in [0usize, 2] {
-        let lockfree = timer_tick_storm(TimerImpl::LockFree, cpus, readers, iters);
-        let locked = timer_tick_storm(TimerImpl::Locked, cpus, readers, iters);
-        t.row(&[
-            readers.to_string(),
-            fmt_rate(lockfree),
-            fmt_rate(locked),
-        ]);
-        report.info(&format!("lockfree_ticks_per_sec_{readers}r"), lockfree, "ops/s");
-        report.info(&format!("locked_ticks_per_sec_{readers}r"), locked, "ops/s");
+        let [lockfree, locked] = TimerImpl::ALL
+            .map(|imp| sample(quick, cpus, |n| timer_tick_storm(imp, cpus, readers, n)));
+        t.row(&[readers.to_string(), lockfree.cell(), locked.cell()]);
+        report.sampled(
+            &format!("lockfree_ticks_per_sec_{readers}r"),
+            lockfree,
+            "ops/s",
+        );
+        report.sampled(&format!("locked_ticks_per_sec_{readers}r"), locked, "ops/s");
     }
     t.note("single-writer-per-processor cells: the one place Mach coordinates without locks");
     (t.render(), report.render())

@@ -20,10 +20,9 @@ use machk_core::sync::probe;
 use machk_core::{ComplexLock, Mcs, RawSimpleLock, ShardedRefCount, Tas, Ticket, Ttas};
 
 use crate::report::BenchReport;
-#[cfg(feature = "probe")]
-use crate::util::run_concurrent;
-#[cfg(not(feature = "probe"))]
 use crate::util::Table;
+#[cfg(feature = "probe")]
+use crate::util::{run_concurrent, sample};
 #[cfg(feature = "probe")]
 use crate::workloads::lock_counter;
 
@@ -125,10 +124,10 @@ fn drive_object_phase() {
     task.terminate_simple().unwrap();
 }
 
-/// Run E16: drive the workload, collect the lockstat report, assert its
-/// claims, and return the rendered report.
+/// Drive the workload, collect the lockstat report, assert its claims,
+/// and return the rendered report.
 #[cfg(feature = "probe")]
-pub fn run(quick: bool) -> String {
+fn lockstat_section(quick: bool) -> String {
     machk_obs::install_stats();
     drive_workload(quick);
     drive_object_phase();
@@ -230,8 +229,40 @@ fn drive_ipc_phase(quick: bool) {
     assert!(report.rpcs > 0, "E16 ipc phase ran no RPCs");
 }
 
+/// The probe dispatcher's fan-out cost: the counter loop on one named
+/// lock with no subscriber, with the stats subscriber, and with the
+/// stats and both exporters. Subscribers install forever, so the empty
+/// dispatcher is measurable only if nothing in this process has
+/// installed one yet; otherwise that row reads "n/a".
+#[cfg(feature = "probe")]
+fn fanout_table(quick: bool) -> String {
+    static LOCK: RawSimpleLock = RawSimpleLock::named("e16.fanout");
+    let mut t = Table::new(
+        "E16-fanout: named-lock counter loop by subscribers (ops/s, median ±MAD)",
+        &["subscribers", "installed", "1 thread", "2 threads"],
+    );
+    let mut row = |label: &str, measured: bool| {
+        let mut cells = vec![label.to_string(), probe::subscriber_count().to_string()];
+        for threads in [1usize, 2] {
+            cells.push(if measured {
+                sample(quick, threads, |n| lock_counter(&LOCK, threads, n)).cell()
+            } else {
+                "n/a".to_string()
+            });
+        }
+        t.row(&cells);
+    };
+    row("none", probe::subscriber_count() == 0);
+    machk_obs::install_stats();
+    row("stats", true);
+    exporters();
+    row("stats, ndjson, flame", true);
+    t.note("'installed' counts every subscriber in the process, whoever installed it");
+    t.render()
+}
+
 /// Run E16 with the exporter subscribers installed and return the
-/// rendered table plus the `BENCH_E16.json` envelope. Beyond [`run`]'s
+/// rendered tables plus the `BENCH_E16.json` envelope. Beyond the
 /// lockstat assertions this checks the two exporters end to end: the
 /// NDJSON stream drains to parseable lines (drop-counted past its
 /// bounded queue) and the flamegraph aggregator attributes wait/hold
@@ -239,8 +270,9 @@ fn drive_ipc_phase(quick: bool) {
 /// IPC phase drives.
 #[cfg(feature = "probe")]
 pub fn run_report(quick: bool) -> (String, String) {
+    let mut out = fanout_table(quick);
     let (ndjson, buf, flame) = exporters();
-    let mut out = run(quick);
+    out.push_str(&lockstat_section(quick));
     drive_ipc_phase(quick);
 
     let drained = ndjson.drain().expect("ndjson drain failed");
@@ -272,7 +304,7 @@ pub fn run_report(quick: bool) -> (String, String) {
     let named = stat.locks.iter().filter(|l| !l.name.is_empty()).count();
     let mut report = BenchReport::new("E16", TITLE, quick);
     report.exact("obs_enabled", 1.0, "bool");
-    report.exact("order_cycle_diagnosed", 1.0, "bool"); // asserted in run()
+    report.exact("order_cycle_diagnosed", 1.0, "bool"); // asserted in lockstat_section()
     report.metric("named_locks", named as f64, "count", crate::report::Dir::Higher, 1.5);
     report.metric(
         "flame_sites",
@@ -306,24 +338,18 @@ pub fn run_report(quick: bool) -> (String, String) {
     (out, report.render())
 }
 
-/// Without probes there is nothing to trace or serialize; the envelope
-/// says so (and a baseline recorded with probes will fail against it —
-/// a misbuilt trajectory run, not a measurement).
+/// Without probes there is nothing to trace or serialize — which is the
+/// zero-cost claim, stated as a table. The envelope says so (and a
+/// baseline recorded with probes will fail against it — a misbuilt
+/// trajectory run, not a measurement).
 #[cfg(not(feature = "probe"))]
 pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new("E16", TITLE, quick);
-    report.exact("obs_enabled", 0.0, "bool");
-    (run(quick), report.render())
-}
-
-/// Without the probe feature there is nothing to report — which is the
-/// zero-cost claim, stated as a table.
-#[cfg(not(feature = "probe"))]
-pub fn run(_quick: bool) -> String {
     let mut t = Table::new("E16: lockstat (obs layer)", &["status"]);
     t.row(&[
         "probe feature disabled: tracing compiled out (machk-obs not linked)".to_string(),
     ]);
     t.note("rebuild with `--features probe` to trace; default builds pay nothing");
-    t.render()
+    let mut report = BenchReport::new("E16", TITLE, quick);
+    report.exact("obs_enabled", 0.0, "bool");
+    (t.render(), report.render())
 }

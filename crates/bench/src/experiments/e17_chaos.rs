@@ -593,12 +593,6 @@ pub fn run_report(seeds: u64) -> (String, String) {
     (t.render(), report.render())
 }
 
-/// Run E17 with the default seed counts (quick: 5 for CI smoke; full:
-/// 200 → 1200 schedules, past the 1000-schedule acceptance floor).
-pub fn run(quick: bool) -> String {
-    run_report_default(quick).0
-}
-
 /// Uniform `fn(bool) -> (String, String)` entry point for the
 /// experiment table: maps quick/full onto the default seed counts.
 pub fn run_report_default(quick: bool) -> (String, String) {

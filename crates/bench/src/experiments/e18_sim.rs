@@ -399,16 +399,12 @@ mod simulated {
 #[cfg(feature = "sim")]
 pub use simulated::{run_report, run_report_seeded};
 
-/// Run E18 (quick mode shrinks the exploration budget for CI).
-#[cfg(feature = "sim")]
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
-
 /// Without the sim feature there is no simulator — which is the
-/// zero-cost claim, stated as a table.
+/// zero-cost claim, stated as a table. The envelope says the simulator
+/// is compiled out; a baseline recorded with the sim feature fails
+/// against it (a misbuilt run, not a measurement).
 #[cfg(not(feature = "sim"))]
-pub fn run(_quick: bool) -> String {
+pub fn run_report(quick: bool) -> (String, String) {
     let mut t = crate::util::Table::new(
         "E18: schedule exploration on simulated hosts (sim layer)",
         &["status"],
@@ -418,21 +414,13 @@ pub fn run(_quick: bool) -> String {
             .to_string(),
     ]);
     t.note("rebuild with `--features sim` to explore schedules; default builds pay nothing");
-    t.render()
-}
-
-/// Report-producing entry point for the disabled build. The envelope
-/// says the simulator is compiled out; a baseline recorded with the
-/// sim feature fails against it (a misbuilt run, not a measurement).
-#[cfg(not(feature = "sim"))]
-pub fn run_report(quick: bool) -> (String, String) {
     let mut report = crate::report::BenchReport::new(
         "E18",
         "Deterministic schedule exploration on simulated N-core hosts (sim layer)",
         quick,
     );
     report.exact("sim_enabled", 0.0, "bool");
-    (run(false), report.render())
+    (t.render(), report.render())
 }
 
 /// Seed-override entry point for the disabled build.

@@ -9,17 +9,17 @@
 //!
 //! Three campaigns:
 //!
-//! 1. **Host throughput** — the mixed storm on the real host at 1 and
-//!    8 workers. Acceptance (full mode): ≥ 1M RPCs/s sustained with
-//!    both ledgers balanced.
+//! 1. **Host storms** — the mixed storm on the real host at 1 and 8
+//!    workers, with both ledgers balanced. The storms are not timed
+//!    here: perfbench's `storm_2w` workload measures the engine's RPC
+//!    rate as a median over repeated runs.
 //! 2. **Sharded vs single-lock namespace** — the same 8-worker storm
 //!    against `PortNameSpace::with_shards(8)` and `with_shards(1)`.
-//!    On the host the numbers are *recorded*: with fewer hardware
+//!    On the host both must balance their ledgers; with fewer hardware
 //!    threads than workers (two on the reference host) at most that
 //!    many workers run at once, so the one lock never becomes the
-//!    serialization point, and what the host pair shows is preemption
-//!    and the lines the workers share (EXPERIMENTS.md "E19" gives the
-//!    1-worker, 2-worker and 2 × 1-worker rates). The ≥ 4× separation
+//!    serialization point (EXPERIMENTS.md "E19" gives the 1-worker,
+//!    2-worker and 2 × 1-worker rates). The ≥ 4× separation
 //!    is *asserted* on the simulated 8-core host, where each namespace
 //!    critical section carries a modeled cost
 //!    (`EngineConfig::ns_cs_work_ns`) and the single lock's
@@ -37,7 +37,7 @@
 
 use machk_ipc::engine::{Engine, EngineConfig, EngineReport};
 
-use crate::util::{fmt_rate, Table};
+use crate::util::Table;
 
 /// Workload seed for every E19 storm (the CI smoke run replays it).
 const STORM_SEED: u64 = 0x1991_0E19;
@@ -63,11 +63,6 @@ fn assert_ledgers(tag: &str, r: &EngineReport) {
     assert!(r.dead_hits > 0, "{tag}: dead-port churn never exercised");
 }
 
-/// Run E19 and render its tables (no JSON).
-pub fn run(quick: bool) -> String {
-    run_report(quick).0
-}
-
 /// Run E19, assert its claims, and return the rendered tables plus the
 /// JSON artifact body (`BENCH_E19.json`, `machk-bench/v1` envelope).
 pub fn run_report(quick: bool) -> (String, String) {
@@ -79,19 +74,17 @@ pub fn run_report(quick: bool) -> (String, String) {
     );
     let mut out = String::new();
 
-    // Campaign 1: host throughput, 1 and 8 workers.
+    // Campaign 1: host storms, 1 and 8 workers.
     let mut t = Table::new(
         "E19a: mixed RPC storm on the host (70% ping / create / churn / transfer)",
-        &["workers", "RPCs/s", "RPCs", "dead hits", "transfers", "ledgers"],
+        &["workers", "RPCs", "dead hits", "transfers", "ledgers"],
     );
     let mut host_rows = Vec::new();
     for workers in [1usize, 8] {
         let r = storm(workers, ops * 8 / workers, 8);
         assert_ledgers("host storm", &r);
-        report.info(&format!("host_rpcs_per_sec_{workers}w"), r.rpcs_per_sec(), "ops/s");
         t.row(&[
             workers.to_string(),
-            fmt_rate(r.rpcs_per_sec()),
             r.rpcs.to_string(),
             r.dead_hits.to_string(),
             r.transfers.to_string(),
@@ -99,36 +92,27 @@ pub fn run_report(quick: bool) -> (String, String) {
         ]);
         host_rows.push((workers, r));
     }
-    let best = host_rows
-        .iter()
-        .map(|(_, r)| r.rpcs_per_sec())
-        .fold(0.0f64, f64::max);
-    if !quick {
-        // The acceptance floor; quick/debug runs are for smoke only.
-        assert!(
-            best >= 1_000_000.0,
-            "host storm must sustain >= 1M RPCs/s (got {best:.0})"
-        );
-    }
     t.note("every storm ends with RpcStats AND the ShardedRefCount object ledger balanced");
     t.note("nothing in the loop blocks: try_send + batched receive on lock-free rings");
+    t.note("not timed here: perfbench's storm_2w measures the RPC rate");
     out.push_str(&t.render());
 
     // Campaign 2 (host half): sharded vs single-lock namespace at 8
-    // workers. Recorded, not asserted — see the module docs.
-    let sharded = storm(8, ops, 8);
-    let single = storm(8, ops, 1);
-    assert_ledgers("host sharded", &sharded);
-    assert_ledgers("host single-lock", &single);
-    let host_ratio = sharded.rpcs_per_sec() / single.rpcs_per_sec().max(1.0);
+    // workers. Ledgers only — see the module docs.
     let mut t = Table::new(
         "E19b: sharded (8) vs single-lock namespace, 8 workers on the host",
-        &["namespace", "RPCs/s"],
+        &["namespace", "RPCs", "dead hits", "ledgers"],
     );
-    t.row(&["sharded x8".into(), fmt_rate(sharded.rpcs_per_sec())]);
-    t.row(&["single lock".into(), fmt_rate(single.rpcs_per_sec())]);
-    t.row(&["ratio".into(), format!("{host_ratio:.2}x")]);
-    t.note("recorded only: more workers than hardware threads; preemption, not the lock, sets the pace");
+    for (label, shards) in [("sharded x8", 8), ("single lock", 1)] {
+        let r = storm(8, ops, shards);
+        assert_ledgers(label, &r);
+        t.row(&[
+            label.into(),
+            r.rpcs.to_string(),
+            r.dead_hits.to_string(),
+            "balanced".into(),
+        ]);
+    }
     t.note("the >=4x separation is asserted on the simulated 8-core host (E19c)");
     out.push_str(&t.render());
 
@@ -140,9 +124,8 @@ pub fn run_report(quick: bool) -> (String, String) {
         .iter()
         .map(|(w, r)| {
             format!(
-                "{{\"workers\":{w},\"rpcs_per_sec\":{:.0},\"rpcs\":{},\"dead_hits\":{},\
+                "{{\"workers\":{w},\"rpcs\":{},\"dead_hits\":{},\
                  \"transfers\":{},\"rpc_balanced\":{},\"ledger_total\":{}}}",
-                r.rpcs_per_sec(),
                 r.rpcs,
                 r.dead_hits,
                 r.transfers,
@@ -154,13 +137,9 @@ pub fn run_report(quick: bool) -> (String, String) {
     // Every `assert_ledgers` above passed to reach this point, so the
     // conservation claims gate as structural invariants.
     report.exact("ledger_violations", 0.0, "count");
-    report.info("host_sharded_vs_single_ratio", host_ratio, "ratio");
     report.extra(&format!(
-        "{{\"seed\":{STORM_SEED},\"host\":[{}],\
-         \"host_sharded_rpcs_per_sec\":{:.0},\"host_single_lock_rpcs_per_sec\":{:.0},{}}}",
+        "{{\"seed\":{STORM_SEED},\"host\":[{}],{}}}",
         host_json.join(","),
-        sharded.rpcs_per_sec(),
-        single.rpcs_per_sec(),
         sim.json,
     ));
     (out, report.render())

@@ -3,11 +3,12 @@
 //! `run_report(quick) -> (table, json)` shape: the rendered tables the
 //! `experiments` binary prints, plus a `machk-bench/v1` envelope (see
 //! [`crate::report`]) written as `BENCH_E01.json`…`BENCH_E20.json`
-//! under `--artifacts` and gated by `bench-compare`. `run(quick)` is
-//! the table-only convenience wrapper.
+//! under `--artifacts` and gated by `bench-compare`. Host throughput
+//! cells come from [`crate::util::sample`]: a median and its MAD.
 //!
-//! `quick = true` shrinks iteration counts for CI/test runs; published
-//! numbers in EXPERIMENTS.md come from `quick = false` release runs.
+//! `quick = true` shrinks iteration counts and the sampler's target
+//! time and sample count for CI/test runs; published numbers in
+//! EXPERIMENTS.md come from `quick = false` release runs.
 
 pub mod e01_simple_lock;
 pub mod e02_granularity;

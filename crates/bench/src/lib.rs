@@ -3,16 +3,15 @@
 //! The source paper ("Locking and Reference Counting in the Mach
 //! Kernel", ICPP 1991) is a design/experience paper with **no tables or
 //! figures**; its claims are qualitative. This crate regenerates those
-//! claims as measurements: experiments **E1–E15** (indexed in
-//! `DESIGN.md`), each implemented as
+//! claims as measurements: experiments **E1–E20** (indexed in
+//! `DESIGN.md`), each a function in [`experiments`] that runs its
+//! workloads and returns formatted tables (printed by the `experiments`
+//! binary) plus a JSON envelope ([`report`]) that `bench-compare`
+//! ([`compare`]) diffs against the committed baselines.
 //!
-//! * a function in [`experiments`] that runs the workload and returns a
-//!   formatted table (printed by the `experiments` binary), and
-//! * where timing precision matters, a Criterion bench under
-//!   `benches/` driving the same workload functions.
-//!
-//! Workload code shared by both lives in [`workloads`]; thread sweeps,
-//! timing, and table formatting in [`util`].
+//! The workload kernels live in [`workloads`]. Thread sweeps, the host
+//! sampler every throughput figure goes through, and table formatting
+//! live in [`util`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -36,6 +36,8 @@
 //! Wall-clock throughput belongs in `info` metrics — CI runners vary
 //! too much for ops/s gates to mean anything.
 
+use crate::util::Sample;
+
 /// Which direction of change is an improvement for a metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dir {
@@ -143,6 +145,13 @@ impl BenchReport {
     /// A trajectory-only metric: recorded, never gated.
     pub fn info(&mut self, name: &str, value: f64, unit: &str) {
         self.metric(name, value, unit, Dir::Info, 1.0);
+    }
+
+    /// A sampled host figure: its median under `name` and its median
+    /// absolute deviation under `<name>_mad`, both trajectory-only.
+    pub fn sampled(&mut self, name: &str, s: Sample, unit: &str) {
+        self.info(name, s.median, unit);
+        self.info(&format!("{name}_mad"), s.mad, unit);
     }
 
     /// Attach the experiment's free-form detail (must already be valid

@@ -1,14 +1,21 @@
 //! Timing, thread sweeps, and table formatting for the experiments.
+//!
+//! Every host throughput figure goes through one sampler: a workload's
+//! workers start together behind [`run_concurrent`]'s start barrier,
+//! and [`sample`] repeats the call to report a median and its spread.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Thread counts to sweep: 1, 2, 4, … up to at least 4 *concurrent*
 /// threads (capped at 8).
 ///
 /// Deliberately not capped at `available_parallelism`: the experiments
-/// measure *coordination* under concurrency, which exists on a 1-CPU
-/// host too (contention there shows as preemption-and-yield rather
-/// than cache-line traffic — EXPERIMENTS.md discusses the difference).
+/// measure *coordination* under concurrency, which exists when threads
+/// outnumber CPUs too (contention there shows as preemption-and-yield
+/// rather than cache-line traffic — EXPERIMENTS.md discusses the
+/// difference).
 pub fn thread_sweep() -> Vec<usize> {
     let max = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -38,19 +45,140 @@ pub fn contention_sweep() -> Vec<usize> {
 }
 
 /// Run `threads` copies of `work` concurrently (each gets its thread
-/// index) and return the wall-clock duration of the whole batch.
+/// index) and return the wall-clock time from the moment every worker
+/// is running to the moment the last one finishes.
+///
+/// The workers park behind a start barrier: each bumps an arrival
+/// count, and the last to arrive starts the clock and opens the gate.
+/// Thread spawn and join are never timed, and every worker's work
+/// overlaps every other's from its first iteration.
 pub fn run_concurrent<F>(threads: usize, work: F) -> Duration
 where
     F: Fn(usize) + Sync,
 {
-    let start = Instant::now();
+    run_gated(threads, &AtomicUsize::new(0), work)
+}
+
+/// [`run_concurrent`] with a caller-supplied arrival count, so a test
+/// can watch the barrier.
+fn run_gated<F>(threads: usize, arrived: &AtomicUsize, work: F) -> Duration
+where
+    F: Fn(usize) + Sync,
+{
+    let start = OnceLock::new();
+    let end = OnceLock::new();
+    let finished = AtomicUsize::new(0);
+    // While every worker can have a CPU of its own, waiters spin. With
+    // yielding waiters, two workers on a 2-CPU host ran by turns on one
+    // CPU for whole runs; spinning keeps the waiter's CPU busy until the
+    // scheduler spreads them. Once workers outnumber CPUs they share
+    // anyway, and spinning would only delay the last arrival.
+    let spin = threads <= std::thread::available_parallelism().map_or(1, |n| n.get());
     std::thread::scope(|s| {
         for t in 0..threads {
-            let work = &work;
-            s.spawn(move || work(t));
+            let (work, start, end, finished) = (&work, &start, &end, &finished);
+            s.spawn(move || {
+                if arrived.fetch_add(1, Ordering::AcqRel) + 1 == threads {
+                    let _ = start.set(Instant::now());
+                }
+                while start.get().is_none() {
+                    if spin {
+                        std::hint::spin_loop();
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+                work(t);
+                if finished.fetch_add(1, Ordering::AcqRel) + 1 == threads {
+                    let _ = end.set(Instant::now());
+                }
+            });
         }
     });
-    start.elapsed()
+    let start = start
+        .get()
+        .expect("the last worker to arrive started the clock");
+    let end = end
+        .get()
+        .expect("the last worker to finish stopped the clock");
+    end.duration_since(*start)
+}
+
+/// Per-sample target time and sample count in quick mode.
+const QUICK_SAMPLING: (Duration, usize) = (Duration::from_millis(10), 5);
+
+/// Per-sample target time and sample count in full mode.
+const FULL_SAMPLING: (Duration, usize) = (Duration::from_millis(20), 15);
+
+/// Iterations per worker of the first warm-up call.
+const WARMUP_ITERS: u64 = 1_000;
+
+/// The median of repeated host throughput samples and their median
+/// absolute deviation (MAD), both in the samples' unit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Sample {
+    /// The median sample.
+    pub median: f64,
+    /// The median of the samples' distances from [`Sample::median`].
+    pub mad: f64,
+}
+
+impl Sample {
+    /// The median and MAD of `samples` (reordered in place).
+    pub fn of(samples: &mut [f64]) -> Sample {
+        fn median(v: &mut [f64]) -> f64 {
+            v.sort_by(f64::total_cmp);
+            let n = v.len();
+            if n % 2 == 1 {
+                v[n / 2]
+            } else {
+                (v[n / 2 - 1] + v[n / 2]) / 2.0
+            }
+        }
+        let m = median(samples);
+        let mut dev: Vec<f64> = samples.iter().map(|x| (x - m).abs()).collect();
+        Sample {
+            median: m,
+            mad: median(&mut dev),
+        }
+    }
+
+    /// Table cell: the median as a rate and the MAD as a percentage of
+    /// it (`12.30M ±1.5%`).
+    pub fn cell(&self) -> String {
+        format!(
+            "{} ±{:.1}%",
+            fmt_rate(self.median),
+            100.0 * self.mad / self.median
+        )
+    }
+}
+
+/// Sample a host throughput figure. `run(iters)` makes each of
+/// `workers` workers do `iters` operations and returns the aggregate
+/// rate (operations per second, timed behind [`run_concurrent`]'s start
+/// barrier).
+///
+/// The warm-up doubles `iters` from 1 000 until one call lasts at
+/// least half the target time, so the rate that sizes the samples
+/// comes from a run long enough to show the workload's steady state
+/// (an oversubscribed queued lock only collapses once its waiters are
+/// preempted). Each sample then lasts about the target time. Target
+/// and sample count are constants chosen by `quick`.
+pub fn sample(quick: bool, workers: usize, mut run: impl FnMut(u64) -> f64) -> Sample {
+    let (target, n) = if quick { QUICK_SAMPLING } else { FULL_SAMPLING };
+    let target = target.as_secs_f64();
+    let mut iters = WARMUP_ITERS;
+    let rate = loop {
+        let rate = run(iters);
+        if (workers as u64 * iters) as f64 / rate >= target / 2.0 {
+            break rate;
+        }
+        iters *= 2;
+    };
+    let iters = (target * rate / workers as f64).max(1.0) as u64;
+    let mut rates: Vec<f64> = (0..n).map(|_| run(iters)).collect();
+    Sample::of(&mut rates)
 }
 
 /// Throughput in operations per second.
@@ -149,13 +277,76 @@ mod tests {
 
     #[test]
     fn run_concurrent_runs_all_threads() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let hits = AtomicUsize::new(0);
         let d = run_concurrent(4, |_t| {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 4);
         assert!(d > Duration::ZERO);
+    }
+
+    #[test]
+    fn no_worker_starts_before_every_worker_is_spawned() {
+        let threads = 4;
+        let arrived = AtomicUsize::new(0);
+        run_gated(threads, &arrived, |t| {
+            assert_eq!(
+                arrived.load(Ordering::SeqCst),
+                threads,
+                "worker {t} started before every worker arrived"
+            );
+        });
+    }
+
+    #[test]
+    fn sample_median_and_mad_of_odd_and_even_lengths() {
+        let odd = Sample::of(&mut [3.0, 1.0, 2.0, 5.0, 4.0]);
+        assert_eq!(
+            odd,
+            Sample {
+                median: 3.0,
+                mad: 1.0
+            }
+        );
+        let even = Sample::of(&mut [10.0, 1.0, 3.0, 2.0]);
+        assert_eq!(
+            even,
+            Sample {
+                median: 2.5,
+                mad: 1.0
+            }
+        );
+        assert_eq!(
+            Sample::of(&mut [7.0]),
+            Sample {
+                median: 7.0,
+                mad: 0.0
+            }
+        );
+    }
+
+    #[test]
+    fn sample_sizes_iterations_to_the_target_time() {
+        // Two workers, 1 µs per iteration each: 2 M ops/s at any size.
+        // The warm-up doubles from 1 000 iterations (1 ms) until a call
+        // lasts half the 10 ms target; each sample then lasts 10 ms.
+        let mut calls = Vec::new();
+        let s = sample(true, 2, |iters| {
+            calls.push(iters);
+            2e6
+        });
+        let (target, n) = QUICK_SAMPLING;
+        assert_eq!(target, Duration::from_millis(10));
+        let mut expected = vec![1_000, 2_000, 4_000, 8_000];
+        expected.extend(vec![10_000; n]);
+        assert_eq!(calls, expected);
+        assert_eq!(
+            s,
+            Sample {
+                median: 2e6,
+                mad: 0.0
+            }
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Reusable workload kernels, shared by the Criterion benches and the
-//! experiments binary so both measure exactly the same code.
+//! Reusable workload kernels for the experiments. Each throughput
+//! kernel times its workers behind [`run_concurrent`]'s start barrier
+//! and returns an aggregate rate; the experiments repeat it through
+//! [`crate::util::sample`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -7,8 +9,8 @@ use std::time::Duration;
 
 use machk_core::{
     ComplexLock, Kobj, Mcs, ObjHeader, ObjRef, RawSimpleLock, Refable, RwData, ShardedRefCount,
-    ShardedRefable,
-    SimpleLocked, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, UpgradeFailed,
+    ShardedRefable, SimpleLocked, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, UpgradeFailed,
+    WithBackoff,
 };
 use machk_ipc::{DispatchTable, KernError, Message, Port, RefSemantics, RpcStats};
 use machk_kernel::{MonoTask, Task};
@@ -50,11 +52,16 @@ pub fn lock_counter<P: SpinPolicy>(lock: &RawSimpleLock<P>, threads: usize, iter
 /// for that policy.
 pub type PolicyCounter = (&'static str, fn(usize, u64) -> f64);
 
-/// Every policy without backoff, in presentation order.
-pub const POLICY_SWEEP: [PolicyCounter; 5] = [
+/// Every spin policy, in presentation order. Backoff is a wrapper that
+/// keeps its inner policy's name, so its label is spelled out.
+pub const POLICY_SWEEP: [PolicyCounter; 6] = [
     (Tas::NAME, simple_lock_counter::<Tas>),
     (Ttas::NAME, simple_lock_counter::<Ttas>),
     (TasThenTtas::NAME, simple_lock_counter::<TasThenTtas>),
+    (
+        "tas+ttas+backoff",
+        simple_lock_counter::<WithBackoff<TasThenTtas>>,
+    ),
     (Ticket::NAME, simple_lock_counter::<Ticket>),
     (Mcs::NAME, simple_lock_counter::<Mcs>),
 ];
@@ -907,8 +914,7 @@ pub fn timer_tick_storm(imp: TimerImpl, cpus: usize, readers: usize, iters: u64)
         TimerImpl::LockFree => Bank::Free(TimerBank::new(cpus)),
         TimerImpl::Locked => Bank::Locked(LockedTimerBank::new(cpus)),
     };
-    let start = std::time::Instant::now();
-    std::thread::scope(|s| {
+    let elapsed = std::thread::scope(|s| {
         // Reader threads (any thread may read).
         for _ in 0..readers {
             let bank = &bank;
@@ -924,34 +930,23 @@ pub fn timer_tick_storm(imp: TimerImpl, cpus: usize, readers: usize, iters: u64)
             });
         }
         // One ticking thread per CPU.
-        let handles: Vec<_> = machine
-            .cpus()
-            .iter()
-            .map(|cpu| {
-                let bank = &bank;
-                let cpu = Arc::clone(cpu);
-                s.spawn(move || {
-                    let _g = cpu.enter();
-                    for i in 0..iters {
-                        let kind = if i % 4 == 0 {
-                            TimeKind::System
-                        } else {
-                            TimeKind::User
-                        };
-                        match bank {
-                            Bank::Free(b) => b.tick_current(kind, 10),
-                            Bank::Locked(b) => b.tick_current(kind, 10),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let elapsed = run_concurrent(cpus, |i| {
+            let _g = machine.cpus()[i].enter();
+            for i in 0..iters {
+                let kind = if i % 4 == 0 {
+                    TimeKind::System
+                } else {
+                    TimeKind::User
+                };
+                match &bank {
+                    Bank::Free(b) => b.tick_current(kind, 10),
+                    Bank::Locked(b) => b.tick_current(kind, 10),
+                }
+            }
+        });
         stop.store(true, Ordering::Relaxed);
+        elapsed
     });
-    let elapsed = start.elapsed();
     // Sanity: every tick accounted.
     let total = match &bank {
         Bank::Free(b) => b.totals(),

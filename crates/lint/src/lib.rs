@@ -24,7 +24,7 @@
 //! 5. **atomics-ordering audit** — every `Ordering::Relaxed` carries a
 //!    `// relaxed: <why>` justification.
 //!
-//! Like the vendored `criterion`/`proptest` shims, the crate is
+//! Like the vendored `proptest` shim, the crate is
 //! dependency-free: a hand-rolled lexer and block scanner, no `syn`,
 //! no network. It is also never a dependency of the product crates —
 //! CI's `cargo tree` zero-cost assertion covers it.
@@ -63,7 +63,7 @@ pub struct Workspace {
 
 /// Crates that are vendored third-party shims, not product code under
 /// the paper's discipline.
-const EXCLUDED_CRATES: [&str; 2] = ["criterion", "proptest"];
+const EXCLUDED_CRATES: [&str; 1] = ["proptest"];
 
 impl Workspace {
     /// Load every workspace member's `src/` tree (product sources; the

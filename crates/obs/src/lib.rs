@@ -38,9 +38,9 @@
 //! and the default build links it nowhere (CI asserts `cargo tree`).
 //! With the hooks on, nothing is counted until [`install_stats`] runs;
 //! after that the traced fast path pays two monotonic clock reads and a
-//! handful of relaxed atomic increments per acquisition — the
-//! `queued_lock` Criterion bench carries an off/on pair and
-//! EXPERIMENTS.md records the measured delta.
+//! handful of relaxed atomic increments per acquisition — E1's
+//! tracing-overhead table and E16's subscriber fan-out table measure it,
+//! and EXPERIMENTS.md records the measured delta.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
