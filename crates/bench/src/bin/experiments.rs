@@ -27,15 +27,16 @@
 //! `bench/baselines/` with `bench-compare`. Feature-gated experiments
 //! (E16/E17 probe, E18/E19/E20-sim sim) still emit envelopes when the
 //! feature is off, carrying an `*_enabled = 0` exact metric so compare
-//! flags a misbuilt trajectory run. Under `--features probe` the E16
-//! exporter outputs (`E16.ndjson`, `E16.folded`) are written too.
+//! flags a misbuilt trajectory run. Under `--features probe` E16's
+//! trace-ring export (`E16.ndjson`) and wait fold (`E16.folded`) are
+//! written too.
 //!
 //! E18 (schedule exploration on simulated hosts) requires a build with
 //! `--features sim`; `--sim-seed N` overrides its base scheduler seed
 //! (CI runs a small fixed matrix of seeds).
 //!
 //! `lockstat` runs E16 and prints its tables — the subscriber fan-out,
-//! the lockstat report and the exporter summary — or, with `--json`,
+//! the lockstat report and the export summary — or, with `--json`,
 //! only the lockstat report as JSON: the `lockstat(1M)`-style
 //! entry point. Requires a build with `--features probe`.
 
@@ -146,22 +147,23 @@ fn write_artifact(dir: Option<&str>, name: &str, json: &str) {
     println!("  [artifact: {}]", path.display());
 }
 
-/// After E16 has run with probes, its exporter subscribers hold the
-/// NDJSON backlog (whatever arrived after the in-run drain) and the
-/// cumulative flamegraph rollup; write both next to the envelopes.
+/// After E16 has run with probes, the stats subscriber's trace rings
+/// hold the newest events of every traced thread and its registry the
+/// per-lock wait totals; write the rings as NDJSON and the wait fold
+/// next to the envelopes.
 #[cfg(feature = "probe")]
 fn write_e16_exporter_artifacts(dir: Option<&str>) {
     if dir.is_none() {
         return;
     }
-    let (ndjson, buf, flame) = experiments::e16_lockstat::exporters();
-    ndjson.drain().expect("ndjson drain failed");
-    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("ndjson not UTF-8");
-    write_artifact(dir, "E16.ndjson", text.trim_end());
+    let (ndjson, _) = machk_obs::report::render_ndjson();
+    write_artifact(dir, "E16.ndjson", ndjson.trim_end());
     write_artifact(
         dir,
         "E16.folded",
-        flame.render_folded(machk_obs::FlameMetric::Wait).trim_end(),
+        machk_obs::Lockstat::collect()
+            .render_folded(machk_obs::FlameMetric::Wait)
+            .trim_end(),
     );
 }
 

@@ -183,36 +183,7 @@ fn lockstat_section(quick: bool) -> String {
     out
 }
 
-/// The E16 exporter set: NDJSON subscriber, its shared sink, and the
-/// flamegraph aggregator (all install-forever statics).
-#[cfg(feature = "probe")]
-pub type Exporters = (
-    &'static machk_obs::NdjsonSubscriber,
-    &'static std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
-    &'static machk_obs::FlameSubscriber,
-);
-
-/// The exporter subscribers E16 exercises, installed once per process
-/// (dispatcher slots are install-forever; later calls return the same
-/// set). The NDJSON queue is bounded; overflow past it is the
-/// drop-counting behaviour E16 reports.
-#[cfg(feature = "probe")]
-pub fn exporters() -> Exporters {
-    use std::sync::OnceLock;
-    static SLOT: OnceLock<Exporters> = OnceLock::new();
-    *SLOT.get_or_init(|| {
-        let (ndjson, buf) = machk_obs::NdjsonSubscriber::to_shared_vec(8_192);
-        let ndjson: &'static machk_obs::NdjsonSubscriber = Box::leak(Box::new(ndjson));
-        let buf = Box::leak(Box::new(buf));
-        let flame: &'static machk_obs::FlameSubscriber =
-            Box::leak(Box::new(machk_obs::FlameSubscriber::new()));
-        probe::install(ndjson).expect("subscriber slots exhausted");
-        probe::install(flame).expect("subscriber slots exhausted");
-        (ndjson, buf, flame)
-    })
-}
-
-/// A short IPC storm so lockstat and the flamegraph attribute the
+/// A short IPC storm so lockstat and the flamegraph fold attribute the
 /// engine's rings and sharded namespace (`ipc.port.queue`,
 /// `ipc.ns.shardNN`, `ipc.engine.loop`) alongside the e16.* locks.
 #[cfg(feature = "probe")]
@@ -230,10 +201,10 @@ fn drive_ipc_phase(quick: bool) {
 }
 
 /// The probe dispatcher's fan-out cost: the counter loop on one named
-/// lock with no subscriber, with the stats subscriber, and with the
-/// stats and both exporters. Subscribers install forever, so the empty
-/// dispatcher is measurable only if nothing in this process has
-/// installed one yet; otherwise that row reads "n/a".
+/// lock with no subscriber and with the stats subscriber. Subscribers
+/// install forever, so the empty dispatcher is measurable only if
+/// nothing in this process has installed one yet; otherwise that row
+/// reads "n/a".
 #[cfg(feature = "probe")]
 fn fanout_table(quick: bool) -> String {
     static LOCK: RawSimpleLock = RawSimpleLock::named("e16.fanout");
@@ -255,83 +226,61 @@ fn fanout_table(quick: bool) -> String {
     row("none", probe::subscriber_count() == 0);
     machk_obs::install_stats();
     row("stats", true);
-    exporters();
-    row("stats, ndjson, flame", true);
     t.note("'installed' counts every subscriber in the process, whoever installed it");
     t.render()
 }
 
-/// Run E16 with the exporter subscribers installed and return the
-/// rendered tables plus the `BENCH_E16.json` envelope. Beyond the
-/// lockstat assertions this checks the two exporters end to end: the
-/// NDJSON stream drains to parseable lines (drop-counted past its
-/// bounded queue) and the flamegraph aggregator attributes wait/hold
-/// time per lock-class × call-site, including the `ipc.*` sites the
-/// IPC phase drives.
+/// Run E16 and return the rendered tables plus the `BENCH_E16.json`
+/// envelope. Beyond the lockstat assertions this checks the two other
+/// renderings of the stats subscriber's store end to end: the NDJSON
+/// export of the trace rings parses line by line, and the flamegraph
+/// fold attributes wait time and operations per lock-class × call-site,
+/// including the `ipc.*` sites the IPC phase drives.
 #[cfg(feature = "probe")]
 pub fn run_report(quick: bool) -> (String, String) {
     let mut out = fanout_table(quick);
-    let (ndjson, buf, flame) = exporters();
     out.push_str(&lockstat_section(quick));
     drive_ipc_phase(quick);
 
-    let drained = ndjson.drain().expect("ndjson drain failed");
-    let (accepted, dropped) = (ndjson.accepted(), ndjson.dropped());
-    assert!(accepted > 0, "ndjson subscriber saw no events");
-    assert!(drained > 0, "ndjson drain wrote no lines");
-    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("ndjson not UTF-8");
+    let (ndjson, overwritten) = machk_obs::report::render_ndjson();
     let mut lines = 0usize;
-    for line in text.lines().filter(|l| !l.is_empty()) {
+    for line in ndjson.lines() {
         crate::json::parse(line)
             .unwrap_or_else(|e| panic!("ndjson line is not one JSON object: {e}\n{line}"));
         lines += 1;
     }
-    assert!(lines > 0, "ndjson stream drained empty");
+    assert!(lines > 0, "ndjson export of the trace rings is empty");
 
-    let folded = flame.render_folded(machk_obs::FlameMetric::Wait);
-    let folded_ops = flame.render_folded(machk_obs::FlameMetric::Ops);
-    assert!(flame.site_count() > 0, "flame subscriber saw no sites");
+    let stat = machk_obs::Lockstat::collect();
+    let folded = stat.render_folded(machk_obs::FlameMetric::Wait);
+    let folded_ops = stat.render_folded(machk_obs::FlameMetric::Ops);
     assert!(
         folded.contains(";e16."),
-        "flame wait rollup is missing the e16.* sites:\n{folded}"
+        "flame wait fold is missing the e16.* sites:\n{folded}"
     );
     assert!(
         folded_ops.contains(";ipc."),
-        "flame ops rollup is missing the ipc.* sites:\n{folded_ops}"
+        "flame ops fold is missing the ipc.* sites:\n{folded_ops}"
     );
+    let sites = folded_ops.lines().count();
 
-    let stat = machk_obs::Lockstat::collect();
     let named = stat.locks.iter().filter(|l| !l.name.is_empty()).count();
     let mut report = BenchReport::new("E16", TITLE, quick);
     report.exact("obs_enabled", 1.0, "bool");
     report.exact("order_cycle_diagnosed", 1.0, "bool"); // asserted in lockstat_section()
     report.metric("named_locks", named as f64, "count", crate::report::Dir::Higher, 1.5);
-    report.metric(
-        "flame_sites",
-        flame.site_count() as f64,
-        "count",
-        crate::report::Dir::Higher,
-        2.0,
-    );
-    report.info("ndjson_lines_drained", lines as f64, "count");
-    report.info("ndjson_accepted", accepted as f64, "count");
-    report.info("ndjson_dropped", dropped as f64, "count");
-    report.extra(&format!(
-        "{{\"lockstat\":{},\"flame\":{}}}",
-        stat.render_json(),
-        flame.render_json()
-    ));
+    report.metric("flame_sites", sites as f64, "count", crate::report::Dir::Higher, 2.0);
+    report.info("ndjson_lines", lines as f64, "count");
+    report.info("ndjson_overwritten", overwritten as f64, "count");
+    report.extra(&format!("{{\"lockstat\":{}}}", stat.render_json()));
 
-    out.push_str("\n== E16-exporters: streaming NDJSON + flamegraph rollup ==\n");
+    out.push_str("\n== E16-exports: trace rings as NDJSON + flamegraph fold ==\n");
     out.push_str(&format!(
-        "  ndjson: {lines} lines drained ({accepted} accepted, {dropped} dropped past the \
-         {}-event queue)\n",
-        ndjson.capacity()
+        "  ndjson: {lines} lines from the trace rings ({overwritten} older events overwritten, \
+         {} per thread kept)\n",
+        machk_obs::ring::RING_CAPACITY
     ));
-    out.push_str(&format!(
-        "  flame:  {} sites; hottest by wait:\n",
-        flame.site_count()
-    ));
+    out.push_str(&format!("  flame:  {sites} sites; hottest by wait:\n"));
     for line in folded.lines().take(5) {
         out.push_str(&format!("    {line}\n"));
     }

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use machk_core::sync::CachePadded;
 use machk_core::{
     ComplexLock, Kobj, Mcs, ObjHeader, ObjRef, RawSimpleLock, Refable, RwData, ShardedRefCount,
     ShardedRefable, SimpleLocked, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, UpgradeFailed,
@@ -150,8 +151,9 @@ pub fn granularity_bank(g: Granularity, nstructs: usize, threads: usize, iters: 
             ops_per_sec(threads as u64 * iters, elapsed)
         }
         Granularity::PerStructure => {
-            let bank: Vec<SimpleLocked<[u64; 8]>> = (0..nstructs)
-                .map(|_| SimpleLocked::new([0u64; 8]))
+            // One line per structure: neighbours must not false-share.
+            let bank: Vec<CachePadded<SimpleLocked<[u64; 8]>>> = (0..nstructs)
+                .map(|_| CachePadded::new(SimpleLocked::new([0u64; 8])))
                 .collect();
             let elapsed = run_concurrent(threads, |t| {
                 let mut idx = t;
@@ -167,17 +169,12 @@ pub fn granularity_bank(g: Granularity, nstructs: usize, threads: usize, iters: 
             // channel; callers spin-wait for their reply flag.
             type Req = (usize, Arc<AtomicBool>);
             let (tx, rx) = mpsc::channel::<Req>();
-            let stop = Arc::new(AtomicBool::new(false));
-            let stop2 = Arc::clone(&stop);
             let master = std::thread::spawn(move || {
                 let mut bank = vec![[0u64; 8]; nstructs];
+                // Serves until every sender is gone.
                 while let Ok((idx, done)) = rx.recv() {
                     structure_op(&mut bank[idx]);
                     done.store(true, Ordering::Release);
-                    if stop2.load(Ordering::Relaxed) {
-                        // Drain whatever remains, then exit on channel
-                        // close.
-                    }
                 }
             });
             let elapsed = run_concurrent(threads, |t| {
@@ -199,7 +196,6 @@ pub fn granularity_bank(g: Granularity, nstructs: usize, threads: usize, iters: 
                     }
                 }
             });
-            stop.store(true, Ordering::Relaxed);
             drop(tx);
             master.join().unwrap();
             ops_per_sec(threads as u64 * iters, elapsed)

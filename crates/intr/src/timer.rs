@@ -10,7 +10,9 @@
 //!
 //! [`TimerBank`] reproduces it over the simulated machine:
 //!
-//! * each vCPU owns one [`machk_sync::SeqCell`] of accumulated times;
+//! * each vCPU owns one [`machk_sync::SeqCell`] of accumulated times,
+//!   on a cache line of its own ([`CachePadded`]), so one CPU's tick
+//!   never invalidates another CPU's cell;
 //! * [`TimerBank::tick_current`] is called only from the owning CPU's
 //!   bound thread (the single-writer restriction, enforced by a runtime
 //!   check of the CPU binding);
@@ -21,7 +23,7 @@
 //! accounting under per-CPU simple locks, pricing what the lock-free
 //! exception buys on the tick path.
 
-use machk_sync::{seq::SeqCell, SimpleLocked};
+use machk_sync::{seq::SeqCell, CachePadded, SimpleLocked};
 
 use crate::cpu::current_cpu_id;
 
@@ -47,7 +49,7 @@ pub enum TimeKind {
 
 /// Per-CPU usage timers with lock-free single-writer updates.
 pub struct TimerBank {
-    timers: Vec<SeqCell<UsageSnap>>,
+    timers: Vec<CachePadded<SeqCell<UsageSnap>>>,
 }
 
 impl TimerBank {
@@ -55,7 +57,7 @@ impl TimerBank {
     pub fn new(ncpus: usize) -> TimerBank {
         TimerBank {
             timers: (0..ncpus)
-                .map(|_| SeqCell::new_unowned(UsageSnap::default()))
+                .map(|_| CachePadded::new(SeqCell::new_unowned(UsageSnap::default())))
                 .collect(),
         }
     }
@@ -107,7 +109,7 @@ impl TimerBank {
 /// The lock-based ablation: identical accounting under per-CPU simple
 /// locks (what Mach would have done had it not made the exception).
 pub struct LockedTimerBank {
-    timers: Vec<SimpleLocked<UsageSnap>>,
+    timers: Vec<CachePadded<SimpleLocked<UsageSnap>>>,
 }
 
 impl LockedTimerBank {
@@ -115,7 +117,7 @@ impl LockedTimerBank {
     pub fn new(ncpus: usize) -> LockedTimerBank {
         LockedTimerBank {
             timers: (0..ncpus)
-                .map(|_| SimpleLocked::new(UsageSnap::default()))
+                .map(|_| CachePadded::new(SimpleLocked::new(UsageSnap::default())))
                 .collect(),
         }
     }
@@ -180,6 +182,17 @@ mod tests {
             }
         );
         assert_eq!(bank.totals().ticks, 201);
+    }
+
+    #[test]
+    fn per_cpu_cells_sit_on_separate_cache_lines() {
+        fn gap<T>(a: &T, b: &T) -> usize {
+            (b as *const T as usize).abs_diff(a as *const T as usize)
+        }
+        let free = TimerBank::new(2);
+        let locked = LockedTimerBank::new(2);
+        assert!(gap(&*free.timers[0], &*free.timers[1]) >= 64);
+        assert!(gap(&*locked.timers[0], &*locked.timers[1]) >= 64);
     }
 
     #[test]

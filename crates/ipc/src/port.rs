@@ -138,8 +138,8 @@ impl Port {
         assert!(limit >= 1, "queue limit must be at least 1");
         ObjRef::new(Port {
             // One trace name for every port lock and every port queue:
-            // the obs registry dedupes per name, so the lockstat/flame
-            // reports aggregate across all ports.
+            // the obs registry dedupes per name, so the lockstat report
+            // and its flamegraph fold aggregate across all ports.
             obj: Kobj::named(
                 "ipc.port.lock",
                 PortState {

@@ -7,13 +7,11 @@
 //! cheap always-on counters with a name registry and post-hoc
 //! aggregation. This crate is that tool for the reproduction. It holds
 //! no hooks of its own: the runtime crates call `machk_sync::probe`,
-//! and everything here is a probe [`Subscriber`]:
+//! and this crate ships one probe [`Subscriber`]:
 //!
 //! * **[`StatsSubscriber`]** — the lockstat pipeline below, installed
-//!   with [`install_stats`]. [`NdjsonSubscriber`] (streaming
-//!   newline-delimited JSON export, bounded and drop-counting) and
-//!   [`FlameSubscriber`] (lock-class × site wait/hold rollups rendered
-//!   as collapsed stacks) stack beside it.
+//!   with [`install_stats`]. It keeps each event once, in the registry
+//!   and the trace rings; every output renders from those two stores.
 //! * **[`ring`]** — a lock-free, per-thread, fixed-capacity,
 //!   overwrite-oldest trace ring of [`TraceEvent`]s. Each slot is a
 //!   per-slot seqlock over atomic words, so a snapshot taken from any
@@ -29,7 +27,10 @@
 //!   potential deadlocks into a report instead of a hang.
 //! * **[`report`]** — the aggregation pass: a `lockstat`-style text or
 //!   JSON report (top-N locks by contention, histograms, reader/writer
-//!   breakdown, per-policy comparison, order cycles).
+//!   breakdown, per-policy comparison, order cycles), the lock-class ×
+//!   site wait/hold/ops rollup as collapsed stacks
+//!   ([`Lockstat::render_folded`]), and the trace rings as
+//!   newline-delimited JSON ([`report::render_ndjson`]).
 //!
 //! ## Linking and cost
 //!
@@ -40,23 +41,20 @@
 //! after that the traced fast path pays two monotonic clock reads and a
 //! handful of relaxed atomic increments per acquisition — E1's
 //! tracing-overhead table and E16's subscriber fan-out table measure it,
-//! and EXPERIMENTS.md records the measured delta.
+//! and EXPERIMENTS.md records the measured delta. Reports, folds and
+//! exports render after the fact and add nothing to the traced path.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod flame;
 pub mod hist;
-pub mod ndjson;
 pub mod order;
 pub mod registry;
 pub mod report;
 pub mod ring;
 pub mod stats;
 
-pub use flame::{FlameMetric, FlameSubscriber};
 pub use hist::{HistSnapshot, Log2Hist};
 pub use machk_sync::probe::{EventKind, LockClass, Subscriber, TraceEvent};
-pub use ndjson::NdjsonSubscriber;
-pub use report::Lockstat;
+pub use report::{FlameMetric, Lockstat};
 pub use stats::{install_stats, StatsSubscriber};

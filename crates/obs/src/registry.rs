@@ -218,6 +218,20 @@ impl LockReport {
             self.contended as f64 / self.acquires as f64
         }
     }
+
+    /// Every operation counted for this lock: acquisitions (accepted
+    /// ring pushes included), failed tries, upgrades, downgrades and
+    /// reference traffic.
+    pub fn ops(&self) -> u64 {
+        self.acquires
+            + self.try_failures
+            + self.upgrades_ok
+            + self.upgrades_failed
+            + self.downgrades
+            + self.ref_takes
+            + self.ref_releases
+            + self.ref_drains
+    }
 }
 
 /// Snapshot every registered lock's counters.

@@ -1,4 +1,6 @@
-//! The aggregation pass: a `lockstat`-style report.
+//! The aggregation pass: a `lockstat`-style report, a flamegraph fold
+//! and an NDJSON trace export, all rendered from the one store the
+//! [`crate::StatsSubscriber`] fills.
 //!
 //! [`Lockstat::collect`] freezes the registry counters, the order
 //! graph, and the trace-ring totals into plain data;
@@ -6,16 +8,31 @@
 //! into the report the `experiments lockstat` subcommand prints: top-N
 //! locks by contention, wait/hold log2 histograms, reader/writer/
 //! upgrade breakdown, per-policy comparison, refcount traffic, and
-//! lock-order cycles.
+//! lock-order cycles. [`Lockstat::render_folded`] rolls the same
+//! counters up per lock-class × site as collapsed stacks, and
+//! [`render_ndjson`] serializes the trace rings one event per line.
 
 use std::collections::BTreeMap;
 
-use machk_sync::probe::{self, LockClass};
+use machk_sync::probe::{self, LockClass, TraceEvent};
 
 use crate::hist::{fmt_ns, HistSnapshot};
 use crate::order;
 use crate::registry::{self, LockReport};
 use crate::ring;
+
+/// Which per-site measure [`Lockstat::render_folded`] reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlameMetric {
+    /// Total nanoseconds spent waiting to acquire (the wait histogram's
+    /// sum: simple, read, write and upgrade acquisitions).
+    Wait,
+    /// Total nanoseconds the site's lock was held (the hold histogram's
+    /// sum).
+    Hold,
+    /// Count of operations the registry recorded ([`LockReport::ops`]).
+    Ops,
+}
 
 /// A frozen, plain-data lockstat capture.
 pub struct Lockstat {
@@ -45,6 +62,30 @@ impl Lockstat {
             cycles: order::cycles(),
             events: ring::totals(),
         }
+    }
+
+    /// Collapsed-stack text for one metric: a
+    /// `machk;<class>;<site> <value>` line per lock with a non-zero
+    /// value, largest first (Brendan Gregg's `folded` format, feedable
+    /// straight into `flamegraph.pl` or `inferno`). Lock names identify
+    /// call sites: every named constructor is one static declaration.
+    /// Wait and hold values are nanoseconds; ops values are counts.
+    pub fn render_folded(&self, metric: FlameMetric) -> String {
+        let mut rows: Vec<(String, u64)> = self
+            .locks
+            .iter()
+            .map(|l| {
+                let v = match metric {
+                    FlameMetric::Wait => l.wait.sum,
+                    FlameMetric::Hold => l.hold.sum,
+                    FlameMetric::Ops => l.ops(),
+                };
+                (format!("machk;{};{}", l.class.label(), l.name), v)
+            })
+            .filter(|(_, v)| *v > 0)
+            .collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        rows.iter().map(|(frames, v)| format!("{frames} {v}\n")).collect()
     }
 
     /// Aggregate simple-lock counters by acquisition-policy label.
@@ -287,6 +328,39 @@ impl Lockstat {
     }
 }
 
+/// One NDJSON line (no trailing newline) for a trace event. The lock
+/// name is resolved through the registry at serialization time, so the
+/// traced path never touches the name table.
+pub fn line_for(ev: &TraceEvent) -> String {
+    format!(
+        "{{\"ts_ns\":{},\"kind\":\"{}\",\"lock_id\":{},\"lock\":{},\"thread\":{},\"arg\":{},\"flags\":{}}}",
+        ev.ts_ns,
+        ev.kind.label(),
+        ev.lock_id,
+        json_string(if ev.lock_id == 0 { "" } else { probe::name_of(ev.lock_id) }),
+        ev.thread,
+        ev.arg,
+        ev.flags,
+    )
+}
+
+/// The NDJSON export of the trace rings: one [`line_for`] line per
+/// event they still hold, oldest first, and the number of events the
+/// rings overwrote (pushed, but no longer held). The rings keep the
+/// newest [`ring::RING_CAPACITY`] events per thread; totals live in the
+/// registry.
+pub fn render_ndjson() -> (String, u64) {
+    let events = ring::snapshot_all();
+    let mut out = String::with_capacity(events.len() * 96);
+    for ev in &events {
+        out.push_str(&line_for(ev));
+        out.push('\n');
+    }
+    // Totals after the snapshot, so every kept event is counted.
+    let overwritten = ring::totals().0.saturating_sub(events.len() as u64);
+    (out, overwritten)
+}
+
 fn truncate(s: &str, n: usize) -> String {
     if s.len() <= n {
         s.to_string()
@@ -314,7 +388,69 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::registry::{record_acquire, record_hold};
-    use machk_sync::probe::register;
+    use crate::StatsSubscriber;
+    use machk_sync::probe::{register, EventKind, Subscriber};
+
+    fn ev(kind: EventKind, id: u32, arg: u64) -> TraceEvent {
+        TraceEvent {
+            ts_ns: arg,
+            kind,
+            lock_id: id,
+            thread: 1,
+            arg,
+            flags: 0,
+        }
+    }
+
+    #[test]
+    fn fold_sums_wait_hold_and_ops_from_the_registry() {
+        let id = register("test.fold.site", LockClass::Simple, "tas");
+        StatsSubscriber.on_event(&ev(EventKind::SimpleAcquire, id, 100));
+        StatsSubscriber.on_event(&ev(EventKind::SimpleRelease, id, 70));
+        StatsSubscriber.on_event(&ev(EventKind::SimpleAcquire, id, 50));
+        StatsSubscriber.on_event(&ev(EventKind::SimpleRelease, id, 0));
+        StatsSubscriber.on_event(&ev(EventKind::SimpleTryFail, id, 0));
+        let stat = Lockstat::collect();
+        let has = |metric, line: &str| {
+            let folded = stat.render_folded(metric);
+            assert!(folded.lines().any(|l| l == line), "no `{line}` in:\n{folded}");
+        };
+        has(FlameMetric::Wait, "machk;simple;test.fold.site 150");
+        has(FlameMetric::Hold, "machk;simple;test.fold.site 70");
+        // Two acquisitions and a failed try.
+        has(FlameMetric::Ops, "machk;simple;test.fold.site 3");
+    }
+
+    #[test]
+    fn fold_sorts_largest_first_and_skips_zero() {
+        let hot = register("test.fold.hot", LockClass::Simple, "");
+        let cold = register("test.fold.cold", LockClass::Simple, "");
+        StatsSubscriber.on_event(&ev(EventKind::SimpleAcquire, cold, 10));
+        StatsSubscriber.on_event(&ev(EventKind::SimpleRelease, cold, 0));
+        StatsSubscriber.on_event(&ev(EventKind::SimpleAcquire, hot, 900));
+        let stat = Lockstat::collect();
+        let wait = stat.render_folded(FlameMetric::Wait);
+        let at = |site| wait.lines().position(|l| l.contains(site)).unwrap();
+        assert!(at("test.fold.hot") < at("test.fold.cold"), "{wait}");
+        let values: Vec<u64> = wait
+            .lines()
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(values.windows(2).all(|w| w[0] >= w[1]), "{wait}");
+        assert!(values.iter().all(|&v| v > 0), "{wait}");
+        let hold = stat.render_folded(FlameMetric::Hold);
+        assert!(!hold.contains("test.fold.cold"), "zero-valued rows are skipped: {hold}");
+    }
+
+    #[test]
+    fn lines_are_single_json_objects() {
+        let line = line_for(&ev(EventKind::SimpleAcquire, 0, 42));
+        assert!(line.starts_with('{') && line.ends_with('}'));
+        assert!(line.contains("\"kind\":\"simple_acquire\""));
+        assert!(line.contains("\"lock\":\"\""));
+        assert!(line.contains("\"arg\":42"));
+        assert!(!line.contains('\n'));
+    }
 
     #[test]
     fn collect_and_render_include_registered_locks() {
