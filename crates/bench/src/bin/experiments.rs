@@ -27,20 +27,22 @@
 //! `bench/baselines/` with `bench-compare`. Feature-gated experiments
 //! (E16/E17 probe, E18/E19/E20-sim sim) still emit envelopes when the
 //! feature is off, carrying an `*_enabled = 0` exact metric so compare
-//! flags a misbuilt trajectory run. Under `--features probe` E16's
-//! trace-ring export (`E16.ndjson`) and wait fold (`E16.folded`) are
-//! written too.
+//! flags a misbuilt trajectory run. Each envelope carries every table
+//! the run printed. Under `--features probe` E16's trace-ring export
+//! (`E16.ndjson`), wait fold (`E16.folded`) and full lockstat report
+//! (`E16.lockstat.json`) are written too.
 //!
 //! E18 (schedule exploration on simulated hosts) requires a build with
 //! `--features sim`; `--sim-seed N` overrides its base scheduler seed
 //! (CI runs a small fixed matrix of seeds).
 //!
-//! `lockstat` runs E16 and prints its tables — the subscriber fan-out,
-//! the lockstat report and the export summary — or, with `--json`,
-//! only the lockstat report as JSON: the `lockstat(1M)`-style
-//! entry point. Requires a build with `--features probe`.
+//! `lockstat` runs E16 and prints the full lockstat report it leaves
+//! behind (histograms, complex-lock and policy breakdowns, reference
+//! traffic, order graph) or, with `--json`, the same report as JSON:
+//! the `lockstat(1M)`-style entry point. Requires a build with
+//! `--features probe`.
 
-use machk_bench::experiments;
+use machk_bench::experiments::{self, Opts};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,23 +53,17 @@ fn main() {
         return;
     }
 
-    let seeds: Option<u64> = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let opts = Opts {
+        quick,
+        seeds: flag_value(&args, "--seeds"),
+        sim_seed: flag_value(&args, "--sim-seed"),
+    };
 
     let artifacts: Option<String> = args
         .iter()
         .position(|a| a == "--artifacts")
         .and_then(|i| args.get(i + 1))
         .cloned();
-
-    let sim_seed: Option<u64> = args
-        .iter()
-        .position(|a| a == "--sim-seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
 
     let wanted: Vec<String> = args
         .iter()
@@ -96,28 +92,20 @@ fn main() {
     );
 
     let mut ran = 0;
-    for (id, title, run_report) in experiments::all() {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w == id) {
+    for e in &experiments::ALL {
+        if !wanted.is_empty() && !wanted.iter().any(|w| w == e.id) {
             continue;
         }
-        println!("\n################ {id}: {title}");
+        println!("\n################ {}: {}", e.id, e.title);
         let started = std::time::Instant::now();
-        // E17/E18 honour their CLI overrides; everything else runs the
-        // uniform run_report entry from the experiment table.
-        let (table, json) = match id {
-            "E17" => {
-                let n = seeds.unwrap_or(if quick { 5 } else { 200 });
-                experiments::e17_chaos::run_report(n)
-            }
-            "E18" => experiments::e18_sim::run_report_seeded(quick, sim_seed),
-            _ => run_report(quick),
-        };
-        write_artifact(artifacts.as_deref(), &artifact_name(id), &json);
-        if id == "E16" {
+        let report = e.report(&opts);
+        let name = format!("BENCH_{}.json", report.id());
+        write_artifact(artifacts.as_deref(), &name, &report.render());
+        if e.id == "E16" {
             write_e16_exporter_artifacts(artifacts.as_deref());
         }
-        print!("{table}");
-        println!("  [{id} completed in {:?}]", started.elapsed());
+        print!("{}", report.text());
+        println!("  [{} completed in {:?}]", e.id, started.elapsed());
         ran += 1;
     }
     if ran == 0 {
@@ -126,15 +114,12 @@ fn main() {
     }
 }
 
-/// Zero-padded artifact name for an experiment id: `E7` →
-/// `BENCH_E07.json`. Padding keeps directory listings and the
-/// bench-compare pairing in experiment order.
-fn artifact_name(id: &str) -> String {
-    let n: u32 = id
-        .trim_start_matches(['E', 'e'])
-        .parse()
-        .unwrap_or_else(|_| panic!("experiment id {id} is not E<number>"));
-    format!("BENCH_E{n:02}.json")
+/// The number after `flag`, if given.
+fn flag_value(args: &[String], flag: &str) -> Option<u64> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
 }
 
 /// Write one experiment's JSON summary into the `--artifacts` directory
@@ -148,9 +133,9 @@ fn write_artifact(dir: Option<&str>, name: &str, json: &str) {
 }
 
 /// After E16 has run with probes, the stats subscriber's trace rings
-/// hold the newest events of every traced thread and its registry the
-/// per-lock wait totals; write the rings as NDJSON and the wait fold
-/// next to the envelopes.
+/// hold the newest events of every traced thread and its registry every
+/// lock's counters; write the rings as NDJSON, the wait fold and the
+/// lockstat report as JSON next to the envelopes.
 #[cfg(feature = "probe")]
 fn write_e16_exporter_artifacts(dir: Option<&str>) {
     if dir.is_none() {
@@ -158,13 +143,13 @@ fn write_e16_exporter_artifacts(dir: Option<&str>) {
     }
     let (ndjson, _) = machk_obs::report::render_ndjson();
     write_artifact(dir, "E16.ndjson", ndjson.trim_end());
+    let stat = machk_obs::Lockstat::collect();
     write_artifact(
         dir,
         "E16.folded",
-        machk_obs::Lockstat::collect()
-            .render_folded(machk_obs::FlameMetric::Wait)
-            .trim_end(),
+        stat.render_folded(machk_obs::FlameMetric::Wait).trim_end(),
     );
+    write_artifact(dir, "E16.lockstat.json", stat.render_json().trim_end());
 }
 
 #[cfg(not(feature = "probe"))]
@@ -174,11 +159,13 @@ fn write_e16_exporter_artifacts(_dir: Option<&str>) {}
 #[cfg(feature = "probe")]
 fn lockstat(quick: bool, json: bool) {
     // The experiment runner asserts the report's claims as it goes.
-    let rendered = experiments::e16_lockstat::run_report(quick).0;
+    let e16 = experiments::ALL.iter().find(|e| e.id == "E16").expect("E16 is listed");
+    e16.report(&Opts { quick, ..Opts::default() });
+    let stat = machk_obs::Lockstat::collect();
     if json {
-        println!("{}", machk_obs::Lockstat::collect().render_json());
+        println!("{}", stat.render_json());
     } else {
-        print!("{rendered}");
+        print!("{}", stat.render_text(16, true));
     }
 }
 

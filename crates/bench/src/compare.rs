@@ -9,20 +9,20 @@
 //! The rules, driven entirely by the **baseline** file (so gates are
 //! loosened by editing a committed artifact, a reviewable change):
 //!
-//! * Every baseline file must have a fresh counterpart, and every
-//!   gated (non-`info`) baseline metric must appear in the fresh
-//!   envelope — a metric that silently disappears is a regression in
-//!   the harness itself.
-//! * `exact` metrics must be bit-identical (structural invariants:
-//!   `lost_wakeups`, `hangs`, audit booleans).
+//! * The two sides carry the same files and the same metrics. A
+//!   baseline file with no fresh counterpart, a fresh file with no
+//!   baseline, and a metric found on one side only (`info` metrics
+//!   included) all fail: a change that adds, renames or drops a metric
+//!   edits the baseline in the same commit.
+//! * `exact` metrics must be bit-identical (structural invariants such
+//!   as `lost_wakeups`, and every deterministic simulator value:
+//!   virtual clocks, sim ratios, schedule counts, fingerprints).
 //! * `higher` metrics regress when `fresh < base / tol`; `lower` when
 //!   `fresh > base * tol`.
-//! * `info` metrics and the `extra` member are recorded, never gated.
+//! * `info` metrics are reported, never judged, and the `tables` member
+//!   is not read at all.
 //! * `mode` must match: a quick baseline compared against a full run
 //!   (or vice versa) is a harness misconfiguration, not a measurement.
-//!
-//! Fresh files with no baseline are listed but do not fail — that is
-//! how a new experiment lands before its first baseline is committed.
 
 use std::path::Path;
 
@@ -49,7 +49,12 @@ pub struct Comparison {
     pub findings: Vec<Finding>,
     /// Gated metrics checked.
     pub gated: usize,
-    /// Gated metrics that failed (plus file-level failures).
+    /// `info` metrics reported.
+    pub info: usize,
+    /// Metrics found on one side only (each one also a failure).
+    pub one_sided: usize,
+    /// Gated metrics that failed, one-sided metrics and file-level
+    /// failures.
     pub failures: usize,
 }
 
@@ -72,8 +77,9 @@ impl Comparison {
             ));
         }
         out.push_str(&format!(
-            "bench-compare: {} gated metrics checked, {} failure(s)\n",
-            self.gated, self.failures
+            "bench-compare: {} gated metrics checked, {} info, {} on one side only, \
+             {} failure(s)\n",
+            self.gated, self.info, self.one_sided, self.failures
         ));
         out
     }
@@ -168,36 +174,35 @@ pub fn compare_docs(file: &str, base: &Value, fresh: &Value, out: &mut Compariso
         return;
     }
 
-    let fresh_metrics: Vec<(String, f64, String, f64)> = fresh
-        .get("metrics")
-        .and_then(Value::as_arr)
-        .map(|a| a.iter().filter_map(metric_fields).collect())
-        .unwrap_or_default();
+    let metrics = |doc: &Value| -> Option<Vec<(String, f64, String, f64)>> {
+        doc.get("metrics")?.as_arr()?.iter().map(metric_fields).collect()
+    };
+    let (Some(base_metrics), Some(fresh_metrics)) = (metrics(base), metrics(fresh)) else {
+        out.fail(&id, "<file>", "malformed metrics".to_string());
+        return;
+    };
 
-    for m in base.get("metrics").and_then(Value::as_arr).unwrap_or(&[]) {
-        let Some((name, bval, dir, tol)) = metric_fields(m) else {
-            out.fail(&id, "<file>", "malformed baseline metric".to_string());
+    for (name, bval, dir, tol) in &base_metrics {
+        let Some((_, fval, ..)) = fresh_metrics.iter().find(|(n, ..)| n == name) else {
+            out.one_sided += 1;
+            out.fail(&id, name, format!("{dir} metric in the baseline only"));
             continue;
         };
-        let found = fresh_metrics.iter().find(|(n, ..)| *n == name);
         if dir == "info" {
-            match found {
-                Some((_, fval, ..)) => out.note(
-                    &id,
-                    &name,
-                    format!("info: baseline {bval} -> fresh {fval}"),
-                ),
-                None => out.note(&id, &name, "info metric absent in fresh run".to_string()),
-            }
+            out.info += 1;
+            out.note(&id, name, format!("info: baseline {bval} -> fresh {fval}"));
             continue;
         }
         out.gated += 1;
-        match found {
-            None => out.fail(&id, &name, "gated metric missing from fresh run".to_string()),
-            Some((_, fval, ..)) => match check_metric(&dir, tol, bval, *fval) {
-                Ok(()) => out.note(&id, &name, format!("{dir}: baseline {bval}, fresh {fval}")),
-                Err(why) => out.fail(&id, &name, why),
-            },
+        match check_metric(dir, *tol, *bval, *fval) {
+            Ok(()) => out.note(&id, name, format!("{dir}: baseline {bval}, fresh {fval}")),
+            Err(why) => out.fail(&id, name, why),
+        }
+    }
+    for (name, _, dir, _) in &fresh_metrics {
+        if !base_metrics.iter().any(|(n, ..)| n == name) {
+            out.one_sided += 1;
+            out.fail(&id, name, format!("{dir} metric in the fresh run only"));
         }
     }
 }
@@ -235,18 +240,18 @@ pub fn compare_dirs(baselines: &Path, fresh: &Path) -> Result<Comparison, String
         }
     }
 
-    // Fresh artifacts with no baseline: visible, not gated.
+    // Fresh artifacts with no baseline fail like one-sided metrics.
     if let Ok(dir) = std::fs::read_dir(fresh) {
-        let mut extra: Vec<String> = dir
+        let mut unpaired: Vec<String> = dir
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .filter(|n| {
                 n.starts_with("BENCH_") && n.ends_with(".json") && !names.contains(n)
             })
             .collect();
-        extra.sort();
-        for name in extra {
-            out.note(&name, "<file>", "fresh artifact has no baseline yet".to_string());
+        unpaired.sort();
+        for name in unpaired {
+            out.fail(&name, "<file>", "fresh artifact has no baseline".to_string());
         }
     }
     Ok(out)
@@ -313,16 +318,75 @@ mod tests {
     }
 
     #[test]
-    fn missing_gated_metric_fails_missing_info_does_not() {
+    fn one_sided_metrics_fail_and_are_counted() {
         let base = envelope(
             "E03",
-            &[("gated", 1.0, Dir::Exact, 1.0), ("informational", 2.0, Dir::Info, 1.0)],
+            &[("lost", 0.0, Dir::Exact, 1.0), ("informational", 2.0, Dir::Info, 1.0)],
         );
-        let fresh = envelope("E03", &[]);
+        let fresh = envelope(
+            "E03",
+            &[("lost", 0.0, Dir::Exact, 1.0), ("ops_mad", 3.0, Dir::Info, 1.0)],
+        );
         let mut c = Comparison::default();
         compare_docs("BENCH_E03.json", &base, &fresh, &mut c);
-        assert_eq!(c.failures, 1);
-        assert!(c.render().contains("gated metric missing"));
+        let text = c.render();
+        assert_eq!((c.failures, c.one_sided, c.gated), (2, 2, 1), "{text}");
+        assert!(text.contains("info metric in the baseline only"));
+        assert!(text.contains("info metric in the fresh run only"));
+        assert!(text.contains("1 gated metrics checked, 0 info, 2 on one side only, 2 failure(s)"));
+    }
+
+    /// The envelope text with the last digit of `name`'s value changed.
+    fn edit_last_digit(text: &str, name: &str) -> String {
+        let key = format!("\"name\":\"{name}\",\"value\":");
+        let start = text.find(&key).expect("metric present") + key.len();
+        let len = text[start..]
+            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+            .unwrap();
+        let last = start + len - 1;
+        let digit = text.as_bytes()[last] - b'0';
+        format!("{}{}{}", &text[..last], (digit + 1) % 10, &text[last + 1..])
+    }
+
+    /// Against the committed baselines: each passes against itself,
+    /// every simulator value gates `exact`, and one edited digit of any
+    /// `exact` value, or any metric deleted from either side, fails.
+    #[test]
+    fn committed_baselines_catch_every_edit() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+            let doc = parse(&text).unwrap();
+            let compare = |base: &Value, fresh: &Value| {
+                let mut c = Comparison::default();
+                compare_docs("baseline", base, fresh, &mut c);
+                c
+            };
+            assert!(compare(&doc, &doc).passed());
+            for m in doc.get("metrics").and_then(Value::as_arr).unwrap() {
+                let (name, _, dir, _) = metric_fields(m).unwrap();
+                if name.starts_with("sim_") {
+                    assert_eq!(dir, "exact", "{name}: a simulator value gates exact");
+                }
+                if dir == "exact" {
+                    let edited = parse(&edit_last_digit(&text, &name)).unwrap();
+                    assert!(!compare(&edited, &doc).passed(), "{name}: edit passed");
+                }
+                let Value::Obj(mut members) = doc.clone() else { unreachable!() };
+                for (k, v) in &mut members {
+                    if k == "metrics" {
+                        let Value::Arr(ms) = v else { unreachable!() };
+                        ms.retain(|x| x != m);
+                    }
+                }
+                let dropped = Value::Obj(members);
+                assert!(!compare(&dropped, &doc).passed(), "{name}: dropped from the baseline");
+                assert!(!compare(&doc, &dropped).passed(), "{name}: dropped from the fresh run");
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "only {checked} baseline metrics checked");
     }
 
     #[test]
@@ -347,18 +411,19 @@ mod tests {
         let mut r = BenchReport::new("E05", "fixture", true);
         r.metric("wait_ns", 100.0, "ns", Dir::Lower, 1.5);
         std::fs::write(bdir.join("BENCH_E05.json"), r.render()).unwrap();
-        // Fresh regresses 2x, and a second baseline has no fresh file.
+        // Fresh regresses 2x, a second baseline has no fresh file, and
+        // a fresh file has no baseline.
         let mut r = BenchReport::new("E05", "fixture", true);
         r.metric("wait_ns", 200.0, "ns", Dir::Lower, 1.5);
         std::fs::write(fdir.join("BENCH_E05.json"), r.render()).unwrap();
-        std::fs::write(
-            bdir.join("BENCH_E06.json"),
-            BenchReport::new("E06", "fixture", true).render(),
-        )
-        .unwrap();
+        for (dir, id) in [(&bdir, "E06"), (&fdir, "E07")] {
+            let r = BenchReport::new(id, "fixture", true);
+            std::fs::write(dir.join(format!("BENCH_{id}.json")), r.render()).unwrap();
+        }
 
         let c = compare_dirs(&bdir, &fdir).unwrap();
-        assert_eq!(c.failures, 2, "{}", c.render());
+        assert_eq!(c.failures, 3, "{}", c.render());
+        assert!(c.render().contains("fresh artifact has no baseline"));
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -22,16 +22,15 @@
 use machk_core::sync::probe;
 use machk_core::{RawSimpleLock, TasThenTtas};
 
+use super::Opts;
 use crate::report::{BenchReport, Dir};
 use crate::util::{contention_sweep, sample, thread_sweep, Table};
 use crate::workloads::{lock_counter, simple_lock_first_try_rate, POLICY_SWEEP};
 
-/// Run E1; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E01.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
+/// Run E1 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
     let iters: u64 = if quick { 20_000 } else { 400_000 };
-    let mut report = BenchReport::new("E01", "Simple lock acquisition policies (paper §2)", quick);
-    let mut out = String::new();
 
     let mut headers = vec!["threads"];
     headers.extend(POLICY_SWEEP.map(|(label, _)| label));
@@ -39,15 +38,12 @@ pub fn run_report(quick: bool) -> (String, String) {
         "E1a: shared-counter throughput by policy (ops/s, median ±MAD)",
         &headers,
     );
-    let mut sweep_json = Vec::new();
     for threads in contention_sweep() {
         let mut cells = vec![threads.to_string()];
-        let mut rates = Vec::new();
         for (label, run) in POLICY_SWEEP {
             let name = label.replace('+', "_");
             let s = sample(quick, threads, |n| run(threads, n));
             cells.push(s.cell());
-            rates.push(format!("\"{name}\":{:.0}", s.median));
             // Host throughput: trajectory-only (CI runners vary), at
             // the sweep's host-independent anchor points.
             if threads == 1 || threads == 8 {
@@ -55,22 +51,19 @@ pub fn run_report(quick: bool) -> (String, String) {
             }
         }
         t.row(&cells);
-        sweep_json.push(format!("{{\"threads\":{threads},{}}}", rates.join(",")));
     }
     t.note("paper: TTAS avoids coherence traffic while spinning; TAS-first wins uncontended");
     t.note("queued (ticket/mcs) add FIFO admission; mcs also spins locally per-waiter");
-    out.push_str(&t.render());
+    report.table(t);
 
     let mut t = Table::new(
         "E1b: first-try acquisition rate (tas+ttas)",
         &["threads", "first-try rate"],
     );
-    let mut first_try_json = Vec::new();
     for threads in thread_sweep() {
         let lock = RawSimpleLock::<TasThenTtas>::new();
         let r = simple_lock_first_try_rate(&lock, threads, iters / 4);
         t.row(&[threads.to_string(), format!("{:.3}", r)]);
-        first_try_json.push(format!("{{\"threads\":{threads},\"rate\":{r:.4}}}"));
         if threads == 1 {
             // The paper's claim at its cleanest: uncontended, the lock
             // is taken on the first try essentially always. Host- and
@@ -79,22 +72,15 @@ pub fn run_report(quick: bool) -> (String, String) {
         }
     }
     t.note("paper: 'most locks in a well designed system are acquired on the first attempt'");
-    out.push_str(&t.render());
-    out.push_str(&tracing_table(quick, &mut report));
-
-    report.extra(&format!(
-        "{{\"iters\":{iters},\"throughput_ops_per_sec\":[{}],\"first_try_rate\":[{}]}}",
-        sweep_json.join(","),
-        first_try_json.join(","),
-    ));
-    (out, report.render())
+    report.table(t);
+    tracing_table(quick, report);
 }
 
 /// The counter loop on a named and an anonymous lock. With probes on, a
 /// named lock's hooks reach the registry and any subscribers, while an
 /// anonymous one's skip the clock and the recording; with probes off
 /// both compile to the bare lock, so the two columns should agree.
-fn tracing_table(quick: bool, report: &mut BenchReport) -> String {
+fn tracing_table(quick: bool, report: &mut BenchReport) {
     static NAMED: RawSimpleLock = RawSimpleLock::named("e1.tracing.named");
     static ANON: RawSimpleLock = RawSimpleLock::new();
     let state = if probe::ENABLED {
@@ -124,5 +110,5 @@ fn tracing_table(quick: bool, report: &mut BenchReport) -> String {
         "{} probe subscriber(s) installed while measured",
         probe::subscriber_count()
     ));
-    t.render()
+    report.table(t);
 }

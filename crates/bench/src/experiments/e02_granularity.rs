@@ -16,16 +16,15 @@
 //! measured in virtual time on any box — and asserted: ≥ 4× at 8
 //! simulated cores, gone (≤ 2×) at 1.
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{granularity_bank, Granularity};
 
-/// Run E2; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E02.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
+/// Run E2 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
     let nstructs = 64;
-    let mut report = BenchReport::new("E02", "Locking granularity: code vs data (paper §2)", quick);
-    let mut out = String::new();
     let mut t = Table::new(
         "E2: ops/s on a bank of 64 independent structures (median ±MAD)",
         &[
@@ -55,15 +54,22 @@ pub fn run_report(quick: bool) -> (String, String) {
         }
     }
     t.note("paper: locks on code serialize the kernel; locks on data let it run in parallel with itself");
-    out.push_str(&t.render());
-    out.push_str(&sim_section(quick, &mut report));
-    (out, report.render())
+    report.table(t);
+    #[cfg(feature = "sim")]
+    sim_section(quick, report);
+    #[cfg(not(feature = "sim"))]
+    report.compiled_out(
+        "sim_enabled",
+        "sim",
+        "E2-sim: global vs per-structure on simulated hosts",
+        "for the virtual-time separation",
+    );
 }
 
 /// Global-vs-fine on simulated 1- and 8-core hosts: the multi-core
 /// separation measured in virtual time (no host-CPU caveat).
 #[cfg(feature = "sim")]
-fn sim_section(quick: bool, report: &mut BenchReport) -> String {
+fn sim_section(quick: bool, report: &mut BenchReport) {
     use std::sync::Arc;
 
     use machk_core::sync::host;
@@ -135,10 +141,10 @@ fn sim_section(quick: bool, report: &mut BenchReport) -> String {
     let (_, r1) = ratios[0];
     let (_, r8) = ratios[1];
     // Virtual-time ratios are deterministic given (seed, cores), so
-    // they gate: the multi-core separation must hold, and must remain
-    // absent where there is no parallelism to win.
-    report.metric("sim_separation_8c", r8, "ratio", crate::report::Dir::Higher, 1.6);
-    report.metric("sim_separation_1c", r1, "ratio", crate::report::Dir::Lower, 1.6);
+    // they gate exact; the asserts below hold the claim itself.
+    report.exact("sim_enabled", 1.0, "bool");
+    report.exact("sim_separation_8c", r8, "ratio");
+    report.exact("sim_separation_1c", r1, "ratio");
     assert!(
         r8 >= 4.0,
         "data locking must beat the global lock by >=4x on 8 simulated cores (got {r8:.2}x)"
@@ -150,19 +156,5 @@ fn sim_section(quick: bool, report: &mut BenchReport) -> String {
     );
     t.note("each critical section modeled at 200 virtual ns; coherence charged per same-line spinner");
     t.note("asserted: >=4x at 8 cores, <=2x at 1 core — the separation IS the parallelism");
-    t.render()
-}
-
-/// Without the sim feature the simulated half is compiled out.
-#[cfg(not(feature = "sim"))]
-fn sim_section(_quick: bool, _report: &mut BenchReport) -> String {
-    let mut t = Table::new(
-        "E2-sim: global vs per-structure on simulated hosts",
-        &["status"],
-    );
-    t.row(&[
-        "sim feature disabled: rebuild with `--features sim` for the virtual-time separation"
-            .to_string(),
-    ]);
-    t.render()
+    report.table(t);
 }

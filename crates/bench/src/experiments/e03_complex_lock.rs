@@ -9,19 +9,14 @@
 
 use std::time::Duration;
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{complex_lock_mix, writer_latency_under_readers};
 
-/// Run E3; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E03.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new(
-        "E03",
-        "Complex lock: reader parallelism & writers priority (paper §4)",
-        quick,
-    );
-    let mut out = String::new();
+/// Run E3 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
 
     let mut t = Table::new(
         "E3a: readers/writer mix throughput (ops/s, median ±MAD)",
@@ -45,7 +40,7 @@ pub fn run_report(quick: bool) -> (String, String) {
         t.row(&cells);
     }
     t.note("read-mostly workloads are where the Multiple protocol pays for itself");
-    out.push_str(&t.render());
+    report.table(t);
 
     let dur = if quick {
         Duration::from_millis(100)
@@ -70,6 +65,5 @@ pub fn run_report(quick: bool) -> (String, String) {
         }
     }
     t.note("writers priority: 'readers may not be added ... in the presence of an outstanding write request'");
-    out.push_str(&t.render());
-    (out, report.render())
+    report.table(t);
 }

@@ -22,15 +22,14 @@
 //! the §7.1 restart logic, while the downgrade strategy completes the
 //! same schedules with structurally zero failures.
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{lookup_insert_upgrade, lookup_insert_write_downgrade};
 
-/// Run E4; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E04.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new("E04", "Upgrade vs write-then-downgrade (paper §7.1)", quick);
-    let mut out = String::new();
+/// Run E4 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
     let mut downgrade_failures = 0u64;
     for miss_pct in [5u32, 50u32] {
         let mut t = Table::new(
@@ -70,19 +69,26 @@ pub fn run_report(quick: bool) -> (String, String) {
         }
         t.note("ops/s are median ±MAD; failures are summed over the warm-up and every sample");
         t.note("downgrade 'cannot fail and does not require any special logic in the caller'");
-        out.push_str(&t.render());
+        report.table(t);
     }
     // The paper's structural claim: the downgrade path has no failure
     // mode, on any host, at any contention level.
     report.exact("downgrade_failures_total", downgrade_failures as f64, "count");
-    out.push_str(&sim_section(quick, &mut report));
-    (out, report.render())
+    #[cfg(feature = "sim")]
+    sim_section(quick, report);
+    #[cfg(not(feature = "sim"))]
+    report.compiled_out(
+        "sim_enabled",
+        "sim",
+        "E4-sim: upgrade collisions on a simulated 2-core host",
+        "to observe upgrade collisions",
+    );
 }
 
 /// The upgrade-collision race on a simulated 2-core host: seeded
 /// schedule exploration makes the failure window observable.
 #[cfg(feature = "sim")]
-fn sim_section(quick: bool, report: &mut BenchReport) -> String {
+fn sim_section(quick: bool, report: &mut BenchReport) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -174,8 +180,9 @@ fn sim_section(quick: bool, report: &mut BenchReport) -> String {
          ({rounds} rounds, 0 failures)"
     );
     // Deterministic given the fixed seeds: exploration must keep
-    // finding the collision window, and nothing may ever hang.
-    report.metric("sim_failed_upgrades", failed as f64, "count", crate::report::Dir::Higher, 3.0);
+    // finding the same collisions, and nothing may ever hang.
+    report.exact("sim_enabled", 1.0, "bool");
+    report.exact("sim_failed_upgrades", failed as f64, "count");
     report.exact("sim_hangs", down.hangs as f64, "count");
 
     let mut t = Table::new(
@@ -192,19 +199,5 @@ fn sim_section(quick: bool, report: &mut BenchReport) -> String {
     t.row(&["downgrade failures".into(), "0 (structural)".into()]);
     t.note("a failed upgrade releases the read hold; every failure recovered by the §7.1 restart");
     t.note("asserted: collisions observed (> 0), zero hangs, every round lands exactly once");
-    t.render()
-}
-
-/// Without the sim feature the simulated half is compiled out.
-#[cfg(not(feature = "sim"))]
-fn sim_section(_quick: bool, _report: &mut BenchReport) -> String {
-    let mut t = Table::new(
-        "E4-sim: upgrade collisions on a simulated 2-core host",
-        &["status"],
-    );
-    t.row(&[
-        "sim feature disabled: rebuild with `--features sim` to observe upgrade collisions"
-            .to_string(),
-    ]);
-    t.render()
+    report.table(t);
 }

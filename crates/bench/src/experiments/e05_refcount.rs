@@ -15,21 +15,19 @@
 //! confirms the two production types that adopted the sharded count
 //! (`Task`, `VmObject`) behave like the microbenchmark.
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{contention_sweep, sample, thread_sweep, Table};
 use crate::workloads::{adopted_ref_storm, refcount_churn, refcount_storm, RefImpl};
 
-/// Run E5; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E05.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new("E05", "Reference counting cost (paper §8)", quick);
-    let mut out = String::new();
+/// Run E5 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
 
     let mut t = Table::new(
         "E5a: clone+release on one shared object (ops/s, median ±MAD)",
         &["threads", "lock+count (Mach)", "atomic (Arc)", "sharded"],
     );
-    let mut storm_json = Vec::new();
     for threads in contention_sweep() {
         let [locked, atomic, sharded] =
             RefImpl::ALL.map(|imp| sample(quick, threads, |n| refcount_storm(imp, threads, n)));
@@ -39,10 +37,6 @@ pub fn run_report(quick: bool) -> (String, String) {
             atomic.cell(),
             sharded.cell(),
         ]);
-        storm_json.push(format!(
-            "{{\"threads\":{threads},\"locked\":{:.0},\"atomic\":{:.0},\"sharded\":{:.0}}}",
-            locked.median, atomic.median, sharded.median
-        ));
         if threads == 1 || threads == 8 {
             report.sampled(&format!("locked_ops_per_sec_{threads}t"), locked, "ops/s");
             report.sampled(&format!("atomic_ops_per_sec_{threads}t"), atomic, "ops/s");
@@ -51,13 +45,12 @@ pub fn run_report(quick: bool) -> (String, String) {
     }
     t.note("Mach increments under the object's simple lock; Arc uses one atomic RMW");
     t.note("sharded stripes the count per thread; drain-to-exact keeps destruction exact");
-    out.push_str(&t.render());
+    report.table(t);
 
     let mut t = Table::new(
         "E5b: object churn, create + 4 clones + destroy (objects/s, median ±MAD)",
         &["threads", "lock+count (Mach)", "atomic (Arc)", "sharded"],
     );
-    let mut churn_json = Vec::new();
     for threads in thread_sweep() {
         let [locked, atomic, sharded] =
             RefImpl::ALL.map(|imp| sample(quick, threads, |n| refcount_churn(imp, threads, n, 4)));
@@ -67,37 +60,19 @@ pub fn run_report(quick: bool) -> (String, String) {
             atomic.cell(),
             sharded.cell(),
         ]);
-        churn_json.push(format!(
-            "{{\"threads\":{threads},\"locked\":{:.0},\"atomic\":{:.0},\"sharded\":{:.0}}}",
-            locked.median, atomic.median, sharded.median
-        ));
     }
     t.note("creation reference + clones + final destroy at count zero (paper's lifetime protocol)");
-    out.push_str(&t.render());
+    report.table(t);
 
     let mut t = Table::new(
         "E5c: adopted call sites, clone+release on the live objects (ops/s, median ±MAD)",
         &["threads", "Task (sharded)", "VmObject (sharded)"],
     );
-    let mut adopted_json = Vec::new();
     for threads in contention_sweep() {
         let [task, vm] = [true, false]
             .map(|task| sample(quick, threads, |n| adopted_ref_storm(task, threads, n)));
         t.row(&[threads.to_string(), task.cell(), vm.cell()]);
-        adopted_json.push(format!(
-            "{{\"threads\":{threads},\"task\":{:.0},\"vm_object\":{:.0}}}",
-            task.median, vm.median
-        ));
     }
     t.note("the production kernel object types whose count is sharded");
-    out.push_str(&t.render());
-
-    report.extra(&format!(
-        "{{\"shared_object_ops_per_sec\":[{}],\
-         \"churn_objects_per_sec\":[{}],\"adopted_ops_per_sec\":[{}]}}",
-        storm_json.join(","),
-        churn_json.join(","),
-        adopted_json.join(","),
-    ));
-    (out, report.render())
+    report.table(t);
 }

@@ -22,15 +22,14 @@ use machk_core::{
     assert_wait, thread_block_timeout, thread_wakeup, Event, SimpleLocked, WaitResult,
 };
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, Table};
 use crate::workloads::{condvar_handoff, event_handoff};
 
-/// Run E6; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E06.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new("E06", "Event wait: the split-wait protocol (paper §6)", quick);
-    let mut out = String::new();
+/// Run E6 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
 
     let mut t = Table::new(
         "E6a: producer/consumer handoffs per second (median ±MAD)",
@@ -46,7 +45,7 @@ pub fn run_report(quick: bool) -> (String, String) {
         }
     }
     t.note("the Mach protocol is assert_wait -> release locks -> thread_block");
-    out.push_str(&t.render());
+    report.table(t);
 
     let rounds: u64 = if quick { 300 } else { 3_000 };
     let (split_lost, racy_lost) = lost_wakeup_trial(rounds);
@@ -66,12 +65,11 @@ pub fn run_report(quick: bool) -> (String, String) {
     ]);
     t.note("a 'lost' wakeup = the waiter needed its bounded-block timeout to notice the event");
     assert_eq!(split_lost, 0, "the split protocol must never lose a wakeup");
-    out.push_str(&t.render());
+    report.table(t);
     // The paper's §6 claim is structural: with the declaration made
     // before the locks drop, no schedule can lose a wakeup.
     report.exact("split_lost_wakeups", split_lost as f64, "count");
     report.info("racy_lost_wakeups", racy_lost as f64, "count");
-    (out, report.render())
 }
 
 /// One flag cell per protocol trial.

@@ -24,13 +24,13 @@ use machk_core::sync::host;
 use machk_core::RawSimpleLock;
 use machk_intr::{barrier_synchronize, spl_raise, spl_restore, BarrierOutcome, Machine, SplLevel};
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E7; returns the rendered table plus the JSON artifact body
-/// (`BENCH_E07.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let limit = if quick {
+/// Run E7 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let limit = if opts.quick {
         Duration::from_millis(200)
     } else {
         Duration::from_millis(800)
@@ -54,9 +54,8 @@ pub fn run_report(quick: bool) -> (String, String) {
     t.note("paper section 7: inconsistent interrupt protection deadlocks barrier synchronization");
     assert_eq!(inconsistent, BarrierOutcome::Deadlocked);
     assert_eq!(disciplined, BarrierOutcome::Completed);
+    report.table(t);
 
-    let mut report =
-        BenchReport::new("E07", "Interrupt-level barrier deadlock (paper §7)", quick);
     report.exact(
         "inconsistent_deadlocked",
         u64::from(inconsistent == BarrierOutcome::Deadlocked) as f64,
@@ -67,9 +66,15 @@ pub fn run_report(quick: bool) -> (String, String) {
         u64::from(disciplined == BarrierOutcome::Completed) as f64,
         "bool",
     );
-    let mut out = t.render();
-    out.push_str(&sim_section(&mut report));
-    (out, report.render())
+    #[cfg(feature = "sim")]
+    sim_section(report);
+    #[cfg(not(feature = "sim"))]
+    report.compiled_out(
+        "sim_enabled",
+        "sim",
+        "E7b: the same scenario on a simulated 3-core host (machk-sim)",
+        "to replay the §7 deadlock from a scheduler seed",
+    );
 }
 
 /// The simulated-host half: the same three-processor scenario on three
@@ -78,7 +83,7 @@ pub fn run_report(quick: bool) -> (String, String) {
 /// (scheduler seed, cores), with the watchdog deadline expiring in
 /// deterministic virtual time.
 #[cfg(feature = "sim")]
-fn sim_section(report: &mut BenchReport) -> String {
+fn sim_section(report: &mut BenchReport) {
     use machk_sim::{run as sim_run, SimConfig};
 
     // Virtual-time deadline: the sim clock advances ~3 ns per
@@ -140,23 +145,7 @@ fn sim_section(report: &mut BenchReport) -> String {
         "-".into(),
     ]);
     t.note("vCPUs, barrier spins, and the watchdog deadline all run on the Host trait");
-    t.render()
-}
-
-/// Without the sim feature the simulated campaign is compiled out.
-#[cfg(not(feature = "sim"))]
-fn sim_section(report: &mut BenchReport) -> String {
-    report.exact("sim_enabled", 0.0, "bool");
-    let mut t = Table::new(
-        "E7b: the same scenario on a simulated 3-core host (machk-sim)",
-        &["status"],
-    );
-    t.row(&[
-        "sim feature disabled: rebuild with `--features sim` to replay the §7 deadlock \
-         from a scheduler seed"
-            .to_string(),
-    ]);
-    t.render()
+    report.table(t);
 }
 
 /// Run the three-processor scenario. With `disciplined`, both lock

@@ -6,15 +6,14 @@
 //! the gap grows with the translation share (the two halves of the
 //! workload stop contending at all).
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::{task_mixed_ops, TaskFlavor};
 
-/// Run E8; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E08.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new("E08", "The task's two locks (paper §5)", quick);
-    let mut out = String::new();
+/// Run E8 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
     for translate_pct in [50u32, 90u32] {
         let mut t = Table::new(
             &format!(
@@ -42,7 +41,6 @@ pub fn run_report(quick: bool) -> (String, String) {
         t.note(
             "paper section 5: separate IPC-translation lock lets translations bypass the task lock",
         );
-        out.push_str(&t.render());
+        report.table(t);
     }
-    (out, report.render())
 }

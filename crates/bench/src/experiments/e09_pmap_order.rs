@@ -12,15 +12,14 @@
 
 use machk_vm::OrderingDiscipline;
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::pmap_storm;
 
-/// Run E9; returns the rendered table plus the JSON artifact body
-/// (`BENCH_E09.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report =
-        BenchReport::new("E09", "pmap/pv-list lock ordering disciplines (paper §5)", quick);
+/// Run E9 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
     let mut t = Table::new(
         "E9: mixed pmap_enter/remove/page_protect storm (ops/s, median ±MAD)",
         &["threads", "system-lock", "backout", "backout gain"],
@@ -40,5 +39,5 @@ pub fn run_report(quick: bool) -> (String, String) {
         }
     }
     t.note("both disciplines deadlock-free and consistent (asserted inside the workload)");
-    (t.render(), report.render())
+    report.table(t);
 }

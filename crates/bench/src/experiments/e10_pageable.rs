@@ -16,13 +16,13 @@ use machk_vm::{
     vm_map_pageable_recursive, vm_map_pageable_rewritten, MapError, PageOutDaemon, WireScenario,
 };
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E10; returns the rendered table plus the JSON artifact body
-/// (`BENCH_E10.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let limit = if quick {
+/// Run E10 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let limit = if opts.quick {
         Duration::from_millis(200)
     } else {
         Duration::from_millis(1_000)
@@ -81,12 +81,8 @@ pub fn run_report(quick: bool) -> (String, String) {
     assert_eq!(recursive, Err(MapError::ShortageTimeout));
     assert_eq!(rewritten, Ok(()));
     assert!(reclaimed_during_rewrite > 0);
+    report.table(t);
 
-    let mut report = BenchReport::new(
-        "E10",
-        "vm_map_pageable: recursive locks deadlock (paper §7.1)",
-        quick,
-    );
     report.exact(
         "recursive_deadlocked",
         u64::from(recursive == Err(MapError::ShortageTimeout)) as f64,
@@ -98,5 +94,4 @@ pub fn run_report(quick: bool) -> (String, String) {
         reclaimed_during_rewrite as f64,
         "pages",
     );
-    (t.render(), report.render())
 }

@@ -15,16 +15,14 @@ use std::time::Instant;
 
 use machk_vm::VmObject;
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::vm_object_paging_storm;
 
-/// Run E11; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E11.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report =
-        BenchReport::new("E11", "Memory object dual reference counts (paper §8)", quick);
-    let mut out = String::new();
+/// Run E11 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
 
     let mut t = Table::new(
         "E11a: paging_begin/paging_end throughput (ops/s, median ±MAD)",
@@ -37,7 +35,7 @@ pub fn run_report(quick: bool) -> (String, String) {
             report.sampled("paging_ops_per_sec_4t", rate, "ops/s");
         }
     }
-    out.push_str(&t.render());
+    report.table(t);
 
     // Termination-exclusion trial: pagers + one terminator.
     let trials = if quick { 20 } else { 200 };
@@ -96,7 +94,7 @@ pub fn run_report(quick: bool) -> (String, String) {
         clean_refusals.to_string(),
     ]);
     t.note("every termination found paging_in_progress == 0 after completing");
-    out.push_str(&t.render());
+    report.table(t);
     // `waited_for_drain` only advances past the per-trial assertion, so
     // violations is structurally the count of trials that did NOT drain.
     report.exact(
@@ -105,5 +103,4 @@ pub fn run_report(quick: bool) -> (String, String) {
         "count",
     );
     report.info("clean_refusals", clean_refusals as f64, "count");
-    (out, report.render())
 }

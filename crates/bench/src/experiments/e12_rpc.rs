@@ -12,16 +12,15 @@ use std::sync::atomic::Ordering;
 
 use machk_ipc::RefSemantics;
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, thread_sweep, Table};
 use crate::workloads::rpc_storm;
 
-/// Run E12; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E12.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new("E12", "Kernel RPC reference protocol (paper §10)", quick);
+/// Run E12 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
     let mut ledger_violations = 0u64;
-    let mut out = String::new();
     for semantics in [RefSemantics::Mach25, RefSemantics::Mach30] {
         let mut t = Table::new(
             &format!("E12: msg_rpc throughput, {semantics:?} semantics"),
@@ -62,8 +61,7 @@ pub fn run_report(quick: bool) -> (String, String) {
             RefSemantics::Mach25 => "2.5: interface code always releases the object reference",
             RefSemantics::Mach30 => "3.0: a successful operation consumes the reference",
         });
-        out.push_str(&t.render());
+        report.table(t);
     }
     report.exact("reference_ledger_violations", ledger_violations as f64, "count");
-    (out, report.render())
 }

@@ -13,14 +13,14 @@ use std::sync::Arc;
 use machk_ipc::{Message, RefSemantics, RpcError, RpcStats};
 use machk_kernel::{kernel_dispatch_table, op_ids, ops::create_task_with_port, shutdown};
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E13; returns the rendered table plus the JSON artifact body
-/// (`BENCH_E13.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let objects = if quick { 8 } else { 32 };
-    let ops_per_thread = if quick { 200 } else { 20_000 };
+/// Run E13 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let objects = if opts.quick { 8 } else { 32 };
+    let ops_per_thread = if opts.quick { 200 } else { 20_000 };
     let table = Arc::new(kernel_dispatch_table());
     let stats = RpcStats::new();
 
@@ -114,9 +114,8 @@ pub fn run_report(quick: bool) -> (String, String) {
     assert_eq!(shutdown_wins.load(Ordering::Relaxed), objects as u64); // relaxed: read after scope join
     assert_eq!(shutdown_losses.load(Ordering::Relaxed), objects as u64); // relaxed: read after scope join
     assert!(stats.balanced());
+    report.table(t);
 
-    let mut report =
-        BenchReport::new("E13", "Deactivation & shutdown under fire (paper §9–10)", quick);
     report.exact("unaccounted_operations", (total_ops - accounted) as f64, "count");
     report.exact(
         "shutdown_win_deficit",
@@ -125,5 +124,4 @@ pub fn run_report(quick: bool) -> (String, String) {
     );
     report.exact("rpc_ledger_balanced", u64::from(stats.balanced()) as f64, "bool");
     report.info("operations_issued", total_ops as f64, "count");
-    (t.render(), report.render())
 }

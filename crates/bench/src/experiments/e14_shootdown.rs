@@ -15,23 +15,17 @@ use machk_core::sync::host;
 use machk_intr::{BarrierOutcome, Machine};
 use machk_vm::{PageId, TlbSystem};
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::Table;
 
-/// Run E14; returns the rendered tables plus the JSON artifact body
-/// (`BENCH_E14.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let rounds = if quick { 20 } else { 200 };
+/// Run E14 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let rounds = if opts.quick { 20 } else { 200 };
     // Simulated CPUs are host *threads*; the sweep is meaningful even on
     // a single-CPU host (latency then includes host scheduling).
     let max_cpus = 4;
 
-    let mut report = BenchReport::new(
-        "E14",
-        "TLB shootdown & the pmap-lock special logic (paper §7)",
-        quick,
-    );
-    let mut out = String::new();
     let mut t = Table::new(
         "E14a: TLB shootdown latency vs machine size",
         &["cpus", "rounds", "mean latency (us)"],
@@ -48,7 +42,7 @@ pub fn run_report(quick: bool) -> (String, String) {
         cpus *= 2;
     }
     t.note("paper: interrupt-level barrier synchronization 'is a costly operation'");
-    out.push_str(&t.render());
+    report.table(t);
 
     let exempt_ok = special_logic_trial();
     let mut t = Table::new(
@@ -64,17 +58,24 @@ pub fn run_report(quick: bool) -> (String, String) {
         },
     ]);
     assert!(exempt_ok);
-    out.push_str(&t.render());
+    report.table(t);
     report.exact("special_logic_consistent", u64::from(exempt_ok) as f64, "bool");
-    out.push_str(&sim_section(&mut report));
-    (out, report.render())
+    #[cfg(feature = "sim")]
+    sim_section(report);
+    #[cfg(not(feature = "sim"))]
+    report.compiled_out(
+        "sim_enabled",
+        "sim",
+        "E14c: simulated 4-core host (machk-sim)",
+        "to replay the shootdown sweep and the pmap-exemption race from a scheduler seed",
+    );
 }
 
 /// The simulated-host half: the shootdown sweep and the special-logic
 /// trial on virtual CPUs — the §7 cost curve in deterministic virtual
 /// nanoseconds, and the pmap-exemption race replayable from a seed.
 #[cfg(feature = "sim")]
-fn sim_section(report: &mut BenchReport) -> String {
+fn sim_section(report: &mut BenchReport) {
     use std::sync::Mutex;
 
     use machk_sim::{run as sim_run, SimConfig};
@@ -120,7 +121,7 @@ fn sim_section(report: &mut BenchReport) -> String {
         "bool",
     );
     report.exact("sim_replay_identical", 1.0, "bool"); // asserted above
-    report.info("sim_shootdown_8round_clock_ns", shoot_clock as f64, "ns");
+    report.exact("sim_shootdown_8round_clock_ns", shoot_clock as f64, "ns");
 
     let mut t = Table::new(
         "E14c: simulated 4-core host (machk-sim)",
@@ -137,20 +138,7 @@ fn sim_section(report: &mut BenchReport) -> String {
         format!("{shoot_clock} ns"),
     ]);
     t.note("vCPUs, IPIs, barrier spins, and watchdog deadlines all run on the Host trait");
-    t.render()
-}
-
-/// Without the sim feature the simulated campaign is compiled out.
-#[cfg(not(feature = "sim"))]
-fn sim_section(report: &mut BenchReport) -> String {
-    report.exact("sim_enabled", 0.0, "bool");
-    let mut t = Table::new("E14c: simulated 4-core host (machk-sim)", &["status"]);
-    t.row(&[
-        "sim feature disabled: rebuild with `--features sim` to replay the shootdown \
-         sweep and the pmap-exemption race from a scheduler seed"
-            .to_string(),
-    ]);
-    t.render()
+    report.table(t);
 }
 
 /// Mean shootdown latency (µs) over `rounds` shootdowns on `cpus`

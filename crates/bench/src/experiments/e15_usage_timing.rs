@@ -12,18 +12,18 @@
 //! with the lock-free tick path unaffected by readers while the locked
 //! path pays for every reader.
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::{sample, Table};
 use crate::workloads::{timer_tick_storm, TimerImpl};
 
-/// Run E15; returns the rendered table plus the JSON artifact body
-/// (`BENCH_E15.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
+/// Run E15 into `report`.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(2, 4);
-    let mut report = BenchReport::new("E15", "Usage timing without locks (paper §2)", quick);
     let mut t = Table::new(
         &format!("E15: timer ticks/s on {cpus} CPUs (median ±MAD)"),
         &["readers", "per-cpu cell (Mach)", "simple lock"],
@@ -40,5 +40,5 @@ pub fn run_report(quick: bool) -> (String, String) {
         report.sampled(&format!("locked_ticks_per_sec_{readers}r"), locked, "ops/s");
     }
     t.note("single-writer-per-processor cells: the one place Mach coordinates without locks");
-    (t.render(), report.render())
+    report.table(t);
 }

@@ -19,15 +19,12 @@ use machk_core::sync::probe;
 #[cfg(feature = "probe")]
 use machk_core::{ComplexLock, Mcs, RawSimpleLock, ShardedRefCount, Tas, Ticket, Ttas};
 
+use super::Opts;
 use crate::report::BenchReport;
-use crate::util::Table;
 #[cfg(feature = "probe")]
-use crate::util::{run_concurrent, sample};
+use crate::util::{run_concurrent, sample, Table};
 #[cfg(feature = "probe")]
 use crate::workloads::lock_counter;
-
-/// The experiment's envelope title (shared by both feature variants).
-const TITLE: &str = "Kernel-wide lockstat: contention, histograms, order cycles (obs layer)";
 
 /// Drive named locks of every class through a contended workload. The
 /// locks are statics so their names outlive the run (registration wants
@@ -125,17 +122,20 @@ fn drive_object_phase() {
 }
 
 /// Drive the workload, collect the lockstat report, assert its claims,
-/// and return the rendered report.
+/// and record its busiest locks. The full report, histograms included,
+/// is `experiments lockstat`; every lock's counters are written beside
+/// the envelopes as `E16.lockstat.json`.
 #[cfg(feature = "probe")]
-fn lockstat_section(quick: bool) -> String {
+fn lockstat_section(quick: bool, report: &mut BenchReport) {
+    use machk_obs::hist::fmt_ns;
+
     machk_obs::install_stats();
     drive_workload(quick);
     drive_object_phase();
 
     let stat = machk_obs::Lockstat::collect();
-    let report = stat.render_text(16, true);
 
-    // The named locks driven above must all be in the report.
+    // The named locks driven above must all be in the registry.
     for name in [
         "e16.counter.tas",
         "e16.counter.ttas",
@@ -144,7 +144,10 @@ fn lockstat_section(quick: bool) -> String {
         "e16.map.lock",
         "e16.object.ref",
     ] {
-        assert!(report.contains(name), "lockstat report is missing {name}");
+        assert!(
+            stat.locks.iter().any(|l| l.name == name),
+            "lockstat report is missing {name}"
+        );
     }
     let named = stat.locks.iter().filter(|l| !l.name.is_empty()).count();
     assert!(named >= 5, "expected >=5 named locks, registry has {named}");
@@ -172,15 +175,34 @@ fn lockstat_section(quick: bool) -> String {
         stat.cycles,
     );
 
-    let mut out = String::new();
-    out.push_str("\n== E16: lockstat report from the obs layer ==\n");
-    out.push_str(&report);
-    out.push_str("  note: every e16.* lock is named at its declaration; the registry did the rest\n");
-    out.push_str("  note: the a->b->a cycle above is deliberate (one thread, so only *potential*)\n");
-    out.push_str(&format!(
-        "  note: {object_edges} order edges into object locks, none in a cycle\n"
-    ));
-    out
+    let mut t = Table::new(
+        "E16: lockstat from the obs layer, top 16 locks by contention",
+        &[
+            "name", "class", "policy", "acquires", "contended", "cont%", "wait-avg", "wait-max",
+            "hold-avg",
+        ],
+    );
+    for l in stat.locks.iter().take(16) {
+        t.row(&[
+            l.name.to_string(),
+            l.class.label().to_string(),
+            l.policy.to_string(),
+            l.acquires.to_string(),
+            l.contended.to_string(),
+            format!("{:.1}%", 100.0 * l.contention_rate()),
+            fmt_ns(l.wait.mean()),
+            fmt_ns(l.wait.max),
+            fmt_ns(l.hold.mean()),
+        ]);
+    }
+    for c in &stat.cycles {
+        let names: Vec<&str> = c.iter().map(|&id| probe::name_of(id)).collect();
+        t.note(&format!("order cycle: {} -> {}", names.join(" -> "), names[0]));
+    }
+    t.note("every e16.* lock is named at its declaration; the registry did the rest");
+    t.note("the a->b->a cycle is deliberate (one thread, so only *potential*)");
+    t.note(&format!("{object_edges} order edges into object locks, none in a cycle"));
+    report.table(t);
 }
 
 /// A short IPC storm so lockstat and the flamegraph fold attribute the
@@ -206,7 +228,7 @@ fn drive_ipc_phase(quick: bool) {
 /// nothing in this process has installed one yet; otherwise that row
 /// reads "n/a".
 #[cfg(feature = "probe")]
-fn fanout_table(quick: bool) -> String {
+fn fanout_table(quick: bool, report: &mut BenchReport) {
     static LOCK: RawSimpleLock = RawSimpleLock::named("e16.fanout");
     let mut t = Table::new(
         "E16-fanout: named-lock counter loop by subscribers (ops/s, median ±MAD)",
@@ -227,19 +249,19 @@ fn fanout_table(quick: bool) -> String {
     machk_obs::install_stats();
     row("stats", true);
     t.note("'installed' counts every subscriber in the process, whoever installed it");
-    t.render()
+    report.table(t);
 }
 
-/// Run E16 and return the rendered tables plus the `BENCH_E16.json`
-/// envelope. Beyond the lockstat assertions this checks the two other
-/// renderings of the stats subscriber's store end to end: the NDJSON
-/// export of the trace rings parses line by line, and the flamegraph
-/// fold attributes wait time and operations per lock-class × call-site,
-/// including the `ipc.*` sites the IPC phase drives.
+/// Run E16 into `report`. Beyond the lockstat assertions this checks
+/// the two other renderings of the stats subscriber's store end to end:
+/// the NDJSON export of the trace rings parses line by line, and the
+/// flamegraph fold attributes wait time and operations per lock-class ×
+/// call-site, including the `ipc.*` sites the IPC phase drives.
 #[cfg(feature = "probe")]
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut out = fanout_table(quick);
-    out.push_str(&lockstat_section(quick));
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
+    fanout_table(quick, report);
+    lockstat_section(quick, report);
     drive_ipc_phase(quick);
 
     let (ndjson, overwritten) = machk_obs::report::render_ndjson();
@@ -265,40 +287,40 @@ pub fn run_report(quick: bool) -> (String, String) {
     let sites = folded_ops.lines().count();
 
     let named = stat.locks.iter().filter(|l| !l.name.is_empty()).count();
-    let mut report = BenchReport::new("E16", TITLE, quick);
     report.exact("obs_enabled", 1.0, "bool");
     report.exact("order_cycle_diagnosed", 1.0, "bool"); // asserted in lockstat_section()
     report.metric("named_locks", named as f64, "count", crate::report::Dir::Higher, 1.5);
     report.metric("flame_sites", sites as f64, "count", crate::report::Dir::Higher, 2.0);
     report.info("ndjson_lines", lines as f64, "count");
     report.info("ndjson_overwritten", overwritten as f64, "count");
-    report.extra(&format!("{{\"lockstat\":{}}}", stat.render_json()));
 
-    out.push_str("\n== E16-exports: trace rings as NDJSON + flamegraph fold ==\n");
-    out.push_str(&format!(
-        "  ndjson: {lines} lines from the trace rings ({overwritten} older events overwritten, \
-         {} per thread kept)\n",
-        machk_obs::ring::RING_CAPACITY
-    ));
-    out.push_str(&format!("  flame:  {sites} sites; hottest by wait:\n"));
+    let mut t = Table::new(
+        "E16-exports: trace rings as NDJSON + flamegraph fold",
+        &["export", "value"],
+    );
+    t.row(&["ndjson lines from the trace rings".into(), lines.to_string()]);
+    t.row(&["older events overwritten".into(), overwritten.to_string()]);
+    t.row(&[
+        "events kept per thread".into(),
+        machk_obs::ring::RING_CAPACITY.to_string(),
+    ]);
+    t.row(&["flame sites".into(), sites.to_string()]);
     for line in folded.lines().take(5) {
-        out.push_str(&format!("    {line}\n"));
+        let (stack, wait) = line.rsplit_once(' ').unwrap_or((line, ""));
+        t.row(&[format!("hottest by wait: {stack}"), format!("{wait} ns")]);
     }
-    (out, report.render())
+    report.table(t);
 }
 
 /// Without probes there is nothing to trace or serialize — which is the
-/// zero-cost claim, stated as a table. The envelope says so (and a
-/// baseline recorded with probes will fail against it — a misbuilt
-/// trajectory run, not a measurement).
+/// zero-cost claim, stated as a table. A baseline recorded with probes
+/// fails against it (a misbuilt trajectory run, not a measurement).
 #[cfg(not(feature = "probe"))]
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut t = Table::new("E16: lockstat (obs layer)", &["status"]);
-    t.row(&[
-        "probe feature disabled: tracing compiled out (machk-obs not linked)".to_string(),
-    ]);
-    t.note("rebuild with `--features probe` to trace; default builds pay nothing");
-    let mut report = BenchReport::new("E16", TITLE, quick);
-    report.exact("obs_enabled", 0.0, "bool");
-    (t.render(), report.render())
+pub fn run(report: &mut BenchReport, _opts: &Opts) {
+    report.compiled_out(
+        "obs_enabled",
+        "probe",
+        "E16: lockstat (obs layer)",
+        "to trace; default builds pay nothing",
+    );
 }

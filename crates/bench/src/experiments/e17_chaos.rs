@@ -20,6 +20,9 @@
 //! Every plan is scoped to declared roles so the armed windows cannot
 //! perturb bystander threads of the enclosing test process.
 
+use super::Opts;
+use crate::report::BenchReport;
+
 #[cfg(feature = "probe")]
 mod armed {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +39,7 @@ mod armed {
     use machk_ipc::{Message, Port, RefSemantics, RpcError, RpcStats};
     use machk_kernel::{kernel_dispatch_table, op_ids, ops::create_task_with_port, shutdown};
 
+    use crate::report::BenchReport;
     use crate::util::Table;
 
     /// Outer watchdog for every scenario: if recovery ever fails and a
@@ -488,54 +492,31 @@ mod armed {
         totals
     }
 
-    /// The machine-readable artifact (`BENCH_E17.json`, `machk-bench/v1`
-    /// envelope). Reaching this point at all means no scenario hung and
-    /// every probe trace replayed byte-identically (both asserted in
-    /// [`campaign`]), so those gate as structural invariants; the fault
-    /// counts depend on host thread timing, so they ride as info.
-    fn render_json(seeds: u64, totals: &Totals) -> String {
-        let mut report = crate::report::BenchReport::with_mode(
-            "E17",
-            "Seeded chaos: fault injection vs recovery across every layer (fault layer)",
-            &format!("seeds={seeds}"),
-        );
-        report.exact("fault_enabled", 1.0, "bool");
-        report.exact("hangs", 0.0, "count");
-        report.exact("replay_identical", 1.0, "bool");
-        // The probe traces themselves must not move between builds: the
-        // high 48 bits of the fold (an f64 holds them exactly).
-        report.exact("probe_trace_fnv", (trace_fold(totals) >> 16) as f64, "hash");
-        report.info("schedules", totals.schedules as f64, "count");
-        report.info("faults_fired", totals.faults_fired as f64, "count");
-        report.info("deadlocks_diagnosed", totals.deadlocks_diagnosed as f64, "count");
-        report.info("wakeups_recovered", totals.wakeups_recovered as f64, "count");
-        report.info("upgrades_refused", totals.upgrades_refused as f64, "count");
-        report.info("spl_diagnosed", totals.spl_diagnosed as f64, "count");
-        let digests: Vec<String> =
-            totals.trace_digests.iter().map(|d| format!("\"{d:#018x}\"")).collect();
-        report.extra(&format!(
-            "{{\"seeds\":{},\"replies_dropped\":{},\"dead_ports\":{},\
-             \"probe_trace_fnv\":\"{:#018x}\",\"probe_trace_fnv_per_seed\":[{}]}}",
-            seeds,
-            totals.replies_dropped,
-            totals.dead_ports,
-            trace_fold(totals),
-            digests.join(","),
-        ));
-        report.render()
-    }
-
     /// The per-seed trace digests folded in seed order: FNV-1a-64 over
     /// their little-endian bytes.
     fn trace_fold(totals: &Totals) -> u64 {
         totals.trace_digests.iter().fold(FNV_OFFSET, |h, d| fnv1a(h, &d.to_le_bytes()))
     }
 
-    /// Run the full suite over `seeds` seeds and return the rendered
-    /// table plus the JSON artifact body.
-    pub fn run_report(seeds: u64) -> (String, String) {
+    /// Run the full suite over `seeds` seeds into `report`. Reaching
+    /// the metrics at all means no scenario hung and every probe trace
+    /// replayed byte-identically (both asserted in [`campaign`]), so
+    /// those gate as structural invariants; the fault counts depend on
+    /// host thread timing, so they ride as info.
+    pub fn run(report: &mut BenchReport, seeds: u64) {
         let totals = campaign(seeds);
-        let json = render_json(seeds, &totals);
+        report.exact("fault_enabled", 1.0, "bool");
+        report.exact("hangs", 0.0, "count");
+        report.exact("replay_identical", 1.0, "bool");
+        // The probe traces themselves must not move between builds: the
+        // high 48 bits of the fold (an f64 holds them exactly).
+        report.exact("probe_trace_fnv", (trace_fold(&totals) >> 16) as f64, "hash");
+        report.info("schedules", totals.schedules as f64, "count");
+        report.info("faults_fired", totals.faults_fired as f64, "count");
+        report.info("deadlocks_diagnosed", totals.deadlocks_diagnosed as f64, "count");
+        report.info("wakeups_recovered", totals.wakeups_recovered as f64, "count");
+        report.info("upgrades_refused", totals.upgrades_refused as f64, "count");
+        report.info("spl_diagnosed", totals.spl_diagnosed as f64, "count");
 
         let mut t = Table::new(
             "E17: seeded chaos — recovery under injected faults",
@@ -566,35 +547,34 @@ mod armed {
         t.row(&["probe trace fold (FNV-1a-64)".into(), format!("{:#018x}", trace_fold(&totals))]);
         t.note("every seed's probe trace was byte-identical across two runs");
         t.note("every ledger balanced; saturated counts pegged, never wrapped");
-        (t.render(), json)
+        report.table(t);
+
+        // Per seed, so an artifact names the seed whose trace moved.
+        let mut t = Table::new(
+            "E17-digests: probe trace per seed (FNV-1a-64, folded above)",
+            &["seed", "digest"],
+        );
+        for (seed, d) in totals.trace_digests.iter().enumerate() {
+            t.row(&[seed.to_string(), format!("{d:#018x}")]);
+        }
+        report.table(t);
     }
 }
 
-#[cfg(feature = "probe")]
-pub use armed::run_report;
-
-/// Without the probe feature there is no adversary — which is the
-/// zero-cost claim, stated as a table. The envelope says the adversary
-/// is compiled out; a baseline recorded with the probe feature fails
-/// against it (a misbuilt run, not a measurement).
-#[cfg(not(feature = "probe"))]
-pub fn run_report(seeds: u64) -> (String, String) {
-    let mut report = crate::report::BenchReport::with_mode(
-        "E17",
-        "Seeded chaos: fault injection vs recovery across every layer (fault layer)",
-        &format!("seeds={seeds}"),
+/// Run E17 into `report` over `--seeds N` seeds (default 5 quick, 200
+/// full); the mode field records the count.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let seeds = opts.seeds.unwrap_or(if opts.quick { 5 } else { 200 });
+    report.set_mode(&format!("seeds={seeds}"));
+    // Without the probe feature there is no adversary — which is the
+    // zero-cost claim, stated as a table.
+    #[cfg(feature = "probe")]
+    armed::run(report, seeds);
+    #[cfg(not(feature = "probe"))]
+    report.compiled_out(
+        "fault_enabled",
+        "probe",
+        "E17: seeded chaos (fault layer)",
+        "to run chaos; default builds pay nothing",
     );
-    report.exact("fault_enabled", 0.0, "bool");
-    let mut t = crate::util::Table::new("E17: seeded chaos (fault layer)", &["status"]);
-    t.row(&[
-        "probe feature disabled: injection compiled out (machk-fault not linked)".to_string(),
-    ]);
-    t.note("rebuild with `--features probe` to run chaos; default builds pay nothing");
-    (t.render(), report.render())
-}
-
-/// Uniform `fn(bool) -> (String, String)` entry point for the
-/// experiment table: maps quick/full onto the default seed counts.
-pub fn run_report_default(quick: bool) -> (String, String) {
-    run_report(if quick { 5 } else { 200 })
 }

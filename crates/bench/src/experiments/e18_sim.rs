@@ -46,6 +46,8 @@ mod simulated {
         dfs, random_walks, run as sim_run, DfsBounds, ExploreStats, SimConfig,
     };
 
+    use crate::experiments::Opts;
+    use crate::report::BenchReport;
     use crate::util::Table;
 
     /// Recovery events observed across all explored schedules (global:
@@ -206,7 +208,7 @@ mod simulated {
         (name, e1_clock_ns::<P>(1, ops), e1_clock_ns::<P>(8, ops))
     }
 
-    /// Everything the table and the JSON artifact report.
+    /// Everything the table and the metrics report.
     pub struct Summary {
         stats: ExploreStats,
         backouts: u64,
@@ -312,16 +314,11 @@ mod simulated {
         );
     }
 
-    /// Run the four campaigns, assert the claims, and return the
-    /// rendered table plus the JSON artifact body (`BENCH_E18.json`).
-    pub fn run_report(quick: bool) -> (String, String) {
-        run_report_seeded(quick, None)
-    }
-
-    /// [`run_report`] with an explicit base scheduler seed (the
-    /// binary's `--sim-seed N`; CI runs a small fixed matrix of them).
-    pub fn run_report_seeded(quick: bool, base_seed: Option<u64>) -> (String, String) {
-        let s = campaign(quick, base_seed);
+    /// Run the four campaigns, assert the claims, and record them.
+    /// `--sim-seed N` overrides the base scheduler seed (CI runs a small
+    /// fixed matrix of them).
+    pub fn run(report: &mut BenchReport, opts: &Opts) {
+        let s = campaign(opts.quick, opts.sim_seed);
         assert_claims(&s);
 
         let mut t = Table::new(
@@ -359,72 +356,35 @@ mod simulated {
         t.note("every run replayable: failures print `sim:v1:<seed>:<cores>:…` tokens (none occurred)");
         t.note("virtual time: coherence charged per same-line spinner, zero on 1 core");
 
-        let e1_json: Vec<String> = s
-            .e1
-            .iter()
-            .map(|(name, c1, c8)| {
-                format!("{{\"policy\":\"{name}\",\"clock_ns_1core\":{c1},\"clock_ns_8core\":{c8}}}")
-            })
-            .collect();
-        // Everything here is virtual-time, deterministic given the seed
-        // matrix — the structural outcomes gate; the exploration volume
-        // gates loosely (a shrunk budget is a harness regression).
-        let mut report = crate::report::BenchReport::new(
-            "E18",
-            "Deterministic schedule exploration on simulated N-core hosts (sim layer)",
-            s.quick,
-        );
+        report.table(t);
+
+        // Everything here is virtual time, deterministic given the seed
+        // matrix, so every value gates exact.
         report.exact("sim_enabled", 1.0, "bool");
         report.exact("hangs", s.stats.hangs as f64, "count");
         report.exact("violations", s.stats.panics as f64, "count");
         report.exact("crossover_at_8_cores", u64::from(s.crossover_at_8) as f64, "bool");
         report.exact("crossover_at_1_core", u64::from(s.crossover_at_1) as f64, "bool");
-        report.metric(
-            "distinct_schedules",
-            s.stats.distinct as f64,
-            "count",
-            crate::report::Dir::Higher,
-            2.0,
-        );
-        report.info("runs", s.stats.runs as f64, "count");
-        report.info("steps_total", s.stats.steps_total as f64, "count");
-        report.info("virtual_ns_total", s.stats.virtual_ns_total as f64, "ns");
-        report.info("backouts", s.backouts as f64, "count");
-        report.info("wakeup_timeouts", s.wakeup_timeouts as f64, "count");
-        report.extra(&format!("{{\"e1_sim\":[{}]}}", e1_json.join(",")));
-        (t.render(), report.render())
+        report.exact("distinct_schedules", s.stats.distinct as f64, "count");
+        report.exact("runs", s.stats.runs as f64, "count");
+        report.exact("steps_total", s.stats.steps_total as f64, "count");
+        report.exact("virtual_ns_total", s.stats.virtual_ns_total as f64, "ns");
+        report.exact("backouts", s.backouts as f64, "count");
+        report.exact("wakeup_timeouts", s.wakeup_timeouts as f64, "count");
     }
 }
 
 #[cfg(feature = "sim")]
-pub use simulated::{run_report, run_report_seeded};
+pub use simulated::run;
 
 /// Without the sim feature there is no simulator — which is the
-/// zero-cost claim, stated as a table. The envelope says the simulator
-/// is compiled out; a baseline recorded with the sim feature fails
-/// against it (a misbuilt run, not a measurement).
+/// zero-cost claim, stated as a table.
 #[cfg(not(feature = "sim"))]
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut t = crate::util::Table::new(
+pub fn run(report: &mut crate::report::BenchReport, _opts: &super::Opts) {
+    report.compiled_out(
+        "sim_enabled",
+        "sim",
         "E18: schedule exploration on simulated hosts (sim layer)",
-        &["status"],
+        "to explore schedules; default builds pay nothing",
     );
-    t.row(&[
-        "sim feature disabled: the deterministic scheduler is compiled out (machk-sim not linked)"
-            .to_string(),
-    ]);
-    t.note("rebuild with `--features sim` to explore schedules; default builds pay nothing");
-    let mut report = crate::report::BenchReport::new(
-        "E18",
-        "Deterministic schedule exploration on simulated N-core hosts (sim layer)",
-        quick,
-    );
-    report.exact("sim_enabled", 0.0, "bool");
-    (t.render(), report.render())
-}
-
-/// Seed-override entry point for the disabled build.
-#[cfg(not(feature = "sim"))]
-pub fn run_report_seeded(_quick: bool, _base_seed: Option<u64>) -> (String, String) {
-    run_report(false)
 }

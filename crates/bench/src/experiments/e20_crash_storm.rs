@@ -35,11 +35,15 @@
 //!    simulated host, twice, from the same `(seed, sched-seed, cores)`:
 //!    the two [`EngineReport`]s must be byte-identical, down to the
 //!    crash, reconciliation, and repair counters in the fingerprint.
+//!    The fingerprint and the virtual clock gate `exact`; the clock
+//!    reads only 28 ns because the engine's own work is not charged in
+//!    virtual time.
 //!
 //! [`EngineReport`]: machk_ipc::EngineReport
 
 use machk_ipc::engine::{CrashKind, CrashPoint, Engine, EngineConfig, EngineReport};
 
+use super::Opts;
 use crate::report::BenchReport;
 use crate::util::Table;
 
@@ -84,15 +88,9 @@ fn assert_survived(tag: &str, r: &EngineReport) {
     assert_eq!(r.retry_exhausted, 0, "{tag}: an RPC ran out its deadline");
 }
 
-/// Run E20, assert its claims, and return the rendered tables plus the
-/// JSON artifact body (`BENCH_E20.json`, `machk-bench/v1` envelope).
-pub fn run_report(quick: bool) -> (String, String) {
-    let mut report = BenchReport::new(
-        "E20",
-        "Crash-and-overload storm: supervision, poisoning, reconciliation, shedding",
-        quick,
-    );
-    let mut out = String::new();
+/// Run E20 into `report`, asserting its claims.
+pub fn run(report: &mut BenchReport, opts: &Opts) {
+    let quick = opts.quick;
 
     // Campaign 1: the crash-survival sweep. Every storm that returns
     // *is* a survived storm — a hang would never reach the asserts, and
@@ -165,7 +163,7 @@ pub fn run_report(quick: bool) -> (String, String) {
     t.note("every storm: both ledgers balanced, counted books closed (creates == terminates)");
     t.note("an AfterCreate orphan is reconciled, never double-counted — see machk_ipc::engine docs");
     t.note("recovery latency is not timed here: perfbench's crash_1w reports its median");
-    out.push_str(&t.render());
+    report.table(t);
 
     report.exact("hangs", 0.0, "count");
     report.exact("ledger_violations", 0.0, "count");
@@ -224,7 +222,7 @@ pub fn run_report(quick: bool) -> (String, String) {
         calm.terminates.to_string(),
     ]);
     t.note("sheds are counted, never silent; low-priority pings go first, commits always land");
-    out.push_str(&t.render());
+    report.table(t);
 
     report.exact("shed_without_burst", calm.shed as f64, "count");
     report.exact(
@@ -235,24 +233,33 @@ pub fn run_report(quick: bool) -> (String, String) {
     report.info("burst_shed", burst.shed as f64, "count");
 
     // Campaign 3: probabilistic kills + reply drops via machk-fault.
-    out.push_str(&fault_section(quick, &mut report));
+    #[cfg(feature = "probe")]
+    fault_section(quick, report);
+    #[cfg(not(feature = "probe"))]
+    report.compiled_out(
+        "fault_enabled",
+        "probe",
+        "E20c: fault-armed storm (probabilistic kills + reply drops)",
+        "for probabilistic kills and reply drops",
+    );
 
     // Campaign 4: byte-identical crash replay under machk-sim.
-    out.push_str(&sim_section(&mut report));
-
-    report.extra(&format!(
-        "{{\"seed\":{STORM_SEED},\"sweep_seeds\":{seeds},\"sweep_crashes\":{crashes},\
-         \"sweep_reconciled\":{reconciled},\"burst_shed\":{},\"calm_shed\":{}}}",
-        burst.shed, calm.shed,
-    ));
-    (out, report.render())
+    #[cfg(feature = "sim")]
+    sim_section(report);
+    #[cfg(not(feature = "sim"))]
+    report.compiled_out(
+        "sim_enabled",
+        "sim",
+        "E20d: scheduled crash storm on a simulated 4-core host (machk-sim)",
+        "to replay a crash storm byte-identically from (seed, sched-seed, cores)",
+    );
 }
 
 /// The fault-armed half: seeded probabilistic worker kills and §10
 /// reply drops in the same storm, so crash recovery and idempotent
 /// retry interleave.
 #[cfg(feature = "probe")]
-fn fault_section(quick: bool, report: &mut BenchReport) -> String {
+fn fault_section(quick: bool, report: &mut BenchReport) {
     use machk_fault::{rate_from_prob, FaultPlan, FaultSite};
 
     // Rates sized so quick mode (4 workers x 2 000 ops) still expects
@@ -294,30 +301,14 @@ fn fault_section(quick: bool, report: &mut BenchReport) -> String {
     t.row(&["orphans reconciled".into(), r.reconciled.to_string()]);
     t.row(&["ledgers".into(), "balanced".into()]);
     t.note("a retried create/terminate lands its ledger entry exactly once (reply cache by seq)");
-    t.render()
-}
-
-/// Without the probe feature the armed campaign is compiled out.
-#[cfg(not(feature = "probe"))]
-fn fault_section(_quick: bool, report: &mut BenchReport) -> String {
-    report.exact("fault_enabled", 0.0, "bool");
-    let mut t = Table::new(
-        "E20c: fault-armed storm (probabilistic kills + reply drops)",
-        &["status"],
-    );
-    t.row(&[
-        "probe feature disabled: rebuild with `--features probe` for probabilistic \
-         kills and reply drops"
-            .to_string(),
-    ]);
-    t.render()
+    report.table(t);
 }
 
 /// The simulated-host half: one scheduled crash storm replayed from
 /// `(seed, sched-seed, cores)` — byte-identical reports, including the
 /// recovery counters.
 #[cfg(feature = "sim")]
-fn sim_section(report: &mut BenchReport) -> String {
+fn sim_section(report: &mut BenchReport) {
     use std::sync::{Arc, Mutex};
 
     use machk_sim::{run as sim_run, SimConfig};
@@ -359,9 +350,14 @@ fn sim_section(report: &mut BenchReport) -> String {
     assert_eq!(a.fingerprint(), b.fingerprint(), "replay fingerprints diverged");
     assert_eq!(clock_a, clock_b, "virtual clocks diverged across replays");
 
+    // Deterministic from (seed, sched-seed, cores): gate exact. The
+    // fingerprint keeps its high 48 bits, which an f64 holds exactly.
+    // The clock reads only a few ns because the engine's own work is
+    // not charged in virtual time.
     report.exact("sim_enabled", 1.0, "bool");
     report.exact("sim_replay_identical", 1.0, "bool"); // asserted above
-    report.info("sim_crash_storm_clock_ns", clock_a as f64, "ns");
+    report.exact("sim_replay_fingerprint", (a.fingerprint() >> 16) as f64, "hash");
+    report.exact("sim_crash_storm_clock_ns", clock_a as f64, "ns");
 
     let mut t = Table::new(
         "E20d: scheduled crash storm on a simulated 4-core host (machk-sim)",
@@ -374,21 +370,5 @@ fn sim_section(report: &mut BenchReport) -> String {
     t.row(&["replay virtual clocks".into(), format!("{clock_a} == {clock_b} ns")]);
     t.row(&["kills survived / orphans reconciled".into(), format!("{} / {}", a.crashes, a.reconciled)]);
     t.note("supervision, poisoning, reconciliation, and retry all run on the Host trait");
-    t.render()
-}
-
-/// Without the sim feature the replay campaign is compiled out.
-#[cfg(not(feature = "sim"))]
-fn sim_section(report: &mut BenchReport) -> String {
-    report.exact("sim_enabled", 0.0, "bool");
-    let mut t = Table::new(
-        "E20d: scheduled crash storm on a simulated 4-core host (machk-sim)",
-        &["status"],
-    );
-    t.row(&[
-        "sim feature disabled: rebuild with `--features sim` to replay a crash storm \
-         byte-identically from (seed, sched-seed, cores)"
-            .to_string(),
-    ]);
-    t.render()
+    report.table(t);
 }

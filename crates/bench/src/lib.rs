@@ -5,9 +5,10 @@
 //! figures**; its claims are qualitative. This crate regenerates those
 //! claims as measurements: experiments **E1–E20** (indexed in
 //! `DESIGN.md`), each a function in [`experiments`] that runs its
-//! workloads and returns formatted tables (printed by the `experiments`
-//! binary) plus a JSON envelope ([`report`]) that `bench-compare`
-//! ([`compare`]) diffs against the committed baselines.
+//! workloads and fills one [`report::BenchReport`]: the tables the
+//! `experiments` binary prints and the metrics of the JSON envelope
+//! that `bench-compare` ([`compare`]) diffs against the committed
+//! baselines.
 //!
 //! The workload kernels live in [`workloads`]. Thread sweeps, the host
 //! sampler every throughput figure goes through, and table formatting

@@ -201,10 +201,10 @@ pub fn fmt_rate(ops_per_sec: f64) -> String {
 
 /// A plain-text table builder for experiment output.
 pub struct Table {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-    notes: Vec<String>,
+    pub(crate) title: String,
+    pub(crate) headers: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl Table {

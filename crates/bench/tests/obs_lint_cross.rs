@@ -20,7 +20,15 @@ fn e16_runtime_cycle_edges_are_in_the_static_order_graph() {
     // Drive the E16 workload (quick mode): this populates the global
     // obs registry and order graph, including the deliberate
     // e16.order.a/e16.order.b inversion.
-    let report = machk_bench::experiments::e16_lockstat::run_report(true).0;
+    let e16 = machk_bench::experiments::ALL
+        .iter()
+        .find(|e| e.id == "E16")
+        .expect("E16 is listed");
+    let opts = machk_bench::experiments::Opts {
+        quick: true,
+        ..Default::default()
+    };
+    let report = e16.report(&opts).text();
     assert!(report.contains("e16"), "E16 report looks empty:\n{report}");
 
     // Static side: scan the workspace sources the same way

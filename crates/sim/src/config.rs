@@ -13,7 +13,7 @@ use std::str::FromStr;
 /// effective parallelism (`min(cores, runnable threads)`), so the same
 /// step stream takes 8× less virtual wall time on 8 simulated cores —
 /// that division is what makes contention *scaling* observable on a
-/// 1-CPU host.
+/// host with fewer CPUs than the simulated machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Baseline charge for any scheduling step.

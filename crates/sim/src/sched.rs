@@ -18,8 +18,9 @@
 //! The clock only moves at scheduling points. Each step charges a
 //! [`crate::config::CostModel`] amount divided by the machine's effective parallelism
 //! (`min(cores, runnable)`): with 8 runnable threads on 8 simulated
-//! cores a step costs ⅛ of its serial time, which is how a 1-CPU host
-//! exhibits 8-core scaling behaviour. When nothing is runnable the clock
+//! cores a step costs ⅛ of its serial time, which is how a host with
+//! fewer CPUs than the simulated machine exhibits 8-core scaling
+//! behaviour. When nothing is runnable the clock
 //! jumps to the earliest sleeper/timeout — virtual sleeps are free, so
 //! watchdog deadlines measured in virtual seconds expire in microseconds
 //! of real time.
