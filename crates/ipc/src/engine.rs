@@ -57,7 +57,11 @@
 //!
 //! Supervised workers run under `catch_unwind` and write a
 //! `Checkpoint` — op cursor, mix state, sequence counter, tally,
-//! churn list — at the top of every operation. When a worker dies the
+//! churn list — at the top of every operation. The supervisor owns
+//! each worker's checkpoint for the whole storm and lends it to every
+//! incarnation (a spawned one carries it along and hands it back with
+//! its outcome), which rewrites it in place: no lock and no allocation
+//! per op. When a worker dies the
 //! supervisor counts the crash, drains the transfer ring the corpse
 //! fed, bumps the checkpoint generation, and respawns the worker, which
 //! resumes the *same seeded op stream* from the checkpoint with the
@@ -383,11 +387,12 @@ impl Mix {
     }
 }
 
-/// Per-worker tallies, merged order-insensitively at join. Clonable so
-/// checkpoints can snapshot them: a crashed incarnation's progress
-/// since its last checkpoint is deliberately discarded (the resumed
-/// incarnation re-runs and re-counts those ops exactly once).
-#[derive(Clone, Default)]
+/// Per-worker tallies, merged order-insensitively at join. `Copy` so a
+/// checkpoint snapshots one by plain assignment: a crashed
+/// incarnation's progress since its last checkpoint is deliberately
+/// discarded (the resumed incarnation re-runs and re-counts those ops
+/// exactly once).
+#[derive(Clone, Copy, Default)]
 struct WorkerTally {
     rpcs: u64,
     pings: u64,
@@ -411,7 +416,11 @@ struct WorkerTally {
 /// incarnation resumes from here; the ops between the checkpoint and
 /// the crash re-run, and the generation-qualified idempotent sequence
 /// numbers keep those re-runs from double-moving the §10 ledgers.
-#[derive(Clone)]
+///
+/// The supervisor owns one per worker for the whole storm and lends it
+/// to each incarnation, which rewrites it in place ([`Checkpoint::record`]):
+/// no lock and no allocation per op.
+#[derive(Default)]
 struct Checkpoint {
     next_op: usize,
     mix: u64,
@@ -419,6 +428,19 @@ struct Checkpoint {
     generation: u32,
     tally: WorkerTally,
     churn: Vec<PortName>,
+}
+
+impl Checkpoint {
+    /// Overwrite the op-top state. The churn copy reuses the buffer, so
+    /// it allocates only when the churn list outgrows every earlier one.
+    fn record(&mut self, op: usize, mix: u64, seq: u64, tally: WorkerTally, churn: &[PortName]) {
+        self.next_op = op;
+        self.mix = mix;
+        self.seq = seq;
+        self.tally = tally;
+        self.churn.clear();
+        self.churn.extend_from_slice(churn);
+    }
 }
 
 /// Everything a worker incarnation touches, bundled so the supervisor
@@ -458,6 +480,10 @@ const MAX_SUPERVISION_ROUNDS: usize = 64;
 fn seq_key(index: usize, generation: u32, seq: u64) -> u64 {
     ((index as u64 & 0xFFFF) << 48) | ((u64::from(generation) & 0xFFFF) << 32) | (seq & 0xFFFF_FFFF)
 }
+
+/// A worker incarnation's end: its cumulative tally, or the panic that
+/// killed it.
+type Outcome = Result<WorkerTally, Box<dyn std::any::Any + Send>>;
 
 /// Reserved `seq_key` index for the teardown terminates (no worker can
 /// use it: `Engine::new` caps `workers` below this).
@@ -717,24 +743,23 @@ impl Engine {
         }
     }
 
-    /// One worker *incarnation*: resume the seeded op stream from the
-    /// checkpoint in `slot` and run it to completion, checkpointing at
-    /// every op top when supervised. Returns the cumulative tally
-    /// (inherited through the checkpoint across restarts).
-    fn worker_resume(shared: &Shared, index: usize, slot: &Mutex<Checkpoint>) -> WorkerTally {
+    /// One worker *incarnation*: resume the seeded op stream from `cp`
+    /// and run it to completion, rewriting `cp` at every op top when
+    /// supervised. Returns the cumulative tally (inherited through the
+    /// checkpoint across restarts).
+    fn worker_resume(shared: &Shared, index: usize, cp: &mut Checkpoint) -> WorkerTally {
         let cfg = &shared.cfg;
         let stats = &shared.stats[index];
-        let resume = slot.lock().unwrap().clone();
-        let generation = resume.generation;
+        let generation = cp.generation;
         // Each incarnation declares a fresh fault role: replaying the
         // dead incarnation's decision stream would kill every restart
         // at the same op, forever.
         probe::set_role(generation.wrapping_mul(cfg.workers as u32) + index as u32);
 
-        let mut mix = Mix(resume.mix);
-        let mut t = resume.tally;
-        let mut churn = resume.churn;
-        let mut seq = resume.seq;
+        let mut mix = Mix(cp.mix);
+        let mut t = cp.tally;
+        let mut churn = cp.churn.clone();
+        let mut seq = cp.seq;
         if generation > 0 {
             // The corpse's live tasks, re-homed to this incarnation.
             t.rehomed += churn.len() as u64;
@@ -743,16 +768,9 @@ impl Engine {
         let watermark = cfg.shed_watermark();
         let mut batch: Vec<Message> = Vec::with_capacity(cfg.drain_every);
 
-        for op in resume.next_op..cfg.ops_per_worker {
+        for op in cp.next_op..cfg.ops_per_worker {
             if shared.supervised {
-                *slot.lock().unwrap() = Checkpoint {
-                    next_op: op,
-                    mix: mix.0,
-                    seq,
-                    generation,
-                    tally: t.clone(),
-                    churn: churn.clone(),
-                };
+                cp.record(op, mix.0, seq, t, &churn);
                 if generation == 0 && cfg.crash_due(index, op, CrashKind::OpStart) {
                     panic!("injected crash: worker {index} at op {op} (op start)");
                 }
@@ -935,14 +953,7 @@ impl Engine {
         // that already died.
         while let Some(name) = churn.last().copied() {
             if shared.supervised {
-                *slot.lock().unwrap() = Checkpoint {
-                    next_op: cfg.ops_per_worker,
-                    mix: mix.0,
-                    seq,
-                    generation,
-                    tally: t.clone(),
-                    churn: churn.clone(),
-                };
+                cp.record(cfg.ops_per_worker, mix.0, seq, t, &churn);
             }
             seq += 1;
             match shared.table.msg_rpc_retry(
@@ -984,16 +995,12 @@ impl Engine {
     /// structure the corpse touched is either lock-free, internally
     /// consistent under its own locks, or — for the scratch lock —
     /// explicitly poison-aware.
-    fn worker_body(
-        shared: &Shared,
-        index: usize,
-        slot: &Mutex<Checkpoint>,
-    ) -> Result<WorkerTally, Box<dyn std::any::Any + Send>> {
+    fn worker_body(shared: &Shared, index: usize, cp: &mut Checkpoint) -> Outcome {
         if shared.supervised {
             EXPECTED_PANICS.with(|s| s.set(true));
         }
         let outcome =
-            std::panic::catch_unwind(AssertUnwindSafe(|| Self::worker_resume(shared, index, slot)));
+            std::panic::catch_unwind(AssertUnwindSafe(|| Self::worker_resume(shared, index, cp)));
         EXPECTED_PANICS.with(|s| s.set(false));
         outcome
     }
@@ -1028,16 +1035,10 @@ impl Engine {
             repairs: AtomicU64::new(0),
             supervised,
         });
-        let slots: Vec<Arc<Mutex<Checkpoint>>> = (0..workers)
-            .map(|w| {
-                Arc::new(Mutex::new(Checkpoint {
-                    next_op: 0,
-                    mix: Mix::new(self.cfg.seed, w).0,
-                    seq: 0,
-                    generation: 0,
-                    tally: WorkerTally::default(),
-                    churn: Vec::new(),
-                }))
+        let mut checkpoints: Vec<Checkpoint> = (0..workers)
+            .map(|w| Checkpoint {
+                mix: Mix::new(self.cfg.seed, w).0,
+                ..Checkpoint::default()
             })
             .collect();
 
@@ -1054,24 +1055,26 @@ impl Engine {
                 rounds <= MAX_SUPERVISION_ROUNDS,
                 "supervision livelock: workers still dying after {MAX_SUPERVISION_ROUNDS} restart rounds"
             );
-            type Outcome = Result<WorkerTally, Box<dyn std::any::Any + Send>>;
             let outcomes: Vec<(usize, Outcome)> = if workers == 1 {
                 // Run inline: keeps single-worker storms usable from any
                 // context (no spawn permission needed under exotic
                 // hosts); the supervisor loop recovers inline crashes
                 // the same way.
-                vec![(0, Self::worker_body(&shared, 0, &slots[0]))]
+                vec![(0, Self::worker_body(&shared, 0, &mut checkpoints[0]))]
             } else {
+                // A spawned incarnation takes its checkpoint with it and
+                // hands it back beside its outcome.
+                type Handoff = Arc<Mutex<Option<(Checkpoint, Outcome)>>>;
                 let handles: Vec<_> = pending
                     .iter()
                     .map(|&w| {
                         let shared = Arc::clone(&shared);
-                        let slot = Arc::clone(&slots[w]);
-                        let out: Arc<Mutex<Option<Outcome>>> = Arc::new(Mutex::new(None));
+                        let mut cp = std::mem::take(&mut checkpoints[w]);
+                        let out: Handoff = Arc::new(Mutex::new(None));
                         let res = Arc::clone(&out);
                         let token = host::spawn(move || {
-                            let outcome = Self::worker_body(&shared, w, &slot);
-                            *res.lock().unwrap() = Some(outcome);
+                            let outcome = Self::worker_body(&shared, w, &mut cp);
+                            *res.lock().unwrap() = Some((cp, outcome));
                         });
                         (w, token, out)
                     })
@@ -1080,10 +1083,10 @@ impl Engine {
                     .into_iter()
                     .map(|(w, token, out)| {
                         host::join(token);
-                        (
-                            w,
-                            out.lock().unwrap().take().expect("joined worker left no outcome"),
-                        )
+                        let (cp, outcome) =
+                            out.lock().unwrap().take().expect("joined worker left no outcome");
+                        checkpoints[w] = cp;
+                        (w, outcome)
                     })
                     .collect()
             };
@@ -1116,7 +1119,7 @@ impl Engine {
                         // generation (fresh fault role, fresh seq-key
                         // space) and respawn; the restart re-homes the
                         // corpse's churn ports to itself.
-                        slots[w].lock().unwrap().generation += 1;
+                        checkpoints[w].generation += 1;
                         let dt = host::now().saturating_sub(t0);
                         recovery_ns_total += dt;
                         recovery_ns_max = recovery_ns_max.max(dt);
@@ -1392,6 +1395,36 @@ mod tests {
             b.fingerprint(),
             "crash recovery replays exactly (single worker, any host)"
         );
+    }
+
+    #[test]
+    fn resumed_storm_matches_the_unsupervised_run() {
+        // A checkpoint that restored the wrong state the same way twice
+        // would still replay deterministically; compare against the
+        // storm that never crashed instead.
+        let counts = |r: &EngineReport| {
+            [r.rpcs, r.pings, r.creates, r.terminates, r.dead_hits, r.transfers, r.drained]
+        };
+        for seed in [3, 42, 99] {
+            let plain = Engine::new(small(1, seed)).run();
+            for kind in [CrashKind::OpStart, CrashKind::Holding, CrashKind::AfterCreate] {
+                let r = Engine::new(EngineConfig {
+                    crash_at: vec![CrashPoint { worker: 0, op: 1_200, kind }],
+                    ..small(1, seed)
+                })
+                .run();
+                assert_eq!(r.crashes, 1, "seed {seed}, {kind:?}: the kill fired");
+                assert_eq!(counts(&r), counts(&plain), "seed {seed}, {kind:?}: counts");
+                if kind == CrashKind::AfterCreate {
+                    // The orphan's re-run create publishes a new name,
+                    // so the digest differs; the books still close.
+                    assert_eq!(r.reconciled, 1, "seed {seed}: one orphan");
+                    assert_eq!(r.creates, r.terminates, "seed {seed}: counted books");
+                } else {
+                    assert_eq!(r.digest, plain.digest, "seed {seed}, {kind:?}: digest");
+                }
+            }
+        }
     }
 
     #[test]

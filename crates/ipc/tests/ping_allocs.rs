@@ -6,7 +6,8 @@
 //! right — makes zero heap allocations, and so does moving a right
 //! through a port's ring, while a message that does not fit the inline
 //! body still allocates. A port pays for its message slots only when
-//! its first message is queued.
+//! its first message is queued. Supervising an engine storm costs a
+//! constant number of allocations, however long the storm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +16,8 @@ use machk_core::sync::ring::MpscRing;
 use machk_core::{Kobj, ObjRef};
 use machk_ipc::engine::OP_PING;
 use machk_ipc::{
-    DispatchTable, KernError, Message, Port, PortName, PortNameSpace, RefSemantics, RpcStats,
+    CrashKind, CrashPoint, DispatchTable, Engine, EngineConfig, KernError, Message, Port, PortName,
+    PortNameSpace, RefSemantics, RpcStats,
 };
 
 struct CountingAlloc;
@@ -201,4 +203,43 @@ fn message_stays_32_bytes() {
     // A port that has queued holds 64 ring slots of `Message`: a
     // larger message grows every such port.
     assert_eq!(core::mem::size_of::<Message>(), 32);
+}
+
+/// Allocations one single-worker storm of `ops` operations makes on
+/// this thread (one worker runs inline), with or without an `OpStart`
+/// kill at mid-storm.
+fn storm_allocs(ops: usize, kill: bool) -> u64 {
+    let crash_at = if kill {
+        vec![CrashPoint { worker: 0, op: ops / 2, kind: CrashKind::OpStart }]
+    } else {
+        Vec::new()
+    };
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        ops_per_worker: ops,
+        crash_at,
+        ..EngineConfig::default()
+    });
+    let (allocs, report) = allocs_during(|| engine.run());
+    assert_eq!(report.crashes, u64::from(kill), "the kill fired");
+    assert_eq!(report.ledger_total, 1, "object ledger balanced");
+    allocs
+}
+
+#[test]
+fn supervision_allocates_a_constant() {
+    // The first supervised storm installs the quiet panic hook.
+    storm_allocs(1_000, true);
+    // Checkpoints are rewritten in place: a kill, its recovery and the
+    // restarted incarnation cost the same few allocations at any storm
+    // length, not one or more per op.
+    for ops in [2_000, 8_000] {
+        let plain = storm_allocs(ops, false);
+        let supervised = storm_allocs(ops, true);
+        let extra = supervised.saturating_sub(plain);
+        assert!(
+            extra <= 32,
+            "{ops} ops: supervision made {extra} allocations beyond the unsupervised {plain}"
+        );
+    }
 }
