@@ -36,7 +36,7 @@
 //! * message queues are lock-free bounded rings with batched dequeue
 //!   ([`port`] module docs);
 //! * the name table is sharded across independently locked,
-//!   lockstat-named shards ([`namespace`] module docs);
+//!   lockstat-named entry tables ([`namespace`] module docs);
 //! * the [`engine`] drives seeded task-create / port-transfer /
 //!   dead-port-churn RPC storms through §10 dispatch with both
 //!   reference ledgers audited — the E19 experiment and the machk-sim
@@ -54,7 +54,7 @@ pub mod rpc;
 
 pub use engine::{CrashKind, CrashPoint, Engine, EngineConfig, EngineReport};
 pub use message::{Message, MsgElement};
-pub use namespace::{PortName, PortNameSpace};
+pub use namespace::{NameTable, PortName, PortNameSpace};
 pub use port::{Port, PortError};
 pub use portset::PortSet;
 pub use rpc::{DispatchTable, KernError, RefSemantics, ReplyCache, RpcError, RpcStats};

@@ -6,6 +6,28 @@
 //! object translation. This effectively clones the object reference held
 //! by the name translation data structures."
 //!
+//! ## Entry tables
+//!
+//! As in Mach 3.0's IPC space, the translation data structure is a
+//! table of entries indexed by the name itself ([`NameTable`]):
+//!
+//! * A name is `((index << 8 | gen) << shard_bits) | shard`: the index
+//!   of its entry, the entry's 8-bit generation and, in the low
+//!   `shard_bits = ceil(log2 nshards)` bits, the shard whose table
+//!   holds the entry (no bits for one shard). So a table holds at most
+//!   `2^(24 - shard_bits)` entries (262 144 at 64 shards); inserting
+//!   past that panics rather than mint a name twice.
+//! * Translation and removal are a mask, a shift, a bounds check and a
+//!   generation compare: no hash and no division.
+//! * Vacant entries form an intrusive LIFO free list, like Mach's
+//!   `ipc_entry` free list, so churn at a steady number of live names
+//!   allocates nothing.
+//! * Generations run over 1..=255, so name 0 (MACH_PORT_NULL) is never
+//!   minted. Removing a name advances its entry's generation, so the
+//!   dead name fails to translate until its slot has been reused 255
+//!   times; the 255th reuse wraps the generation and mints the dead
+//!   name again. Mach documents the same wrap.
+//!
 //! ## Sharding (beyond the paper)
 //!
 //! E2 reproduced the paper's §2 result: funneling independent work
@@ -13,29 +35,22 @@
 //! name table is exactly such a funnel — every translation in a busy
 //! task serializes on one simple lock — so this table applies the
 //! paper's own data-locking prescription to itself: the name space is
-//! hashed across [`PortNameSpace::shards`] independently locked shards.
+//! split across [`PortNameSpace::shards`] independently locked shards,
+//! each an entry table.
 //!
-//! * A name's shard is `name % nshards`, so translation and removal
-//!   touch exactly one shard lock.
-//! * Allocation round-robins across shards and hands out names of the
-//!   form `counter * nshards + shard`, so fresh names scatter evenly
-//!   and a name is self-describing (no cross-shard lookup to find it).
+//! * A name's shard is its low bits, so translation and removal touch
+//!   exactly one shard lock and no other shard's table.
+//! * Allocation round-robins across shards, so fresh names scatter
+//!   evenly.
 //! * Each shard lock is *named* (`ipc.ns.shardNN`), so E16 lockstat
 //!   attributes contention per shard rather than to one anonymous
 //!   blob; the same names are registered lock classes for the
 //!   machk-lint order graph.
-//! * Within a shard, names are hashed by one multiply whose high half
-//!   is folded into the low bits (`NameHasher`). The kernel allocates
-//!   every name, so a keyed hash's flooding resistance buys nothing,
-//!   and the fold matters because a shard's names share their low
-//!   log2(nshards) bits while the map picks buckets by the low bits.
 //!
 //! [`PortNameSpace::with_shards(1)`](PortNameSpace::with_shards) is the
 //! single-lock layout — the E19 experiment benches the two against each
 //! other.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use machk_core::sync::CachePadded;
@@ -55,6 +70,10 @@ pub const MAX_SHARDS: usize = 64;
 /// an 8-way translation storm with no shared line, cheap enough for
 /// idle tasks.
 pub const DEFAULT_SHARDS: usize = 8;
+
+/// Width of the generation field of a name: an entry's generation is
+/// a `u8`.
+const GEN_BITS: u32 = u8::BITS;
 
 /// Registered lock-class names, one per shard index, so lockstat and
 /// the static order graph see `ipc.ns.shard00`…`ipc.ns.shard63` rather
@@ -127,44 +146,158 @@ static SHARD_LOCK_NAMES: [&str; MAX_SHARDS] = [
     "ipc.ns.shard63",
 ];
 
-/// The hash of a [`PortName`]: the name times a 64-bit odd constant
-/// (the golden ratio), high half folded into the low half. See the
-/// module docs for why a multiply is enough and why it must fold.
-#[derive(Default)]
-struct NameHasher(u64);
+/// The end of a free list.
+const NIL: u32 = u32::MAX;
 
-impl Hasher for NameHasher {
-    fn write_u32(&mut self, name: u32) {
-        self.0 = u64::from(name);
+/// One slot of a [`NameTable`].
+struct Entry {
+    /// The right the slot's live name holds; `None` while vacant.
+    right: Option<ObjRef<Port>>,
+    /// The generation of the slot's live name, or of the next name it
+    /// mints while vacant: 1..=255.
+    gen: u8,
+    /// The next vacant slot while this one is vacant.
+    next_free: u32,
+}
+
+const _: () = assert!(core::mem::size_of::<Entry>() == 16);
+
+/// A table of port names: entries indexed by the name, each name
+/// checked against its entry's generation (see the module docs).
+///
+/// The table takes no lock of its own. [`PortNameSpace`] keeps one per
+/// shard under the shard's lock; `machk-kernel`'s single-lock task
+/// keeps one under its task lock.
+pub struct NameTable {
+    entries: Vec<Entry>,
+    /// Head of the free list, or `NIL`.
+    free: u32,
+    /// The shard field of every name this table mints, and its width.
+    shard: u32,
+    shard_bits: u32,
+}
+
+impl NameTable {
+    /// An empty table whose names carry no shard field.
+    pub fn new() -> NameTable {
+        NameTable::for_shard(0, 0)
     }
 
-    /// Byte input, never produced by [`PortName`]: folded in a byte at
-    /// a time so the hasher stays total.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+    fn for_shard(shard: u32, shard_bits: u32) -> NameTable {
+        NameTable {
+            entries: Vec::new(),
+            free: NIL,
+            shard,
+            shard_bits,
         }
     }
 
-    fn finish(&self) -> u64 {
-        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^ (h >> 32)
+    /// A name's entry index and generation. The shard field is not
+    /// checked: whoever routed the name here has done that.
+    #[inline]
+    fn decode(&self, name: PortName) -> (usize, u8) {
+        let v = name.0 >> self.shard_bits;
+        ((v >> GEN_BITS) as usize, v as u8)
+    }
+
+    /// Insert a right under a fresh name. The table now owns the
+    /// reference.
+    pub fn insert(&mut self, right: ObjRef<Port>) -> PortName {
+        let (index, gen) = if self.free != NIL {
+            let index = self.free;
+            let e = &mut self.entries[index as usize];
+            self.free = e.next_free;
+            e.right = Some(right);
+            (index, e.gen)
+        } else {
+            let index = self.entries.len() as u32;
+            self.entries.push(Entry {
+                right: Some(right),
+                gen: 1,
+                next_free: NIL,
+            });
+            // Past the index field's width the table is genuinely
+            // exhausted: fail loudly rather than mint names that
+            // collide with live ones. The right is in the table by
+            // now, so unwinding does not release it under the
+            // caller's lock; it leaves with the table.
+            assert!(
+                index < 1 << (u32::BITS - GEN_BITS - self.shard_bits),
+                "port name space exhausted on this shard"
+            );
+            (index, 1)
+        };
+        PortName(((index << GEN_BITS | u32::from(gen)) << self.shard_bits) | self.shard)
+    }
+
+    /// The right a live name holds.
+    #[inline]
+    pub fn get(&self, name: PortName) -> Option<&ObjRef<Port>> {
+        let (index, gen) = self.decode(name);
+        let e = self.entries.get(index)?;
+        if e.gen == gen {
+            e.right.as_ref()
+        } else {
+            None
+        }
+    }
+
+    /// Remove a live name, returning the right it held.
+    pub fn remove(&mut self, name: PortName) -> Option<ObjRef<Port>> {
+        let (index, gen) = self.decode(name);
+        if self.entries.get(index)?.gen != gen {
+            return None;
+        }
+        self.vacate(index)
+    }
+
+    /// Move every right into `out` (task termination).
+    pub fn drain_into(&mut self, out: &mut Vec<ObjRef<Port>>) {
+        for index in 0..self.entries.len() {
+            out.extend(self.vacate(index));
+        }
+    }
+
+    /// Number of live names (scans the table).
+    pub(crate) fn len(&self) -> usize {
+        self.entries.iter().filter(|e| e.right.is_some()).count()
+    }
+
+    /// Take the right out of a slot, advance its generation past the
+    /// dead name (255 wraps to 1, never 0), and push it on the free
+    /// list. `None` if the slot was vacant already.
+    fn vacate(&mut self, index: usize) -> Option<ObjRef<Port>> {
+        let e = &mut self.entries[index];
+        let right = e.right.take()?;
+        e.gen = if e.gen == u8::MAX { 1 } else { e.gen + 1 };
+        e.next_free = self.free;
+        self.free = index as u32;
+        Some(right)
+    }
+
+    /// Append `n` vacant entries that are not on the free list, so a
+    /// test can reach exhaustion without creating that many ports.
+    #[cfg(test)]
+    fn pad(&mut self, n: usize) {
+        self.entries.extend((0..n).map(|_| Entry {
+            right: None,
+            gen: 1,
+            next_free: NIL,
+        }));
     }
 }
 
-struct Table {
-    map: HashMap<PortName, ObjRef<Port>, BuildHasherDefault<NameHasher>>,
-    /// Per-shard allocation counter; shard `i` of `n` hands out names
-    /// `counter * n + i` (counter ≥ 1, so name 0 — MACH_PORT_NULL —
-    /// is never allocated).
-    next: u32,
+impl Default for NameTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// One shard's lock and table, on a line of its own so neighbouring
 /// shard locks do not share one.
-type Shard = CachePadded<SimpleLocked<Table>>;
+type Shard = CachePadded<SimpleLocked<NameTable>>;
 
-// Release layout without probes: lock 8 + map 32 + counter 4, padded.
+// Release layout without probes: lock 8 + table 40, padded.
 #[cfg(not(debug_assertions))]
 const _: () = assert!(machk_core::sync::probe::ENABLED || core::mem::size_of::<Shard>() == 64);
 
@@ -177,6 +310,8 @@ const _: () = assert!(machk_core::sync::probe::ENABLED || core::mem::size_of::<S
 /// See the module docs for the sharded layout.
 pub struct PortNameSpace {
     shards: Box<[Shard]>,
+    /// Width of a name's shard field: ceil(log2 of the shard count).
+    shard_bits: u32,
     /// Round-robin allocation cursor (advisory; any distribution is
     /// correct, even spreading is just better). Every insert writes it,
     /// so it sits on its own line, away from the `shards` pointer that
@@ -196,7 +331,7 @@ impl PortNameSpace {
         PortNameSpace::with_shards(DEFAULT_SHARDS)
     }
 
-    /// An empty name space hashed across `nshards` (1 ..= [`MAX_SHARDS`])
+    /// An empty name space split across `nshards` (1 ..= [`MAX_SHARDS`])
     /// independently locked shards. One shard is the single-lock layout.
     pub fn with_shards(nshards: usize) -> PortNameSpace {
         PortNameSpace::with_shards_modeled(nshards, 0)
@@ -213,18 +348,17 @@ impl PortNameSpace {
             (1..=MAX_SHARDS).contains(&nshards),
             "shard count must be in 1..={MAX_SHARDS}"
         );
+        let shard_bits = nshards.next_power_of_two().trailing_zeros();
         PortNameSpace {
             shards: (0..nshards)
                 .map(|i| {
                     CachePadded::new(SimpleLocked::named(
                         SHARD_LOCK_NAMES[i],
-                        Table {
-                            map: HashMap::default(),
-                            next: 1,
-                        },
+                        NameTable::for_shard(i as u32, shard_bits),
                     ))
                 })
                 .collect(),
+            shard_bits,
             cursor: CachePadded::new(AtomicUsize::new(0)),
             cs_work_ns,
         }
@@ -244,60 +378,47 @@ impl PortNameSpace {
         self.shards.len()
     }
 
-    /// The shard a name lives in.
-    fn shard_of(&self, name: PortName) -> &Shard {
-        &self.shards[name.0 as usize % self.shards.len()]
+    /// The shard a name's shard field selects; `None` past the last.
+    #[inline]
+    fn shard_of(&self, name: PortName) -> Option<&Shard> {
+        self.shards
+            .get(name.0 as usize & ((1 << self.shard_bits) - 1))
     }
 
     /// Insert a right, allocating a fresh name. The table now owns the
     /// reference.
     pub fn insert(&self, right: ObjRef<Port>) -> PortName {
-        let n = self.shards.len();
         // relaxed: the cursor only balances allocation across shards;
         // any interleaving of increments yields correct (unique) names.
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut t = self.shards[i].lock();
         self.charge_cs();
-        // Checked: after ~2^32/n allocations on one shard the name
-        // space is genuinely exhausted — fail loudly rather than wrap
-        // in release and mint duplicate names over live rights.
-        let name = PortName(
-            t.next
-                .checked_mul(n as u32)
-                .and_then(|v| v.checked_add(i as u32))
-                .expect("port name space exhausted on this shard"),
-        );
-        t.next = t
-            .next
-            .checked_add(1)
-            .expect("port name space exhausted on this shard");
-        t.map.insert(name, right);
-        name
+        t.insert(right)
     }
 
     /// Translate a name to a port right.
     ///
     /// The returned right is a *cloned* reference; the table keeps its
     /// own. Returns `None` for names not in the space (including
-    /// removed ones). Touches exactly one shard lock.
+    /// removed ones). Touches at most one shard lock.
     pub fn translate(&self, name: PortName) -> Option<ObjRef<Port>> {
-        let t = self.shard_of(name).lock();
+        let t = self.shard_of(name)?.lock();
         self.charge_cs();
-        t.map.get(&name).cloned()
+        t.get(name).cloned()
     }
 
     /// Remove a name, returning the right it held so the caller can
     /// release it outside the table lock.
     pub fn remove(&self, name: PortName) -> Option<ObjRef<Port>> {
-        let mut t = self.shard_of(name).lock();
+        let mut t = self.shard_of(name)?.lock();
         self.charge_cs();
-        t.map.remove(&name)
+        t.remove(name)
     }
 
     /// Number of live names (diagnostics; locks shards one at a time,
     /// so the sum is a snapshot only if writers are quiesced).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether the space is empty.
@@ -311,8 +432,7 @@ impl PortNameSpace {
     pub fn drain(&self) -> Vec<ObjRef<Port>> {
         let mut rights = Vec::new();
         for s in self.shards.iter() {
-            let mut t = s.lock();
-            rights.extend(t.map.drain().map(|(_, r)| r));
+            s.lock().drain_into(&mut rights);
         }
         rights
     }
@@ -337,6 +457,11 @@ impl core::fmt::Debug for PortNameSpace {
 mod tests {
     use super::*;
 
+    /// The index field of a name minted by a space of `nshards` shards.
+    fn index_of(name: PortName, nshards: usize) -> u32 {
+        name.0 >> (GEN_BITS + nshards.next_power_of_two().trailing_zeros())
+    }
+
     #[test]
     fn insert_allocates_distinct_names() {
         let ns = PortNameSpace::new();
@@ -353,7 +478,6 @@ mod tests {
             let mut seen = std::collections::HashSet::new();
             for _ in 0..200 {
                 let name = ns.insert(Port::create());
-                assert_ne!(name.0, 0, "MACH_PORT_NULL never allocated");
                 assert!(seen.insert(name), "duplicate name at {nshards} shards");
             }
             for name in &seen {
@@ -363,35 +487,71 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "name space exhausted")]
-    fn name_exhaustion_panics_instead_of_wrapping() {
-        let ns = PortNameSpace::with_shards(2);
-        for s in ns.shards.iter() {
-            s.lock().next = u32::MAX;
+    fn null_name_is_never_minted() {
+        // 256 reuses of every shard's first slot run its generation
+        // through the wrap at least once.
+        let port = Port::create();
+        for nshards in [1, 2, 3, 8, 64] {
+            let ns = PortNameSpace::with_shards(nshards);
+            for _ in 0..256 * nshards {
+                let name = ns.insert(port.clone());
+                assert_ne!(name.0, 0, "MACH_PORT_NULL minted at {nshards} shards");
+                assert_eq!(index_of(name, nshards), 0, "the freed slot is reused");
+                drop(ns.remove(name));
+            }
+            assert!(ns.translate(PortName(0)).is_none());
         }
-        let _ = ns.insert(Port::create());
+        assert_eq!(ObjRef::ref_count(&port), 1);
     }
 
     #[test]
-    fn name_hash_spreads_one_shards_names_over_the_low_bits() {
-        use std::hash::BuildHasher;
-
-        // The 2048 names shard `s` of 8 allocates first are
-        // `counter * 8 + s`: they share their low 3 bits, so an
-        // unfolded multiply leaves only 512 of the 4096 low-12-bit
-        // values (the bucket index of a 4096-bucket map) reachable.
-        // Folded, they hit 1475-1526; a uniform hash about 1612.
-        let build = BuildHasherDefault::<NameHasher>::default();
-        for s in 0..8u32 {
-            let low: std::collections::HashSet<u64> = (1..=2048u32)
-                .map(|counter| build.hash_one(PortName(counter * 8 + s)) & 0xFFF)
-                .collect();
-            assert!(
-                low.len() >= 1024,
-                "shard {s}: {} low-12-bit values",
-                low.len()
-            );
+    fn dead_name_stays_dead_until_its_generation_wraps() {
+        let mut table = NameTable::new();
+        let port = Port::create();
+        let dead = table.insert(port.clone());
+        drop(table.remove(dead));
+        for reuse in 1..=254 {
+            let name = table.insert(port.clone());
+            assert_eq!(index_of(name, 1), index_of(dead, 1), "same slot");
+            assert_ne!(name, dead, "reuse {reuse}");
+            assert!(table.get(dead).is_none(), "dead name live at reuse {reuse}");
+            drop(table.remove(name));
         }
+        // The 255th reuse comes back to the dead name's generation.
+        let alias = table.insert(port.clone());
+        assert_eq!(alias, dead);
+        assert!(table.get(dead).is_some());
+        drop(table.remove(alias));
+    }
+
+    #[test]
+    fn names_outside_the_table_fail() {
+        let ns = PortNameSpace::with_shards(3);
+        let name = ns.insert(Port::create());
+        assert_eq!(name.0 & 3, 0, "the first name is shard 0's");
+        // Two shard bits: field 3 names no shard.
+        let no_shard = PortName(name.0 | 3);
+        assert!(ns.translate(no_shard).is_none());
+        assert!(ns.remove(no_shard).is_none());
+        // Index 1 of shard 0, which holds one entry.
+        let past_end = PortName(name.0 + (1 << (GEN_BITS + 2)));
+        assert!(ns.translate(past_end).is_none());
+        assert!(ns.remove(past_end).is_none());
+        // Same index, wrong generation.
+        let stale = PortName(name.0 + (1 << 2));
+        assert!(ns.translate(stale).is_none());
+        assert!(ns.remove(stale).is_none());
+        assert!(ns.translate(name).is_some(), "the live name is untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "name space exhausted")]
+    fn name_exhaustion_panics_instead_of_wrapping() {
+        // 64 shards leave 32 - 8 - 6 = 18 index bits; the cursor's first
+        // insert goes to shard 0.
+        let ns = PortNameSpace::with_shards(64);
+        ns.shards[0].lock().pad(1 << 18);
+        let _ = ns.insert(Port::create());
     }
 
     #[test]
@@ -424,6 +584,7 @@ mod tests {
         drop(right);
         assert_eq!(ObjRef::ref_count(&port), 1);
         assert!(ns.translate(name).is_none(), "name gone after removal");
+        assert!(ns.remove(name).is_none(), "double remove");
     }
 
     #[test]
@@ -443,6 +604,29 @@ mod tests {
     }
 
     #[test]
+    fn reinsert_after_drain_reuses_slots_under_new_generations() {
+        let ns = PortNameSpace::with_shards(2);
+        let port = Port::create();
+        let old: Vec<_> = (0..6).map(|_| ns.insert(port.clone())).collect();
+        drop(ns.drain());
+        let new: Vec<_> = (0..6).map(|_| ns.insert(port.clone())).collect();
+        for s in ns.shards.iter() {
+            assert_eq!(s.lock().entries.len(), 3, "no slot added");
+        }
+        let index_set = |names: &[PortName]| {
+            let mut v: Vec<_> = names.iter().map(|&n| (n.0 & 1, index_of(n, 2))).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(index_set(&new), index_set(&old), "the same slots");
+        for name in &old {
+            assert!(!new.contains(name), "a drained name was minted again");
+            assert!(ns.translate(*name).is_none(), "drained name resolves");
+        }
+        assert_eq!(ns.len(), 6);
+    }
+
+    #[test]
     fn concurrent_translation_storm() {
         let ns = PortNameSpace::new();
         let port = Port::create();
@@ -458,5 +642,34 @@ mod tests {
             }
         });
         assert_eq!(ObjRef::ref_count(&port), 2, "all translations released");
+    }
+
+    #[test]
+    fn removed_names_stay_dead_under_a_two_thread_storm() {
+        // 2 x 1000 inserts over 8 shards: 250 per shard, so no slot is
+        // reused 255 times and no dead name can legitimately come back.
+        let ns = PortNameSpace::with_shards(8);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let port = Port::create();
+                    let mut dead = Vec::with_capacity(1_000);
+                    for _ in 0..1_000 {
+                        let name = ns.insert(port.clone());
+                        let right = ns.translate(name).expect("fresh name resolves");
+                        assert!(ObjRef::ptr_eq(&right, &port), "someone else's port");
+                        drop(right);
+                        drop(ns.remove(name).expect("our name is ours to remove"));
+                        assert!(ns.translate(name).is_none(), "dead name resolved");
+                        dead.push(name);
+                    }
+                    for name in &dead {
+                        assert!(ns.translate(*name).is_none(), "dead name came back");
+                    }
+                    assert_eq!(ObjRef::ref_count(&port), 1);
+                });
+            }
+        });
+        assert!(ns.is_empty());
     }
 }

@@ -3,14 +3,16 @@
 //! A counting global allocator (per thread, so parallel tests do not
 //! see each other) checks that, once warm, one ping — name translation,
 //! §10 dispatch of the engine's `OP_PING` handler shape, release of the
-//! right — makes zero heap allocations, and so does moving a right
-//! through a port's ring, while a message that does not fit the inline
-//! body still allocates. A port pays for its message slots only when
-//! its first message is queued. Supervising an engine storm costs a
-//! constant number of allocations, however long the storm.
+//! right — makes zero heap allocations, and so do moving a right
+//! through a port's ring and name churn at a steady live count, while
+//! a message that does not fit the inline body still allocates. A port
+//! pays for its message slots only when its first message is queued.
+//! Supervising an engine storm costs a constant number of allocations,
+//! however long the storm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 use machk_core::sync::ring::MpscRing;
 use machk_core::{Kobj, ObjRef};
@@ -57,7 +59,11 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 fn alloc_bytes_during<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let r = f();
-    (ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1, r)
+    (
+        ALLOCS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+        r,
+    )
 }
 
 struct Echo;
@@ -112,6 +118,30 @@ fn warm_ping_path_makes_no_allocation() {
     assert_eq!(echoed, 1_000);
     assert_eq!(allocs, 0, "translate + msg_rpc + release must not allocate");
     assert!(stats.balanced());
+}
+
+#[test]
+fn name_churn_at_a_steady_count_makes_no_allocation() {
+    // Oldest out, newest in: the cursor sends each insert to the shard
+    // whose name was just removed, and the shard reuses the freed slot.
+    let ns = PortNameSpace::new();
+    let mut live: VecDeque<PortName> = (0..64).map(|_| ns.insert(Port::create())).collect();
+    let churn = |live: &mut VecDeque<PortName>| {
+        let right = ns
+            .remove(live.pop_front().expect("a live name"))
+            .expect("published name");
+        live.push_back(ns.insert(right));
+    };
+    for _ in 0..64 {
+        churn(&mut live);
+    }
+    let (allocs, ()) = allocs_during(|| {
+        for _ in 0..10_000 {
+            churn(&mut live);
+        }
+    });
+    assert_eq!(allocs, 0, "10 000 insert/remove pairs");
+    assert_eq!(ns.len(), 64);
 }
 
 #[test]
@@ -184,7 +214,11 @@ fn port_pays_for_message_slots_on_first_send() {
     let slot_bytes = size_of::<usize>() + size_of::<Message>();
     let (allocs, bytes, sent) = alloc_bytes_during(|| port.try_send(Message::new(1).with_int(1)));
     assert!(sent.is_ok());
-    assert_eq!((allocs, bytes), (1, (capacity * slot_bytes) as u64), "one slot array");
+    assert_eq!(
+        (allocs, bytes),
+        (1, (capacity * slot_bytes) as u64),
+        "one slot array"
+    );
     let mut out = Vec::with_capacity(8);
     let (later, received) = allocs_during(|| {
         for i in 2..=4 {
@@ -210,7 +244,11 @@ fn message_stays_32_bytes() {
 /// kill at mid-storm.
 fn storm_allocs(ops: usize, kill: bool) -> u64 {
     let crash_at = if kill {
-        vec![CrashPoint { worker: 0, op: ops / 2, kind: CrashKind::OpStart }]
+        vec![CrashPoint {
+            worker: 0,
+            op: ops / 2,
+            kind: CrashKind::OpStart,
+        }]
     } else {
         Vec::new()
     };

@@ -4,18 +4,17 @@
 //! allow task operations and ipc translations to occur in parallel."
 //! [`MonoTask`] is the design without that refinement — one simple lock
 //! serializes both the thread/suspend state *and* the port name table —
-//! so the benchmark can measure what the second lock buys.
-
-use std::collections::HashMap;
+//! so the benchmark can measure what the second lock buys. Its name
+//! table is the same [`NameTable`] a name-space shard holds, so the two
+//! designs differ only in the lock split.
 
 use machk_core::{Deactivated, Kobj, ObjHeader, ObjRef, Refable};
-use machk_ipc::{Port, PortName};
+use machk_ipc::{NameTable, Port, PortName};
 
 struct MonoState {
     suspend_count: u32,
     thread_count: u32,
-    names: HashMap<PortName, ObjRef<Port>>,
-    next_name: u32,
+    names: NameTable,
 }
 
 /// A task whose every operation — including port-name translation —
@@ -40,8 +39,7 @@ impl MonoTask {
                 MonoState {
                     suspend_count: 0,
                     thread_count: 0,
-                    names: HashMap::new(),
-                    next_name: 1,
+                    names: NameTable::new(),
                 },
             ),
         })
@@ -73,28 +71,24 @@ impl MonoTask {
 
     /// Insert a port right — also under the single lock.
     pub fn port_insert(&self, right: ObjRef<Port>) -> PortName {
-        let mut s = self.obj.lock();
-        let name = PortName(s.next_name);
-        s.next_name += 1;
-        s.names.insert(name, right);
-        name
+        self.obj.lock().names.insert(right)
     }
 
     /// Translate a port name — under the *same* lock as task
     /// operations: the contention E8 measures. The clone locks the port
     /// under the task lock (task before port).
     pub fn port_translate(&self, name: PortName) -> Option<ObjRef<Port>> {
-        let s = self.obj.lock();
-        s.names.get(&name).cloned()
+        self.obj.lock().names.get(name).cloned()
     }
 
     /// Terminate: deactivate and drain.
     pub fn terminate(&self) -> Result<(), Deactivated> {
-        let rights: Vec<ObjRef<Port>> = {
+        let mut rights = Vec::new();
+        {
             let mut s = self.obj.lock();
             s.deactivate()?;
-            s.names.drain().map(|(_, r)| r).collect()
-        };
+            s.names.drain_into(&mut rights);
+        }
         drop(rights);
         Ok(())
     }
