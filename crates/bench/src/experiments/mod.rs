@@ -115,7 +115,7 @@ pub static ALL: [Experiment; 20] = [
     entry(
         "E20",
         e20_crash_storm::run,
-        "Crash-and-overload storm: supervision, poisoning, reconciliation, shedding",
+        "Crash-and-overload storm: supervision, torn-section repair, reconciliation, shedding",
     ),
 ];
 

@@ -204,9 +204,9 @@ impl<S> DerefMut for KobjGuard<'_, S> {
     }
 }
 
-// Release layout without probes: header (16) plus a zero-sized state.
+// Release layout without probes: header (12) plus a zero-sized state.
 #[cfg(not(debug_assertions))]
-const _: () = assert!(machk_sync::probe::ENABLED || core::mem::size_of::<Kobj<()>>() == 16);
+const _: () = assert!(machk_sync::probe::ENABLED || core::mem::size_of::<Kobj<()>>() == 12);
 
 #[cfg(test)]
 mod tests {

@@ -57,6 +57,6 @@ pub use machk_refcount::{
     ObjRef, Refable, ShardedRefCount, ShardedRefable,
 };
 pub use machk_sync::{
-    Backoff, JitterBackoff, LockError, LockTimeout, Mcs, Poisoned, RawSimpleLock, SimpleLocked,
-    SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, WithBackoff,
+    Backoff, JitterBackoff, LockTimeout, Mcs, RawSimpleLock, SimpleLocked, SpinPolicy, Tas,
+    TasThenTtas, Ticket, Ttas, WithBackoff,
 };

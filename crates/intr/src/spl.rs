@@ -149,7 +149,7 @@ use core::sync::atomic::{AtomicU8, Ordering};
 
 // Release layout without probes: the simple lock and the level byte.
 #[cfg(not(debug_assertions))]
-const _: () = assert!(probe::ENABLED || core::mem::size_of::<SplLock>() == 12);
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<SplLock>() == 8);
 
 const LEVEL_UNSET: u8 = u8::MAX;
 

@@ -73,12 +73,13 @@
 //!   sequence number, so a reply lost to a fault-injected drop is
 //!   answered from the [`ReplyCache`] without re-executing the handler
 //!   or moving the §10 ledger twice.
-//! * **Poisoned-lock repair** — each supervised op briefly holds the
+//! * **Torn-section repair** — each supervised op briefly holds the
 //!   engine's scratch [`RawSimpleLock`] and bumps a counter twice
-//!   (even → even). A worker killed mid-hold leaves the lock
-//!   *poisoned* (never held forever): the next acquirer observes the
-//!   typed [`LockError::Poisoned`], clears it, re-acquires, and
-//!   repairs the parity under the guard.
+//!   (even → even). A worker killed mid-hold leaves the count odd, but
+//!   its guard still releases the lock on unwind (never held forever):
+//!   the next acquirer reads the odd parity and repairs it under its
+//!   own guard. The data's value is the diagnosis; the lock carries no
+//!   flag.
 //! * **Ledger reconciliation** — whatever a dead incarnation leaked
 //!   (a task created after its last checkpoint, a name abandoned by
 //!   retry exhaustion) is still published at teardown; the engine
@@ -120,7 +121,7 @@ use std::time::Duration;
 
 use machk_core::sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
 use machk_core::sync::{host, CachePadded};
-use machk_core::{Kobj, LockError, ObjRef, RawSimpleLock, ShardedRefCount};
+use machk_core::{Kobj, ObjRef, RawSimpleLock, ShardedRefCount};
 
 use crate::message::Message;
 use crate::namespace::{PortName, PortNameSpace};
@@ -159,8 +160,8 @@ pub enum CrashKind {
     /// must repair both.
     AfterCreate,
     /// Inside the scratch-lock critical section with the parity
-    /// invariant torn — the lock is left poisoned for the next
-    /// acquirer's repair protocol.
+    /// invariant torn — the lock is released on unwind and the next
+    /// acquirer repairs the odd parity.
     Holding,
 }
 
@@ -288,11 +289,9 @@ pub struct EngineReport {
     /// Orphaned names (and their object-ledger references) repaired by
     /// the teardown [`ShardedRefCount::reconcile_crash`] pass.
     pub reconciled: u64,
-    /// Times the scratch lock was observed in the typed poisoned state.
-    pub poison_observed: u64,
-    /// Torn scratch invariants repaired under the re-acquired lock.
-    /// Counted outside the checkpointed tallies, so a repairer that dies
-    /// later in the same op still counts its repair.
+    /// Torn scratch invariants repaired by the next acquirer, under its
+    /// own guard. Counted outside the checkpointed tallies, so a
+    /// repairer that dies later in the same op still counts its repair.
     pub scratch_repairs: u64,
     /// Holding kills that tore the scratch invariant. Every completed
     /// storm repairs each exactly once (`scratch_repairs ==
@@ -351,7 +350,6 @@ impl EngineReport {
             self.crashes,
             self.rehomed_ports,
             self.reconciled,
-            self.poison_observed,
             self.scratch_repairs,
             self.retries,
             self.retry_exhausted,
@@ -404,7 +402,6 @@ struct WorkerTally {
     drained: u64,
     shed: u64,
     rehomed: u64,
-    poison_observed: u64,
     retries: u64,
     retry_exhausted: u64,
     lock_timeouts: u64,
@@ -459,7 +456,7 @@ struct Shared {
     cache: ReplyCache,
     /// The crash-survival drill ground: a lock a worker can die
     /// holding, plus the invariant (`scratch` is even outside any
-    /// hold) that the poison/repair protocol restores.
+    /// hold) that the tear/repair drill restores.
     scratch_lock: RawSimpleLock,
     scratch: AtomicU64,
     /// Holding kills (each leaves `scratch` odd) and repairs (each
@@ -679,13 +676,13 @@ impl Engine {
         &self.ns
     }
 
-    /// The supervised storms' poison/repair drill: briefly hold the
+    /// The supervised storms' tear/repair drill: briefly hold the
     /// scratch lock and bump the counter twice (even → even). A
     /// [`CrashKind::Holding`] kill panics between the bumps, leaving
-    /// the count odd and the lock poisoned; whoever acquires next
-    /// repairs the parity under the guard. Validation is value-based
-    /// (any holder seeing odd repairs it), so correctness never depends
-    /// on which racer saw the advisory poison flag first.
+    /// the count odd; the guard still releases on unwind, and whoever
+    /// acquires next reads the odd parity and repairs it under its own
+    /// guard. Validation is by value, so racing acquirers serialize on
+    /// the lock and exactly one of them sees the tear.
     fn scratch_section(
         shared: &Shared,
         index: usize,
@@ -694,53 +691,35 @@ impl Engine {
         t: &mut WorkerTally,
         limit: Duration,
     ) {
-        match shared.scratch_lock.lock_checked(limit) {
-            Ok(_guard) => {
-                // relaxed: mutated only under scratch_lock; the guard's
-                // acquire/release ordering publishes every store.
-                let v = shared.scratch.load(Ordering::Relaxed);
-                if v & 1 == 1 {
-                    // A repairer cleared the poison but we won the lock
-                    // race before it re-acquired: the tear is ours.
-                    // relaxed: under scratch_lock, see above.
-                    shared.scratch.store(v + 1, Ordering::Relaxed);
-                    // relaxed: under scratch_lock, see above.
-                    shared.repairs.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                // relaxed: under scratch_lock, see above.
-                shared.scratch.store(v + 1, Ordering::Relaxed);
-                if generation == 0 && shared.cfg.crash_due(index, op, CrashKind::Holding) {
-                    // relaxed: under scratch_lock, see above.
-                    shared.tears.fetch_add(1, Ordering::Relaxed);
-                    panic!("injected crash: worker {index} at op {op} (holding scratch lock)");
-                }
-                if probe::fire(FaultSite::WorkerCrashHolding) {
-                    // relaxed: under scratch_lock, see above.
-                    shared.tears.fetch_add(1, Ordering::Relaxed);
-                    panic!("injected crash: worker {index} at op {op} (seeded, holding scratch lock)");
-                }
-                // relaxed: under scratch_lock, see above.
-                shared.scratch.store(v + 2, Ordering::Relaxed);
-            }
-            Err(LockError::Poisoned(_)) => {
-                t.poison_observed += 1;
-                shared.scratch_lock.clear_poison();
-                // Re-acquire *normally* and repair under the guard:
-                // racing repairers serialize here; whoever wins fixes
-                // the parity and the losers see it already even.
-                let _guard = shared.scratch_lock.lock();
-                // relaxed: under scratch_lock, see above.
-                let v = shared.scratch.load(Ordering::Relaxed);
-                if v & 1 == 1 {
-                    // relaxed: under scratch_lock, see above.
-                    shared.scratch.store(v + 1, Ordering::Relaxed);
-                    // relaxed: under scratch_lock, see above.
-                    shared.repairs.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(LockError::Timeout(_)) => t.lock_timeouts += 1,
+        let Ok(_guard) = shared.scratch_lock.lock_with_deadline(limit) else {
+            t.lock_timeouts += 1;
+            return;
+        };
+        // relaxed: mutated only under scratch_lock; the guard's
+        // acquire/release ordering publishes every store.
+        let v = shared.scratch.load(Ordering::Relaxed);
+        if v & 1 == 1 {
+            // A holder died mid-section: the tear is ours to repair.
+            // relaxed: under scratch_lock, see above.
+            shared.scratch.store(v + 1, Ordering::Relaxed);
+            // relaxed: under scratch_lock, see above.
+            shared.repairs.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        // relaxed: under scratch_lock, see above.
+        shared.scratch.store(v + 1, Ordering::Relaxed);
+        if generation == 0 && shared.cfg.crash_due(index, op, CrashKind::Holding) {
+            // relaxed: under scratch_lock, see above.
+            shared.tears.fetch_add(1, Ordering::Relaxed);
+            panic!("injected crash: worker {index} at op {op} (holding scratch lock)");
+        }
+        if probe::fire(FaultSite::WorkerCrashHolding) {
+            // relaxed: under scratch_lock, see above.
+            shared.tears.fetch_add(1, Ordering::Relaxed);
+            panic!("injected crash: worker {index} at op {op} (seeded, holding scratch lock)");
+        }
+        // relaxed: under scratch_lock, see above.
+        shared.scratch.store(v + 2, Ordering::Relaxed);
     }
 
     /// One worker *incarnation*: resume the seeded op stream from `cp`
@@ -993,8 +972,8 @@ impl Engine {
     /// *discarded wholesale*: the supervisor restarts from the
     /// checkpoint (the last pre-op consistent state) and every shared
     /// structure the corpse touched is either lock-free, internally
-    /// consistent under its own locks, or — for the scratch lock —
-    /// explicitly poison-aware.
+    /// consistent under its own locks, or — for the scratch section —
+    /// validated by value (an odd count is a tear to repair).
     fn worker_body(shared: &Shared, index: usize, cp: &mut Checkpoint) -> Outcome {
         if shared.supervised {
             EXPECTED_PANICS.with(|s| s.set(true));
@@ -1193,23 +1172,10 @@ impl Engine {
             let _ = recon;
         }
 
-        // The scratch lock may still be poisoned if the last Holding
-        // victim had no later acquirer; the supervisor is the acquirer
-        // of last resort.
-        let mut poison_teardown = 0u64;
-        let mut repairs_teardown = 0u64;
-        if shared.scratch_lock.is_poisoned() {
-            poison_teardown += 1;
-            shared.scratch_lock.clear_poison();
-        }
-        // relaxed: every worker incarnation has been joined; no
-        // concurrent mutators remain.
-        let v = shared.scratch.load(Ordering::Relaxed);
-        if v & 1 == 1 {
-            // relaxed: single-threaded teardown, see above.
-            shared.scratch.store(v + 1, Ordering::Relaxed);
-            repairs_teardown += 1;
-        }
+        // No teardown repair of the scratch section: a Holding victim's
+        // restart resumes at the torn op, whose scratch section runs
+        // first, so every tear has a later acquirer inside the storm.
+        // A repair here would hide a broken one there.
 
         let elapsed_ns = host::now().saturating_sub(start);
         debug_assert!(self.ns.is_empty(), "reconciliation must drain the namespace");
@@ -1228,9 +1194,8 @@ impl Engine {
             crashes,
             rehomed_ports: 0,
             reconciled,
-            poison_observed: poison_teardown,
             // relaxed: every incarnation has been joined.
-            scratch_repairs: shared.repairs.load(Ordering::Relaxed) + repairs_teardown,
+            scratch_repairs: shared.repairs.load(Ordering::Relaxed),
             // relaxed: as above.
             torn_sections: shared.tears.load(Ordering::Relaxed),
             retries: retries_teardown,
@@ -1254,7 +1219,6 @@ impl Engine {
             report.drained += t.drained;
             report.shed += t.shed;
             report.rehomed_ports += t.rehomed;
-            report.poison_observed += t.poison_observed;
             report.retries += t.retries;
             report.retry_exhausted += t.retry_exhausted;
             report.lock_timeouts += t.lock_timeouts;
@@ -1295,7 +1259,7 @@ mod tests {
         assert_eq!(report.crashes, 0);
         assert_eq!(report.reconciled, 0);
         assert_eq!(report.retries, 0);
-        assert_eq!(report.poison_observed, 0);
+        assert_eq!((report.torn_sections, report.scratch_repairs), (0, 0));
         // Four workers may shed even without bursts, when one of them
         // is preempted mid-publish on the transfer ring (see the module
         // docs); how many pings were drawn is still fixed by the seed.
@@ -1374,11 +1338,12 @@ mod tests {
             report.creates, report.terminates,
             "counted creates match counted terminates even across the leak"
         );
-        // The Holding kill leaves the lock poisoned and the parity
-        // torn; someone (a survivor or the teardown) must observe the
-        // typed poison and repair the tear.
-        assert!(report.poison_observed >= 1, "poison observed");
+        // The Holding kill releases the lock with the parity torn;
+        // the next acquirer (a survivor or the victim's restart) must
+        // repair the tear, and nobody may spin on the lock until its
+        // deadline.
         assert_eq!((report.torn_sections, report.scratch_repairs), (1, 1), "one repair per tear");
+        assert_eq!(report.lock_timeouts, 0, "a torn section is repaired, not spun on");
     }
 
     #[test]

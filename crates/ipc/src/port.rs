@@ -122,7 +122,8 @@ impl Refable for Port {
     }
 }
 
-// Release layout without probes: header 16 + state 32 + ring 40.
+// Release layout without probes: header 12 (padded to 16 for the
+// state's alignment) + state 32 + ring 40.
 #[cfg(not(debug_assertions))]
 const _: () = assert!(machk_core::sync::probe::ENABLED || core::mem::size_of::<Port>() == 88);
 

@@ -48,11 +48,10 @@ const REF_PRIMITIVE_IMPLS: [&str; 5] = ["RefCount", "ShardedRefCount", "ObjHeade
 
 /// Method names that are lock/ref primitives — never treated as
 /// call-graph edges.
-const PRIMITIVE_METHODS: [&str; 30] = [
+const PRIMITIVE_METHODS: [&str; 27] = [
     "lock", "try_lock", "lock_raw", "try_lock_raw", "lock_with_deadline", "lock_result",
     "unlock", "unlock_raw", "read", "write", "try_read", "try_write", "read_raw", "write_raw",
-    "try_read_raw", "try_write_raw", "read_with_deadline", "write_with_deadline",
-    "read_raw_with_deadline", "write_raw_with_deadline", "read_to_write_raw",
+    "try_read_raw", "try_write_raw", "write_raw_with_deadline", "read_to_write_raw",
     "try_read_to_write_raw", "write_to_read_raw", "done_raw", "upgrade", "try_upgrade",
     "downgrade", "take", "take_ref", "release",
 ];
@@ -639,8 +638,7 @@ impl<'a> FnScan<'a> {
         let action: Option<(HoldKind, LockClass)> = match name.as_str() {
             // Distinctive raw names classify on their own.
             "lock_raw" | "try_lock_raw" => acquire(HoldKind::Raw, LockClass::Simple),
-            "read_raw" | "write_raw" | "try_read_raw" | "try_write_raw"
-            | "read_raw_with_deadline" | "write_raw_with_deadline" => {
+            "read_raw" | "write_raw" | "try_read_raw" | "try_write_raw" | "write_raw_with_deadline" => {
                 acquire(HoldKind::Raw, LockClass::Complex)
             }
             "read_to_write_raw" | "try_read_to_write_raw" | "write_to_read_raw" => None, // transition: hold unchanged
@@ -661,8 +659,7 @@ impl<'a> FnScan<'a> {
                 Some(LockClass::Spl) => acquire(HoldKind::Raw, LockClass::Spl),
                 _ => None,
             },
-            "read" | "write" | "try_read" | "try_write" | "read_with_deadline"
-            | "write_with_deadline" => match class {
+            "read" | "write" | "try_read" | "try_write" => match class {
                 Some(LockClass::Complex) => acquire(HoldKind::Guard, LockClass::Complex),
                 _ => None,
             },

@@ -10,7 +10,6 @@
 //! release the interlock and retry with backoff.
 
 use core::fmt;
-use core::sync::atomic::{AtomicBool, Ordering};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -18,7 +17,7 @@ use machk_sync::host;
 
 use machk_event::{assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event};
 use machk_sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
-use machk_sync::{LockError, LockTimeout, Poisoned, SimpleLocked, SimpleLockedGuard};
+use machk_sync::{LockTimeout, SimpleLocked, SimpleLockedGuard};
 
 /// Error returned by a failed read→write upgrade.
 ///
@@ -50,6 +49,39 @@ pub enum HowHeld {
     /// An upgrade from read is in progress (upgrader waiting for readers
     /// to drain).
     Upgrading,
+}
+
+/// A bounded acquisition's budget, measured on the host clock.
+#[derive(Clone, Copy)]
+struct Deadline {
+    start_ns: u64,
+    limit: Duration,
+}
+
+impl Deadline {
+    fn start(limit: Duration) -> Deadline {
+        Deadline {
+            start_ns: host::now(),
+            limit,
+        }
+    }
+
+    fn waited(self) -> Duration {
+        Duration::from_nanos(host::now().saturating_sub(self.start_ns))
+    }
+
+    /// The timeout to report, once the budget is spent.
+    fn expired(self) -> Option<LockTimeout> {
+        let waited = self.waited();
+        (waited >= self.limit).then_some(LockTimeout { waited })
+    }
+
+    /// How long a sleeper may block: what is left, at least 1 ms.
+    fn remaining(self) -> Duration {
+        self.limit
+            .saturating_sub(self.waited())
+            .max(Duration::from_millis(1))
+    }
 }
 
 #[derive(Debug)]
@@ -107,12 +139,6 @@ impl LockState {
 /// ```
 pub struct ComplexLock {
     state: SimpleLocked<LockState>,
-    /// Set when a guard was dropped during a panic: the protected state
-    /// may be mid-update. Unlike `std::sync::Mutex` the lock stays
-    /// usable — a kernel lock that wedges on panic converts one failure
-    /// into a system hang — but the flag makes the suspect state
-    /// *diagnosable* ([`ComplexLock::is_poisoned`]).
-    poisoned: AtomicBool,
     /// Probe identity and the most recent acquisition's timestamp.
     /// With concurrent readers the hold sample recorded at each release
     /// measures time since the *most recent* acquisition — exact for
@@ -139,26 +165,8 @@ impl ComplexLock {
     pub const fn named(name: &'static str, can_sleep: bool) -> Self {
         ComplexLock {
             state: SimpleLocked::new(LockState::new(can_sleep)),
-            poisoned: AtomicBool::new(false),
             tag: Tag::new(name, LockClass::Complex, "rw"),
         }
-    }
-
-    /// Whether a holder panicked while this lock was held (a guard was
-    /// dropped during unwinding). The protected invariants may not
-    /// hold; callers deciding to proceed anyway should first
-    /// re-validate and then [`ComplexLock::clear_poison`].
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Declare the protected state repaired / re-validated.
-    pub fn clear_poison(&self) {
-        self.poisoned.store(false, Ordering::Release);
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
     }
 
     fn event(&self) -> Event {
@@ -166,11 +174,14 @@ impl ComplexLock {
     }
 
     /// Wait for the lock state to change: sleep (Sleep option) or spin.
-    /// Consumes and re-acquires the interlock guard.
+    /// Consumes and re-acquires the interlock guard. A bounded waiter
+    /// sleeps at most until its deadline (spin mode is bounded by its
+    /// caller re-checking the clock each round).
     fn wait<'a>(
         &'a self,
         mut s: SimpleLockedGuard<'a, LockState>,
         spins: &mut u32,
+        deadline: Option<Deadline>,
     ) -> SimpleLockedGuard<'a, LockState> {
         if s.can_sleep {
             s.waiting = true;
@@ -179,36 +190,14 @@ impl ComplexLock {
             // block to a no-op.
             assert_wait(self.event(), false);
             drop(s);
-            thread_block();
+            match deadline {
+                None => thread_block(),
+                Some(d) => thread_block_timeout(d.remaining()),
+            };
         } else {
             drop(s);
             // Spin with linear backoff before re-taking the interlock
             // (one host scheduling point per round).
-            *spins = (*spins).saturating_add(1).min(64);
-            host::spin_batch(*spins);
-        }
-        self.state.lock()
-    }
-
-    /// Bounded form of [`ComplexLock::wait`]: sleeps at most the time
-    /// remaining until `start_ns + limit` on the host clock (spin mode is
-    /// bounded by its caller re-checking the clock each round).
-    fn wait_deadline<'a>(
-        &'a self,
-        mut s: SimpleLockedGuard<'a, LockState>,
-        spins: &mut u32,
-        start_ns: u64,
-        limit: Duration,
-    ) -> SimpleLockedGuard<'a, LockState> {
-        if s.can_sleep {
-            s.waiting = true;
-            assert_wait(self.event(), false);
-            drop(s);
-            let elapsed = Duration::from_nanos(host::now().saturating_sub(start_ns));
-            let remaining = limit.saturating_sub(elapsed).max(Duration::from_millis(1));
-            thread_block_timeout(remaining);
-        } else {
-            drop(s);
             *spins = (*spins).saturating_add(1).min(64);
             host::spin_batch(*spins);
         }
@@ -234,7 +223,30 @@ impl ComplexLock {
 
     /// Acquire for writing (`lock_write`).
     pub fn write_raw(&self) {
+        let unbounded = self.write_until(None);
+        debug_assert!(unbounded.is_ok(), "an unbounded write cannot time out");
+    }
+
+    /// Bounded [`ComplexLock::write_raw`]: give up (with the lock fully
+    /// backed out) if it cannot be acquired within `limit`.
+    pub fn write_raw_with_deadline(&self, limit: Duration) -> Result<(), LockTimeout> {
+        self.write_until(Some(limit))
+    }
+
+    /// The one writer acquisition: unbounded, or bounded by `limit` on
+    /// the host clock.
+    ///
+    /// The backout is the delicate part of the bounded form: once the
+    /// want-write bit is claimed the pending writer is excluding new
+    /// readers, so a timeout in the reader-drain phase must *clear the
+    /// claim and wake the waiters it was blocking* before reporting
+    /// failure — otherwise the diagnosed deadlock would be replaced by
+    /// a real one.
+    fn write_until(&self, limit: Option<Duration>) -> Result<(), LockTimeout> {
         let t0 = self.tag.start();
+        // Host time, not `Instant`: under `machk-sim` the deadline runs
+        // on the virtual clock, inside the deterministic schedule.
+        let deadline = limit.map(Deadline::start);
         let mut waited = false;
         let mut s = self.state.lock();
         if Self::is_recursive_holder(&s) {
@@ -244,7 +256,7 @@ impl ComplexLock {
                  prohibited (paper section 4)"
             );
             s.recursion_depth += 1;
-            return;
+            return Ok(());
         }
         let mut spins = 0;
         // Phase 1: claim the want-write bit. This excludes other writers
@@ -252,17 +264,26 @@ impl ComplexLock {
         // pending writer visible to new readers (writers priority).
         while s.want_write {
             waited = true;
-            s = self.wait(s, &mut spins);
+            if let Some(timeout) = deadline.and_then(Deadline::expired) {
+                return Err(timeout);
+            }
+            s = self.wait(s, &mut spins, deadline);
         }
         s.want_write = true;
         // Phase 2: wait for current readers (and any upgrade, which is
         // favored over writes) to drain.
         while s.read_count > 0 || s.want_upgrade {
             waited = true;
-            s = self.wait(s, &mut spins);
+            if let Some(timeout) = deadline.and_then(Deadline::expired) {
+                s.want_write = false;
+                self.wake_waiters(&mut s);
+                return Err(timeout);
+            }
+            s = self.wait(s, &mut spins, deadline);
         }
         drop(s);
         self.tag.acquired(EventKind::ComplexWrite, t0, waited);
+        Ok(())
     }
 
     /// Acquire for reading (`lock_read`).
@@ -282,78 +303,11 @@ impl ComplexLock {
         // blocks new readers.
         while s.want_write || s.want_upgrade {
             waited = true;
-            s = self.wait(s, &mut spins);
+            s = self.wait(s, &mut spins, None);
         }
         s.read_count += 1;
         drop(s);
         self.tag.acquired(EventKind::ComplexRead, t0, waited);
-    }
-
-    /// Bounded [`ComplexLock::write_raw`]: give up (with the lock fully
-    /// backed out) if it cannot be acquired within `limit`.
-    ///
-    /// The backout is the delicate part and the reason this lives here
-    /// rather than in callers: once the want-write bit is claimed the
-    /// pending writer is excluding new readers, so a timeout in the
-    /// reader-drain phase must *clear the claim and wake the waiters it
-    /// was blocking* before reporting failure — otherwise the diagnosed
-    /// deadlock would be replaced by a real one.
-    pub fn write_raw_with_deadline(&self, limit: Duration) -> Result<(), LockTimeout> {
-        let start = host::now();
-        let elapsed = || Duration::from_nanos(host::now().saturating_sub(start));
-        let mut s = self.state.lock();
-        if Self::is_recursive_holder(&s) {
-            assert!(
-                s.want_write && !s.want_upgrade,
-                "recursive write acquisition after downgrade to read is \
-                 prohibited (paper section 4)"
-            );
-            s.recursion_depth += 1;
-            return Ok(());
-        }
-        let mut spins = 0;
-        while s.want_write {
-            if elapsed() >= limit {
-                return Err(LockTimeout { waited: elapsed() });
-            }
-            s = self.wait_deadline(s, &mut spins, start, limit);
-        }
-        s.want_write = true;
-        while s.read_count > 0 || s.want_upgrade {
-            if elapsed() >= limit {
-                s.want_write = false;
-                self.wake_waiters(&mut s);
-                return Err(LockTimeout { waited: elapsed() });
-            }
-            s = self.wait_deadline(s, &mut spins, start, limit);
-        }
-        drop(s);
-        self.tag.acquired(EventKind::ComplexWrite, 0, true);
-        Ok(())
-    }
-
-    /// Bounded [`ComplexLock::read_raw`]: give up if the pending
-    /// writer/upgrader does not clear within `limit`. Nothing is
-    /// claimed while waiting, so no backout is needed.
-    pub fn read_raw_with_deadline(&self, limit: Duration) -> Result<(), LockTimeout> {
-        let start = host::now();
-        let elapsed = || Duration::from_nanos(host::now().saturating_sub(start));
-        let mut s = self.state.lock();
-        if Self::is_recursive_holder(&s) {
-            s.read_count += 1;
-            return Ok(());
-        }
-        let mut spins = 0;
-        while s.want_write || s.want_upgrade {
-            if elapsed() >= limit {
-                return Err(LockTimeout { waited: elapsed() });
-            }
-            s = self.wait_deadline(s, &mut spins, start, limit);
-        }
-        s.read_count += 1;
-        drop(s);
-        self.tag.acquired(EventKind::ComplexRead, 0, true);
-        Ok(())
     }
 
     /// Release however held (`lock_done`).
@@ -421,7 +375,7 @@ impl ComplexLock {
         s.want_upgrade = true;
         let mut spins = 0;
         while s.read_count > 0 {
-            s = self.wait(s, &mut spins);
+            s = self.wait(s, &mut spins, None);
         }
         drop(s);
         self.tag.event(EventKind::ComplexUpgradeOk, 0);
@@ -521,7 +475,7 @@ impl ComplexLock {
         s.read_count -= 1;
         let mut spins = 0;
         while s.read_count > 0 {
-            s = self.wait(s, &mut spins);
+            s = self.wait(s, &mut spins, None);
         }
         drop(s);
         self.tag.event(EventKind::ComplexUpgradeOk, 0);
@@ -621,58 +575,6 @@ impl ComplexLock {
         }
     }
 
-    /// Acquire for reading with a deadline (see
-    /// [`ComplexLock::read_raw_with_deadline`]).
-    pub fn read_with_deadline(&self, limit: Duration) -> Result<ReadGuard<'_>, LockTimeout> {
-        self.read_raw_with_deadline(limit)?;
-        Ok(ReadGuard {
-            lock: self,
-            _not_send: core::marker::PhantomData,
-        })
-    }
-
-    /// Acquire for writing with a deadline (see
-    /// [`ComplexLock::write_raw_with_deadline`]).
-    pub fn write_with_deadline(&self, limit: Duration) -> Result<WriteGuard<'_>, LockTimeout> {
-        self.write_raw_with_deadline(limit)?;
-        Ok(WriteGuard {
-            lock: self,
-            _not_send: core::marker::PhantomData,
-        })
-    }
-
-    /// Checked, bounded read acquisition: a poisoned lock is reported
-    /// as [`LockError::Poisoned`] before any waiting (and re-checked
-    /// after acquisition, releasing the lock, in case the holder died
-    /// while we waited). The recovery protocol is the same as for
-    /// [`machk_sync::RawSimpleLock::lock_checked`]: clear the poison,
-    /// re-acquire, validate/repair the protected state under the guard.
-    pub fn read_checked(&self, limit: Duration) -> Result<ReadGuard<'_>, LockError> {
-        if self.is_poisoned() {
-            return Err(LockError::Poisoned(Poisoned));
-        }
-        let guard = self.read_with_deadline(limit)?;
-        if self.is_poisoned() {
-            drop(guard);
-            return Err(LockError::Poisoned(Poisoned));
-        }
-        Ok(guard)
-    }
-
-    /// Checked, bounded write acquisition (see
-    /// [`ComplexLock::read_checked`] for the poison protocol).
-    pub fn write_checked(&self, limit: Duration) -> Result<WriteGuard<'_>, LockError> {
-        if self.is_poisoned() {
-            return Err(LockError::Poisoned(Poisoned));
-        }
-        let guard = self.write_with_deadline(limit)?;
-        if self.is_poisoned() {
-            drop(guard);
-            return Err(LockError::Poisoned(Poisoned));
-        }
-        Ok(guard)
-    }
-
     /// Single attempt to acquire for reading.
     pub fn try_read(&self) -> Option<ReadGuard<'_>> {
         self.try_read_raw().then(|| ReadGuard {
@@ -690,10 +592,10 @@ impl ComplexLock {
     }
 }
 
-// Release layout without probes: the interlocked state (lock 8, state
-// 24) and the poison flag.
+// Release layout without probes: the interlocked state (lock 4, padded
+// to 8, and state 24).
 #[cfg(not(debug_assertions))]
-const _: () = assert!(probe::ENABLED || core::mem::size_of::<ComplexLock>() == 40);
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<ComplexLock>() == 32);
 
 impl Default for ComplexLock {
     /// A sleepable lock — the common configuration ("most complex locks
@@ -763,12 +665,8 @@ impl<'a> ReadGuard<'a> {
 
 impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
-        // Release even when unwinding — a wedged lock would convert the
-        // panic into a hang for every other thread — but mark the
-        // protected state suspect first.
-        if std::thread::panicking() {
-            self.lock.poison();
-        }
+        // Release even when unwinding: a wedged lock would convert the
+        // panic into a hang for every other thread.
         self.lock.done_raw();
     }
 }
@@ -802,10 +700,7 @@ impl<'a> WriteGuard<'a> {
 
 impl Drop for WriteGuard<'_> {
     fn drop(&mut self) {
-        // See `ReadGuard::drop`: release, but poison, under panic.
-        if std::thread::panicking() {
-            self.lock.poison();
-        }
+        // See `ReadGuard::drop`: release, also under panic.
         self.lock.done_raw();
     }
 }
@@ -1094,27 +989,21 @@ mod tests {
     }
 
     #[test]
-    fn panic_while_write_held_poisons_but_releases() {
+    fn panic_while_write_held_releases() {
         let lock = ComplexLock::new(true);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _w = lock.write();
             panic!("holder dies mid-update");
         }));
         assert!(result.is_err());
-        // The lock must be released (no wedge) and flagged poisoned.
+        // The lock must be released (no wedge): other threads can still
+        // take it.
         assert_eq!(lock.how_held(), HowHeld::Unheld);
-        assert!(lock.is_poisoned());
-        // Other threads can still take it, observe the poison, and
-        // declare the state repaired.
-        let w = lock.write();
-        assert!(lock.is_poisoned());
-        drop(w);
-        lock.clear_poison();
-        assert!(!lock.is_poisoned());
+        drop(lock.write());
     }
 
     #[test]
-    fn panic_while_read_held_poisons_but_releases() {
+    fn panic_while_read_held_releases() {
         let lock = ComplexLock::new(true);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _r = lock.read();
@@ -1122,49 +1011,7 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(lock.how_held(), HowHeld::Unheld);
-        assert!(lock.is_poisoned());
-    }
-
-    #[test]
-    fn clean_drops_do_not_poison() {
-        let lock = ComplexLock::new(true);
         drop(lock.write());
-        drop(lock.read());
-        assert!(!lock.is_poisoned());
-    }
-
-    #[test]
-    fn checked_forms_report_typed_poison_without_waiting() {
-        let lock = ComplexLock::new(true);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _w = lock.write();
-            panic!("holder dies mid-update");
-        }));
-        assert!(lock.is_poisoned());
-        // Typed error, immediately, even with a generous deadline.
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            lock.write_checked(Duration::from_secs(5)).err(),
-            Some(LockError::Poisoned(Poisoned))
-        );
-        assert_eq!(
-            lock.read_checked(Duration::from_secs(5)).err(),
-            Some(LockError::Poisoned(Poisoned))
-        );
-        assert!(t0.elapsed() < Duration::from_secs(1));
-        // Repair protocol: clear, re-acquire checked, proceed.
-        lock.clear_poison();
-        let w = lock
-            .write_checked(Duration::from_secs(5))
-            .expect("cleared lock must acquire");
-        drop(w);
-        // And a timeout still surfaces as the Timeout variant.
-        let r = lock.read();
-        assert!(matches!(
-            lock.write_checked(Duration::from_millis(20)),
-            Err(LockError::Timeout(_))
-        ));
-        drop(r);
     }
 
     #[test]
@@ -1174,30 +1021,52 @@ mod tests {
         // A bounded writer must give up — and having given up, must not
         // leave its want-write claim behind: new readers still enter.
         let err = lock
-            .write_with_deadline(Duration::from_millis(20))
-            .err()
-            .expect("reader-held lock must time the writer out");
+            .write_raw_with_deadline(Duration::from_millis(20))
+            .expect_err("reader-held lock must time the writer out");
         assert!(err.waited >= Duration::from_millis(20));
-        let r2 = lock.try_read().expect("failed writer must not block readers");
+        let r2 = lock
+            .try_read()
+            .expect("failed writer must not block readers");
         drop((r, r2));
         // With the lock free the bounded form acquires normally.
-        let w = lock
-            .write_with_deadline(Duration::from_millis(100))
+        lock.write_raw_with_deadline(Duration::from_millis(100))
             .expect("free lock");
         assert_eq!(lock.how_held(), HowHeld::Write);
-        drop(w);
+        lock.done_raw();
     }
 
     #[test]
-    fn read_deadline_times_out_under_writer() {
+    fn write_deadline_backout_wakes_readers_it_blocked() {
         let lock = ComplexLock::new(true);
-        let w = lock.write();
-        assert!(lock.read_with_deadline(Duration::from_millis(20)).is_err());
-        drop(w);
-        let r = lock
-            .read_with_deadline(Duration::from_millis(100))
-            .expect("free lock");
-        drop(r);
+        let first = lock.read();
+        let entered = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Claims want-write, then times out waiting for `first`.
+                let res = lock.write_raw_with_deadline(Duration::from_millis(100));
+                assert!(res.is_err(), "the first reader outlives the deadline");
+            });
+            // Wait until the writer's claim is visible, then sleep a
+            // reader behind it.
+            while !lock.writer_pending() {
+                std::thread::yield_now();
+            }
+            s.spawn(|| {
+                let r = lock.read();
+                entered.store(1, Ordering::SeqCst);
+                drop(r);
+            });
+            // The backout must wake the sleeping reader while `first`
+            // is still held. Poll with a bound, then release `first`
+            // either way, so a broken backout fails instead of hanging.
+            let t0 = std::time::Instant::now();
+            while entered.load(Ordering::SeqCst) == 0 && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let woke = entered.load(Ordering::SeqCst) == 1;
+            drop(first);
+            assert!(woke, "the writer's backout left a reader asleep");
+        });
     }
 
     #[test]
@@ -1206,10 +1075,9 @@ mod tests {
         std::thread::scope(|s| {
             let r = lock.read();
             s.spawn(|| {
-                let w = lock
-                    .write_with_deadline(Duration::from_secs(10))
+                lock.write_raw_with_deadline(Duration::from_secs(10))
                     .expect("reader releases well within the deadline");
-                drop(w);
+                lock.done_raw();
             });
             std::thread::sleep(Duration::from_millis(30));
             drop(r);

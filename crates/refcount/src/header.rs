@@ -155,10 +155,10 @@ impl ObjHeader {
     }
 }
 
-// A plain header is the lock (word + poison flag), the count and the
-// flag: 16 bytes in a release build without probes.
+// A plain header is the lock word, the count and the flag: 12 bytes
+// in a release build without probes.
 #[cfg(not(debug_assertions))]
-const _: () = assert!(probe::ENABLED || core::mem::size_of::<ObjHeader>() == 16);
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<ObjHeader>() == 12);
 
 impl Default for ObjHeader {
     fn default() -> Self {

@@ -44,63 +44,6 @@ impl fmt::Display for LockTimeout {
 
 impl std::error::Error for LockTimeout {}
 
-/// A lock was poisoned: some previous holder's guard was dropped while
-/// its thread was panicking, so the invariant the lock protects may be
-/// torn. The guard still *releases* (a wedged lock would convert the
-/// panic into a system-wide hang), but it stamps this diagnosis so the
-/// next acquirer learns the state needs validation instead of silently
-/// trusting it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Poisoned;
-
-impl fmt::Display for Poisoned {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(
-            "lock poisoned: a previous holder panicked mid-hold; \
-             the protected invariant must be validated before reuse",
-        )
-    }
-}
-
-impl std::error::Error for Poisoned {}
-
-/// Why a checked, bounded lock acquisition did not hand back a guard:
-/// either the holder outlived the caller's deadline, or a previous
-/// holder died mid-hold and the lock carries its [`Poisoned`] stamp.
-/// The two demand different recoveries — timeout retries with fresh
-/// backoff; poison repairs the protected state first — so they are
-/// distinct variants rather than one opaque failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LockError {
-    /// The lock stayed held past the deadline (possible delayed holder).
-    Timeout(LockTimeout),
-    /// A previous holder panicked mid-hold; state needs validation.
-    Poisoned(Poisoned),
-}
-
-impl fmt::Display for LockError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LockError::Timeout(t) => t.fmt(f),
-            LockError::Poisoned(p) => p.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for LockError {}
-
-impl From<LockTimeout> for LockError {
-    fn from(t: LockTimeout) -> LockError {
-        LockError::Timeout(t)
-    }
-}
-
-impl From<Poisoned> for LockError {
-    fn from(p: Poisoned) -> LockError {
-        LockError::Poisoned(p)
-    }
-}
-
 thread_local! {
     static JITTER_RNG: Cell<u64> = const { Cell::new(0) };
 }

@@ -45,7 +45,7 @@
 //! debugging fields. [`RawSimpleLock<P>`] keeps that shape: the policy
 //! `P` (default [`TasThenTtas`]) is chosen at compile time and the lock
 //! stores only the state `P` needs. A default lock in a release build is
-//! the lock word plus a poison flag; debug builds add the holder's
+//! the 4-byte lock word alone; debug builds add the holder's
 //! thread tag, and the `probe` feature adds its probe [`probe::Tag`].
 //! Every kernel, IPC and VM lock takes the default; experiments name
 //! other policies as `RawSimpleLock::<Mcs>::new()`. The trait is sealed,
@@ -117,7 +117,7 @@ pub mod seq;
 pub mod simple;
 pub mod simple_locked;
 
-pub use deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
+pub use deadline::{JitterBackoff, LockTimeout};
 pub use host::{Host, JoinToken, SpinSite, ThreadToken};
 pub use pad::CachePadded;
 pub use policy::{Backoff, SpinPolicy, Tas, TasThenTtas, Ttas, WithBackoff, WordPolicy};

@@ -236,8 +236,8 @@ pub enum FaultSite {
     WorkerCrash = 10,
     /// `machk-ipc` engine worker, *inside* a critical section: the
     /// worker panics holding its scratch simple lock mid-update. The
-    /// guard poisons the lock; the next acquirer must observe the typed
-    /// `Poisoned` diagnosis and repair the invariant.
+    /// guard releases the lock on unwind; the next acquirer must read
+    /// the torn (odd) count and repair it.
     WorkerCrashHolding = 11,
 }
 

@@ -8,10 +8,10 @@
 //! this type preserves that property — embed it wherever a lock is needed.
 
 use core::fmt;
-use core::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use core::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use crate::deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
+use crate::deadline::{JitterBackoff, LockTimeout};
 use crate::held;
 use crate::host;
 use crate::policy::{self, Backoff, SpinPolicy, TasThenTtas, WithBackoff, WordPolicy};
@@ -24,8 +24,8 @@ use crate::queued::{Mcs, Ticket};
 /// sufficient on all architectures we have encountered to date"). The
 /// acquisition policy `P` is a type parameter, so the lock carries only
 /// the state its policy runs: with the default [`TasThenTtas`] (and the
-/// other zero-sized word policies) a release-build lock is the word plus
-/// a poison flag. Other policies are written `RawSimpleLock::<Mcs>::new()`.
+/// other zero-sized word policies) a release-build lock is the word
+/// alone. Other policies are written `RawSimpleLock::<Mcs>::new()`.
 ///
 /// # Usage rules (from the paper, Appendix A)
 ///
@@ -62,13 +62,6 @@ pub struct RawSimpleLock<P: SpinPolicy = TasThenTtas> {
     /// Policy state: zero-sized for the word policies, the queue for
     /// the queued ones.
     policy: P,
-    /// Set when a guard is dropped during a panic: the protected
-    /// invariant may be torn. Checked (and reported as a typed
-    /// [`Poisoned`]) by [`lock_checked`]; the unconditional forms
-    /// deliberately ignore it, matching the C interface.
-    ///
-    /// [`lock_checked`]: RawSimpleLock::lock_checked
-    poisoned: AtomicBool,
     /// Debug-only: `ThreadId` hash of the holder, to catch self-deadlock.
     #[cfg(debug_assertions)]
     holder: AtomicU32,
@@ -99,7 +92,6 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
         RawSimpleLock {
             word: AtomicU32::new(policy::UNLOCKED),
             policy,
-            poisoned: AtomicBool::new(false),
             #[cfg(debug_assertions)]
             holder: AtomicU32::new(0),
             tag: Tag::new(name, LockClass::Simple, P::NAME),
@@ -120,7 +112,6 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
             );
         }
         // A queued policy's state is quiescent whenever the lock is free.
-        self.poisoned.store(false, Ordering::Relaxed); // relaxed: advisory flag, see `is_poisoned`
         policy::release(&self.word);
     }
 
@@ -178,59 +169,6 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
                 return Err(LockTimeout { waited });
             }
         }
-    }
-
-    /// Checked, bounded acquisition: like [`lock_with_deadline`], but a
-    /// poisoned lock is reported as [`LockError::Poisoned`] *before any
-    /// spinning* — the caller must not burn the deadline waiting for an
-    /// invariant that is already known to need repair.
-    ///
-    /// The poison flag is also re-checked after a successful
-    /// acquisition: a holder may die (poisoning on its panicking drop)
-    /// while we wait, and handing out a clean guard over torn state
-    /// would defeat the diagnosis. On the post-acquire hit the lock is
-    /// released before the error is returned, so the caller can run the
-    /// repair protocol: [`clear_poison`], re-acquire, validate/repair
-    /// the protected state under the new guard.
-    ///
-    /// [`lock_with_deadline`]: RawSimpleLock::lock_with_deadline
-    /// [`clear_poison`]: RawSimpleLock::clear_poison
-    pub fn lock_checked(&self, limit: Duration) -> Result<SimpleGuard<'_, P>, LockError> {
-        if self.is_poisoned() {
-            return Err(LockError::Poisoned(Poisoned));
-        }
-        let guard = self.lock_with_deadline(limit)?;
-        if self.is_poisoned() {
-            drop(guard);
-            return Err(LockError::Poisoned(Poisoned));
-        }
-        Ok(guard)
-    }
-
-    /// Whether a previous holder's guard was dropped during a panic.
-    #[inline]
-    pub fn is_poisoned(&self) -> bool {
-        // relaxed: the flag is advisory until re-checked under the lock
-        // (`lock_checked` does exactly that after acquiring).
-        self.poisoned.load(Ordering::Relaxed)
-    }
-
-    /// Acknowledge poison after validating/repairing the protected
-    /// state. Idempotent; racing repairers both proceed to re-acquire
-    /// and validate under the guard, which is the safe order.
-    #[inline]
-    pub fn clear_poison(&self) {
-        // relaxed: see `is_poisoned`; clearing is an advisory ack.
-        self.poisoned.store(false, Ordering::Relaxed);
-    }
-
-    /// Stamp the poison diagnosis explicitly (the guard does this
-    /// automatically on a panicking drop; exposed for wrappers that
-    /// manage the lock word themselves).
-    #[inline]
-    pub fn poison(&self) {
-        // relaxed: see `is_poisoned`.
-        self.poisoned.store(true, Ordering::Relaxed);
     }
 
     /// Release the lock without a guard. Pairs with [`RawSimpleLock::lock_raw`].
@@ -395,9 +333,9 @@ impl RawSimpleLock<Mcs> {
     }
 }
 
-// Release layout without probes: the word plus the poison flag.
+// Release layout without probes: the word alone, Appendix A's "C integer".
 #[cfg(not(debug_assertions))]
-const _: () = assert!(probe::ENABLED || core::mem::size_of::<RawSimpleLock>() == 8);
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<RawSimpleLock>() == 4);
 
 impl<P: SpinPolicy> Default for RawSimpleLock<P> {
     fn default() -> Self {
@@ -436,14 +374,11 @@ impl<P: SpinPolicy> SimpleGuard<'_, P> {
 impl<P: SpinPolicy> Drop for SimpleGuard<'_, P> {
     #[inline]
     fn drop(&mut self) {
-        // Poison-then-release, not hold-forever: a dead holder that kept
-        // the word set would convert one thread's panic into every other
-        // thread's spin-hang (the limit case of the paper's "delayed
-        // holder"). Releasing with the typed stamp lets the next
-        // acquirer diagnose and repair instead.
-        if std::thread::panicking() {
-            self.lock.poison();
-        }
+        // Release even when unwinding: a dead holder that kept the word
+        // set would turn one thread's panic into every other thread's
+        // spin-hang (the limit case of the paper's "delayed holder").
+        // Whether the protected data survived is the data's own
+        // protocol to check, under the next acquirer's guard.
         self.lock.unlock_raw();
     }
 }
@@ -562,60 +497,16 @@ mod tests {
     }
 
     #[test]
-    fn panicking_holder_poisons_but_releases() {
+    fn panicking_holder_releases() {
         let lock: RawSimpleLock = RawSimpleLock::new();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = lock.lock();
             panic!("holder dies mid-hold");
         }));
         assert!(res.is_err());
-        // Released (no spin-hang for the next acquirer) *and* stamped.
+        // Released: the next acquirer does not spin-hang.
         assert!(!lock.is_locked());
-        assert!(lock.is_poisoned());
-    }
-
-    #[test]
-    fn checked_acquire_reports_poison_without_spinning() {
-        let lock: RawSimpleLock = RawSimpleLock::new();
-        lock.poison();
-        // Even with the lock *held* and a long deadline, the typed
-        // diagnosis must come back immediately — the poison pre-check
-        // runs before any backoff spinning.
-        let _g = lock.lock();
-        let t0 = std::time::Instant::now();
-        let err = lock
-            .lock_checked(std::time::Duration::from_secs(5))
-            .map(|_guard| ())
-            .expect_err("poisoned lock must report, not spin");
-        assert_eq!(err, LockError::Poisoned(Poisoned));
-        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
-    }
-
-    #[test]
-    fn clear_poison_restores_checked_acquisition() {
-        let lock: RawSimpleLock = RawSimpleLock::new();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = lock.lock();
-            panic!("die");
-        }));
-        assert!(lock.is_poisoned());
-        lock.clear_poison();
-        let g = lock
-            .lock_checked(std::time::Duration::from_secs(5))
-            .expect("cleared lock must acquire");
-        drop(g);
-        assert!(!lock.is_locked());
-    }
-
-    #[test]
-    fn ordinary_drop_does_not_poison() {
-        let lock: RawSimpleLock = RawSimpleLock::new();
         drop(lock.lock());
-        assert!(!lock.is_poisoned());
-        let g = lock
-            .lock_checked(std::time::Duration::from_secs(5))
-            .expect("clean lock must acquire");
-        drop(g);
     }
 
     fn provides_exclusion<P: SpinPolicy>(lock: RawSimpleLock<P>) {
@@ -652,7 +543,10 @@ mod tests {
     #[test]
     fn default_policy_is_tas_then_ttas() {
         use core::any::TypeId;
-        assert_eq!(TypeId::of::<RawSimpleLock>(), TypeId::of::<RawSimpleLock<TasThenTtas>>());
+        assert_eq!(
+            TypeId::of::<RawSimpleLock>(),
+            TypeId::of::<RawSimpleLock<TasThenTtas>>()
+        );
         assert_eq!(
             TypeId::of::<SimpleGuard<'static>>(),
             TypeId::of::<SimpleGuard<'static, TasThenTtas>>()
@@ -662,7 +556,7 @@ mod tests {
     #[test]
     #[cfg(not(debug_assertions))]
     fn default_lock_is_one_word() {
-        assert!(probe::ENABLED || core::mem::size_of::<RawSimpleLock>() <= 8);
+        assert!(probe::ENABLED || core::mem::size_of::<RawSimpleLock>() == 4);
         assert_eq!(core::mem::size_of::<TasThenTtas>(), 0);
     }
 }
