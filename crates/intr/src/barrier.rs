@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use crate::cpu::{current_cpu, Machine};
 use crate::spl::{spl_raise, spl_restore, SplLevel};
-use crate::watchdog::Deadline;
+use crate::watchdog::{spin_until, Deadline};
 
 /// Result of a barrier-synchronized operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,29 +59,20 @@ impl IntrBarrier {
     /// entered (or the deadline expires / another participant failed).
     pub fn arrive_and_wait(&self) -> BarrierOutcome {
         self.arrived.fetch_add(1, Ordering::AcqRel);
-        let mut spins = 0u32;
-        loop {
-            // Failure wins over late completion: once any participant has
-            // declared the rendezvous dead, stragglers (a masked CPU
-            // finally taking its IPI) must not run the action.
-            if self.failed.load(Ordering::Acquire) {
-                return BarrierOutcome::Deadlocked;
-            }
-            if self.arrived.load(Ordering::Acquire) >= self.needed {
-                return BarrierOutcome::Completed;
-            }
-            if self.deadline.expired() {
-                self.failed.store(true, Ordering::Release);
-                return BarrierOutcome::Deadlocked;
-            }
-            machk_sync::host::spin_hint(machk_sync::host::SpinSite::Generic);
-            spins += 1;
-            if spins >= 256 {
-                // vCPUs are host threads; on an oversubscribed host the
-                // other participants need CPU time to arrive.
-                machk_sync::host::yield_now();
-                spins = 0;
-            }
+        let done = || {
+            self.failed.load(Ordering::Acquire)
+                || self.arrived.load(Ordering::Acquire) >= self.needed
+        };
+        if spin_until(&self.deadline, done).is_err() {
+            self.failed.store(true, Ordering::Release);
+        }
+        // Failure wins over late completion: once any participant has
+        // declared the rendezvous dead, stragglers (a masked CPU finally
+        // taking its IPI) must not run the action.
+        if self.failed.load(Ordering::Acquire) {
+            BarrierOutcome::Deadlocked
+        } else {
+            BarrierOutcome::Completed
         }
     }
 

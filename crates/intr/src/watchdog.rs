@@ -6,10 +6,15 @@
 //! report [`DeadlockDetected`] instead of hanging. The watchdog is part
 //! of the simulation, not of the reproduced design — Mach had no such
 //! escape hatch, which is why the paper's rules matter.
+//!
+//! [`Deadline`] itself lives in `machk-sync` (`machk_sync::deadline`),
+//! the one budget every bounded wait in the stack measures; it is
+//! re-exported here so the watchdog's name for it stays.
 
 use std::fmt;
 use std::time::Duration;
 
+pub use machk_sync::Deadline;
 use machk_sync::{host, probe};
 
 /// Error reported when a deadline expires while a coordination step is
@@ -90,58 +95,33 @@ pub fn escalate(err: DeadlockDetected) -> DeadlockReport {
     }
 }
 
-/// A point in time after which spinning code must give up.
-///
-/// Measured on the host clock, so under `machk-sim` a deadline expires
-/// in virtual time as a deterministic part of the schedule.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    start_ns: u64,
-    limit: Duration,
+/// The error describing `deadline`'s expiry.
+pub fn to_error(deadline: &Deadline) -> DeadlockDetected {
+    DeadlockDetected {
+        waited: deadline.waited(),
+    }
 }
 
-impl Deadline {
-    /// A deadline `limit` from now.
-    pub fn after(limit: Duration) -> Deadline {
-        Deadline {
-            start_ns: host::now(),
-            limit,
+/// Spin until `cond` is true or `deadline` expires: 256 spin hints,
+/// then a yield, so on an oversubscribed host the threads `cond` waits
+/// for get CPU time.
+pub fn spin_until(
+    deadline: &Deadline,
+    mut cond: impl FnMut() -> bool,
+) -> Result<(), DeadlockDetected> {
+    let mut spins = 0u32;
+    while !cond() {
+        if deadline.expired() {
+            return Err(to_error(deadline));
+        }
+        host::spin_hint(host::SpinSite::Generic);
+        spins += 1;
+        if spins >= 256 {
+            host::yield_now();
+            spins = 0;
         }
     }
-
-    /// Host time elapsed since the deadline was set.
-    fn elapsed(&self) -> Duration {
-        Duration::from_nanos(host::now().saturating_sub(self.start_ns))
-    }
-
-    /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.elapsed() >= self.limit
-    }
-
-    /// The error describing the expiry.
-    pub fn to_error(&self) -> DeadlockDetected {
-        DeadlockDetected {
-            waited: self.elapsed(),
-        }
-    }
-
-    /// Spin until `cond` is true or the deadline expires.
-    pub fn spin_until(&self, mut cond: impl FnMut() -> bool) -> Result<(), DeadlockDetected> {
-        let mut spins = 0u32;
-        while !cond() {
-            if self.expired() {
-                return Err(self.to_error());
-            }
-            host::spin_hint(host::SpinSite::Generic);
-            spins += 1;
-            if spins >= 256 {
-                host::yield_now();
-                spins = 0;
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Run each closure on its own thread and wait up to `limit` for all of
@@ -183,10 +163,9 @@ pub fn run_threads_with_deadline<R: Send + 'static>(
     }
     while done.load(Ordering::Acquire) < n {
         if deadline.expired() {
-            return Err(deadline.to_error());
+            return Err(to_error(&deadline));
         }
-        let remaining = deadline.limit.saturating_sub(deadline.elapsed());
-        host::sleep(POLL.min(remaining.max(Duration::from_nanos(1))));
+        host::sleep(POLL.min(deadline.remaining().max(Duration::from_nanos(1))));
     }
     let mut slots = slots.lock().unwrap();
     Ok(slots.drain(..).map(|s| s.unwrap()).collect())
@@ -214,7 +193,7 @@ mod tests {
         let d = Deadline::after(Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(10));
         assert!(d.expired());
-        assert!(d.to_error().waited >= Duration::from_millis(5));
+        assert!(to_error(&d).waited >= Duration::from_millis(5));
     }
 
     #[test]
@@ -226,14 +205,14 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
             f.store(true, Ordering::SeqCst);
         });
-        assert!(d.spin_until(|| flag.load(Ordering::SeqCst)).is_ok());
+        assert!(spin_until(&d, || flag.load(Ordering::SeqCst)).is_ok());
         t.join().unwrap();
     }
 
     #[test]
     fn spin_until_deadlock() {
         let d = Deadline::after(Duration::from_millis(10));
-        assert!(d.spin_until(|| false).is_err());
+        assert!(spin_until(&d, || false).is_err());
     }
 
     #[test]

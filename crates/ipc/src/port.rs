@@ -39,11 +39,14 @@
 //! (`clear_wait`) if the condition already changed. That re-check is
 //! what makes the lock-free queue race-free against lost wakeups.
 
+use std::time::Duration;
+
+use machk_core::sync::ring::MpscRing;
+use machk_core::sync::Deadline;
 use machk_core::{
     assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, thread_wakeup,
     Deactivated, Event, Kobj, ObjHeader, ObjRef, Refable, WaitResult,
 };
-use machk_core::sync::ring::MpscRing;
 
 use crate::message::Message;
 
@@ -240,15 +243,26 @@ impl Port {
 
     /// Receive a message, blocking while the queue is empty.
     pub fn receive(&self) -> Result<Message, PortError> {
+        self.receive_until(None)
+    }
+
+    /// Receive with an upper bound on the wait.
+    pub fn receive_timeout(&self, timeout: Duration) -> Result<Message, PortError> {
+        self.receive_until(Some(Deadline::after(timeout)))
+    }
+
+    /// The one blocking receive: unbounded, or bounded by `deadline` on
+    /// the host clock. A wakeup at the deadline loops back to the top,
+    /// so a message that raced in is still taken.
+    fn receive_until(&self, deadline: Option<Deadline>) -> Result<Message, PortError> {
         loop {
-            if self.pset_event().is_some() {
-                return Err(PortError::InPortSet);
+            match self.try_receive() {
+                Err(PortError::TimedOut) => {}
+                done => return done,
             }
-            if let Some(m) = self.queue.pop() {
-                thread_wakeup(self.send_event());
-                return Ok(m);
+            if deadline.is_some_and(|d| d.expired()) {
+                return Err(PortError::TimedOut);
             }
-            self.header().check_active()?;
             assert_wait(self.recv_event(), false);
             // Re-validate after declaring the wait: a sender (or a
             // destroy) that fired its wakeup before our assert_wait
@@ -256,39 +270,10 @@ impl Port {
             if !self.queue.is_empty() || !self.obj.is_active() {
                 clear_wait(&current_thread(), WaitResult::Awakened);
             }
-            thread_block();
-        }
-    }
-
-    /// Receive with an upper bound on the wait.
-    pub fn receive_timeout(&self, timeout: std::time::Duration) -> Result<Message, PortError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if self.pset_event().is_some() {
-                return Err(PortError::InPortSet);
-            }
-            if let Some(m) = self.queue.pop() {
-                thread_wakeup(self.send_event());
-                return Ok(m);
-            }
-            self.header().check_active()?;
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(PortError::TimedOut);
-            }
-            assert_wait(self.recv_event(), false);
-            if !self.queue.is_empty() || !self.obj.is_active() {
-                clear_wait(&current_thread(), WaitResult::Awakened);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if thread_block_timeout(remaining) == WaitResult::TimedOut {
-                // One more pass to drain anything that raced in.
-                if let Some(m) = self.queue.pop() {
-                    thread_wakeup(self.send_event());
-                    return Ok(m);
-                }
-                return Err(PortError::TimedOut);
-            }
+            match deadline {
+                None => thread_block(),
+                Some(d) => thread_block_timeout(d.remaining()),
+            };
         }
     }
 
@@ -297,12 +282,7 @@ impl Port {
         if self.pset_event().is_some() {
             return Err(PortError::InPortSet);
         }
-        if let Some(m) = self.queue.pop() {
-            thread_wakeup(self.send_event());
-            return Ok(m);
-        }
-        self.header().check_active()?;
-        Err(PortError::TimedOut)
+        self.try_receive_for_set()
     }
 
     /// Batched non-blocking receive: dequeue up to `max` messages into
@@ -312,13 +292,19 @@ impl Port {
         if self.pset_event().is_some() {
             return Err(PortError::InPortSet);
         }
-        let n = self.queue.pop_batch(out, max);
-        if n > 0 {
-            thread_wakeup(self.send_event());
+        if let Some(n) = self.dequeue(|q| Some(q.pop_batch(out, max)).filter(|&n| n > 0)) {
             return Ok(n);
         }
         self.header().check_active()?;
         Ok(0)
+    }
+
+    /// Take messages off the queue with `pop` and, if it took any,
+    /// wake the senders blocked on the full queue.
+    fn dequeue<T>(&self, pop: impl FnOnce(&MpscRing<Message>) -> Option<T>) -> Option<T> {
+        let taken = pop(&self.queue)?;
+        thread_wakeup(self.send_event());
+        Some(taken)
     }
 
     /// Messages currently queued (racy; diagnostics).
@@ -350,8 +336,7 @@ impl Port {
     /// Non-blocking dequeue on behalf of the containing port set (the
     /// set, not the port, refuses direct receives).
     pub(crate) fn try_receive_for_set(&self) -> Result<Message, PortError> {
-        if let Some(m) = self.queue.pop() {
-            thread_wakeup(self.send_event());
+        if let Some(m) = self.dequeue(MpscRing::pop) {
             return Ok(m);
         }
         self.header().check_active()?;
@@ -504,10 +489,20 @@ mod tests {
     }
 
     #[test]
-    fn receive_timeout_expires() {
+    fn receive_timeout_expires_or_takes_a_late_message() {
         let port = Port::create();
         let r = port.receive_timeout(Duration::from_millis(10));
         assert_eq!(r.unwrap_err(), PortError::TimedOut);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while machk_core::event::waiters_on(port.recv_event()) == 0 {
+                    std::thread::yield_now();
+                }
+                port.send(Message::new(0).with_int(3)).unwrap();
+            });
+            let m = port.receive_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(m.int_at(0), Some(3));
+        });
     }
 
     #[test]

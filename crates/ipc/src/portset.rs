@@ -10,6 +10,9 @@
 //! ([`crate::PortError::InPortSet`]) — in Mach the receive right
 //! effectively moves to the set.
 
+use std::time::Duration;
+
+use machk_core::sync::Deadline;
 use machk_core::{
     assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, Event, Kobj,
     ObjHeader, ObjRef, Refable, WaitResult,
@@ -127,56 +130,43 @@ impl PortSet {
     /// Receive from any member, blocking until a message arrives on
     /// one of them. Returns the message and the port it came from.
     pub fn receive(&self) -> Result<(Message, ObjRef<Port>), PortError> {
-        loop {
-            {
-                if let Some(hit) = self.poll_members() {
-                    return Ok(hit);
-                }
-                let s = self.obj.lock_active()?;
-                // Declare before dropping the set lock (split-wait
-                // protocol) — then re-validate: member queues are
-                // lock-free, so a send may have enqueued and fired its
-                // set wakeup between our poll and the assert_wait.
-                assert_wait(self.event(), false);
-                let pending = s.members.iter().any(|m| m.queued() > 0 || !m.is_alive());
-                drop(s);
-                if pending {
-                    clear_wait(&current_thread(), WaitResult::Awakened);
-                }
-            }
-            thread_block();
-        }
+        self.receive_until(None)
     }
 
     /// Receive with a bound on the wait.
-    pub fn receive_timeout(
+    pub fn receive_timeout(&self, timeout: Duration) -> Result<(Message, ObjRef<Port>), PortError> {
+        self.receive_until(Some(Deadline::after(timeout)))
+    }
+
+    /// The one blocking receive: unbounded, or bounded by `deadline` on
+    /// the host clock. A wakeup at the deadline loops back to the top,
+    /// so a message that raced in is still taken.
+    fn receive_until(
         &self,
-        timeout: std::time::Duration,
+        deadline: Option<Deadline>,
     ) -> Result<(Message, ObjRef<Port>), PortError> {
-        let deadline = std::time::Instant::now() + timeout;
         loop {
-            {
-                if let Some(hit) = self.poll_members() {
-                    return Ok(hit);
-                }
-                let s = self.obj.lock_active()?;
-                if std::time::Instant::now() >= deadline {
-                    return Err(PortError::TimedOut);
-                }
-                assert_wait(self.event(), false);
-                let pending = s.members.iter().any(|m| m.queued() > 0 || !m.is_alive());
-                drop(s);
-                if pending {
-                    clear_wait(&current_thread(), WaitResult::Awakened);
-                }
+            if let Some(hit) = self.poll_members() {
+                return Ok(hit);
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if thread_block_timeout(remaining) == WaitResult::TimedOut {
-                return match self.poll_members() {
-                    Some(hit) => Ok(hit),
-                    None => Err(PortError::TimedOut),
-                };
+            let s = self.obj.lock_active()?;
+            if deadline.is_some_and(|d| d.expired()) {
+                return Err(PortError::TimedOut);
             }
+            // Declare before dropping the set lock (split-wait
+            // protocol) — then re-validate: member queues are
+            // lock-free, so a send may have enqueued and fired its
+            // set wakeup between our poll and the assert_wait.
+            assert_wait(self.event(), false);
+            let pending = s.members.iter().any(|m| m.queued() > 0 || !m.is_alive());
+            drop(s);
+            if pending {
+                clear_wait(&current_thread(), WaitResult::Awakened);
+            }
+            match deadline {
+                None => thread_block(),
+                Some(d) => thread_block_timeout(d.remaining()),
+            };
         }
     }
 
@@ -278,13 +268,25 @@ mod tests {
     }
 
     #[test]
-    fn receive_timeout_expires_on_quiet_set() {
+    fn receive_timeout_expires_on_quiet_set_or_takes_a_late_message() {
         let set = PortSet::create();
-        set.add(Port::create()).unwrap();
+        let port = Port::create();
+        set.add(port.clone()).unwrap();
         assert_eq!(
             set.receive_timeout(Duration::from_millis(10)).unwrap_err(),
             PortError::TimedOut
         );
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while machk_core::event::waiters_on(set.event()) == 0 {
+                    std::thread::yield_now();
+                }
+                port.send(Message::new(8)).unwrap();
+            });
+            let (msg, from) = set.receive_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(msg.id(), 8);
+            assert!(ObjRef::ptr_eq(&from, &port));
+        });
         set.destroy().unwrap();
     }
 

@@ -35,8 +35,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use machk_core::sync::host;
 use machk_core::sync::probe::{self, FaultSite};
+use machk_core::sync::Deadline;
 use machk_core::{Deactivated, JitterBackoff, ObjRef, Refable, SimpleLocked};
 
 use crate::message::Message;
@@ -300,9 +300,7 @@ impl DispatchTable {
         f: impl Fn(&T, &Message) -> Result<Message, KernError> + Send + Sync + 'static,
     ) {
         let handler: Handler = Box::new(move |obj, msg| {
-            let typed = obj
-                .downcast_ref::<T>()
-                .ok_or(RpcError::WrongObjectType)?;
+            let typed = obj.downcast_ref::<T>().ok_or(RpcError::WrongObjectType)?;
             f(typed, msg).map_err(RpcError::Operation)
         });
         let ty = TypeId::of::<T>();
@@ -365,9 +363,10 @@ impl DispatchTable {
     /// the retry is answered from the cache) and a transiently dead
     /// port (nothing ran; re-executing is safe) — with decorrelated
     /// jitter between attempts so a retry storm does not reconverge on
-    /// the server in phase. The deadline is measured on [`host::now`],
-    /// so under `machk-sim` retry timing is part of the deterministic
-    /// schedule. Returns the reply plus how many retries it took.
+    /// the server in phase. The deadline is a [`Deadline`], measured on
+    /// the host clock, so under `machk-sim` retry timing is part of the
+    /// deterministic schedule. Returns the reply plus how many retries
+    /// it took.
     #[allow(clippy::too_many_arguments)] // the full retry contract: port, request, semantics, stats, idempotency key, cache, deadline
     pub fn msg_rpc_retry(
         &self,
@@ -382,16 +381,17 @@ impl DispatchTable {
         // The clock is read lazily, on the first failure: the common
         // all-success case must cost nothing beyond the dispatch itself
         // (this sits on the engine's storm hot path).
-        let mut start: Option<u64> = None;
+        let mut budget: Option<Deadline> = None;
         let mut retries = 0u32;
         let mut backoff = JitterBackoff::new();
         loop {
             match self.msg_rpc_idempotent(port, make_request(), semantics, stats, seq, cache) {
                 Ok(reply) => return Ok((reply, retries)),
                 Err(e @ (RpcError::ReplyDropped | RpcError::Port(PortError::Dead))) => {
-                    let now = host::now();
-                    let waited = Duration::from_nanos(now.saturating_sub(*start.get_or_insert(now)));
-                    if waited >= deadline {
+                    if budget
+                        .get_or_insert_with(|| Deadline::after(deadline))
+                        .expired()
+                    {
                         return Err(e);
                     }
                     retries += 1;

@@ -17,7 +17,7 @@ use machk_sync::host;
 
 use machk_event::{assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event};
 use machk_sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
-use machk_sync::{LockTimeout, SimpleLocked, SimpleLockedGuard};
+use machk_sync::{Deadline, LockTimeout, SimpleLocked, SimpleLockedGuard};
 
 /// Error returned by a failed read→write upgrade.
 ///
@@ -49,39 +49,6 @@ pub enum HowHeld {
     /// An upgrade from read is in progress (upgrader waiting for readers
     /// to drain).
     Upgrading,
-}
-
-/// A bounded acquisition's budget, measured on the host clock.
-#[derive(Clone, Copy)]
-struct Deadline {
-    start_ns: u64,
-    limit: Duration,
-}
-
-impl Deadline {
-    fn start(limit: Duration) -> Deadline {
-        Deadline {
-            start_ns: host::now(),
-            limit,
-        }
-    }
-
-    fn waited(self) -> Duration {
-        Duration::from_nanos(host::now().saturating_sub(self.start_ns))
-    }
-
-    /// The timeout to report, once the budget is spent.
-    fn expired(self) -> Option<LockTimeout> {
-        let waited = self.waited();
-        (waited >= self.limit).then_some(LockTimeout { waited })
-    }
-
-    /// How long a sleeper may block: what is left, at least 1 ms.
-    fn remaining(self) -> Duration {
-        self.limit
-            .saturating_sub(self.waited())
-            .max(Duration::from_millis(1))
-    }
 }
 
 #[derive(Debug)]
@@ -192,7 +159,8 @@ impl ComplexLock {
             drop(s);
             match deadline {
                 None => thread_block(),
-                Some(d) => thread_block_timeout(d.remaining()),
+                // What is left, at least 1 ms.
+                Some(d) => thread_block_timeout(d.remaining().max(Duration::from_millis(1))),
             };
         } else {
             drop(s);
@@ -244,9 +212,7 @@ impl ComplexLock {
     /// a real one.
     fn write_until(&self, limit: Option<Duration>) -> Result<(), LockTimeout> {
         let t0 = self.tag.start();
-        // Host time, not `Instant`: under `machk-sim` the deadline runs
-        // on the virtual clock, inside the deterministic schedule.
-        let deadline = limit.map(Deadline::start);
+        let deadline = limit.map(Deadline::after);
         let mut waited = false;
         let mut s = self.state.lock();
         if Self::is_recursive_holder(&s) {
@@ -264,8 +230,8 @@ impl ComplexLock {
         // pending writer visible to new readers (writers priority).
         while s.want_write {
             waited = true;
-            if let Some(timeout) = deadline.and_then(Deadline::expired) {
-                return Err(timeout);
+            if let Some(d) = deadline {
+                d.check()?;
             }
             s = self.wait(s, &mut spins, deadline);
         }
@@ -274,7 +240,7 @@ impl ComplexLock {
         // favored over writes) to drain.
         while s.read_count > 0 || s.want_upgrade {
             waited = true;
-            if let Some(timeout) = deadline.and_then(Deadline::expired) {
+            if let Some(Err(timeout)) = deadline.map(|d| d.check()) {
                 s.want_write = false;
                 self.wake_waiters(&mut s);
                 return Err(timeout);

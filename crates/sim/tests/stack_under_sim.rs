@@ -9,11 +9,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use machk_event::{assert_wait, thread_block, thread_wakeup, waiters_on, Event, WaitResult};
+use machk_ipc::{Port, PortError, PortSet};
 use machk_lock::ComplexLock;
 use machk_refcount::ShardedRefCount;
 use machk_sim::{run, SimConfig, SimError};
 use machk_sync::host;
 use machk_sync::{Mcs, RawSimpleLock, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, WithBackoff};
+use machk_vm::{PagePool, Zone};
 
 /// A counter that relies entirely on the lock protecting it (any lost
 /// mutual exclusion shows up as a lost increment).
@@ -110,6 +112,49 @@ fn deadline_expires_in_virtual_time() {
     // A 5ms wait plus escalation sleeps completed in a handful of
     // scheduling steps — this is the whole point of virtual time.
     assert!(report.steps < 100_000);
+}
+
+#[test]
+fn bounded_waits_expire_in_virtual_time() {
+    // Each `_timeout` form of a blocking call, on an object that never
+    // delivers: every one must report its timeout after at least its
+    // limit of virtual time, and a seed must replay to the same clock.
+    let waits = || {
+        run(&SimConfig::DEFAULT.with_seed(0xB7), || {
+            let limit = Duration::from_millis(5);
+            let port = Port::create();
+            let set = PortSet::create();
+            set.add(Port::create()).unwrap();
+            let pool = PagePool::new(0);
+            let zone: Zone<u8> = Zone::new("sim", 1, || 0);
+            let _held = zone.alloc();
+            let timed = |wait: &dyn Fn() -> bool| {
+                let start = host::now();
+                (wait(), host::now() - start)
+            };
+            [
+                timed(&|| matches!(port.receive_timeout(limit), Err(PortError::TimedOut))),
+                timed(&|| matches!(set.receive_timeout(limit), Err(PortError::TimedOut))),
+                timed(&|| pool.alloc_timeout(limit).is_none()),
+                timed(&|| zone.alloc_timeout(limit).is_none()),
+            ]
+        })
+        .unwrap()
+    };
+    let first = waits();
+    for (i, &(timed_out, waited_ns)) in first.value.iter().enumerate() {
+        assert!(timed_out, "bounded wait {i} must time out");
+        assert!(
+            waited_ns >= 5_000_000,
+            "bounded wait {i} honoured its limit in virtual time (waited {waited_ns}ns)"
+        );
+    }
+    let second = waits();
+    assert_eq!(
+        (first.clock_ns, first.steps),
+        (second.clock_ns, second.steps),
+        "a seed replays its bounded waits exactly"
+    );
 }
 
 #[test]
@@ -246,7 +291,10 @@ fn sharded_refcount_ledger_balances_under_sim() {
         (audit.total, last)
     })
     .unwrap();
-    assert_eq!(report.value.0, 1, "creation reference outstanding after audit");
+    assert_eq!(
+        report.value.0, 1,
+        "creation reference outstanding after audit"
+    );
     assert!(report.value.1, "creator's release is the final one");
 }
 

@@ -1,5 +1,13 @@
 //! Deadline-carrying acquisition support.
 //!
+//! [`Deadline`] is the one budget every bounded wait in the stack
+//! measures: simple and complex lock acquisition, RPC retry, the
+//! `_timeout` forms of the blocking receives and allocators, and the
+//! watchdog. It lives here, in machk-sync, and machk-intr re-exports it
+//! as `machk_intr::watchdog::Deadline`. It reads [`host::now`], so under
+//! `machk-sim` every such wait expires in virtual time, inside the
+//! deterministic schedule.
+//!
 //! The paper's locking protocols assume a held simple lock is released
 //! "soon"; a holder that is delayed (preempted, interrupted, faulted)
 //! turns every unconditional `simple_lock` into a potential hang. The
@@ -43,6 +51,49 @@ impl fmt::Display for LockTimeout {
 }
 
 impl std::error::Error for LockTimeout {}
+
+/// A bounded wait's budget: a start stamped from the host clock and a
+/// limit.
+#[derive(Clone, Copy, Debug)]
+pub struct Deadline {
+    start_ns: u64,
+    limit: Duration,
+}
+
+impl Deadline {
+    /// A deadline `limit` from now.
+    pub fn after(limit: Duration) -> Deadline {
+        Deadline {
+            start_ns: host::now(),
+            limit,
+        }
+    }
+
+    /// Host time elapsed since the deadline was set.
+    pub fn waited(&self) -> Duration {
+        Duration::from_nanos(host::now().saturating_sub(self.start_ns))
+    }
+
+    /// Whether the limit has been reached.
+    pub fn expired(&self) -> bool {
+        self.check().is_err()
+    }
+
+    /// The bounded lock acquisitions' form of [`Deadline::expired`]:
+    /// once the limit is reached, the [`LockTimeout`] to report.
+    pub fn check(&self) -> Result<(), LockTimeout> {
+        let waited = self.waited();
+        if waited >= self.limit {
+            return Err(LockTimeout { waited });
+        }
+        Ok(())
+    }
+
+    /// What is left of the limit (zero once it has expired).
+    pub fn remaining(&self) -> Duration {
+        self.limit.saturating_sub(self.waited())
+    }
+}
 
 thread_local! {
     static JITTER_RNG: Cell<u64> = const { Cell::new(0) };

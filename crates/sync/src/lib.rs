@@ -117,7 +117,7 @@ pub mod seq;
 pub mod simple;
 pub mod simple_locked;
 
-pub use deadline::{JitterBackoff, LockTimeout};
+pub use deadline::{Deadline, JitterBackoff, LockTimeout};
 pub use host::{Host, JoinToken, SpinSite, ThreadToken};
 pub use pad::CachePadded;
 pub use policy::{Backoff, SpinPolicy, Tas, TasThenTtas, Ttas, WithBackoff, WordPolicy};

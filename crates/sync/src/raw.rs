@@ -11,7 +11,7 @@ use core::fmt;
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use crate::deadline::{JitterBackoff, LockTimeout};
+use crate::deadline::{Deadline, JitterBackoff, LockTimeout};
 use crate::held;
 use crate::host;
 use crate::policy::{self, Backoff, SpinPolicy, TasThenTtas, WithBackoff, WordPolicy};
@@ -154,20 +154,14 @@ impl<P: SpinPolicy> RawSimpleLock<P> {
         if self.try_lock_raw() {
             return Ok(self.guard_for_held());
         }
-        // Host time, not `Instant`: under `machk-sim` the deadline is
-        // measured on the virtual clock, so timeout behaviour is part of
-        // the deterministic schedule rather than wall-clock flakiness.
-        let start = host::now();
+        let deadline = Deadline::after(limit);
         let mut backoff = JitterBackoff::new();
         loop {
             backoff.pause();
             if self.try_lock_raw() {
                 return Ok(self.guard_for_held());
             }
-            let waited = Duration::from_nanos(host::now().saturating_sub(start));
-            if waited >= limit {
-                return Err(LockTimeout { waited });
-            }
+            deadline.check()?;
         }
     }
 

@@ -7,8 +7,11 @@
 //! waiters. The bounded size is what makes the section-7.1 deadlock
 //! reproducible.
 
+use std::time::Duration;
+
+use machk_core::sync::Deadline;
 use machk_core::{
-    assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked, WaitResult,
+    assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked,
 };
 
 /// A physical page frame number.
@@ -42,39 +45,36 @@ impl PagePool {
 
     /// Allocate a frame, blocking until one is available.
     pub fn alloc(&self) -> PageId {
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(p) = s.free.pop() {
-                    return p;
-                }
-                // Shortage: the split-wait protocol.
-                assert_wait(self.event(), false);
-            }
-            thread_block();
-        }
+        self.alloc_until(None)
+            .expect("an unbounded allocation cannot time out")
     }
 
     /// Allocate with a bound on the wait (used by demos that must not
     /// hang on a genuine deadlock).
-    pub fn alloc_timeout(&self, timeout: std::time::Duration) -> Option<PageId> {
-        let deadline = std::time::Instant::now() + timeout;
+    pub fn alloc_timeout(&self, timeout: Duration) -> Option<PageId> {
+        self.alloc_until(Some(Deadline::after(timeout)))
+    }
+
+    /// The one blocking allocation: unbounded, or bounded by `deadline`
+    /// on the host clock. A wakeup at the deadline loops back to the
+    /// top, so a frame freed just then is still taken.
+    fn alloc_until(&self, deadline: Option<Deadline>) -> Option<PageId> {
         loop {
             {
                 let mut s = self.state.lock();
                 if let Some(p) = s.free.pop() {
                     return Some(p);
                 }
-                if std::time::Instant::now() >= deadline {
+                if deadline.is_some_and(|d| d.expired()) {
                     return None;
                 }
+                // Shortage: the split-wait protocol.
                 assert_wait(self.event(), false);
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if thread_block_timeout(remaining) == WaitResult::TimedOut {
-                let mut s = self.state.lock();
-                return s.free.pop();
-            }
+            match deadline {
+                None => thread_block(),
+                Some(d) => thread_block_timeout(d.remaining()),
+            };
         }
     }
 
@@ -155,9 +155,19 @@ mod tests {
     }
 
     #[test]
-    fn alloc_timeout_expires_on_empty_pool() {
-        let pool = PagePool::new(0);
+    fn alloc_timeout_expires_on_empty_pool_or_takes_a_freed_frame() {
+        let pool = PagePool::new(1);
+        let p = pool.alloc();
         assert!(pool.alloc_timeout(Duration::from_millis(10)).is_none());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while machk_core::event::waiters_on(pool.event()) == 0 {
+                    std::thread::yield_now();
+                }
+                pool.free(p);
+            });
+            assert_eq!(pool.alloc_timeout(Duration::from_secs(10)), Some(p));
+        });
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! slots under a simple lock, blocking `alloc` via the section-6
 //! event-wait protocol, and `free` waking the shortage waiters.
 
+use std::time::Duration;
+
+use machk_core::sync::Deadline;
 use machk_core::{
-    assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked, WaitResult,
+    assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked,
 };
 
 /// Statistics for one zone (diagnostics / experiments).
@@ -78,28 +81,19 @@ impl<T> Zone<T> {
     /// rule the §5 memory-object port-creation example exists to work
     /// around (debug builds enforce it at the block).
     pub fn alloc(&self) -> T {
-        let mut waited = false;
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(el) = s.free.pop() {
-                    s.outstanding += 1;
-                    s.stats.allocs += 1;
-                    if waited {
-                        s.stats.alloc_waits += 1;
-                    }
-                    return el;
-                }
-                assert_wait(self.event(), false);
-            }
-            waited = true;
-            thread_block();
-        }
+        self.alloc_until(None)
+            .expect("an unbounded allocation cannot time out")
     }
 
     /// Allocate with a bounded wait; `None` on timeout.
-    pub fn alloc_timeout(&self, limit: std::time::Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + limit;
+    pub fn alloc_timeout(&self, limit: Duration) -> Option<T> {
+        self.alloc_until(Some(Deadline::after(limit)))
+    }
+
+    /// The one blocking allocation: unbounded, or bounded by `deadline`
+    /// on the host clock. A wakeup at the deadline loops back to the
+    /// top, so an element freed just then is still taken.
+    fn alloc_until(&self, deadline: Option<Deadline>) -> Option<T> {
         let mut waited = false;
         loop {
             {
@@ -112,27 +106,16 @@ impl<T> Zone<T> {
                     }
                     return Some(el);
                 }
-                if std::time::Instant::now() >= deadline {
+                if deadline.is_some_and(|d| d.expired()) {
                     return None;
                 }
                 assert_wait(self.event(), false);
             }
             waited = true;
-            if thread_block_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
-                == WaitResult::TimedOut
-            {
-                // Final attempt after the timeout.
-                let mut s = self.state.lock();
-                return match s.free.pop() {
-                    Some(el) => {
-                        s.outstanding += 1;
-                        s.stats.allocs += 1;
-                        s.stats.alloc_waits += 1;
-                        Some(el)
-                    }
-                    None => None,
-                };
-            }
+            match deadline {
+                None => thread_block(),
+                Some(d) => thread_block_timeout(d.remaining()),
+            };
         }
     }
 
@@ -240,9 +223,21 @@ mod tests {
     }
 
     #[test]
-    fn alloc_timeout_expires() {
-        let zone: Zone<u8> = Zone::new("test", 0, || 0);
+    fn alloc_timeout_expires_or_takes_a_freed_element() {
+        let zone: Zone<u8> = Zone::new("test", 1, || 5);
+        let el = zone.alloc();
         assert!(zone.alloc_timeout(Duration::from_millis(10)).is_none());
+        assert_eq!(zone.stats().alloc_waits, 0, "a timeout allocates nothing");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while machk_core::event::waiters_on(zone.event()) == 0 {
+                    std::thread::yield_now();
+                }
+                zone.free(el);
+            });
+            assert_eq!(zone.alloc_timeout(Duration::from_secs(10)), Some(5));
+        });
+        assert_eq!(zone.stats().alloc_waits, 1);
     }
 
     #[test]
