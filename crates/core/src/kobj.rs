@@ -204,9 +204,11 @@ impl<S> DerefMut for KobjGuard<'_, S> {
     }
 }
 
-// Release layout without probes: header (12) plus a zero-sized state.
+// Release layout without probes: header (8) plus a zero-sized state.
+// The header is two 4-byte words, so 8-aligned state follows it with no
+// padding.
 #[cfg(not(debug_assertions))]
-const _: () = assert!(machk_sync::probe::ENABLED || core::mem::size_of::<Kobj<()>>() == 12);
+const _: () = assert!(machk_sync::probe::ENABLED || core::mem::size_of::<Kobj<()>>() == 8);
 
 #[cfg(test)]
 mod tests {

@@ -53,8 +53,8 @@ pub use machk_event::{
 };
 pub use machk_lock::{ComplexLock, HowHeld, RwData, UpgradeFailed};
 pub use machk_refcount::{
-    CrashReconciliation, Deactivated, DrainAudit, DrainableCount, LockedRefCount, ObjHeader,
-    ObjRef, Refable, ShardedRefCount, ShardedRefable,
+    CrashReconciliation, Deactivated, DrainAudit, DrainableCount, ObjHeader, ObjRef, Refable,
+    ShardedRefCount, ShardedRefable,
 };
 pub use machk_sync::{
     Backoff, JitterBackoff, LockTimeout, Mcs, RawSimpleLock, SimpleLocked, SpinPolicy, Tas,

@@ -226,19 +226,7 @@ impl SplLock {
     pub fn lock(&self) {
         if let Some(cpu) = current_cpu() {
             self.check_level(&cpu);
-            let mut spins = 0u32;
-            while !self.lock.try_lock_raw() {
-                // Spinning at low spl still takes interrupts — the
-                // property that lets a disciplined system drain barriers.
-                cpu.poll();
-                machk_sync::host::spin_hint(machk_sync::host::SpinSite::Generic);
-                spins += 1;
-                if spins >= 256 {
-                    // vCPUs are host threads: let a descheduled holder run.
-                    machk_sync::host::yield_now();
-                    spins = 0;
-                }
-            }
+            self.spin_lock(&cpu);
         } else {
             self.lock.lock_raw();
         }
@@ -262,20 +250,29 @@ impl SplLock {
                     actual: cpu.spl(),
                 });
             }
-            let mut spins = 0u32;
-            while !self.lock.try_lock_raw() {
-                cpu.poll();
-                machk_sync::host::spin_hint(machk_sync::host::SpinSite::Generic);
-                spins += 1;
-                if spins >= 256 {
-                    machk_sync::host::yield_now();
-                    spins = 0;
-                }
-            }
+            self.spin_lock(&cpu);
         } else {
             self.lock.lock_raw();
         }
         Ok(())
+    }
+
+    /// The interrupt-aware spin of [`SplLock::lock`]: try, take any
+    /// deliverable interrupt, spin; every 256 spins yield.
+    fn spin_lock(&self, cpu: &Cpu) {
+        let mut spins = 0u32;
+        while !self.lock.try_lock_raw() {
+            // Spinning at low spl still takes interrupts — the
+            // property that lets a disciplined system drain barriers.
+            cpu.poll();
+            machk_sync::host::spin_hint(machk_sync::host::SpinSite::Generic);
+            spins += 1;
+            if spins >= 256 {
+                // vCPUs are host threads: let a descheduled holder run.
+                machk_sync::host::yield_now();
+                spins = 0;
+            }
+        }
     }
 
     /// Release.
@@ -297,11 +294,6 @@ impl SplLock {
         // relaxed: advisory read of the sticky diagnostic binding.
         let v = self.level.load(Ordering::Relaxed);
         (v != LEVEL_UNSET).then(|| SplLevel::from_u8(v))
-    }
-
-    /// The underlying raw lock.
-    pub fn raw(&self) -> &RawSimpleLock {
-        &self.lock
     }
 }
 

@@ -323,14 +323,6 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// RPC throughput in ops/sec (virtual ops/sec under sim).
-    pub fn rpcs_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.rpcs as f64 * 1e9 / self.elapsed_ns as f64
-    }
-
     /// Fold the whole report into one word — the replay fingerprint the
     /// E19/E20 determinism probes compare byte-for-byte. Time-valued
     /// fields (`elapsed_ns`, `recovery_ns_*`) are excluded; everything

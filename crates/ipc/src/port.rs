@@ -30,7 +30,11 @@
 //! The ring installs its message slots on the first queued message, so
 //! a port that only serves RPCs (which dispatch without queueing) never
 //! pays for them: a default port's 64 slots of `Message` are 2.5 KB,
-//! most of what a port would otherwise cost.
+//! most of what a port would otherwise cost. What every port does pay
+//! is 56 bytes in a release build: the object header (the lock word and
+//! a count word carrying the active flag, 8), the state under the lock
+//! (the kernel-object pointer and the set event, 24) and the ring (its
+//! slot pointer and four 32-bit words, 24).
 //!
 //! Blocking keeps the §6 split-wait protocol, with one twist: with no
 //! queue lock, the classic "declare the wait while holding the lock"
@@ -95,9 +99,10 @@ struct PortState {
     /// "If the abstraction is not a port, then the port data structure
     /// contains a pointer to the actual object" — with a reference.
     kernel_object: Option<ObjRef<dyn Refable>>,
-    /// When the port belongs to a port set: the set's wakeup event.
-    /// Receives must then go through the set.
-    pset_event: Option<Event>,
+    /// When the port belongs to a port set: the set's wakeup event
+    /// (the set's address, never 0). Receives must then go through the
+    /// set. [`Event::NULL`] when the port is in no set.
+    pset_event: Event,
 }
 
 /// A Mach port.
@@ -125,10 +130,10 @@ impl Refable for Port {
     }
 }
 
-// Release layout without probes: header 12 (padded to 16 for the
-// state's alignment) + state 32 + ring 40.
+// Release layout without probes: header 8 + state 24 (the object
+// pointer 16, the set event 8) + ring 24.
 #[cfg(not(debug_assertions))]
-const _: () = assert!(machk_core::sync::probe::ENABLED || core::mem::size_of::<Port>() == 88);
+const _: () = assert!(machk_core::sync::probe::ENABLED || core::mem::size_of::<Port>() == 56);
 
 impl Port {
     /// Create a port with the default queue limit, returning the
@@ -137,7 +142,7 @@ impl Port {
         Port::create_with_limit(DEFAULT_QUEUE_LIMIT)
     }
 
-    /// Create a port with an explicit queue limit (≥ 1).
+    /// Create a port with an explicit queue limit (1 to 2^31).
     pub fn create_with_limit(limit: usize) -> ObjRef<Port> {
         assert!(limit >= 1, "queue limit must be at least 1");
         ObjRef::new(Port {
@@ -148,7 +153,7 @@ impl Port {
                 "ipc.port.lock",
                 PortState {
                     kernel_object: None,
-                    pset_event: None,
+                    pset_event: Event::NULL,
                 },
             ),
             queue: MpscRing::with_limit_named(limit, "ipc.port.queue"),
@@ -163,8 +168,9 @@ impl Port {
         Event::from_addr(self).offset(1)
     }
 
+    /// The set's event, or `None` when the port is in no set.
     fn pset_event(&self) -> Option<Event> {
-        self.obj.lock().pset_event
+        Some(self.obj.lock().pset_event).filter(|&ev| ev != Event::NULL)
     }
 
     /// Post-enqueue wakeups: a receiver (directly or through the port
@@ -320,17 +326,18 @@ impl Port {
     /// Join a port set (called by `PortSet::add` with the set lock
     /// held; lock order is set before port).
     pub(crate) fn join_set(&self, set_event: Event) -> Result<(), PortError> {
+        debug_assert_ne!(set_event, Event::NULL, "NULL means no set");
         let mut s = self.obj.lock_active()?;
-        if s.pset_event.is_some() {
+        if s.pset_event != Event::NULL {
             return Err(PortError::InPortSet);
         }
-        s.pset_event = Some(set_event);
+        s.pset_event = set_event;
         Ok(())
     }
 
     /// Leave the port set (called by `PortSet::remove`/`destroy`).
     pub(crate) fn leave_set(&self) {
-        self.obj.lock().pset_event = None;
+        self.obj.lock().pset_event = Event::NULL;
     }
 
     /// Non-blocking dequeue on behalf of the containing port set (the

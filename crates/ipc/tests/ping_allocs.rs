@@ -210,8 +210,10 @@ fn port_pays_for_message_slots_on_first_send() {
     let (created, port) = allocs_during(Port::create);
     assert_eq!(created, 1, "the port itself, no message slots");
     let capacity = MpscRing::<Message>::with_limit(port.queue_limit()).capacity();
-    // A ring slot is its sequence word plus the message.
-    let slot_bytes = size_of::<usize>() + size_of::<Message>();
+    // A ring slot is its sequence word plus the message, padded to the
+    // message's alignment.
+    let slot_bytes = MpscRing::<Message>::SLOT_BYTES;
+    assert_eq!(slot_bytes, size_of::<Message>() + align_of::<Message>());
     let (allocs, bytes, sent) = alloc_bytes_during(|| port.try_send(Message::new(1).with_int(1)));
     assert!(sent.is_ok());
     assert_eq!(

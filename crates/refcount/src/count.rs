@@ -1,85 +1,14 @@
-//! Bare counts for subsystems that manage their own reference protocol.
+//! The reference/lock hybrid of section 8.
 //!
-//! "The routines that increment and decrement these counts are
-//! implemented as part of each subsystem to allow flexibility in
-//! allocation and deallocation." [`LockedRefCount`] is the raw count such
-//! a subsystem embeds under its own lock (every [`crate::ObjHeader`]
-//! embeds one under the object lock); [`DrainableCount`] is the
-//! reference/lock hybrid of section 8 (the memory object's
-//! paging-in-progress count).
+//! [`DrainableCount`] is the memory object's paging-in-progress count: a
+//! count kept under the object's own lock that excludes termination
+//! while it is nonzero. (An object's reference count lives in its
+//! [`crate::ObjHeader`].)
 
 use core::sync::atomic::{AtomicU32, Ordering};
 
 use machk_event::{thread_sleep, thread_wakeup, Event, WaitResult};
 use machk_sync::RawSimpleLock;
-
-/// A reference count manipulated under a caller-supplied lock.
-///
-/// The storage is atomic so unlocked *reads* (diagnostics) are
-/// well-defined, but the increment/decrement protocol assumes the
-/// caller's lock serializes mutations — the paper's idiom, where the
-/// count is a plain integer field of the locked structure.
-#[derive(Debug, Default)]
-pub struct LockedRefCount {
-    count: AtomicU32,
-}
-
-impl LockedRefCount {
-    /// A count starting at `initial` (typically 1, the creation
-    /// reference).
-    pub const fn new(initial: u32) -> Self {
-        LockedRefCount {
-            count: AtomicU32::new(initial),
-        }
-    }
-
-    /// Increment. Caller holds the owning lock.
-    ///
-    /// Saturates at `u32::MAX` instead of wrapping: a wrapped count
-    /// would pass through zero and hand out a bogus "final" release
-    /// with live references outstanding (a use-after-free factory). A
-    /// pegged count makes the object immortal instead — see
-    /// [`LockedRefCount::is_pegged`].
-    pub fn take(&self) {
-        // relaxed: all mutation happens under the owning simple lock,
-        // whose acquire/release edges order these plain load/stores.
-        let old = self.count.load(Ordering::Relaxed);
-        assert!(old > 0, "reference cloned from a dead count");
-        // relaxed: still under the owning lock.
-        self.count.store(old.saturating_add(1), Ordering::Relaxed);
-    }
-
-    /// Decrement; returns `true` when the count reaches zero. Caller
-    /// holds the owning lock (and must destroy the structure after
-    /// releasing it, if `true`).
-    ///
-    /// A pegged (saturated) count absorbs releases without movement and
-    /// never reports final.
-    #[must_use]
-    pub fn release(&self) -> bool {
-        // relaxed: lock-protected, as in `take`.
-        let old = self.count.load(Ordering::Relaxed);
-        assert!(old > 0, "reference over-released");
-        if old == u32::MAX {
-            return false; // pegged: immortal
-        }
-        // relaxed: still under the owning lock.
-        self.count.store(old - 1, Ordering::Relaxed);
-        old == 1
-    }
-
-    /// Whether the count has saturated (the object is immortal).
-    pub fn is_pegged(&self) -> bool {
-        // relaxed: pegging is permanent, so a stale read is still true.
-        self.count.load(Ordering::Relaxed) == u32::MAX
-    }
-
-    /// Current value (unlocked read; diagnostics).
-    pub fn get(&self) -> u32 {
-        // relaxed: advisory diagnostic snapshot.
-        self.count.load(Ordering::Relaxed)
-    }
-}
 
 /// The reference/lock hybrid of section 8: a count of operations in
 /// progress that *excludes* other operations (such as termination) while
@@ -188,48 +117,6 @@ impl DrainableCount {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-
-    #[test]
-    fn locked_count_roundtrip() {
-        let c = LockedRefCount::new(1);
-        c.take();
-        assert_eq!(c.get(), 2);
-        assert!(!c.release());
-        assert!(c.release());
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn locked_count_pegs_at_max_instead_of_wrapping() {
-        let c = LockedRefCount::new(u32::MAX - 1);
-        assert!(!c.is_pegged());
-        c.take();
-        assert!(c.is_pegged());
-        // Past the ceiling: absorbed, not wrapped (a wrap would reach 0
-        // and the next release would be a bogus final).
-        c.take();
-        c.take();
-        assert_eq!(c.get(), u32::MAX);
-        for _ in 0..16 {
-            assert!(!c.release(), "pegged count reported final");
-        }
-        assert!(c.is_pegged(), "pegged count is immortal");
-    }
-
-    #[test]
-    #[should_panic(expected = "over-released")]
-    fn locked_count_underflow_panics() {
-        let c = LockedRefCount::new(0);
-        let _ = c.release();
-    }
-
-    #[test]
-    #[should_panic(expected = "dead count")]
-    fn locked_count_resurrection_panics() {
-        let c = LockedRefCount::new(1);
-        assert!(c.release());
-        c.take();
-    }
 
     #[test]
     fn drainable_begin_end() {

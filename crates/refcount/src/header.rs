@@ -15,14 +15,32 @@
 //! lock self-deadlocks (debug builds panic with "self-deadlock").
 //! Objects whose count is sharded (`ShardedRefable` types)
 //! never touch the header lock to take or release.
+//!
+//! ## Layout
+//!
+//! The header is two 4-byte words, as in the paper, where the lock is
+//! "a C integer" and the count and flag are fields under it: the lock
+//! word, and one count word whose top bit is the section-9 active flag
+//! (`ACTIVE`). The low 31 bits count references. Both fields of the
+//! count word change only under the header lock, so a load and a store
+//! under the lock update either without disturbing the other.
+//!
+//! The count saturates at 2^31−1 (`PEGGED`) instead of wrapping into
+//! the flag: a wrapped count would pass through zero and report a final
+//! release with references outstanding. A pegged object is immortal
+//! instead — it absorbs takes and releases and never reports final.
 
 use core::fmt;
-use core::sync::atomic::{AtomicBool, Ordering};
+use core::sync::atomic::{AtomicU32, Ordering};
 
 use machk_sync::probe::{self, EventKind};
 use machk_sync::RawSimpleLock;
 
-use crate::LockedRefCount;
+/// The count word's top bit: set while the object is active.
+const ACTIVE: u32 = 1 << 31;
+
+/// The reference count's ceiling: a count that reaches it stays there.
+const PEGGED: u32 = ACTIVE - 1;
 
 /// Error returned by operations attempted on a deactivated object.
 ///
@@ -40,17 +58,17 @@ impl fmt::Display for Deactivated {
 
 impl std::error::Error for Deactivated {}
 
-/// The object lock, the reference count it guards, and the
-/// deactivation flag.
+/// The object lock, and the reference count and deactivation flag it
+/// guards (one word; see the module docs).
 ///
-/// The count and flag are stored in atomics but — matching the paper's
-/// protocol — are only *modified* while holding the header lock; the
-/// atomics make unlocked reads (diagnostics, fast-path checks that are
-/// revalidated under the lock) well-defined.
+/// The count word is atomic but — matching the paper's protocol — is
+/// only *modified* while holding the header lock; the atomic makes
+/// unlocked reads (diagnostics, fast-path checks that are revalidated
+/// under the lock) well-defined.
 pub struct ObjHeader {
     lock: RawSimpleLock,
-    refs: LockedRefCount,
-    active: AtomicBool,
+    /// The reference count in the low 31 bits, `ACTIVE` on top.
+    word: AtomicU32,
 }
 
 impl ObjHeader {
@@ -66,10 +84,13 @@ impl ObjHeader {
     /// acquisitions and the object's deactivation report under `name`.
     /// Without the feature the name is ignored.
     pub const fn named(name: &'static str) -> Self {
+        Self::with_word(name, ACTIVE | 1)
+    }
+
+    const fn with_word(name: &'static str, word: u32) -> Self {
         ObjHeader {
             lock: RawSimpleLock::named(name),
-            refs: LockedRefCount::new(1),
-            active: AtomicBool::new(true),
+            word: AtomicU32::new(word),
         }
     }
 
@@ -84,12 +105,20 @@ impl ObjHeader {
     /// safe to touch the header at all); with zero references the object
     /// is being destroyed and the call panics.
     ///
-    /// Saturates at `u32::MAX` instead of wrapping
-    /// ([`LockedRefCount::take`]): the pegged object becomes immortal
-    /// rather than destroyable with references outstanding.
+    /// Saturates at 2^31−1 instead of wrapping: the pegged object
+    /// becomes immortal rather than destroyable with references
+    /// outstanding.
     pub fn take_ref(&self) {
         let _g = self.lock.lock();
-        self.refs.take();
+        // relaxed: the word changes only under the header lock, whose
+        // acquire/release edges order these plain loads and stores.
+        let word = self.word.load(Ordering::Relaxed);
+        let refs = word & !ACTIVE;
+        assert!(refs > 0, "reference cloned from a dead count");
+        if refs < PEGGED {
+            // relaxed: still under the header lock.
+            self.word.store(word + 1, Ordering::Relaxed);
+        }
     }
 
     /// Release one reference: lock, decrement, unlock. Returns `true` if
@@ -100,12 +129,22 @@ impl ObjHeader {
     #[must_use]
     pub fn release_ref(&self) -> bool {
         let _g = self.lock.lock();
-        self.refs.release()
+        // relaxed: lock-protected, as in `take_ref`.
+        let word = self.word.load(Ordering::Relaxed);
+        let refs = word & !ACTIVE;
+        assert!(refs > 0, "reference over-released");
+        if refs == PEGGED {
+            return false; // pegged: immortal
+        }
+        // relaxed: still under the header lock.
+        self.word.store(word - 1, Ordering::Relaxed);
+        refs == 1
     }
 
     /// Current reference count (unlocked read; diagnostics only).
     pub fn ref_count(&self) -> u32 {
-        self.refs.get()
+        // relaxed: advisory diagnostic snapshot.
+        self.word.load(Ordering::Relaxed) & !ACTIVE
     }
 
     /// Mark the object deactivated; the caller holds the header lock
@@ -118,14 +157,16 @@ impl ObjHeader {
     #[inline]
     pub fn deactivate_locked(&self) -> Result<(), Deactivated> {
         self.lock.debug_assert_held();
-        // relaxed: flag flips only under the header lock; the lock's
-        // release publishes it to the next locker.
-        if self.active.swap(false, Ordering::Relaxed) {
-            probe::event(EventKind::Deactivate, self.lock.probe_id(), 0);
-            Ok(())
-        } else {
-            Err(Deactivated)
+        // relaxed: the word changes only under the header lock; the
+        // lock's release publishes the cleared flag to the next locker.
+        let word = self.word.load(Ordering::Relaxed);
+        if word & ACTIVE == 0 {
+            return Err(Deactivated);
         }
+        // relaxed: still under the header lock.
+        self.word.store(word & !ACTIVE, Ordering::Relaxed);
+        probe::event(EventKind::Deactivate, self.lock.probe_id(), 0);
+        Ok(())
     }
 
     /// Whether the object is still active. Because "the object can be
@@ -135,7 +176,7 @@ impl ObjHeader {
     pub fn is_active(&self) -> bool {
         // relaxed: advisory unless called with the header locked, in
         // which case the lock ordering makes it exact (see doc).
-        self.active.load(Ordering::Relaxed)
+        self.word.load(Ordering::Relaxed) & ACTIVE != 0
     }
 
     /// Fail with [`Deactivated`] unless the object is active.
@@ -155,10 +196,10 @@ impl ObjHeader {
     }
 }
 
-// A plain header is the lock word, the count and the flag: 12 bytes
-// in a release build without probes.
+// A plain header is the lock word and the count word: 8 bytes in a
+// release build without probes.
 #[cfg(not(debug_assertions))]
-const _: () = assert!(probe::ENABLED || core::mem::size_of::<ObjHeader>() == 12);
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<ObjHeader>() == 8);
 
 impl Default for ObjHeader {
     fn default() -> Self {
@@ -203,20 +244,76 @@ mod tests {
         assert_eq!(h.ref_count(), 0);
     }
 
+    /// A header `below` references short of the ceiling.
+    fn near_peg(below: u32) -> ObjHeader {
+        ObjHeader::with_word("", ACTIVE | (PEGGED - below))
+    }
+
     #[test]
-    fn count_pegs_at_max_instead_of_wrapping() {
-        let h = ObjHeader {
-            refs: LockedRefCount::new(u32::MAX - 1),
-            ..ObjHeader::new()
-        };
+    fn count_pegs_below_the_flag_instead_of_wrapping() {
+        let h = near_peg(1);
         h.take_ref();
-        assert_eq!(h.ref_count(), u32::MAX);
+        assert_eq!(h.ref_count(), PEGGED);
+        // Past the ceiling: absorbed, not carried into the flag bit (and
+        // never wrapped to 0, which would make the next release a bogus
+        // final).
         h.take_ref();
-        assert_eq!(h.ref_count(), u32::MAX, "a pegged count stays put");
-        for _ in 0..3 {
+        h.take_ref();
+        assert_eq!(h.ref_count(), PEGGED, "a pegged count stays put");
+        for _ in 0..16 {
             assert!(!h.release_ref(), "a pegged count never reports final");
         }
-        assert_eq!(h.ref_count(), u32::MAX, "a pegged object is immortal");
+        assert_eq!(h.ref_count(), PEGGED, "a pegged object is immortal");
+    }
+
+    #[test]
+    fn pegging_leaves_the_flag_alone() {
+        let h = near_peg(1);
+        h.take_ref();
+        h.take_ref();
+        assert!(h.is_active(), "a pegged count does not clear the flag");
+        assert!(!h.release_ref());
+        assert!(h.is_active());
+        let dead = near_peg(0);
+        deactivate(&dead).unwrap();
+        dead.take_ref();
+        assert!(!dead.is_active(), "a pegged count does not set the flag");
+        assert_eq!(dead.ref_count(), PEGGED);
+    }
+
+    #[test]
+    fn deactivation_leaves_the_count_alone() {
+        // "A reference to an object ... makes no guarantees about the
+        // existence or state of the object."
+        let h = ObjHeader::new();
+        for _ in 0..4 {
+            h.take_ref();
+        }
+        deactivate(&h).unwrap();
+        assert_eq!(h.ref_count(), 5);
+        assert_eq!(deactivate(&h), Err(Deactivated));
+        assert_eq!(h.ref_count(), 5, "a losing terminator moves nothing");
+    }
+
+    #[test]
+    fn deactivated_object_releases_to_exactly_one_final() {
+        // Section 9: deactivation and destruction are independent. An
+        // object deactivated while references are out is destroyed by
+        // whichever release comes last, exactly once.
+        let h = ObjHeader::new();
+        for _ in 0..7 {
+            h.take_ref();
+        }
+        deactivate(&h).unwrap();
+        let finals: u32 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| u32::from(h.release_ref())))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(finals, 1, "exactly one release reports final");
+        assert_eq!(h.ref_count(), 0);
+        assert!(!h.is_active());
     }
 
     #[test]
@@ -250,18 +347,6 @@ mod tests {
         assert!(!h.is_active());
         assert_eq!(deactivate(&h), Err(Deactivated));
         assert_eq!(h.check_active(), Err(Deactivated));
-    }
-
-    #[test]
-    fn deactivation_does_not_touch_references() {
-        // "A reference to an object ... makes no guarantees about the
-        // existence or state of the object."
-        let h = ObjHeader::new();
-        h.take_ref();
-        deactivate(&h).unwrap();
-        assert_eq!(h.ref_count(), 2);
-        assert!(!h.release_ref());
-        assert!(h.release_ref());
     }
 
     #[test]

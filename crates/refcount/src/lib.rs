@@ -31,7 +31,10 @@
 //!
 //! Objects that are *actively terminated* (tasks, threads, ports) carry a
 //! deactivated flag in their header, under the same object lock as the
-//! count. The rules reproduced by
+//! count. As in the paper, where the lock is "a C integer" and the count
+//! and flag are fields it protects, a header is two 4-byte words: the
+//! lock word, and a count word whose top bit is the active flag (the
+//! count pegs at 2^31−1 rather than reach it). The rules reproduced by
 //! [`header::ObjHeader`] and checked by the substrates:
 //!
 //! * an operation that depends on the object being active must re-check
@@ -81,7 +84,7 @@ pub mod header;
 pub mod objref;
 pub mod sharded;
 
-pub use count::{DrainableCount, LockedRefCount};
+pub use count::DrainableCount;
 pub use header::{Deactivated, ObjHeader};
 pub use objref::{ObjRef, Refable, ShardedRefable};
 pub use sharded::{CrashReconciliation, DrainAudit, ShardedRefCount};

@@ -1,7 +1,7 @@
 //! Contention-scalable sharded reference counting.
 //!
 //! The paper's reference counts live in one integer under one simple lock
-//! ([`LockedRefCount`], [`ObjHeader`]); every take and release serializes
+//! (the [`ObjHeader`]'s count word); every take and release serializes
 //! on that lock, which is exactly right while objects are touched by one
 //! or two processors. For the hottest objects (the kernel's own task, a
 //! heavily shared memory object) the count becomes a contention point of
@@ -29,7 +29,6 @@
 //! object is still referenced. Closing the shards first is what makes the
 //! sum exact.
 //!
-//! [`LockedRefCount`]: crate::LockedRefCount
 //! [`ObjHeader`]: crate::ObjHeader
 //! [`CLOSED`]: self#drain-protocol
 

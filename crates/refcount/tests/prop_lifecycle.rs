@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use machk_refcount::{DrainableCount, LockedRefCount, ObjHeader, ObjRef, Refable};
+use machk_refcount::{DrainableCount, ObjHeader, ObjRef, Refable};
 use proptest::prelude::*;
 
 struct Probe {
@@ -68,27 +68,37 @@ proptest! {
     }
 
     #[test]
-    fn locked_count_models_u32(deltas in proptest::collection::vec(any::<bool>(), 0..64)) {
-        // true = take, false = release (skipped if it would underflow per model)
-        let count = LockedRefCount::new(1);
+    fn header_count_models_u32(
+        // true = take, false = release (skipped if it would underflow
+        // per model); `deactivate_at` deactivates midway, which must not
+        // move the count.
+        deltas in proptest::collection::vec(any::<bool>(), 0..64),
+        deactivate_at in 0usize..64,
+    ) {
+        let h = ObjHeader::new();
         let mut model: u32 = 1;
-        for take in deltas {
+        for (i, take) in deltas.into_iter().enumerate() {
+            if i == deactivate_at {
+                let _g = h.lock().lock();
+                prop_assert!(h.deactivate_locked().is_ok());
+            }
             if take {
-                count.take();
+                h.take_ref();
                 model += 1;
             } else if model > 1 {
-                prop_assert!(!count.release());
+                prop_assert!(!h.release_ref());
                 model -= 1;
             }
-            prop_assert_eq!(count.get(), model);
+            prop_assert_eq!(h.ref_count(), model);
+            prop_assert_eq!(h.is_active(), i < deactivate_at);
         }
         // Drain.
         while model > 1 {
-            prop_assert!(!count.release());
+            prop_assert!(!h.release_ref());
             model -= 1;
         }
-        prop_assert!(count.release());
-        prop_assert_eq!(count.get(), 0);
+        prop_assert!(h.release_ref());
+        prop_assert_eq!(h.ref_count(), 0);
     }
 
     #[test]

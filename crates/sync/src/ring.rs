@@ -52,11 +52,33 @@
 //! own slot publish in program order, so any protocol that orders
 //! "push, then fence" against "fence, then drain" (the port's
 //! destroy-vs-late-sender fences) covers the install as well.
+//!
+//! ## 32-bit positions
+//!
+//! The positions and each slot's sequence word are `u32`s that wrap,
+//! like io_uring's ring heads and DPDK's `rte_ring` indices. Every
+//! comparison is a wrapping difference read as signed
+//! (`seq.wrapping_sub(pos) as i32`), which is exact while the two
+//! values are within 2^31 of each other. They always are: a slot's
+//! `seq` is at most one lap (`capacity ≤ 2^31`) from any position that
+//! can index it, and `enqueue_pos - dequeue_pos` never exceeds the
+//! limit. So wrapping changes nothing but the word width: the ring
+//! costs 24 bytes instead of 40. A slot pads its 4-byte word to the
+//! payload's alignment, so a port's `Message` slot stays 40 bytes.
+//!
+//! The one thing 64 bits would buy is ABA margin on a *stale* claim. A
+//! producer that read `enqueue_pos == p` and then stalled can only
+//! succeed with its CAS if the position comes back to `p`, which takes
+//! exactly 2^32 pushes during that one stall; the slot's `seq` must
+//! also read `p` again, i.e. the ring must be on the same lap. At the
+//! ~10^8 pushes per second of the fastest port here, that is a stall of
+//! about 40 seconds inside one push, between two adjacent loads. The
+//! same argument covers pops.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
 use core::ptr;
-use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 use crate::host::{self, SpinSite};
 use crate::probe::{self, EventKind, LockClass, Tag};
@@ -67,8 +89,9 @@ struct Slot<T> {
     /// Sequence protocol (Vyukov): `seq == pos` ⇒ empty and claimable
     /// by the producer whose enqueue position is `pos`; `seq == pos+1`
     /// ⇒ full and claimable by the consumer whose dequeue position is
-    /// `pos`; anything else ⇒ another lap owns the slot.
-    seq: AtomicUsize,
+    /// `pos`; anything else ⇒ another lap owns the slot. Compared by
+    /// wrapping difference (see the module docs).
+    seq: AtomicU32,
     val: UnsafeCell<MaybeUninit<T>>,
 }
 
@@ -97,21 +120,22 @@ pub struct MpscRing<T> {
     /// (see [`MpscRing::push`]); freed only by `Drop`.
     buf: AtomicPtr<Slot<T>>,
     /// `capacity - 1`; capacity is a power of two.
-    mask: usize,
+    mask: u32,
     /// The logical bound: pushes are refused once `limit` messages are
     /// in flight, independent of the (≥ limit) physical capacity.
-    limit: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
+    limit: u32,
+    /// Wrapping 32-bit positions (see the module docs).
+    enqueue_pos: AtomicU32,
+    dequeue_pos: AtomicU32,
     /// Probe identity ("" = anonymous, untraced; zero-sized without
     /// the `probe` feature).
     tag: Tag,
 }
 
-// Release layout without probes: slot pointer, mask, limit and the
-// two positions.
+// Release layout without probes: the slot pointer and four 32-bit
+// words (mask, limit and the two positions).
 #[cfg(not(debug_assertions))]
-const _: () = assert!(probe::ENABLED || core::mem::size_of::<MpscRing<u64>>() == 40);
+const _: () = assert!(probe::ENABLED || core::mem::size_of::<MpscRing<u64>>() == 24);
 
 // Safety: slots are transferred between threads with release/acquire
 // sequence handoffs; a slot's payload is touched only by the thread
@@ -120,6 +144,11 @@ unsafe impl<T: Send> Send for MpscRing<T> {}
 unsafe impl<T: Send> Sync for MpscRing<T> {}
 
 impl<T> MpscRing<T> {
+    /// Bytes one slot occupies in the slot array: the 32-bit sequence
+    /// word beside the payload, padded to the payload's alignment. The
+    /// first push allocates `capacity() * SLOT_BYTES`.
+    pub const SLOT_BYTES: usize = core::mem::size_of::<Slot<T>>();
+
     /// A ring admitting at most `limit` (≥ 1) items at a time.
     pub fn with_limit(limit: usize) -> MpscRing<T> {
         Self::with_limit_named(limit, "")
@@ -130,27 +159,32 @@ impl<T> MpscRing<T> {
     /// `RingFull` events (per-name aggregation, like every named lock);
     /// anonymous rings stay untraced. Without the feature the name is
     /// discarded at compile time.
+    ///
+    /// `limit` is at most 2^31, so that the wrapping comparisons of the
+    /// 32-bit positions stay exact (see the module docs).
     pub fn with_limit_named(limit: usize, name: &'static str) -> MpscRing<T> {
         assert!(limit >= 1, "ring limit must be at least 1");
+        assert!(limit <= 1 << 31, "ring limit must be at most 2^31");
+        let limit = limit as u32;
         MpscRing {
             buf: AtomicPtr::new(ptr::null_mut()),
             mask: limit.next_power_of_two() - 1,
             limit,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            enqueue_pos: AtomicU32::new(0),
+            dequeue_pos: AtomicU32::new(0),
             tag: Tag::new(name, LockClass::Other, "ring"),
         }
     }
 
     /// The logical bound on in-flight items.
     pub fn limit(&self) -> usize {
-        self.limit
+        self.limit as usize
     }
 
     /// Physical slot count (`limit` rounded up to a power of two),
     /// whether or not the slots are installed yet.
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.mask as usize + 1
     }
 
     /// The installed slot array, or `None` before the first push.
@@ -172,7 +206,7 @@ impl<T> MpscRing<T> {
     fn install(&self) -> &[Slot<T>] {
         let fresh: Box<[Slot<T>]> = (0..self.capacity())
             .map(|i| Slot {
-                seq: AtomicUsize::new(i),
+                seq: AtomicU32::new(i as u32),
                 val: UnsafeCell::new(MaybeUninit::uninit()),
             })
             .collect();
@@ -219,12 +253,12 @@ impl<T> MpscRing<T> {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed); // relaxed: CAS below re-validates the claim
         loop {
             if pos.wrapping_sub(self.dequeue_pos.load(Ordering::Acquire)) >= self.limit {
-                self.tag.event(EventKind::RingFull, self.limit as u64);
+                self.tag.event(EventKind::RingFull, u64::from(self.limit));
                 return Err(v);
             }
-            let slot = &buf[pos & self.mask];
+            let slot = &buf[(pos & self.mask) as usize];
             let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos as isize;
+            let dif = seq.wrapping_sub(pos) as i32;
             if dif == 0 {
                 // The slot is empty on our lap: claim the position.
                 match self.enqueue_pos.compare_exchange_weak(
@@ -249,7 +283,7 @@ impl<T> MpscRing<T> {
                 }
             } else if dif < 0 {
                 // A whole lap behind: physically full.
-                self.tag.event(EventKind::RingFull, self.limit as u64);
+                self.tag.event(EventKind::RingFull, u64::from(self.limit));
                 return Err(v);
             } else {
                 // Another producer advanced the position under us.
@@ -280,9 +314,9 @@ impl<T> MpscRing<T> {
         let buf = self.slots()?;
         let mut pos = self.dequeue_pos.load(Ordering::Relaxed); // relaxed: CAS below re-validates the claim
         loop {
-            let slot = &buf[pos & self.mask];
+            let slot = &buf[(pos & self.mask) as usize];
             let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_add(1) as isize;
+            let dif = seq.wrapping_sub(pos.wrapping_add(1)) as i32;
             if dif == 0 {
                 match self.dequeue_pos.compare_exchange_weak(
                     pos,
@@ -341,7 +375,7 @@ impl<T> MpscRing<T> {
         // moment it is computed.
         let enq = self.enqueue_pos.load(Ordering::Relaxed);
         let deq = self.dequeue_pos.load(Ordering::Relaxed);
-        enq.wrapping_sub(deq).min(self.limit)
+        enq.wrapping_sub(deq).min(self.limit) as usize
     }
 
     /// Whether the ring currently looks empty (racy; diagnostics).
@@ -424,6 +458,64 @@ mod tests {
             assert_eq!(ring.pop(), Some(lap));
         }
         assert!(ring.is_empty());
+    }
+
+    /// A ring whose positions start at `base`, as if `base` items had
+    /// already passed through it: each slot's `seq` is the position of
+    /// the current lap that maps to it.
+    fn ring_starting_at(limit: usize, base: u32) -> MpscRing<u64> {
+        let mut ring = MpscRing::with_limit(limit);
+        *ring.enqueue_pos.get_mut() = base;
+        *ring.dequeue_pos.get_mut() = base;
+        for (j, slot) in ring.install().iter().enumerate() {
+            let pos = base.wrapping_add((j as u32).wrapping_sub(base) & ring.mask);
+            slot.seq.store(pos, Ordering::Relaxed);
+        }
+        ring
+    }
+
+    #[test]
+    fn positions_wrap_past_u32_max() {
+        // Limit 3 on 4 slots, starting 3 short of the wrap: laps of
+        // fill-and-drain carry both positions and every slot's `seq`
+        // across it.
+        let ring = ring_starting_at(3, u32::MAX - 2);
+        let (mut next_in, mut next_out) = (0u64, 0u64);
+        for _ in 0..6 {
+            while ring.len() < 3 {
+                ring.push(next_in).unwrap();
+                next_in += 1;
+            }
+            assert_eq!(ring.len(), 3);
+            assert_eq!(ring.push(99), Err(99), "logical limit across the wrap");
+            for _ in 0..2 {
+                assert_eq!(ring.pop(), Some(next_out), "FIFO across the wrap");
+                next_out += 1;
+            }
+            assert_eq!(ring.len(), 1);
+        }
+        assert_eq!(ring.enqueue_pos.load(Ordering::Relaxed), 10, "wrapped");
+
+        // Limit = capacity, wrapped while full. A consumer that has
+        // claimed the oldest slot but not yet released it leaves room
+        // under the limit, but that slot is a lap behind: physically
+        // full.
+        let ring = ring_starting_at(4, u32::MAX - 1);
+        for i in 0..4 {
+            ring.push(i).unwrap();
+        }
+        assert_eq!(ring.len(), 4);
+        assert_eq!(ring.push(99), Err(99), "logical limit at capacity");
+        ring.dequeue_pos.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.push(99), Err(99), "physically full across the wrap");
+        ring.dequeue_pos.fetch_sub(1, Ordering::Relaxed);
+        for i in 0..4 {
+            assert_eq!(ring.pop(), Some(i));
+        }
+        assert!(ring.is_empty());
+        assert_eq!(ring.push(4), Ok(()));
+        assert_eq!(ring.pop(), Some(4));
     }
 
     #[test]

@@ -108,7 +108,11 @@ fn unused_ring_never_touches_the_heap() {
 #[test]
 fn first_push_installs_one_array_and_drop_frees_it() {
     let ring = MpscRing::<u64>::with_limit(3);
-    let slot_bytes = (ring.capacity() * 2 * size_of::<usize>()) as u64;
+    // A slot is its 32-bit sequence word padded to the payload's
+    // alignment, then the payload.
+    assert_eq!(MpscRing::<u64>::SLOT_BYTES, 16);
+    assert_eq!(MpscRing::<u32>::SLOT_BYTES, 8);
+    let slot_bytes = (ring.capacity() * MpscRing::<u64>::SLOT_BYTES) as u64;
     let (first, r) = traffic_during(|| ring.push(1));
     assert_eq!(r, Ok(()));
     assert_eq!(first.allocs, 1);
