@@ -159,8 +159,14 @@ fn write_e16_exporter_artifacts(_dir: Option<&str>) {}
 #[cfg(feature = "probe")]
 fn lockstat(quick: bool, json: bool) {
     // The experiment runner asserts the report's claims as it goes.
-    let e16 = experiments::ALL.iter().find(|e| e.id == "E16").expect("E16 is listed");
-    e16.report(&Opts { quick, ..Opts::default() });
+    let e16 = experiments::ALL
+        .iter()
+        .find(|e| e.id == "E16")
+        .expect("E16 is listed");
+    e16.report(&Opts {
+        quick,
+        ..Opts::default()
+    });
     let stat = machk_obs::Lockstat::collect();
     if json {
         println!("{}", stat.render_json());

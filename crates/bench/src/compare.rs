@@ -157,7 +157,11 @@ pub fn compare_docs(file: &str, base: &Value, fresh: &Value, out: &mut Compariso
 
     for (doc, which) in [(base, "baseline"), (fresh, "fresh")] {
         if doc.get("schema").and_then(Value::as_str) != Some("machk-bench/v1") {
-            out.fail(&id, "<file>", format!("{which} is not a machk-bench/v1 envelope"));
+            out.fail(
+                &id,
+                "<file>",
+                format!("{which} is not a machk-bench/v1 envelope"),
+            );
             return;
         }
     }
@@ -175,7 +179,11 @@ pub fn compare_docs(file: &str, base: &Value, fresh: &Value, out: &mut Compariso
     }
 
     let metrics = |doc: &Value| -> Option<Vec<(String, f64, String, f64)>> {
-        doc.get("metrics")?.as_arr()?.iter().map(metric_fields).collect()
+        doc.get("metrics")?
+            .as_arr()?
+            .iter()
+            .map(metric_fields)
+            .collect()
     };
     let (Some(base_metrics), Some(fresh_metrics)) = (metrics(base), metrics(fresh)) else {
         out.fail(&id, "<file>", "malformed metrics".to_string());
@@ -218,7 +226,10 @@ pub fn compare_dirs(baselines: &Path, fresh: &Path) -> Result<Comparison, String
         .collect();
     names.sort();
     if names.is_empty() {
-        return Err(format!("no BENCH_*.json baselines in {}", baselines.display()));
+        return Err(format!(
+            "no BENCH_*.json baselines in {}",
+            baselines.display()
+        ));
     }
 
     for name in &names {
@@ -245,13 +256,15 @@ pub fn compare_dirs(baselines: &Path, fresh: &Path) -> Result<Comparison, String
         let mut unpaired: Vec<String> = dir
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| {
-                n.starts_with("BENCH_") && n.ends_with(".json") && !names.contains(n)
-            })
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json") && !names.contains(n))
             .collect();
         unpaired.sort();
         for name in unpaired {
-            out.fail(&name, "<file>", "fresh artifact has no baseline".to_string());
+            out.fail(
+                &name,
+                "<file>",
+                "fresh artifact has no baseline".to_string(),
+            );
         }
     }
     Ok(out)
@@ -321,11 +334,17 @@ mod tests {
     fn one_sided_metrics_fail_and_are_counted() {
         let base = envelope(
             "E03",
-            &[("lost", 0.0, Dir::Exact, 1.0), ("informational", 2.0, Dir::Info, 1.0)],
+            &[
+                ("lost", 0.0, Dir::Exact, 1.0),
+                ("informational", 2.0, Dir::Info, 1.0),
+            ],
         );
         let fresh = envelope(
             "E03",
-            &[("lost", 0.0, Dir::Exact, 1.0), ("ops_mad", 3.0, Dir::Info, 1.0)],
+            &[
+                ("lost", 0.0, Dir::Exact, 1.0),
+                ("ops_mad", 3.0, Dir::Info, 1.0),
+            ],
         );
         let mut c = Comparison::default();
         compare_docs("BENCH_E03.json", &base, &fresh, &mut c);
@@ -373,7 +392,9 @@ mod tests {
                     let edited = parse(&edit_last_digit(&text, &name)).unwrap();
                     assert!(!compare(&edited, &doc).passed(), "{name}: edit passed");
                 }
-                let Value::Obj(mut members) = doc.clone() else { unreachable!() };
+                let Value::Obj(mut members) = doc.clone() else {
+                    unreachable!()
+                };
                 for (k, v) in &mut members {
                     if k == "metrics" {
                         let Value::Arr(ms) = v else { unreachable!() };
@@ -381,8 +402,14 @@ mod tests {
                     }
                 }
                 let dropped = Value::Obj(members);
-                assert!(!compare(&dropped, &doc).passed(), "{name}: dropped from the baseline");
-                assert!(!compare(&doc, &dropped).passed(), "{name}: dropped from the fresh run");
+                assert!(
+                    !compare(&dropped, &doc).passed(),
+                    "{name}: dropped from the baseline"
+                );
+                assert!(
+                    !compare(&doc, &dropped).passed(),
+                    "{name}: dropped from the fresh run"
+                );
                 checked += 1;
             }
         }
@@ -392,10 +419,7 @@ mod tests {
     #[test]
     fn mode_mismatch_fails() {
         let base = envelope("E04", &[]);
-        let full = parse(
-            &BenchReport::new("E04", "fixture", false).render(),
-        )
-        .unwrap();
+        let full = parse(&BenchReport::new("E04", "fixture", false).render()).unwrap();
         let mut c = Comparison::default();
         compare_docs("BENCH_E04.json", &base, &full, &mut c);
         assert!(!c.passed());

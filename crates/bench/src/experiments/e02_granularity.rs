@@ -154,7 +154,9 @@ fn sim_section(quick: bool, report: &mut BenchReport) {
         "the separation must vanish on 1 simulated core (got {r1:.2}x) — it is parallelism, \
          not lock overhead"
     );
-    t.note("each critical section modeled at 200 virtual ns; coherence charged per same-line spinner");
+    t.note(
+        "each critical section modeled at 200 virtual ns; coherence charged per same-line spinner",
+    );
     t.note("asserted: >=4x at 8 cores, <=2x at 1 core — the separation IS the parallelism");
     report.table(t);
 }

@@ -73,7 +73,11 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
     }
     // The paper's structural claim: the downgrade path has no failure
     // mode, on any host, at any contention level.
-    report.exact("downgrade_failures_total", downgrade_failures as f64, "count");
+    report.exact(
+        "downgrade_failures_total",
+        downgrade_failures as f64,
+        "count",
+    );
     #[cfg(feature = "sim")]
     sim_section(quick, report);
     #[cfg(not(feature = "sim"))]
@@ -168,7 +172,9 @@ fn sim_section(quick: bool, report: &mut BenchReport) {
     let walks = if quick { 150 } else { 1_500 };
     let cfg = SimConfig::DEFAULT.with_cores(2).with_seed(0xE4_2C);
     let stats = random_walks(&cfg, walks, |_| upgrade_race);
-    let mut down = random_walks(&cfg.with_seed(0xE4_D0), walks / 2, |_| downgrade_never_fails);
+    let mut down = random_walks(&cfg.with_seed(0xE4_D0), walks / 2, |_| {
+        downgrade_never_fails
+    });
     down.merge(stats);
     assert_eq!(down.hangs, 0, "a schedule hung: {:?}", down.failures);
     assert_eq!(down.panics, 0, "a round was lost: {:?}", down.failures);

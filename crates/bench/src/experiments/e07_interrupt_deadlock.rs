@@ -174,8 +174,8 @@ fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
                         std::hint::black_box(());
                         lock.unlock_raw();
                         spl_restore(tok); // delivery point
-                        // Scheduling point: under machk-sim the loop
-                        // must let the other vCPUs run.
+                                          // Scheduling point: under machk-sim the loop
+                                          // must let the other vCPUs run.
                         host::spin_hint(host::SpinSite::Generic);
                     }
                 } else {

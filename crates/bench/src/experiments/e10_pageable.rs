@@ -88,7 +88,11 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
         u64::from(recursive == Err(MapError::ShortageTimeout)) as f64,
         "bool",
     );
-    report.exact("rewritten_completed", u64::from(rewritten == Ok(())) as f64, "bool");
+    report.exact(
+        "rewritten_completed",
+        u64::from(rewritten == Ok(())) as f64,
+        "bool",
+    );
     report.info(
         "daemon_reclaimed_during_rewrite",
         reclaimed_during_rewrite as f64,

@@ -63,5 +63,9 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
         });
         report.table(t);
     }
-    report.exact("reference_ledger_violations", ledger_violations as f64, "count");
+    report.exact(
+        "reference_ledger_violations",
+        ledger_violations as f64,
+        "count",
+    );
 }

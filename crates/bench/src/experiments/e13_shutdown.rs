@@ -116,12 +116,20 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
     assert!(stats.balanced());
     report.table(t);
 
-    report.exact("unaccounted_operations", (total_ops - accounted) as f64, "count");
+    report.exact(
+        "unaccounted_operations",
+        (total_ops - accounted) as f64,
+        "count",
+    );
     report.exact(
         "shutdown_win_deficit",
         (objects as u64 - shutdown_wins.load(Ordering::Relaxed)) as f64, // relaxed: read after scope join
         "count",
     );
-    report.exact("rpc_ledger_balanced", u64::from(stats.balanced()) as f64, "bool");
+    report.exact(
+        "rpc_ledger_balanced",
+        u64::from(stats.balanced()) as f64,
+        "bool",
+    );
     report.info("operations_issued", total_ops as f64, "count");
 }

@@ -59,7 +59,11 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
     ]);
     assert!(exempt_ok);
     report.table(t);
-    report.exact("special_logic_consistent", u64::from(exempt_ok) as f64, "bool");
+    report.exact(
+        "special_logic_consistent",
+        u64::from(exempt_ok) as f64,
+        "bool",
+    );
     #[cfg(feature = "sim")]
     sim_section(report);
     #[cfg(not(feature = "sim"))]
@@ -83,10 +87,13 @@ fn sim_section(report: &mut BenchReport) {
     let run_one = |seed: u64, f: Box<dyn FnOnce() -> bool + Send>| -> (bool, u64) {
         let slot = Arc::new(Mutex::new(None));
         let out = Arc::clone(&slot);
-        let sim = sim_run(&SimConfig::DEFAULT.with_cores(4).with_seed(seed), move || {
-            let r = f();
-            *out.lock().unwrap() = Some(r);
-        })
+        let sim = sim_run(
+            &SimConfig::DEFAULT.with_cores(4).with_seed(seed),
+            move || {
+                let r = f();
+                *out.lock().unwrap() = Some(r);
+            },
+        )
         .unwrap_or_else(|e| panic!("E14 sim trial failed: {e}"));
         let r = slot.lock().unwrap().take().expect("trial result");
         (r, sim.clock_ns)
@@ -129,7 +136,11 @@ fn sim_section(report: &mut BenchReport) {
     );
     t.row(&[
         "special logic (seeded schedule, run twice)".into(),
-        if ok_a { "consistent".into() } else { "FAILED".to_string() },
+        if ok_a {
+            "consistent".into()
+        } else {
+            "FAILED".to_string()
+        },
         format!("{clock_a} ns == {clock_b} ns"),
     ]);
     t.row(&[

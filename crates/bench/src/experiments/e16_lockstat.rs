@@ -94,8 +94,13 @@ fn drive_workload(quick: bool) {
 /// The object locks the kernel's object types register.
 #[cfg(feature = "probe")]
 const OBJECT_LOCKS: [&str; 7] = [
-    "task.lock", "thread.lock", "ipc.port.lock", "ipc.port_set.lock",
-    "vm_object.lock", "pset.lock", "mono_task.lock",
+    "task.lock",
+    "thread.lock",
+    "ipc.port.lock",
+    "ipc.port_set.lock",
+    "vm_object.lock",
+    "pset.lock",
+    "mono_task.lock",
 ];
 
 /// Drive once each order edge that cloning a reference under another
@@ -155,10 +160,8 @@ fn lockstat_section(quick: bool, report: &mut BenchReport) {
     // The inverted acquisition order must be diagnosed.
     assert!(
         stat.cycles.iter().any(|c| {
-            c.iter()
-                .any(|&id| probe::name_of(id) == "e16.order.a")
-                && c.iter()
-                    .any(|&id| probe::name_of(id) == "e16.order.b")
+            c.iter().any(|&id| probe::name_of(id) == "e16.order.a")
+                && c.iter().any(|&id| probe::name_of(id) == "e16.order.b")
         }),
         "order inversion e16.order.a/e16.order.b not diagnosed; cycles: {:?}",
         stat.cycles,
@@ -167,10 +170,21 @@ fn lockstat_section(quick: bool, report: &mut BenchReport) {
     // The object locks' runtime order graph: the edges driven above were
     // seen, and none closes a cycle.
     let is_object = |id: u32| OBJECT_LOCKS.contains(&probe::name_of(id));
-    let object_edges = stat.edges.iter().filter(|&&(_, to, _)| is_object(to)).count();
-    assert!(object_edges >= 5, "object lock order edges not observed: {:?}", stat.edges);
+    let object_edges = stat
+        .edges
+        .iter()
+        .filter(|&&(_, to, _)| is_object(to))
+        .count();
     assert!(
-        !stat.cycles.iter().any(|c| c.iter().any(|&id| is_object(id))),
+        object_edges >= 5,
+        "object lock order edges not observed: {:?}",
+        stat.edges
+    );
+    assert!(
+        !stat
+            .cycles
+            .iter()
+            .any(|c| c.iter().any(|&id| is_object(id))),
         "object lock order cycle: {:?}",
         stat.cycles,
     );
@@ -178,7 +192,14 @@ fn lockstat_section(quick: bool, report: &mut BenchReport) {
     let mut t = Table::new(
         "E16: lockstat from the obs layer, top 16 locks by contention",
         &[
-            "name", "class", "policy", "acquires", "contended", "cont%", "wait-avg", "wait-max",
+            "name",
+            "class",
+            "policy",
+            "acquires",
+            "contended",
+            "cont%",
+            "wait-avg",
+            "wait-max",
             "hold-avg",
         ],
     );
@@ -197,11 +218,17 @@ fn lockstat_section(quick: bool, report: &mut BenchReport) {
     }
     for c in &stat.cycles {
         let names: Vec<&str> = c.iter().map(|&id| probe::name_of(id)).collect();
-        t.note(&format!("order cycle: {} -> {}", names.join(" -> "), names[0]));
+        t.note(&format!(
+            "order cycle: {} -> {}",
+            names.join(" -> "),
+            names[0]
+        ));
     }
     t.note("every e16.* lock is named at its declaration; the registry did the rest");
     t.note("the a->b->a cycle is deliberate (one thread, so only *potential*)");
-    t.note(&format!("{object_edges} order edges into object locks, none in a cycle"));
+    t.note(&format!(
+        "{object_edges} order edges into object locks, none in a cycle"
+    ));
     report.table(t);
 }
 
@@ -289,8 +316,20 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
     let named = stat.locks.iter().filter(|l| !l.name.is_empty()).count();
     report.exact("obs_enabled", 1.0, "bool");
     report.exact("order_cycle_diagnosed", 1.0, "bool"); // asserted in lockstat_section()
-    report.metric("named_locks", named as f64, "count", crate::report::Dir::Higher, 1.5);
-    report.metric("flame_sites", sites as f64, "count", crate::report::Dir::Higher, 2.0);
+    report.metric(
+        "named_locks",
+        named as f64,
+        "count",
+        crate::report::Dir::Higher,
+        1.5,
+    );
+    report.metric(
+        "flame_sites",
+        sites as f64,
+        "count",
+        crate::report::Dir::Higher,
+        2.0,
+    );
     report.info("ndjson_lines", lines as f64, "count");
     report.info("ndjson_overwritten", overwritten as f64, "count");
 
@@ -298,7 +337,10 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
         "E16-exports: trace rings as NDJSON + flamegraph fold",
         &["export", "value"],
     );
-    t.row(&["ndjson lines from the trace rings".into(), lines.to_string()]);
+    t.row(&[
+        "ndjson lines from the trace rings".into(),
+        lines.to_string(),
+    ]);
     t.row(&["older events overwritten".into(), overwritten.to_string()]);
     t.row(&[
         "events kept per thread".into(),

@@ -31,8 +31,8 @@ mod armed {
 
     use machk_core::sync::probe::set_role;
     use machk_core::{
-        assert_wait, thread_block_timeout, thread_wakeup, ComplexLock, Event, JitterBackoff,
-        Kobj, RawSimpleLock, ShardedRefCount, WaitResult,
+        assert_wait, thread_block_timeout, thread_wakeup, ComplexLock, Event, JitterBackoff, Kobj,
+        RawSimpleLock, ShardedRefCount, WaitResult,
     };
     use machk_fault::{rate_from_prob, FaultPlan, FaultSite};
     use machk_intr::{run_threads_with_deadline, Machine, SplLock};
@@ -73,10 +73,7 @@ mod armed {
 
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-    fn finish(
-        name: &str,
-        r: Result<Vec<()>, machk_intr::DeadlockDetected>,
-    ) {
+    fn finish(name: &str, r: Result<Vec<()>, machk_intr::DeadlockDetected>) {
         if let Err(e) = r {
             // The "never hung" claim failed: escalate with the full
             // diagnostic dump before failing the experiment.
@@ -103,7 +100,11 @@ mod armed {
                 let flag = AtomicU64::new(0);
                 let ev = Event::from_addr(&flag);
                 assert_wait(ev, false);
-                assert_eq!(thread_wakeup(ev), 0, "the injected drop swallowed the wakeup");
+                assert_eq!(
+                    thread_wakeup(ev),
+                    0,
+                    "the injected drop swallowed the wakeup"
+                );
                 assert_eq!(
                     thread_block_timeout(Duration::from_millis(2)),
                     WaitResult::TimedOut,
@@ -190,15 +191,16 @@ mod armed {
             let lock: RawSimpleLock = RawSimpleLock::new();
             lock.lock_raw();
             std::thread::scope(|s| {
-                s.spawn(|| {
-                    match lock.lock_with_deadline(Duration::from_millis(2)) {
-                        Ok(_) => panic!("held lock acquired"),
-                        Err(e) => assert!(e.waited >= Duration::from_millis(2)),
-                    }
+                s.spawn(|| match lock.lock_with_deadline(Duration::from_millis(2)) {
+                    Ok(_) => panic!("held lock acquired"),
+                    Err(e) => assert!(e.waited >= Duration::from_millis(2)),
                 });
             });
             lock.unlock_raw();
-            drop(lock.lock_with_deadline(Duration::from_millis(100)).expect("free lock acquired"));
+            drop(
+                lock.lock_with_deadline(Duration::from_millis(100))
+                    .expect("free lock acquired"),
+            );
             totals.deadlocks_diagnosed += 1;
         }
 
@@ -254,7 +256,10 @@ mod armed {
                 }) as Box<dyn FnOnce() + Send>
             })
             .collect();
-        finish("deadlock-storm", run_threads_with_deadline(bodies, SCENARIO_LIMIT));
+        finish(
+            "deadlock-storm",
+            run_threads_with_deadline(bodies, SCENARIO_LIMIT),
+        );
         machk_fault::disarm();
         assert_eq!(
             counter.load(Ordering::Relaxed),
@@ -309,10 +314,16 @@ mod armed {
                 }) as Box<dyn FnOnce() + Send>
             })
             .collect();
-        finish("refcount-storm", run_threads_with_deadline(bodies, SCENARIO_LIMIT));
+        finish(
+            "refcount-storm",
+            run_threads_with_deadline(bodies, SCENARIO_LIMIT),
+        );
         machk_fault::disarm();
         let audit = count.drain_audit();
-        assert_eq!(audit.total, 1, "ledger balanced: only the creation ref remains");
+        assert_eq!(
+            audit.total, 1,
+            "ledger balanced: only the creation ref remains"
+        );
         assert!(!audit.pegged);
         assert!(count.release(), "exactly one final release");
     }
@@ -368,12 +379,22 @@ mod armed {
                 shutdown::shutdown_task(&port, task).expect("first shutdown wins");
             }));
         }
-        finish("shutdown-storm", run_threads_with_deadline(bodies, SCENARIO_LIMIT));
+        finish(
+            "shutdown-storm",
+            run_threads_with_deadline(bodies, SCENARIO_LIMIT),
+        );
         machk_fault::disarm();
 
         let issued: u64 = outcomes.iter().map(|o| o.load(Ordering::Relaxed)).sum();
-        assert_eq!(issued, 3 * ops_per_thread, "every op completed or failed cleanly");
-        assert!(stats.balanced(), "rpc reference flow unbalanced under chaos");
+        assert_eq!(
+            issued,
+            3 * ops_per_thread,
+            "every op completed or failed cleanly"
+        );
+        assert!(
+            stats.balanced(),
+            "rpc reference flow unbalanced under chaos"
+        );
         assert!(port.kernel_object().is_err(), "step 2 disabled translation");
         assert!(!port.is_alive());
         totals.replies_dropped += outcomes[3].load(Ordering::Relaxed);
@@ -443,12 +464,7 @@ mod armed {
                         }
                     }
                     // RPC: dead port / dropped reply.
-                    let _ = table.msg_rpc(
-                        &port,
-                        Message::new(1),
-                        RefSemantics::Mach30,
-                        &stats,
-                    );
+                    let _ = table.msg_rpc(&port, Message::new(1), RefSemantics::Mach30, &stats);
                 }
                 assert!(stats.balanced());
                 assert!(count.release());
@@ -470,7 +486,10 @@ mod armed {
             // Claim 3: replayable — same seed, byte-identical trace.
             let t1 = probe(seed, &mut totals);
             let t2 = probe(seed, &mut totals);
-            assert_eq!(t1, t2, "seed {seed}: fault trace not byte-identical on rerun");
+            assert_eq!(
+                t1, t2,
+                "seed {seed}: fault trace not byte-identical on rerun"
+            );
             assert!(!t1.is_empty(), "seed {seed}: probe recorded no decisions");
             totals.trace_digests.push(fnv1a(FNV_OFFSET, t1.as_bytes()));
             // Claims 1 and 2: diagnosed-never-hung, balanced ledgers.
@@ -484,7 +503,10 @@ mod armed {
         // have both injected *and diagnosed* something, or a hook is
         // dead and the experiment is vacuous.
         assert!(totals.faults_fired > 0, "no fault ever fired");
-        assert!(totals.deadlocks_diagnosed > 0, "no deadlock was ever diagnosed");
+        assert!(
+            totals.deadlocks_diagnosed > 0,
+            "no deadlock was ever diagnosed"
+        );
         assert!(
             totals.wakeups_recovered > 0,
             "no lost wakeup was ever recovered — blocking path unexercised"
@@ -495,7 +517,10 @@ mod armed {
     /// The per-seed trace digests folded in seed order: FNV-1a-64 over
     /// their little-endian bytes.
     fn trace_fold(totals: &Totals) -> u64 {
-        totals.trace_digests.iter().fold(FNV_OFFSET, |h, d| fnv1a(h, &d.to_le_bytes()))
+        totals
+            .trace_digests
+            .iter()
+            .fold(FNV_OFFSET, |h, d| fnv1a(h, &d.to_le_bytes()))
     }
 
     /// Run the full suite over `seeds` seeds into `report`. Reaching
@@ -510,11 +535,23 @@ mod armed {
         report.exact("replay_identical", 1.0, "bool");
         // The probe traces themselves must not move between builds: the
         // high 48 bits of the fold (an f64 holds them exactly).
-        report.exact("probe_trace_fnv", (trace_fold(&totals) >> 16) as f64, "hash");
+        report.exact(
+            "probe_trace_fnv",
+            (trace_fold(&totals) >> 16) as f64,
+            "hash",
+        );
         report.info("schedules", totals.schedules as f64, "count");
         report.info("faults_fired", totals.faults_fired as f64, "count");
-        report.info("deadlocks_diagnosed", totals.deadlocks_diagnosed as f64, "count");
-        report.info("wakeups_recovered", totals.wakeups_recovered as f64, "count");
+        report.info(
+            "deadlocks_diagnosed",
+            totals.deadlocks_diagnosed as f64,
+            "count",
+        );
+        report.info(
+            "wakeups_recovered",
+            totals.wakeups_recovered as f64,
+            "count",
+        );
         report.info("upgrades_refused", totals.upgrades_refused as f64, "count");
         report.info("spl_diagnosed", totals.spl_diagnosed as f64, "count");
 
@@ -524,7 +561,10 @@ mod armed {
         );
         t.row(&["seeds".into(), seeds.to_string()]);
         t.row(&["fault schedules run".into(), totals.schedules.to_string()]);
-        t.row(&["faults fired (probe)".into(), totals.faults_fired.to_string()]);
+        t.row(&[
+            "faults fired (probe)".into(),
+            totals.faults_fired.to_string(),
+        ]);
         t.row(&[
             "deadlocks diagnosed & backed out".into(),
             totals.deadlocks_diagnosed.to_string(),
@@ -541,10 +581,19 @@ mod armed {
             "spl violations diagnosed".into(),
             totals.spl_diagnosed.to_string(),
         ]);
-        t.row(&["rpc replies dropped".into(), totals.replies_dropped.to_string()]);
-        t.row(&["rpc dead-port failures".into(), totals.dead_ports.to_string()]);
+        t.row(&[
+            "rpc replies dropped".into(),
+            totals.replies_dropped.to_string(),
+        ]);
+        t.row(&[
+            "rpc dead-port failures".into(),
+            totals.dead_ports.to_string(),
+        ]);
         t.row(&["scenarios hung".into(), "0".into()]);
-        t.row(&["probe trace fold (FNV-1a-64)".into(), format!("{:#018x}", trace_fold(&totals))]);
+        t.row(&[
+            "probe trace fold (FNV-1a-64)".into(),
+            format!("{:#018x}", trace_fold(&totals)),
+        ]);
         t.note("every seed's probe trace was byte-identical across two runs");
         t.note("every ledger balanced; saturated counts pegged, never wrapped");
         report.table(t);

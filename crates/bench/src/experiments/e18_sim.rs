@@ -42,9 +42,7 @@ mod simulated {
         RawSimpleLock, ShardedRefCount, TasThenTtas, Ticket, WaitResult, WithBackoff,
     };
     use machk_fault::{rate_from_prob, FaultPlan, FaultSite};
-    use machk_sim::{
-        dfs, random_walks, run as sim_run, DfsBounds, ExploreStats, SimConfig,
-    };
+    use machk_sim::{dfs, random_walks, run as sim_run, DfsBounds, ExploreStats, SimConfig};
 
     use crate::experiments::Opts;
     use crate::report::BenchReport;
@@ -327,14 +325,26 @@ mod simulated {
         );
         t.row(&["schedules run".into(), s.stats.runs.to_string()]);
         t.row(&["distinct schedules".into(), s.stats.distinct.to_string()]);
-        t.row(&["hangs (deadlock/step-limit)".into(), s.stats.hangs.to_string()]);
-        t.row(&["ledger/protocol violations".into(), s.stats.panics.to_string()]);
-        t.row(&["scheduling steps total".into(), s.stats.steps_total.to_string()]);
+        t.row(&[
+            "hangs (deadlock/step-limit)".into(),
+            s.stats.hangs.to_string(),
+        ]);
+        t.row(&[
+            "ledger/protocol violations".into(),
+            s.stats.panics.to_string(),
+        ]);
+        t.row(&[
+            "scheduling steps total".into(),
+            s.stats.steps_total.to_string(),
+        ]);
         t.row(&[
             "virtual time simulated".into(),
             format!("{}ms", s.stats.virtual_ns_total / 1_000_000),
         ]);
-        t.row(&["deadline backouts (§7 discipline)".into(), s.backouts.to_string()]);
+        t.row(&[
+            "deadline backouts (§7 discipline)".into(),
+            s.backouts.to_string(),
+        ]);
         t.row(&[
             "dropped wakeups recovered by bounded block".into(),
             s.wakeup_timeouts.to_string(),
@@ -353,7 +363,9 @@ mod simulated {
             "queued beats word at 1 core".into(),
             s.crossover_at_1.to_string(),
         ]);
-        t.note("every run replayable: failures print `sim:v1:<seed>:<cores>:…` tokens (none occurred)");
+        t.note(
+            "every run replayable: failures print `sim:v1:<seed>:<cores>:…` tokens (none occurred)",
+        );
         t.note("virtual time: coherence charged per same-line spinner, zero on 1 core");
 
         report.table(t);
@@ -363,8 +375,16 @@ mod simulated {
         report.exact("sim_enabled", 1.0, "bool");
         report.exact("hangs", s.stats.hangs as f64, "count");
         report.exact("violations", s.stats.panics as f64, "count");
-        report.exact("crossover_at_8_cores", u64::from(s.crossover_at_8) as f64, "bool");
-        report.exact("crossover_at_1_core", u64::from(s.crossover_at_1) as f64, "bool");
+        report.exact(
+            "crossover_at_8_cores",
+            u64::from(s.crossover_at_8) as f64,
+            "bool",
+        );
+        report.exact(
+            "crossover_at_1_core",
+            u64::from(s.crossover_at_1) as f64,
+            "bool",
+        );
         report.exact("distinct_schedules", s.stats.distinct as f64, "count");
         report.exact("runs", s.stats.runs as f64, "count");
         report.exact("steps_total", s.stats.steps_total as f64, "count");

@@ -140,10 +140,7 @@ fn sim_section(quick: bool, report: &mut BenchReport) {
 
     // One engine storm on a simulated host; returns the report and the
     // run's virtual clock.
-    let sim_storm = |cores: usize,
-                     sched_seed: u64,
-                     cfg: EngineConfig|
-     -> (EngineReport, u64) {
+    let sim_storm = |cores: usize, sched_seed: u64, cfg: EngineConfig| -> (EngineReport, u64) {
         let slot = Arc::new(Mutex::new(None));
         let out = Arc::clone(&slot);
         let sim = sim_run(
@@ -216,7 +213,11 @@ fn sim_section(quick: bool, report: &mut BenchReport) {
     // engine's own work is not charged in virtual time.
     report.exact("sim_enabled", 1.0, "bool");
     report.exact("sim_replay_identical", 1.0, "bool"); // asserted above
-    report.exact("sim_replay_fingerprint", (a.fingerprint() >> 16) as f64, "hash");
+    report.exact(
+        "sim_replay_fingerprint",
+        (a.fingerprint() >> 16) as f64,
+        "hash",
+    );
     report.exact("sim_probe_clock_ns", clock_a as f64, "ns");
     report.exact("sim_sharded_clock_ns", sh_clock as f64, "ns");
     report.exact("sim_single_lock_clock_ns", si_clock as f64, "ns");
@@ -235,7 +236,10 @@ fn sim_section(quick: bool, report: &mut BenchReport) {
         "replay fingerprint (seed-fixed, run twice)".into(),
         format!("{:#018x} == {:#018x}", a.fingerprint(), b.fingerprint()),
     ]);
-    t.row(&["replay virtual clocks".into(), format!("{clock_a} == {clock_b} ns")]);
+    t.row(&[
+        "replay virtual clocks".into(),
+        format!("{clock_a} == {clock_b} ns"),
+    ]);
     t.row(&[
         "different seed, different storm".into(),
         format!("{:#018x}", c.fingerprint()),
@@ -249,8 +253,12 @@ fn sim_section(quick: bool, report: &mut BenchReport) {
         format!("{si_clock} ns"),
     ]);
     t.row(&["separation (asserted >= 4x)".into(), format!("{ratio:.2}x")]);
-    t.note("every namespace critical section modeled at 100 virtual ns (EngineConfig::ns_cs_work_ns)");
-    t.note("rings + engine go through the Host trait, so the whole storm replays from (seed, cores)");
+    t.note(
+        "every namespace critical section modeled at 100 virtual ns (EngineConfig::ns_cs_work_ns)",
+    );
+    t.note(
+        "rings + engine go through the Host trait, so the whole storm replays from (seed, cores)",
+    );
 
     report.table(t);
 }

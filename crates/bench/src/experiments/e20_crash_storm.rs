@@ -64,7 +64,11 @@ fn splitmix(state: &mut u64) -> u64 {
 /// op index, and crash window all drawn from `seed`.
 fn crash_plan(seed: u64, workers: usize, ops: usize) -> Vec<CrashPoint> {
     let mut s = seed ^ 0xC4A5_4E20;
-    let kinds = [CrashKind::OpStart, CrashKind::AfterCreate, CrashKind::Holding];
+    let kinds = [
+        CrashKind::OpStart,
+        CrashKind::AfterCreate,
+        CrashKind::Holding,
+    ];
     let n = 1 + (splitmix(&mut s) % 2) as usize;
     (0..n)
         .map(|_| CrashPoint {
@@ -76,7 +80,10 @@ fn crash_plan(seed: u64, workers: usize, ops: usize) -> Vec<CrashPoint> {
 }
 
 fn assert_survived(tag: &str, r: &EngineReport) {
-    assert!(r.rpc_balanced, "{tag}: RpcStats translation ledger unbalanced");
+    assert!(
+        r.rpc_balanced,
+        "{tag}: RpcStats translation ledger unbalanced"
+    );
     assert_eq!(
         r.ledger_total, 1,
         "{tag}: object ledger not repaired to the engine's own reference"
@@ -141,11 +148,17 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
         crashes >= seeds / 2,
         "the seed-derived schedules must actually kill workers ({crashes} kills over {seeds} seeds)"
     );
-    assert!(tears >= 1, "some Holding kill must tear the scratch section");
+    assert!(
+        tears >= 1,
+        "some Holding kill must tear the scratch section"
+    );
     // Each Holding kill tears the parity once and exactly one holder
     // repairs it; the dead holder's guard released the lock, so nobody
     // spins on it until a deadline.
-    assert_eq!(repairs, tears, "every torn section must be repaired exactly once");
+    assert_eq!(
+        repairs, tears,
+        "every torn section must be repaired exactly once"
+    );
     assert_eq!(timeouts, 0, "a torn section is repaired, not spun on");
 
     let mut t = Table::new(
@@ -159,9 +172,14 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
     t.row(&["sections torn by Holding kills".into(), tears.to_string()]);
     t.row(&["scratch repairs".into(), repairs.to_string()]);
     t.row(&["ports re-homed".into(), rehomed.to_string()]);
-    t.row(&["ring entries drained from corpses".into(), drained.to_string()]);
+    t.row(&[
+        "ring entries drained from corpses".into(),
+        drained.to_string(),
+    ]);
     t.note("every storm: both ledgers balanced, counted books closed (creates == terminates)");
-    t.note("an AfterCreate orphan is reconciled, never double-counted — see machk_ipc::engine docs");
+    t.note(
+        "an AfterCreate orphan is reconciled, never double-counted — see machk_ipc::engine docs",
+    );
     t.note("recovery latency is not timed here: perfbench's crash_1w reports its median");
     report.table(t);
 
@@ -204,7 +222,13 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
 
     let mut t = Table::new(
         "E20b: overload shedding under transfer bursts (ring capacity 64)",
-        &["storm", "pings landed", "pings shed", "transfers", "terminates"],
+        &[
+            "storm",
+            "pings landed",
+            "pings shed",
+            "transfers",
+            "terminates",
+        ],
     );
     t.row(&[
         "burst (96 of every 128 ops)".into(),
@@ -283,7 +307,10 @@ fn fault_section(quick: bool, report: &mut BenchReport) {
     machk_fault::disarm();
 
     assert_survived("fault-armed storm", &r);
-    assert!(r.crashes >= 1, "the armed plan must kill at least one worker");
+    assert!(
+        r.crashes >= 1,
+        "the armed plan must kill at least one worker"
+    );
     assert!(r.retries >= 1, "dropped replies must be retried");
 
     report.exact("fault_enabled", 1.0, "bool");
@@ -296,7 +323,10 @@ fn fault_section(quick: bool, report: &mut BenchReport) {
         &["metric", "value"],
     );
     t.row(&["worker kills".into(), r.crashes.to_string()]);
-    t.row(&["RPC retries (idempotent by seq)".into(), r.retries.to_string()]);
+    t.row(&[
+        "RPC retries (idempotent by seq)".into(),
+        r.retries.to_string(),
+    ]);
     t.row(&["orphans reconciled".into(), r.reconciled.to_string()]);
     t.row(&["ledgers".into(), "balanced".into()]);
     t.note("a retried create/terminate lands its ledger entry exactly once (reply cache by seq)");
@@ -318,8 +348,16 @@ fn sim_section(report: &mut BenchReport) {
         stable_ports: 8,
         seed: STORM_SEED,
         crash_at: vec![
-            CrashPoint { worker: 0, op: 60, kind: CrashKind::AfterCreate },
-            CrashPoint { worker: 2, op: 150, kind: CrashKind::Holding },
+            CrashPoint {
+                worker: 0,
+                op: 60,
+                kind: CrashKind::AfterCreate,
+            },
+            CrashPoint {
+                worker: 2,
+                op: 150,
+                kind: CrashKind::Holding,
+            },
         ],
         ..EngineConfig::default()
     };
@@ -346,7 +384,11 @@ fn sim_section(report: &mut BenchReport) {
         a, b,
         "same (seed, sched-seed, cores) must replay the crash storm byte-identically"
     );
-    assert_eq!(a.fingerprint(), b.fingerprint(), "replay fingerprints diverged");
+    assert_eq!(
+        a.fingerprint(),
+        b.fingerprint(),
+        "replay fingerprints diverged"
+    );
     assert_eq!(clock_a, clock_b, "virtual clocks diverged across replays");
 
     // Deterministic from (seed, sched-seed, cores): gate exact. The
@@ -355,7 +397,11 @@ fn sim_section(report: &mut BenchReport) {
     // not charged in virtual time.
     report.exact("sim_enabled", 1.0, "bool");
     report.exact("sim_replay_identical", 1.0, "bool"); // asserted above
-    report.exact("sim_replay_fingerprint", (a.fingerprint() >> 16) as f64, "hash");
+    report.exact(
+        "sim_replay_fingerprint",
+        (a.fingerprint() >> 16) as f64,
+        "hash",
+    );
     report.exact("sim_crash_storm_clock_ns", clock_a as f64, "ns");
 
     let mut t = Table::new(
@@ -366,8 +412,14 @@ fn sim_section(report: &mut BenchReport) {
         "replay fingerprint (run twice)".into(),
         format!("{:#018x} == {:#018x}", a.fingerprint(), b.fingerprint()),
     ]);
-    t.row(&["replay virtual clocks".into(), format!("{clock_a} == {clock_b} ns")]);
-    t.row(&["kills survived / orphans reconciled".into(), format!("{} / {}", a.crashes, a.reconciled)]);
+    t.row(&[
+        "replay virtual clocks".into(),
+        format!("{clock_a} == {clock_b} ns"),
+    ]);
+    t.row(&[
+        "kills survived / orphans reconciled".into(),
+        format!("{} / {}", a.crashes, a.reconciled),
+    ]);
     t.note("supervision, torn-section repair, reconciliation, and retry all run on the Host trait");
     report.table(t);
 }

@@ -73,25 +73,77 @@ impl Experiment {
 
 /// Every experiment, in order.
 pub static ALL: [Experiment; 20] = [
-    entry("E1", e01_simple_lock::run, "Simple lock acquisition policies (paper §2)"),
-    entry("E2", e02_granularity::run, "Locking granularity: code vs data (paper §2)"),
+    entry(
+        "E1",
+        e01_simple_lock::run,
+        "Simple lock acquisition policies (paper §2)",
+    ),
+    entry(
+        "E2",
+        e02_granularity::run,
+        "Locking granularity: code vs data (paper §2)",
+    ),
     entry(
         "E3",
         e03_complex_lock::run,
         "Complex lock: reader parallelism & writers priority (paper §4)",
     ),
-    entry("E4", e04_upgrade::run, "Upgrade vs write-then-downgrade (paper §7.1)"),
-    entry("E5", e05_refcount::run, "Reference counting cost (paper §8)"),
-    entry("E6", e06_event_wait::run, "Event wait: the split-wait protocol (paper §6)"),
-    entry("E7", e07_interrupt_deadlock::run, "Interrupt-level barrier deadlock (paper §7)"),
+    entry(
+        "E4",
+        e04_upgrade::run,
+        "Upgrade vs write-then-downgrade (paper §7.1)",
+    ),
+    entry(
+        "E5",
+        e05_refcount::run,
+        "Reference counting cost (paper §8)",
+    ),
+    entry(
+        "E6",
+        e06_event_wait::run,
+        "Event wait: the split-wait protocol (paper §6)",
+    ),
+    entry(
+        "E7",
+        e07_interrupt_deadlock::run,
+        "Interrupt-level barrier deadlock (paper §7)",
+    ),
     entry("E8", e08_task_locks::run, "The task's two locks (paper §5)"),
-    entry("E9", e09_pmap_order::run, "pmap/pv-list lock ordering disciplines (paper §5)"),
-    entry("E10", e10_pageable::run, "vm_map_pageable: recursive locks deadlock (paper §7.1)"),
-    entry("E11", e11_vm_object::run, "Memory object dual reference counts (paper §8)"),
-    entry("E12", e12_rpc::run, "Kernel RPC reference protocol (paper §10)"),
-    entry("E13", e13_shutdown::run, "Deactivation & shutdown under fire (paper §9–10)"),
-    entry("E14", e14_shootdown::run, "TLB shootdown & the pmap-lock special logic (paper §7)"),
-    entry("E15", e15_usage_timing::run, "Usage timing without locks (paper §2)"),
+    entry(
+        "E9",
+        e09_pmap_order::run,
+        "pmap/pv-list lock ordering disciplines (paper §5)",
+    ),
+    entry(
+        "E10",
+        e10_pageable::run,
+        "vm_map_pageable: recursive locks deadlock (paper §7.1)",
+    ),
+    entry(
+        "E11",
+        e11_vm_object::run,
+        "Memory object dual reference counts (paper §8)",
+    ),
+    entry(
+        "E12",
+        e12_rpc::run,
+        "Kernel RPC reference protocol (paper §10)",
+    ),
+    entry(
+        "E13",
+        e13_shutdown::run,
+        "Deactivation & shutdown under fire (paper §9–10)",
+    ),
+    entry(
+        "E14",
+        e14_shootdown::run,
+        "TLB shootdown & the pmap-lock special logic (paper §7)",
+    ),
+    entry(
+        "E15",
+        e15_usage_timing::run,
+        "Usage timing without locks (paper §2)",
+    ),
     entry(
         "E16",
         e16_lockstat::run,
@@ -152,7 +204,12 @@ mod tests {
             );
             let tables = doc.get("tables").and_then(Value::as_arr).unwrap_or(&[]);
             assert!(!tables.is_empty(), "{} envelope carries no table", e.id);
-            assert_eq!(doc.get("extra"), None, "{} envelope has an extra member", e.id);
+            assert_eq!(
+                doc.get("extra"),
+                None,
+                "{} envelope has an extra member",
+                e.id
+            );
         }
     }
 }

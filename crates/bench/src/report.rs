@@ -203,7 +203,9 @@ impl BenchReport {
             json_escape(&self.id),
             json_escape(&self.title),
             json_escape(&self.mode),
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0),
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(0),
             self.metrics.join(","),
             tables.join(","),
         )
@@ -213,7 +215,10 @@ impl BenchReport {
 /// One table as a JSON object of strings: title, headers, rows, notes.
 fn table_json(t: &Table) -> String {
     let strings = |v: &[String]| -> String {
-        let quoted: Vec<String> = v.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
+        let quoted: Vec<String> = v
+            .iter()
+            .map(|s| format!("\"{}\"", json_escape(s)))
+            .collect();
         format!("[{}]", quoted.join(","))
     };
     let rows: Vec<String> = t.rows.iter().map(|r| strings(r)).collect();
@@ -243,7 +248,9 @@ mod tests {
         assert!(s.contains("demo \\\"quoted\\\""));
         assert!(s.contains("\"mode\":\"quick\""));
         assert!(s.contains("{\"name\":\"ratio\",\"value\":4.250000,\"unit\":\"ratio\",\"dir\":\"higher\",\"tol\":1.500000}"));
-        assert!(s.contains("{\"name\":\"lost\",\"value\":0,\"unit\":\"count\",\"dir\":\"exact\",\"tol\":1}"));
+        assert!(s.contains(
+            "{\"name\":\"lost\",\"value\":0,\"unit\":\"count\",\"dir\":\"exact\",\"tol\":1}"
+        ));
         assert!(s.ends_with("\"tables\":[]}"));
     }
 
@@ -280,7 +287,10 @@ mod tests {
         let tables = doc.get("tables").and_then(Value::as_arr).unwrap();
         assert_eq!(tables.len(), 2);
         for (parsed, table) in tables.iter().zip(demo_tables()) {
-            assert_eq!(parsed.get("title").and_then(Value::as_str), Some(&*table.title));
+            assert_eq!(
+                parsed.get("title").and_then(Value::as_str),
+                Some(&*table.title)
+            );
             assert_eq!(strings(parsed.get("headers").unwrap()), table.headers);
             let rows: Vec<Vec<String>> = parsed
                 .get("rows")
@@ -311,7 +321,9 @@ mod tests {
         let mut r = BenchReport::new("E99", "t", true);
         r.compiled_out("sim_enabled", "sim", "E99-sim: demo", "to run it");
         let s = r.render();
-        assert!(s.contains("{\"name\":\"sim_enabled\",\"value\":0,\"unit\":\"bool\",\"dir\":\"exact\",\"tol\":1}"));
+        assert!(s.contains(
+            "{\"name\":\"sim_enabled\",\"value\":0,\"unit\":\"bool\",\"dir\":\"exact\",\"tol\":1}"
+        ));
         assert!(r.text().contains("== E99-sim: demo =="));
         assert!(r.text().contains("rebuild with `--features sim` to run it"));
     }

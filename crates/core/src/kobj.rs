@@ -88,7 +88,10 @@ impl<S> Kobj<S> {
     #[inline]
     pub fn lock(&self) -> KobjGuard<'_, S> {
         let lock = self.header.lock().lock();
-        KobjGuard { obj: self, _lock: lock }
+        KobjGuard {
+            obj: self,
+            _lock: lock,
+        }
     }
 
     /// Lock the object if it is active, per the section-9 rule: "if an

@@ -56,8 +56,7 @@ static EPOCH: AtomicU64 = AtomicU64::new(0);
 static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
 
 /// Per-site decision counters (index = `FaultSite as usize`).
-static DECISIONS: [AtomicU64; FaultSite::COUNT] =
-    [const { AtomicU64::new(0) }; FaultSite::COUNT];
+static DECISIONS: [AtomicU64; FaultSite::COUNT] = [const { AtomicU64::new(0) }; FaultSite::COUNT];
 static FIRED: [AtomicU64; FaultSite::COUNT] = [const { AtomicU64::new(0) }; FaultSite::COUNT];
 
 /// Role of a thread that declared none: decisions still deterministic
@@ -274,10 +273,7 @@ mod tests {
             assert!(!fire(FaultSite::RpcDeadPort));
         }
         let s = stats();
-        let rpc = s
-            .iter()
-            .find(|s| s.site == FaultSite::RpcDeadPort)
-            .unwrap();
+        let rpc = s.iter().find(|s| s.site == FaultSite::RpcDeadPort).unwrap();
         assert_eq!(rpc.decisions, 100);
         assert_eq!(rpc.fired, 0);
         disarm();

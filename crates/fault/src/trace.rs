@@ -94,9 +94,24 @@ mod tests {
     #[test]
     fn render_is_interleaving_independent() {
         let a = vec![
-            FaultRecord { role: 1, seq: 0, site: FaultSite::RpcDeadPort, fired: true },
-            FaultRecord { role: 0, seq: 0, site: FaultSite::SimpleTryFail, fired: false },
-            FaultRecord { role: 0, seq: 1, site: FaultSite::SimpleTryFail, fired: true },
+            FaultRecord {
+                role: 1,
+                seq: 0,
+                site: FaultSite::RpcDeadPort,
+                fired: true,
+            },
+            FaultRecord {
+                role: 0,
+                seq: 0,
+                site: FaultSite::SimpleTryFail,
+                fired: false,
+            },
+            FaultRecord {
+                role: 0,
+                seq: 1,
+                site: FaultSite::SimpleTryFail,
+                fired: true,
+            },
         ];
         let mut b = a.clone();
         b.reverse();

@@ -57,7 +57,12 @@ fn dead_port_fault_is_err_and_takes_no_reference() {
     assert_eq!(e, RpcError::Port(PortError::Dead));
     // Injected before translation: no reference was obtained, ledger
     // balanced, operation never ran.
-    assert_eq!(stats.translations.load(std::sync::atomic::Ordering::Relaxed), 0);
+    assert_eq!(
+        stats
+            .translations
+            .load(std::sync::atomic::Ordering::Relaxed),
+        0
+    );
     assert!(stats.balanced());
     assert_eq!(obj.with_active(|n| *n).unwrap(), 0);
 }
@@ -87,7 +92,12 @@ fn dropped_reply_is_err_but_operation_and_ledger_stand() {
     // The caller lost the reply, but the operation ran and its step-4
     // disposition already happened — exactly like a real dropped reply.
     assert_eq!(obj.with_active(|n| *n).unwrap(), 5);
-    assert_eq!(stats.translations.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(
+        stats
+            .translations
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
     assert!(stats.balanced());
 }
 
@@ -146,7 +156,10 @@ fn engine_storm_survives_seeded_worker_crashes() {
     machk_fault::disarm();
 
     assert!(report.crashes >= 1, "at least the scheduled kill fired");
-    assert!(report.retries > 0, "dropped replies forced idempotent retries");
+    assert!(
+        report.retries > 0,
+        "dropped replies forced idempotent retries"
+    );
     assert!(report.rpc_balanced, "translation ledger survives the chaos");
     assert_eq!(report.ledger_total, 1, "object ledger repaired to balance");
     assert_eq!(

@@ -267,8 +267,7 @@ impl Machine {
                 // has finished and been dropped while all its borrows
                 // are still live. This is the classic scoped-spawn
                 // contract, upheld manually.
-                let body: Box<dyn FnOnce() + Send + 'static> =
-                    unsafe { std::mem::transmute(body) };
+                let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
                 host::spawn(body)
             })
             .collect();

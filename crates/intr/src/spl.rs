@@ -381,7 +381,9 @@ mod tests {
         let err = lock.lock_result().unwrap_err();
         assert_eq!(err.required, SplLevel::SplVm);
         assert_eq!(err.actual, SplLevel::Spl0);
-        assert!(err.to_string().contains("inconsistent interrupt protection"));
+        assert!(err
+            .to_string()
+            .contains("inconsistent interrupt protection"));
         // Recovery: retry at the established level succeeds.
         let t = spl_raise(SplLevel::SplVm);
         assert!(lock.lock_result().is_ok());

@@ -572,7 +572,10 @@ impl Engine {
     // the ledger drained to zero (`drain_audit`).
     pub fn new(cfg: EngineConfig) -> Engine {
         assert!(cfg.workers >= 1, "at least one worker");
-        assert!(cfg.workers < TEARDOWN_INDEX, "worker count exceeds the seq-key space");
+        assert!(
+            cfg.workers < TEARDOWN_INDEX,
+            "worker count exceeds the seq-key space"
+        );
         assert!(cfg.stable_ports >= 1, "at least one ping target");
         assert!(cfg.drain_every >= 1, "drain_every must be at least 1");
         assert!(
@@ -581,7 +584,10 @@ impl Engine {
         );
         for c in &cfg.crash_at {
             assert!(c.worker < cfg.workers, "crash point targets a real worker");
-            assert!(c.op < cfg.ops_per_worker, "crash point lands inside the storm");
+            assert!(
+                c.op < cfg.ops_per_worker,
+                "crash point lands inside the storm"
+            );
         }
         let ns = Arc::new(PortNameSpace::with_shards_modeled(
             cfg.shards,
@@ -766,7 +772,10 @@ impl Engine {
                     // transfers still land.
                     t.shed += 1;
                 } else {
-                    let port = shared.ns.translate(name).expect("stable names stay published");
+                    let port = shared
+                        .ns
+                        .translate(name)
+                        .expect("stable names stay published");
                     seq += 1;
                     match shared.table.msg_rpc_retry(
                         &port,
@@ -836,7 +845,10 @@ impl Engine {
                     // Keep a right across termination so the dead-port
                     // probe targets the *destroyed port*, not a recycled
                     // name.
-                    let doomed = shared.ns.translate(name).expect("our churn name is published");
+                    let doomed = shared
+                        .ns
+                        .translate(name)
+                        .expect("our churn name is published");
                     seq += 1;
                     match shared.table.msg_rpc_retry(
                         &shared.server_port,
@@ -896,7 +908,10 @@ impl Engine {
                 // shared ring (lock-free MPSC path under concurrency).
                 let name = shared.stable[(mix.next() as usize) % shared.stable.len()];
                 if let Some(right) = shared.ns.translate(name) {
-                    match shared.transfer.try_send(Message::new(0).with_port_right(right)) {
+                    match shared
+                        .transfer
+                        .try_send(Message::new(0).with_port_right(right))
+                    {
                         Ok(()) => t.transfers += 1,
                         // Full ring: right released with the returned
                         // message. (The transfer port is never destroyed
@@ -1054,8 +1069,11 @@ impl Engine {
                     .into_iter()
                     .map(|(w, token, out)| {
                         host::join(token);
-                        let (cp, outcome) =
-                            out.lock().unwrap().take().expect("joined worker left no outcome");
+                        let (cp, outcome) = out
+                            .lock()
+                            .unwrap()
+                            .take()
+                            .expect("joined worker left no outcome");
                         checkpoints[w] = cp;
                         (w, outcome)
                     })
@@ -1170,7 +1188,10 @@ impl Engine {
         // A repair here would hide a broken one there.
 
         let elapsed_ns = host::now().saturating_sub(start);
-        debug_assert!(self.ns.is_empty(), "reconciliation must drain the namespace");
+        debug_assert!(
+            self.ns.is_empty(),
+            "reconciliation must drain the namespace"
+        );
         let audit = self.ledger.drain_audit();
 
         let mut report = EngineReport {
@@ -1265,7 +1286,10 @@ mod tests {
         // seed (no cross-worker interleaving at all).
         let a = Engine::new(small(1, 42)).run();
         let b = Engine::new(small(1, 42)).run();
-        assert_eq!(a.shed, 0, "one worker drains its own transfers: nothing shed");
+        assert_eq!(
+            a.shed, 0,
+            "one worker drains its own transfers: nothing shed"
+        );
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.pings, b.pings);
         assert_eq!(a.creates, b.creates);
@@ -1277,7 +1301,10 @@ mod tests {
     fn counter_sums_are_host_independent() {
         // One worker never sheds, so its pings are exact.
         let one = Engine::new(small(1, 99)).run();
-        assert_eq!(one.shed, 0, "one worker drains its own transfers: nothing shed");
+        assert_eq!(
+            one.shed, 0,
+            "one worker drains its own transfers: nothing shed"
+        );
         assert_eq!(one.pings, Engine::new(small(1, 99)).run().pings);
         // Multi-worker on the OS host: interleaving varies, but the
         // per-worker op streams (and so every counter sum) must not.
@@ -1310,9 +1337,21 @@ mod tests {
     fn scheduled_crashes_are_survived_and_reconciled() {
         let report = Engine::new(EngineConfig {
             crash_at: vec![
-                CrashPoint { worker: 0, op: 100, kind: CrashKind::OpStart },
-                CrashPoint { worker: 1, op: 200, kind: CrashKind::AfterCreate },
-                CrashPoint { worker: 2, op: 300, kind: CrashKind::Holding },
+                CrashPoint {
+                    worker: 0,
+                    op: 100,
+                    kind: CrashKind::OpStart,
+                },
+                CrashPoint {
+                    worker: 1,
+                    op: 200,
+                    kind: CrashKind::AfterCreate,
+                },
+                CrashPoint {
+                    worker: 2,
+                    op: 300,
+                    kind: CrashKind::Holding,
+                },
             ],
             ..small(4, 7)
         })
@@ -1334,14 +1373,25 @@ mod tests {
         // the next acquirer (a survivor or the victim's restart) must
         // repair the tear, and nobody may spin on the lock until its
         // deadline.
-        assert_eq!((report.torn_sections, report.scratch_repairs), (1, 1), "one repair per tear");
-        assert_eq!(report.lock_timeouts, 0, "a torn section is repaired, not spun on");
+        assert_eq!(
+            (report.torn_sections, report.scratch_repairs),
+            (1, 1),
+            "one repair per tear"
+        );
+        assert_eq!(
+            report.lock_timeouts, 0,
+            "a torn section is repaired, not spun on"
+        );
     }
 
     #[test]
     fn crashed_single_worker_storm_is_deterministic() {
         let cfg = |seed| EngineConfig {
-            crash_at: vec![CrashPoint { worker: 0, op: 500, kind: CrashKind::OpStart }],
+            crash_at: vec![CrashPoint {
+                worker: 0,
+                op: 500,
+                kind: CrashKind::OpStart,
+            }],
             ..small(1, seed)
         };
         let a = Engine::new(cfg(42)).run();
@@ -1360,13 +1410,29 @@ mod tests {
         // would still replay deterministically; compare against the
         // storm that never crashed instead.
         let counts = |r: &EngineReport| {
-            [r.rpcs, r.pings, r.creates, r.terminates, r.dead_hits, r.transfers, r.drained]
+            [
+                r.rpcs,
+                r.pings,
+                r.creates,
+                r.terminates,
+                r.dead_hits,
+                r.transfers,
+                r.drained,
+            ]
         };
         for seed in [3, 42, 99] {
             let plain = Engine::new(small(1, seed)).run();
-            for kind in [CrashKind::OpStart, CrashKind::Holding, CrashKind::AfterCreate] {
+            for kind in [
+                CrashKind::OpStart,
+                CrashKind::Holding,
+                CrashKind::AfterCreate,
+            ] {
                 let r = Engine::new(EngineConfig {
-                    crash_at: vec![CrashPoint { worker: 0, op: 1_200, kind }],
+                    crash_at: vec![CrashPoint {
+                        worker: 0,
+                        op: 1_200,
+                        kind,
+                    }],
                     ..small(1, seed)
                 })
                 .run();
@@ -1393,9 +1459,15 @@ mod tests {
             ..small(4, 11)
         })
         .run();
-        assert!(report.shed > 0, "bursts must drive the ring past the watermark");
+        assert!(
+            report.shed > 0,
+            "bursts must drive the ring past the watermark"
+        );
         assert!(report.transfers > 0, "transfers still land under overload");
-        assert!(report.terminates > 0, "terminates still land under overload");
+        assert!(
+            report.terminates > 0,
+            "terminates still land under overload"
+        );
         assert!(report.rpc_balanced);
         assert_eq!(report.ledger_total, 1);
         assert_eq!(report.crashes, 0);
@@ -1415,6 +1487,9 @@ mod tests {
         .run();
         assert_eq!(report.pings + report.shed, again.pings + again.shed);
         assert_eq!(report.creates, again.creates);
-        assert_eq!(report.transfers + report.transfer_full, again.transfers + again.transfer_full);
+        assert_eq!(
+            report.transfers + report.transfer_full,
+            again.transfers + again.transfer_full
+        );
     }
 }

@@ -115,7 +115,10 @@ fn concurrent_insert_lookup_remove_loses_nothing() {
                         let port = Port::create();
                         let name = ns.insert(port.clone());
                         assert!(
-                            ObjRef::ptr_eq(&ns.translate(name).expect("fresh name resolves"), &port),
+                            ObjRef::ptr_eq(
+                                &ns.translate(name).expect("fresh name resolves"),
+                                &port
+                            ),
                             "translate returned someone else's port"
                         );
                         mine.push((name, port));
@@ -130,7 +133,10 @@ fn concurrent_insert_lookup_remove_loses_nothing() {
                             removed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    all_names.lock().unwrap().extend(mine.into_iter().map(|(n, _)| n));
+                    all_names
+                        .lock()
+                        .unwrap()
+                        .extend(mine.into_iter().map(|(n, _)| n));
                 });
             }
         });

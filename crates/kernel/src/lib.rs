@@ -37,8 +37,8 @@ pub mod task;
 pub mod thread;
 
 pub use mono::MonoTask;
-pub use ops::{create_thread_with_port, kernel_dispatch_table, op_ids};
 pub use ops::create_task_with_port;
+pub use ops::{create_thread_with_port, kernel_dispatch_table, op_ids};
 pub use procset::{ProcessorId, ProcessorSet};
 pub use sched::RunQueue;
 pub use shutdown::shutdown_object;

@@ -69,9 +69,9 @@ impl Baseline {
                 "file" => entry.1 = unquote(val),
                 "context" => entry.2 = unquote(val),
                 "count" => {
-                    entry.3 = val.parse().map_err(|_| {
-                        format!("baseline line {}: bad count `{val}`", ln + 1)
-                    })?;
+                    entry.3 = val
+                        .parse()
+                        .map_err(|_| format!("baseline line {}: bad count `{val}`", ln + 1))?;
                 }
                 _ => {}
             }
@@ -93,9 +93,7 @@ impl Baseline {
                 .or_insert(0) += a.count;
         }
         for f in findings {
-            if let Some(left) =
-                budget.get_mut(&(f.rule, f.file.as_str(), f.context.as_str()))
-            {
+            if let Some(left) = budget.get_mut(&(f.rule, f.file.as_str(), f.context.as_str())) {
                 if *left > 0 {
                     *left -= 1;
                     f.baselined = true;
@@ -144,13 +142,9 @@ impl Baseline {
     }
 }
 
-fn finish(
-    entry: (Option<Rule>, String, String, usize),
-    ln: usize,
-) -> Result<Accept, String> {
+fn finish(entry: (Option<Rule>, String, String, usize), ln: usize) -> Result<Accept, String> {
     let (rule, file, context, count) = entry;
-    let rule =
-        rule.ok_or_else(|| format!("baseline entry ending near line {ln}: missing rule"))?;
+    let rule = rule.ok_or_else(|| format!("baseline entry ending near line {ln}: missing rule"))?;
     Ok(Accept {
         rule,
         file,
@@ -174,9 +168,21 @@ mod tests {
     #[test]
     fn round_trip() {
         let fs = vec![
-            finding(Rule::RelaxedUnjustified, "crates/bench/src/lib.rs", "fn run"),
-            finding(Rule::RelaxedUnjustified, "crates/bench/src/lib.rs", "fn run"),
-            finding(Rule::LockOrderCycle, "crates/bench/src/e16.rs", "a -> b -> a"),
+            finding(
+                Rule::RelaxedUnjustified,
+                "crates/bench/src/lib.rs",
+                "fn run",
+            ),
+            finding(
+                Rule::RelaxedUnjustified,
+                "crates/bench/src/lib.rs",
+                "fn run",
+            ),
+            finding(
+                Rule::LockOrderCycle,
+                "crates/bench/src/e16.rs",
+                "a -> b -> a",
+            ),
         ];
         let b = Baseline::from_findings(&fs);
         let b2 = Baseline::parse(&b.render()).unwrap();
@@ -201,7 +207,8 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_an_error() {
-        let text = "[[accept]]\nrule = \"no-such-rule\"\nfile = \"x\"\ncontext = \"y\"\ncount = 1\n";
+        let text =
+            "[[accept]]\nrule = \"no-such-rule\"\nfile = \"x\"\ncontext = \"y\"\ncount = 1\n";
         assert!(Baseline::parse(text).is_err());
     }
 }

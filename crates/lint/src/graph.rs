@@ -47,8 +47,7 @@ impl OrderGraph {
     }
 
     pub fn has_edge(&self, from: &str, to: &str) -> bool {
-        self.edges
-            .contains_key(&(from.to_string(), to.to_string()))
+        self.edges.contains_key(&(from.to_string(), to.to_string()))
     }
 
     pub fn nodes(&self) -> Vec<String> {

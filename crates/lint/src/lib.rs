@@ -187,9 +187,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
                 .funcs
                 .iter()
                 .enumerate()
-                .filter(|(k, g)| {
-                    *k != i && g.body.0 > func.body.0 && g.body.1 < func.body.1
-                })
+                .filter(|(k, g)| *k != i && g.body.0 > func.body.0 && g.body.1 < func.body.1)
                 .map(|(_, g)| (g.sig.0, g.body.1))
                 .collect();
             scan::scan_function(
@@ -273,10 +271,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
 }
 
 /// First edge site along a cycle (for the report's file:line anchor).
-fn cycle_site<'g>(
-    graph: &'g OrderGraph,
-    cycle: &[String],
-) -> Option<&'g graph::EdgeSite> {
+fn cycle_site<'g>(graph: &'g OrderGraph, cycle: &[String]) -> Option<&'g graph::EdgeSite> {
     for w in cycle.windows(2) {
         if let Some(s) = graph.site_of(&w[0], &w[1]) {
             return Some(s);
@@ -306,11 +301,7 @@ fn relaxed_pass(f: &SourceFile, findings: &mut Vec<Finding>) {
         if !is_path {
             continue;
         }
-        if f.items
-            .test_ranges
-            .iter()
-            .any(|&(s, e)| i >= s && i <= e)
-        {
+        if f.items.test_ranges.iter().any(|&(s, e)| i >= s && i <= e) {
             continue;
         }
         sites.push(t.line);

@@ -45,8 +45,7 @@ fn parse_args() -> Result<Opts, String> {
         match a.as_str() {
             "--workspace" => opts.workspace = true,
             "--baseline" => {
-                opts.baseline =
-                    Some(args.next().ok_or("--baseline needs a FILE")?.into())
+                opts.baseline = Some(args.next().ok_or("--baseline needs a FILE")?.into())
             }
             "--write-baseline" => {
                 opts.write_baseline =
@@ -54,9 +53,7 @@ fn parse_args() -> Result<Opts, String> {
             }
             "--json" => opts.json = Some(args.next().ok_or("--json needs a FILE")?.into()),
             "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag `{other}`"))
-            }
+            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             path => opts.paths.push(path.into()),
         }
     }
@@ -87,7 +84,11 @@ fn main() -> ExitCode {
     } else {
         let mut files = Vec::new();
         for p in &opts.paths {
-            let abs = if p.is_absolute() { p.clone() } else { root.join(p) };
+            let abs = if p.is_absolute() {
+                p.clone()
+            } else {
+                root.join(p)
+            };
             if abs.is_dir() {
                 if let Err(e) = collect_dir(&abs, &mut files) {
                     eprintln!("machk-lint: {}: {e}", abs.display());

@@ -380,7 +380,11 @@ mod tests {
         let src = "#[cfg(test)] mod tests { #[test] fn t() { x.lock(); } }\nfn real() {}";
         let (t, _) = lex(src);
         let it = items(&t);
-        let f: Vec<_> = it.funcs.iter().map(|f| (f.name.as_str(), f.cfg_test)).collect();
+        let f: Vec<_> = it
+            .funcs
+            .iter()
+            .map(|f| (f.name.as_str(), f.cfg_test))
+            .collect();
         assert!(f.contains(&("t", true)));
         assert!(f.contains(&("real", false)));
         assert!(!it.test_ranges.is_empty());
@@ -388,7 +392,9 @@ mod tests {
 
     #[test]
     fn nested_fn_and_static_in_fn() {
-        let got = names("fn outer() { static L: RawSimpleLock = RawSimpleLock::new(); fn inner() {} inner(); }");
+        let got = names(
+            "fn outer() { static L: RawSimpleLock = RawSimpleLock::new(); fn inner() {} inner(); }",
+        );
         let names: Vec<&str> = got.iter().map(|(n, _, _)| n.as_str()).collect();
         assert_eq!(names, ["outer", "inner"]);
     }

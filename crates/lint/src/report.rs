@@ -45,7 +45,10 @@ pub fn render_text(analysis: &Analysis) -> String {
         analysis.graph.cycles().len(),
     ));
     for cycle in analysis.graph.cycles() {
-        out.push_str(&format!("  cycle: {}\n", crate::graph::render_cycle(&cycle)));
+        out.push_str(&format!(
+            "  cycle: {}\n",
+            crate::graph::render_cycle(&cycle)
+        ));
     }
     out
 }

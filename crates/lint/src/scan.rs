@@ -20,7 +20,12 @@ use crate::symbols::{spl_level_index, LockClass, Symbols};
 /// lock"). `thread_sleep`/`thread_sleep_guard`/`wait_drained` release
 /// one named lock before blocking — that lock is exempt, any *other*
 /// simple lock held is the violation.
-const BLOCKING: [&str; 4] = ["thread_block", "thread_block_timeout", "park", "park_timeout"];
+const BLOCKING: [&str; 4] = [
+    "thread_block",
+    "thread_block_timeout",
+    "park",
+    "park_timeout",
+];
 
 /// Primitive lock types: acquisitions of `self.…` inside their own
 /// impls are the definitions of the discipline, not uses of it.
@@ -44,16 +49,44 @@ const PRIMITIVE_IMPLS: [&str; 16] = [
 ];
 
 /// Impls whose take/release are the §8 primitives themselves.
-const REF_PRIMITIVE_IMPLS: [&str; 5] = ["RefCount", "ShardedRefCount", "ObjHeader", "ObjRef", "WeakRef"];
+const REF_PRIMITIVE_IMPLS: [&str; 5] = [
+    "RefCount",
+    "ShardedRefCount",
+    "ObjHeader",
+    "ObjRef",
+    "WeakRef",
+];
 
 /// Method names that are lock/ref primitives — never treated as
 /// call-graph edges.
 const PRIMITIVE_METHODS: [&str; 27] = [
-    "lock", "try_lock", "lock_raw", "try_lock_raw", "lock_with_deadline", "lock_result",
-    "unlock", "unlock_raw", "read", "write", "try_read", "try_write", "read_raw", "write_raw",
-    "try_read_raw", "try_write_raw", "write_raw_with_deadline", "read_to_write_raw",
-    "try_read_to_write_raw", "write_to_read_raw", "done_raw", "upgrade", "try_upgrade",
-    "downgrade", "take", "take_ref", "release",
+    "lock",
+    "try_lock",
+    "lock_raw",
+    "try_lock_raw",
+    "lock_with_deadline",
+    "lock_result",
+    "unlock",
+    "unlock_raw",
+    "read",
+    "write",
+    "try_read",
+    "try_write",
+    "read_raw",
+    "write_raw",
+    "try_read_raw",
+    "try_write_raw",
+    "write_raw_with_deadline",
+    "read_to_write_raw",
+    "try_read_to_write_raw",
+    "write_to_read_raw",
+    "done_raw",
+    "upgrade",
+    "try_upgrade",
+    "downgrade",
+    "take",
+    "take_ref",
+    "release",
 ];
 
 /// Collection methods that, called on data reached through a held
@@ -61,8 +94,16 @@ const PRIMITIVE_METHODS: [&str; 27] = [
 /// collection, not on another kernel object: no call edge to every
 /// same-named function. Any other call through a guard
 /// (`s.task.suspend()`) keeps its edge.
-const GUARDED_DATA_METHODS: [&str; 8] =
-    ["len", "is_empty", "iter", "get", "push", "push_back", "drain", "clear"];
+const GUARDED_DATA_METHODS: [&str; 8] = [
+    "len",
+    "is_empty",
+    "iter",
+    "get",
+    "push",
+    "push_back",
+    "drain",
+    "clear",
+];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HoldKind {
@@ -210,10 +251,7 @@ impl<'a> FnScan<'a> {
             return (None, None);
         }
         // Class: the innermost (last) classed segment wins.
-        let class = segs
-            .iter()
-            .rev()
-            .find_map(|s| self.syms.class_of(s));
+        let class = segs.iter().rev().find_map(|s| self.syms.class_of(s));
         // Registered lockstat name takes over as node identity.
         if segs.len() == 1 {
             if let Some(d) = self.syms.display.get(segs[0].as_str()) {
@@ -353,9 +391,8 @@ impl<'a> FnScan<'a> {
                 }
                 (Kind::Punct, ";") => {
                     let d = self.depth;
-                    self.holds.retain(|h| {
-                        h.kind == HoldKind::Raw || h.binding.is_some() || h.depth != d
-                    });
+                    self.holds
+                        .retain(|h| h.kind == HoldKind::Raw || h.binding.is_some() || h.depth != d);
                     self.pending_let = None;
                     j += 1;
                 }
@@ -442,7 +479,13 @@ impl<'a> FnScan<'a> {
                             .spl
                             .iter()
                             .rposition(|s| s.binding.as_deref() == Some(a))
-                            .or_else(|| if self.spl.is_empty() { None } else { Some(self.spl.len() - 1) }),
+                            .or_else(|| {
+                                if self.spl.is_empty() {
+                                    None
+                                } else {
+                                    Some(self.spl.len() - 1)
+                                }
+                            }),
                         None if !self.spl.is_empty() => Some(self.spl.len() - 1),
                         None => None,
                     } {
@@ -495,9 +538,7 @@ impl<'a> FnScan<'a> {
                     self.check_blocking("wait_drained", line);
                     j = end + 1;
                 }
-                (Kind::Ident, name)
-                    if self.toks.get(j + 1).map(|t| t.is("(")).unwrap_or(false) =>
-                {
+                (Kind::Ident, name) if self.toks.get(j + 1).map(|t| t.is("(")).unwrap_or(false) => {
                     let is_method = j > 0 && self.toks[j - 1].is(".");
                     if is_method {
                         self.method_call(j, name.to_string());
@@ -618,9 +659,8 @@ impl<'a> FnScan<'a> {
             }
             "take_ref" | "release_ref" => {
                 if !self.in_ref_primitive_impl() {
-                    if let Some(node) = node.or_else(|| {
-                        self.func.ctx.clone().filter(|_| had_self)
-                    }) {
+                    if let Some(node) = node.or_else(|| self.func.ctx.clone().filter(|_| had_self))
+                    {
                         self.ref_delta(&node, if name == "take_ref" { 1 } else { -1 }, line);
                     }
                 }
@@ -638,9 +678,11 @@ impl<'a> FnScan<'a> {
         let action: Option<(HoldKind, LockClass)> = match name.as_str() {
             // Distinctive raw names classify on their own.
             "lock_raw" | "try_lock_raw" => acquire(HoldKind::Raw, LockClass::Simple),
-            "read_raw" | "write_raw" | "try_read_raw" | "try_write_raw" | "write_raw_with_deadline" => {
-                acquire(HoldKind::Raw, LockClass::Complex)
-            }
+            "read_raw"
+            | "write_raw"
+            | "try_read_raw"
+            | "try_write_raw"
+            | "write_raw_with_deadline" => acquire(HoldKind::Raw, LockClass::Complex),
             "read_to_write_raw" | "try_read_to_write_raw" | "write_to_read_raw" => None, // transition: hold unchanged
             // Generic names need a classed receiver.
             "lock" | "try_lock" | "lock_with_deadline" => match class {

@@ -242,12 +242,10 @@ impl Symbols {
             return n;
         }
         let close = crate::parse::match_delim(toks, i, n);
-        if let Some(id) = toks[i..close]
-            .iter()
-            .rev()
-            .find(|t| t.kind == Kind::Ident)
-        {
-            self.classes.entry(id.text.clone()).or_insert(LockClass::Simple);
+        if let Some(id) = toks[i..close].iter().rev().find(|t| t.kind == Kind::Ident) {
+            self.classes
+                .entry(id.text.clone())
+                .or_insert(LockClass::Simple);
             self.display.insert(id.text.clone(), id.text.clone());
         }
         close + 1
@@ -329,7 +327,10 @@ mod tests {
              static PMAP: SplLock = SplLock::named_at_level(\"pmap.lock\", SplLevel::SplVm);",
         );
         assert_eq!(s.class_of("MASTER_LOCK"), Some(LockClass::Simple));
-        assert_eq!(s.display.get("MASTER_LOCK").map(String::as_str), Some("MASTER_LOCK"));
+        assert_eq!(
+            s.display.get("MASTER_LOCK").map(String::as_str),
+            Some("MASTER_LOCK")
+        );
         assert_eq!(s.class_of("PMAP"), Some(LockClass::Spl));
         assert_eq!(s.spl_level.get("PMAP"), Some(&3));
         assert_eq!(s.display.get("PMAP").map(String::as_str), Some("pmap.lock"));

@@ -43,7 +43,10 @@ fn abba_cycle_detected() {
     assert_eq!(slugs, vec!["lock-order-cycle"]);
     // The cycle is reported over the *registered* lock names, matching
     // what the obs layer would print at runtime.
-    assert_eq!(analysis.findings[0].context, "fixture.a -> fixture.b -> fixture.a");
+    assert_eq!(
+        analysis.findings[0].context,
+        "fixture.a -> fixture.b -> fixture.a"
+    );
     assert!(analysis.graph.has_edge("fixture.a", "fixture.b"));
     assert!(analysis.graph.has_edge("fixture.b", "fixture.a"));
 }
@@ -72,8 +75,12 @@ fn object_lock_abba_detected() {
 fn object_lock_one_order_clean() {
     let analysis = analyze_fixture("obj_abba_ok.rs");
     assert!(analysis.findings.is_empty());
-    assert!(analysis.graph.has_edge("fixture.task.lock", "fixture.port.lock"));
-    assert!(!analysis.graph.has_edge("fixture.port.lock", "fixture.task.lock"));
+    assert!(analysis
+        .graph
+        .has_edge("fixture.task.lock", "fixture.port.lock"));
+    assert!(!analysis
+        .graph
+        .has_edge("fixture.port.lock", "fixture.task.lock"));
 }
 
 #[test]
@@ -81,15 +88,21 @@ fn object_call_through_guard_joins_the_order_graph() {
     let analysis = analyze_fixture("obj_guard_bad.rs");
     let slugs: Vec<&str> = analysis.findings.iter().map(|f| f.rule.slug()).collect();
     assert_eq!(slugs, vec!["lock-order-cycle"]);
-    assert!(analysis.graph.has_edge("fixture.port.lock", "fixture.task.lock"));
+    assert!(analysis
+        .graph
+        .has_edge("fixture.port.lock", "fixture.task.lock"));
 }
 
 #[test]
 fn collection_call_through_guard_is_no_edge() {
     assert_clean("obj_guard_ok.rs");
     let analysis = analyze_fixture("obj_guard_ok.rs");
-    assert!(analysis.graph.has_edge("fixture.task.lock", "fixture.port.lock"));
-    assert!(!analysis.graph.has_edge("fixture.port.lock", "fixture.task.lock"));
+    assert!(analysis
+        .graph
+        .has_edge("fixture.task.lock", "fixture.port.lock"));
+    assert!(!analysis
+        .graph
+        .has_edge("fixture.port.lock", "fixture.task.lock"));
 }
 
 #[test]

@@ -266,7 +266,12 @@ mod tests {
     fn render_is_nonempty_and_scaled() {
         let s = HistSnapshot::from_values(&[4, 4, 4, 4, 100]);
         let r = s.render("  ", 20);
-        assert!(r.contains("####################"), "peak bucket at full width:\n{r}");
-        assert!(HistSnapshot::default().render("", 10).contains("no samples"));
+        assert!(
+            r.contains("####################"),
+            "peak bucket at full width:\n{r}"
+        );
+        assert!(HistSnapshot::default()
+            .render("", 10)
+            .contains("no samples"));
     }
 }

@@ -300,11 +300,20 @@ mod tests {
         record_ref(id, EventKind::RefDrain);
         let rep = snapshot().into_iter().find(|r| r.id == id).unwrap();
         assert_eq!(
-            (rep.reads, rep.writes, rep.upgrades_ok, rep.upgrades_failed, rep.downgrades),
+            (
+                rep.reads,
+                rep.writes,
+                rep.upgrades_ok,
+                rep.upgrades_failed,
+                rep.downgrades
+            ),
             (1, 1, 1, 1, 1)
         );
         assert_eq!((rep.ref_takes, rep.ref_releases, rep.ref_drains), (1, 1, 1));
-        assert_eq!(rep.contended, 1, "only the flagged write counts as contended");
+        assert_eq!(
+            rep.contended, 1,
+            "only the flagged write counts as contended"
+        );
     }
 
     #[test]

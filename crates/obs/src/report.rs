@@ -85,7 +85,9 @@ impl Lockstat {
             .filter(|(_, v)| *v > 0)
             .collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows.iter().map(|(frames, v)| format!("{frames} {v}\n")).collect()
+        rows.iter()
+            .map(|(frames, v)| format!("{frames} {v}\n"))
+            .collect()
     }
 
     /// Aggregate simple-lock counters by acquisition-policy label.
@@ -108,7 +110,9 @@ impl Lockstat {
     pub fn render_text(&self, top: usize, histograms: bool) -> String {
         let mut out = String::new();
         let sep = "=".repeat(72);
-        out.push_str(&format!("lockstat: kernel-wide lock contention profile\n{sep}\n"));
+        out.push_str(&format!(
+            "lockstat: kernel-wide lock contention profile\n{sep}\n"
+        ));
         out.push_str(&format!(
             "registered locks: {}   trace events: {} across {} thread ring(s)\n\n",
             self.locks.len(),
@@ -117,10 +121,21 @@ impl Lockstat {
         ));
 
         // ---- top-N by contention ----
-        out.push_str(&format!("top {} locks by contention\n", top.min(self.locks.len())));
+        out.push_str(&format!(
+            "top {} locks by contention\n",
+            top.min(self.locks.len())
+        ));
         out.push_str(&format!(
             "{:<26} {:<8} {:<6} {:>9} {:>9} {:>6} {:>9} {:>9} {:>9}\n",
-            "name", "class", "policy", "acquires", "contended", "cont%", "wait-avg", "wait-max", "hold-avg"
+            "name",
+            "class",
+            "policy",
+            "acquires",
+            "contended",
+            "cont%",
+            "wait-avg",
+            "wait-max",
+            "hold-avg"
         ));
         for l in self.locks.iter().take(top) {
             out.push_str(&format!(
@@ -211,7 +226,11 @@ impl Lockstat {
                     policy,
                     acq,
                     cont,
-                    if *acq == 0 { 0.0 } else { 100.0 * *cont as f64 / *acq as f64 },
+                    if *acq == 0 {
+                        0.0
+                    } else {
+                        100.0 * *cont as f64 / *acq as f64
+                    },
                     fmt_ns(wait.mean()),
                     fmt_ns(wait.percentile(99)),
                     fmt_ns(wait.max),
@@ -316,14 +335,20 @@ impl Lockstat {
         }
         out.push_str("  ],\n  \"cycles\": [\n");
         for (i, c) in self.cycles.iter().enumerate() {
-            let names: Vec<String> = c.iter().map(|&id| json_string(probe::name_of(id))).collect();
+            let names: Vec<String> = c
+                .iter()
+                .map(|&id| json_string(probe::name_of(id)))
+                .collect();
             out.push_str(&format!(
                 "    [{}]{}\n",
                 names.join(", "),
                 if i + 1 == self.cycles.len() { "" } else { "," },
             ));
         }
-        out.push_str(&format!("  ],\n  \"trace_events\": {}\n}}\n", self.events.0));
+        out.push_str(&format!(
+            "  ],\n  \"trace_events\": {}\n}}\n",
+            self.events.0
+        ));
         out
     }
 }
@@ -365,7 +390,15 @@ fn truncate(s: &str, n: usize) -> String {
     if s.len() <= n {
         s.to_string()
     } else {
-        format!("{}…", &s[..s.char_indices().take_while(|(i, _)| *i < n - 1).last().map(|(i, c)| i + c.len_utf8()).unwrap_or(0)])
+        format!(
+            "{}…",
+            &s[..s
+                .char_indices()
+                .take_while(|(i, _)| *i < n - 1)
+                .last()
+                .map(|(i, c)| i + c.len_utf8())
+                .unwrap_or(0)]
+        )
     }
 }
 
@@ -413,7 +446,10 @@ mod tests {
         let stat = Lockstat::collect();
         let has = |metric, line: &str| {
             let folded = stat.render_folded(metric);
-            assert!(folded.lines().any(|l| l == line), "no `{line}` in:\n{folded}");
+            assert!(
+                folded.lines().any(|l| l == line),
+                "no `{line}` in:\n{folded}"
+            );
         };
         has(FlameMetric::Wait, "machk;simple;test.fold.site 150");
         has(FlameMetric::Hold, "machk;simple;test.fold.site 70");
@@ -439,7 +475,10 @@ mod tests {
         assert!(values.windows(2).all(|w| w[0] >= w[1]), "{wait}");
         assert!(values.iter().all(|&v| v > 0), "{wait}");
         let hold = stat.render_folded(FlameMetric::Hold);
-        assert!(!hold.contains("test.fold.cold"), "zero-valued rows are skipped: {hold}");
+        assert!(
+            !hold.contains("test.fold.cold"),
+            "zero-valued rows are skipped: {hold}"
+        );
     }
 
     #[test]
@@ -465,7 +504,10 @@ mod tests {
         assert!(text.contains("lock-order graph"), "{text}");
         let json = stat.render_json();
         assert!(json.contains("\"test.report.hot\""), "{json}");
-        assert!(json.contains("\"acquires\": 100") || json.contains("\"acquires\":"), "{json}");
+        assert!(
+            json.contains("\"acquires\": 100") || json.contains("\"acquires\":"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -119,7 +119,10 @@ mod tests {
         STATS.on_event(&ev(EventKind::SimpleAcquire, 0, 0));
         STATS.on_event(&ev(EventKind::SimpleRelease, 10, 0));
         STATS.on_event(&ev(EventKind::SimpleTryFail, 0, 0));
-        let rep = registry::snapshot().into_iter().find(|l| l.id == id).unwrap();
+        let rep = registry::snapshot()
+            .into_iter()
+            .find(|l| l.id == id)
+            .unwrap();
         assert_eq!(rep.acquires, 2);
         assert_eq!(rep.contended, 1);
         assert_eq!(rep.try_failures, 1);
@@ -142,7 +145,10 @@ mod tests {
         STATS.on_event(&ev(EventKind::RingPush));
         STATS.on_event(&ev(EventKind::RingFull));
         STATS.on_event(&ev(EventKind::RingPop));
-        let rep = registry::snapshot().into_iter().find(|l| l.id == id).unwrap();
+        let rep = registry::snapshot()
+            .into_iter()
+            .find(|l| l.id == id)
+            .unwrap();
         assert_eq!(rep.acquires, 2, "pushes count as acquires");
         assert_eq!(rep.try_failures, 1, "full rejections count as try failures");
     }

@@ -22,7 +22,11 @@ fn no_subscribers_means_untouched_sinks_and_no_registration() {
     assert!(!probe::fire(FaultSite::SimpleTryFail));
 
     assert_eq!(probe::subscriber_count(), 0);
-    assert_eq!(NAMED.probe_id(), 0, "a lock registered with nobody listening");
+    assert_eq!(
+        NAMED.probe_id(),
+        0,
+        "a lock registered with nobody listening"
+    );
     assert!(probe::names().iter().all(|n| n.name != "empty.named"));
 
     // Nothing reached the per-thread rings…
@@ -35,7 +39,10 @@ fn no_subscribers_means_untouched_sinks_and_no_registration() {
         .into_iter()
         .find(|r| r.id == id)
         .expect("registered name is in the snapshot");
-    assert_eq!(report.acquires, 0, "registry counters moved without a subscriber");
+    assert_eq!(
+        report.acquires, 0,
+        "registry counters moved without a subscriber"
+    );
     assert_eq!(report.wait.count, 0);
     assert_eq!(report.hold.count, 0);
 }

@@ -20,7 +20,12 @@ fn export_emits_one_json_line_per_ring_event() {
     let (text, overwritten) = report::render_ndjson();
     let events = ring::snapshot_all();
     assert_eq!(events.len(), 32);
-    assert_eq!(overwritten, 0, "nothing wrapped a {}-slot ring", ring::RING_CAPACITY);
+    assert_eq!(
+        overwritten,
+        0,
+        "nothing wrapped a {}-slot ring",
+        ring::RING_CAPACITY
+    );
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), events.len(), "one line per ring event");
     for (line, ev) in lines.iter().zip(&events) {
@@ -34,10 +39,21 @@ fn export_emits_one_json_line_per_ring_event() {
             .collect();
         assert_eq!(
             keys,
-            ["\"ts_ns\"", "\"kind\"", "\"lock_id\"", "\"lock\"", "\"thread\"", "\"arg\"", "\"flags\""],
+            [
+                "\"ts_ns\"",
+                "\"kind\"",
+                "\"lock_id\"",
+                "\"lock\"",
+                "\"thread\"",
+                "\"arg\"",
+                "\"flags\""
+            ],
             "{line}"
         );
-        assert!(line.contains("\"lock\":\"ndjson.probe\""), "name missing: {line}");
+        assert!(
+            line.contains("\"lock\":\"ndjson.probe\""),
+            "name missing: {line}"
+        );
         assert_eq!(*line, report::line_for(ev));
     }
 }

@@ -25,16 +25,26 @@ fn named_lock_reports_into_registry_and_ring() {
         .into_iter()
         .find(|l| l.name == "obs_test.named")
         .expect("named lock registered");
-    assert!(report.acquires >= 12, "blocking + try acquires: {}", report.acquires);
+    assert!(
+        report.acquires >= 12,
+        "blocking + try acquires: {}",
+        report.acquires
+    );
     assert!(report.try_failures >= 1);
     assert_eq!(report.wait.count, report.acquires as u64);
     assert!(report.hold.count >= 11, "a hold sample per release");
 
     let events = machk_obs::ring::snapshot_current_thread();
     let id = report.id;
-    assert!(events.iter().any(|e| e.kind == EventKind::SimpleAcquire && e.lock_id == id));
-    assert!(events.iter().any(|e| e.kind == EventKind::SimpleRelease && e.lock_id == id));
-    assert!(events.iter().any(|e| e.kind == EventKind::SimpleTryFail && e.lock_id == id));
+    assert!(events
+        .iter()
+        .any(|e| e.kind == EventKind::SimpleAcquire && e.lock_id == id));
+    assert!(events
+        .iter()
+        .any(|e| e.kind == EventKind::SimpleRelease && e.lock_id == id));
+    assert!(events
+        .iter()
+        .any(|e| e.kind == EventKind::SimpleTryFail && e.lock_id == id));
 }
 
 #[test]
@@ -54,7 +64,9 @@ fn anonymous_locks_stay_unregistered() {
     // binary register their named locks concurrently.
     let lock: RawSimpleLock = RawSimpleLock::new();
     lock.lock().unlock();
-    assert!(machk_obs::registry::snapshot().iter().all(|l| !l.name.is_empty()));
+    assert!(machk_obs::registry::snapshot()
+        .iter()
+        .all(|l| !l.name.is_empty()));
 }
 
 #[test]

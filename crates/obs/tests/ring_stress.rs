@@ -85,7 +85,11 @@ fn concurrent_snapshots_never_observe_torn_events() {
     assert_eq!(settled.len(), RING_CAPACITY);
     for (off, e) in settled.iter().enumerate() {
         let expect = writes - RING_CAPACITY as u64 + off as u64;
-        assert_eq!(*e, make_event(expect), "overwrite-oldest kept the newest window");
+        assert_eq!(
+            *e,
+            make_event(expect),
+            "overwrite-oldest kept the newest window"
+        );
     }
 }
 

@@ -28,7 +28,10 @@ impl Subscriber for Recorder {
         "recorder"
     }
     fn on_event(&self, ev: &TraceEvent) {
-        self.seen.lock().unwrap().push((ev.kind, ev.lock_id, ev.arg));
+        self.seen
+            .lock()
+            .unwrap()
+            .push((ev.kind, ev.lock_id, ev.arg));
     }
 }
 

@@ -238,7 +238,9 @@ macro_rules! tuple_strategy {
         }
     )*};
 }
-tuple_strategy!((A)(A, B)(A, B, C)(A, B, C, D)(A, B, C, D, E)(A, B, C, D, E, F));
+tuple_strategy!((A)(A, B)(A, B, C)(A, B, C, D)(A, B, C, D, E)(
+    A, B, C, D, E, F
+));
 
 /// Weighted union of boxed strategies — the engine behind [`prop_oneof!`].
 pub struct Union<V> {

@@ -274,15 +274,21 @@ impl ShardedRefCount {
         // would reach the sentinel pegs instead of wrapping (the
         // saturation guard; the count becomes immortal, never a bogus
         // final).
-        // relaxed: under the drain lock; the Release shard re-opens
-        // below publish the fold to fast-path takers.
-        self.base
-            .store(u32::try_from(outstanding).unwrap_or(PEGGED), Ordering::Relaxed);
+        self.base.store(
+            u32::try_from(outstanding).unwrap_or(PEGGED),
+            // relaxed: under the drain lock; the Release shard re-opens
+            // below publish the fold to fast-path takers.
+            Ordering::Relaxed,
+        );
         for s in &self.shards {
             s.0.store(0, Ordering::Release);
         }
         self.tag.event(EventKind::RefDrain, outstanding);
-        let kind = if final_release { EventKind::RefFinal } else { EventKind::RefRelease };
+        let kind = if final_release {
+            EventKind::RefFinal
+        } else {
+            EventKind::RefRelease
+        };
         self.tag.event(kind, 0);
         final_release
     }

@@ -154,7 +154,10 @@ fn handoff_between_threads_stays_exact() {
             s.spawn(move || {
                 // Each received token stands for one reference taken by
                 // the producer on its shard, released here on ours.
-                while let Ok(tokens) = { let r = rx.lock().unwrap().recv(); r } {
+                while let Ok(tokens) = {
+                    let r = rx.lock().unwrap().recv();
+                    r
+                } {
                     for _ in 0..tokens {
                         if count.release() {
                             finals.fetch_add(1, Ordering::SeqCst);

@@ -280,7 +280,13 @@ mod tests {
 
     #[test]
     fn malformed_tokens_rejected() {
-        for bad in ["", "sim:v2:0:8:r:", "sim:v1:zz:8:r:", "sim:v1:0:8:x:", "sim:v1:0:8:r:abc"] {
+        for bad in [
+            "",
+            "sim:v2:0:8:r:",
+            "sim:v1:zz:8:r:",
+            "sim:v1:0:8:x:",
+            "sim:v1:0:8:r:abc",
+        ] {
             assert!(bad.parse::<ReplayToken>().is_err(), "{bad}");
         }
     }

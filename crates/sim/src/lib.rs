@@ -310,7 +310,11 @@ mod tests {
             },
             |_| scenario(),
         );
-        assert!(stats.panics > 0, "DFS must expose the race: {}", stats.summary());
+        assert!(
+            stats.panics > 0,
+            "DFS must expose the race: {}",
+            stats.summary()
+        );
         assert_eq!(stats.hangs, 0, "{}", stats.summary());
         assert!(stats.distinct > 1, "{}", stats.summary());
         // And the recorded failure replays to the same verdict.

@@ -44,7 +44,7 @@ use std::time::Duration;
 use machk_fault::plan::{splitmix64, stream_seed};
 use machk_sync::host::{self, Host, SpinSite};
 
-use crate::config::{ReplayToken, ScheduleTrace, SchedMode, SimConfig, NOT_RUNNABLE};
+use crate::config::{ReplayToken, SchedMode, ScheduleTrace, SimConfig, NOT_RUNNABLE};
 
 thread_local! {
     /// Sim thread id of the calling OS thread (None on unmanaged threads).
@@ -512,7 +512,8 @@ impl SimHost {
                     let clock = st.clock;
                     for t in &mut st.threads {
                         match t.status {
-                            Status::Parked { until: Some(when) } | Status::Sleeping { until: when }
+                            Status::Parked { until: Some(when) }
+                            | Status::Sleeping { until: when }
                                 if when <= clock =>
                             {
                                 t.status = Status::Ready;

@@ -27,7 +27,9 @@ fn hang_and_escalate() -> String {
         }),
     ];
     let verdict = run_threads_with_deadline(bodies, Duration::from_millis(2));
-    let report = verdict.expect_err("stuck worker must trip the watchdog").escalate();
+    let report = verdict
+        .expect_err("stuck worker must trip the watchdog")
+        .escalate();
     release.store(1, Ordering::Release);
     report.report
 }

@@ -178,7 +178,11 @@ pub fn cpu_id() -> usize {
 pub fn thread_seed() -> u64 {
     let s = with_host(|h| h.thread_seed())
         .unwrap_or_else(|| (u64::from(held::thread_tag()) << 1) | 0xA5A5_0001);
-    if s == 0 { 0xA5A5_0001 } else { s }
+    if s == 0 {
+        0xA5A5_0001
+    } else {
+        s
+    }
 }
 
 /// Park the calling thread until unparked (spurious returns allowed).

@@ -342,7 +342,13 @@ mod tests {
     #[test]
     fn policy_names_are_distinct() {
         use crate::queued::{Mcs, Ticket};
-        let mut names = vec![Tas::NAME, Ttas::NAME, TasThenTtas::NAME, Ticket::NAME, Mcs::NAME];
+        let mut names = vec![
+            Tas::NAME,
+            Ttas::NAME,
+            TasThenTtas::NAME,
+            Ticket::NAME,
+            Mcs::NAME,
+        ];
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 5);

@@ -115,16 +115,39 @@ impl EventKind {
     pub const ALL: [EventKind; 24] = {
         use EventKind::*;
         [
-            SimpleAcquire, SimpleContended, SimpleRelease, SimpleTryFail, ComplexRead,
-            ComplexWrite, ComplexUpgradeOk, ComplexUpgradeFail, ComplexDowngrade, ComplexRelease,
-            ComplexTryFail, RefTake, RefRelease, RefDrain, RefFinal, Deactivate, SplRaise,
-            SplRestore, EventWait, EventWakeup, RingPush, RingPop, RingFull, EngineBatch,
+            SimpleAcquire,
+            SimpleContended,
+            SimpleRelease,
+            SimpleTryFail,
+            ComplexRead,
+            ComplexWrite,
+            ComplexUpgradeOk,
+            ComplexUpgradeFail,
+            ComplexDowngrade,
+            ComplexRelease,
+            ComplexTryFail,
+            RefTake,
+            RefRelease,
+            RefDrain,
+            RefFinal,
+            Deactivate,
+            SplRaise,
+            SplRestore,
+            EventWait,
+            EventWakeup,
+            RingPush,
+            RingPop,
+            RingFull,
+            EngineBatch,
         ]
     };
 
     /// Decode a kind byte; unknown values map to [`EventKind::Unknown`].
     pub fn from_u8(v: u8) -> EventKind {
-        EventKind::ALL.get(usize::from(v)).copied().unwrap_or(EventKind::Unknown)
+        EventKind::ALL
+            .get(usize::from(v))
+            .copied()
+            .unwrap_or(EventKind::Unknown)
     }
 
     /// Stable lowercase label (NDJSON `kind` field, flame rollups).
@@ -249,9 +272,18 @@ impl FaultSite {
     pub const ALL: [FaultSite; FaultSite::COUNT] = {
         use FaultSite::*;
         [
-            SimpleTryFail, SimpleReleaseDelay, ComplexUpgradeFail, EventDropWakeup,
-            EventSpuriousWake, RefTakeSlow, RefReleaseSlow, RpcDeadPort, RpcDropReply,
-            SplWrongLevel, WorkerCrash, WorkerCrashHolding,
+            SimpleTryFail,
+            SimpleReleaseDelay,
+            ComplexUpgradeFail,
+            EventDropWakeup,
+            EventSpuriousWake,
+            RefTakeSlow,
+            RefReleaseSlow,
+            RpcDeadPort,
+            RpcDropReply,
+            SplWrongLevel,
+            WorkerCrash,
+            WorkerCrashHolding,
         ]
     };
 
@@ -370,7 +402,10 @@ pub fn install(sub: &'static dyn Subscriber) -> Result<usize, SlotsFull> {
     if idx >= MAX_SUBSCRIBERS {
         return Err(SlotsFull);
     }
-    SLOTS[idx].set(sub).ok().expect("slot below COUNT never set twice");
+    SLOTS[idx]
+        .set(sub)
+        .ok()
+        .expect("slot below COUNT never set twice");
     COUNT.store(idx + 1, Ordering::Release);
     Ok(idx)
 }
@@ -459,7 +494,13 @@ pub fn fire(site: FaultSite) -> bool {
 /// need an amount (how long to stretch a release).
 #[inline(always)]
 pub fn jitter(site: FaultSite, max: u32) -> Option<u32> {
-    decide(site).map(|draw| if max > 0 { ((draw >> 16) % u64::from(max)) as u32 } else { 0 })
+    decide(site).map(|draw| {
+        if max > 0 {
+            ((draw >> 16) % u64::from(max)) as u32
+        } else {
+            0
+        }
+    })
 }
 
 #[inline(always)]
@@ -502,7 +543,9 @@ pub fn role() -> Option<u32> {
 /// Every installed subscriber's diagnostic dump, concatenated in
 /// installation order; `None` when no subscriber keeps one.
 pub fn describe() -> Option<String> {
-    let parts: Vec<String> = subscribers(subscriber_count()).filter_map(|s| s.describe()).collect();
+    let parts: Vec<String> = subscribers(subscriber_count())
+        .filter_map(|s| s.describe())
+        .collect();
     (!parts.is_empty()).then(|| parts.concat())
 }
 
@@ -565,7 +608,12 @@ pub fn register(name: &'static str, class: LockClass, policy: &'static str) -> u
         return n.id;
     }
     let id = names.len() as u32 + 1;
-    names.push(LockName { id, name, class, policy });
+    names.push(LockName {
+        id,
+        name,
+        class,
+        policy,
+    });
     id
 }
 
@@ -699,9 +747,14 @@ impl TagCell {
 
     #[cold]
     fn register(&self) -> u32 {
-        // relaxed: only elects the registering thread; the name is
-        // published by the table mutex and the Release store.
-        match self.id.compare_exchange(0, REGISTERING, Ordering::Relaxed, Ordering::Relaxed) {
+        match self.id.compare_exchange(
+            0,
+            REGISTERING,
+            // relaxed: only elects the registering thread; the name is
+            // published by the table mutex and the Release store.
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
             Ok(_) => {
                 let id = register(self.name, self.class, self.policy);
                 self.id.store(id, Ordering::Release);
@@ -774,7 +827,10 @@ mod tests {
         let b = register("test.probe.b", LockClass::Complex, "");
         assert_ne!(a, b);
         assert_eq!(register("test.probe.a", LockClass::Simple, "tas"), a);
-        assert_eq!((name_of(a), class_of(b)), ("test.probe.a", LockClass::Complex));
+        assert_eq!(
+            (name_of(a), class_of(b)),
+            ("test.probe.a", LockClass::Complex)
+        );
         assert_eq!(name_of(u32::MAX - 1), "<unregistered>");
         assert_eq!(name_of(0), "<unregistered>");
     }
@@ -794,8 +850,15 @@ mod tests {
             let hs: Vec<_> = (0..8).map(|_| s.spawn(|| TAG.id())).collect();
             hs.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert!(ids.windows(2).all(|w| w[0] == w[1]), "one id for all: {ids:?}");
-        assert_eq!(ids[0] != 0, ENABLED, "registered exactly when probes are on");
+        assert!(
+            ids.windows(2).all(|w| w[0] == w[1]),
+            "one id for all: {ids:?}"
+        );
+        assert_eq!(
+            ids[0] != 0,
+            ENABLED,
+            "registered exactly when probes are on"
+        );
     }
 
     #[test]

@@ -225,7 +225,9 @@ impl<T> MpscRing<T> {
                 // SAFETY: `mine` came from `Box::into_raw` just above
                 // with `capacity()` slots and was never published, so
                 // this thread still owns it alone.
-                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(mine, self.capacity())) });
+                drop(unsafe {
+                    Box::from_raw(ptr::slice_from_raw_parts_mut(mine, self.capacity()))
+                });
                 theirs
             }
         };
@@ -330,8 +332,10 @@ impl<T> MpscRing<T> {
                         // Safety: the CAS gave this thread exclusive
                         // ownership of the slot's payload for this lap.
                         let v = unsafe { (*slot.val.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask).wrapping_add(1), Ordering::Release);
+                        slot.seq.store(
+                            pos.wrapping_add(self.mask).wrapping_add(1),
+                            Ordering::Release,
+                        );
                         return Some(v);
                     }
                     Err(now) => pos = now,

@@ -173,7 +173,10 @@ fn racing_first_pushes_install_once_and_leak_nothing() {
         );
         assert_eq!(drained.frees, 1, "round {round}: drop frees the winner");
         assert_eq!(total.allocs, total.frees, "round {round}: {total:?}");
-        assert_eq!(total.alloc_bytes, total.freed_bytes, "round {round}: {total:?}");
+        assert_eq!(
+            total.alloc_bytes, total.freed_bytes,
+            "round {round}: {total:?}"
+        );
         arrays += theirs.allocs;
     }
     // Not asserted (the race is the host's to schedule), but visible

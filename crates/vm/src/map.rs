@@ -1121,7 +1121,8 @@ mod tests {
         let (_pool, map) = setup(8);
         let obj = VmObject::create();
         map.allocate_backed(0, 4 * PAGE_SIZE, obj.clone()).unwrap();
-        map.protect_range(PAGE_SIZE, PAGE_SIZE, VmProt::Read).unwrap();
+        map.protect_range(PAGE_SIZE, PAGE_SIZE, VmProt::Read)
+            .unwrap();
         // Three entries now, all referencing the object.
         assert_eq!(ObjRef::ref_count(&obj), 4, "three entries + ours");
         for addr in [0, PAGE_SIZE, 2 * PAGE_SIZE] {
