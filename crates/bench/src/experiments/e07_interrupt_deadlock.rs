@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use machk_core::sync::host;
+use machk_core::sync::{SpinSite, Spinner};
 use machk_core::RawSimpleLock;
 use machk_intr::{barrier_synchronize, spl_raise, spl_restore, BarrierOutcome, Machine, SplLevel};
 
@@ -86,10 +86,10 @@ pub fn run(report: &mut BenchReport, opts: &Opts) {
 fn sim_section(report: &mut BenchReport) {
     use machk_sim::{run as sim_run, SimConfig};
 
-    // Virtual-time deadline: the sim clock advances ~3 ns per
-    // scheduling step on 3 cores, so 100 virtual µs of spinning is
-    // tens of thousands of steps — far below the step-limit backstop,
-    // far above what the disciplined rendezvous needs.
+    // Virtual-time deadline: the waiters spin, yield, then park in
+    // 50 µs steps, so 100 virtual µs expires within a few hundred
+    // scheduling steps — far below the step-limit backstop, far above
+    // what the disciplined rendezvous needs.
     let limit = Duration::from_micros(100);
     let run_one = |disciplined: bool, seed: u64| -> (BarrierOutcome, u64) {
         let slot = Arc::new(std::sync::Mutex::new(None));
@@ -159,7 +159,12 @@ fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
     let stage = Arc::new(AtomicUsize::new(0));
     let finished = Arc::new(AtomicBool::new(false));
 
+    // Every loop below waits on another vCPU's progress, so each relaxes
+    // through a `Spinner`: under machk-sim a parked waiter's timer fires
+    // only once no thread is runnable, so one bare spin beside a parked
+    // initiator would keep its deadline from ever arriving.
     let outcomes = machine.run(|cpu| {
+        let mut spinner = Spinner::new(SpinSite::Generic);
         match cpu.id() {
             // ---- Processor 1: the lock holder.
             0 => {
@@ -174,9 +179,7 @@ fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
                         std::hint::black_box(());
                         lock.unlock_raw();
                         spl_restore(tok); // delivery point
-                                          // Scheduling point: under machk-sim the loop
-                                          // must let the other vCPUs run.
-                        host::spin_hint(host::SpinSite::Generic);
+                        spinner.relax();
                     }
                 } else {
                     // Acquire at spl0 with interrupts enabled and *stay
@@ -186,7 +189,7 @@ fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
                     stage.store(1, Ordering::SeqCst);
                     while !finished.load(Ordering::SeqCst) {
                         cpu.poll(); // takes the barrier IPI while holding the lock
-                        host::spin_hint(host::SpinSite::Generic);
+                        spinner.relax();
                     }
                     lock.unlock_raw();
                 }
@@ -195,8 +198,9 @@ fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
             // ---- Processor 2: masked acquirer.
             1 => {
                 while stage.load(Ordering::SeqCst) < 1 {
-                    host::spin_hint(host::SpinSite::Generic);
+                    spinner.relax();
                 }
+                let mut spinner = Spinner::new(SpinSite::Generic);
                 if disciplined {
                     // The same raise / acquire / release / restore cycle
                     // as P1: the lock is only ever taken at splhigh, and
@@ -206,24 +210,22 @@ fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
                         lock.lock_raw();
                         lock.unlock_raw();
                         spl_restore(tok);
-                        host::spin_hint(host::SpinSite::Generic);
+                        spinner.relax();
                     }
                     return None;
                 }
                 let tok = spl_raise(SplLevel::SplHigh);
-                {
-                    // Spins masked for a lock held across the barrier:
-                    // never takes its IPI — the deadlock edge.
-                    loop {
-                        if lock.try_lock_raw() {
-                            lock.unlock_raw();
-                            break;
-                        }
-                        if finished.load(Ordering::SeqCst) {
-                            break; // initiator gave up (watchdog)
-                        }
-                        host::spin_hint(host::SpinSite::Generic);
+                // Spins masked for a lock held across the barrier: never
+                // takes its IPI — the deadlock edge.
+                loop {
+                    if lock.try_lock_raw() {
+                        lock.unlock_raw();
+                        break;
                     }
+                    if finished.load(Ordering::SeqCst) {
+                        break; // initiator gave up (watchdog)
+                    }
+                    spinner.relax();
                 }
                 spl_restore(tok);
                 None
@@ -232,7 +234,7 @@ fn scenario(disciplined: bool, limit: Duration) -> BarrierOutcome {
             _ => {
                 while stage.load(Ordering::SeqCst) < 1 {
                     cpu.poll();
-                    host::spin_hint(host::SpinSite::Generic);
+                    spinner.relax();
                 }
                 let action: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(|_| {});
                 let outcome = barrier_synchronize(&machine, action, &[], limit);

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use machk_core::sync::CachePadded;
+use machk_core::sync::{CachePadded, SpinSite, Spinner};
 use machk_core::{
     ComplexLock, Kobj, Mcs, ObjHeader, ObjRef, RawSimpleLock, Refable, RwData, ShardedRefCount,
     ShardedRefable, SimpleLocked, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, UpgradeFailed,
@@ -185,14 +185,9 @@ pub fn granularity_bank(g: Granularity, nstructs: usize, threads: usize, iters: 
                     idx = (idx * 1103515245 + 12345) % nstructs.max(1);
                     done.store(false, Ordering::Relaxed);
                     tx.send((idx, Arc::clone(&done))).unwrap();
-                    let mut spins = 0u32;
+                    let mut spinner = Spinner::new(SpinSite::Generic);
                     while !done.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                        spins += 1;
-                        if spins >= 256 {
-                            std::thread::yield_now();
-                            spins = 0;
-                        }
+                        spinner.relax();
                     }
                 }
             });

@@ -48,8 +48,9 @@ pub use machk_refcount as refcount;
 pub use machk_sync as sync;
 
 pub use machk_event::{
-    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, thread_sleep,
-    thread_sleep_guard, thread_wakeup, thread_wakeup_one, Event, ThreadHandle, WaitResult,
+    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout,
+    thread_block_until, thread_sleep, thread_sleep_guard, thread_wakeup, thread_wakeup_one, Event,
+    ThreadHandle, WaitResult,
 };
 pub use machk_lock::{ComplexLock, HowHeld, RwData, UpgradeFailed};
 pub use machk_refcount::{

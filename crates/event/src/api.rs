@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use machk_sync::probe::{self, EventKind, FaultSite};
-use machk_sync::{held, RawSimpleLock, SimpleGuard};
+use machk_sync::{held, Deadline, RawSimpleLock, SimpleGuard};
 
 use crate::record::{ThreadHandle, WaitRecord, WaitResult};
 use crate::table;
@@ -84,6 +84,16 @@ pub fn thread_block_timeout(timeout: Duration) -> WaitResult {
     held::assert_no_simple_locks_held("thread_block_timeout");
     fault_spurious_wake();
     with_current(|rec| rec.block(Some(timeout)))
+}
+
+/// The blocking step of a wait that is unbounded or bounded by
+/// `deadline`: [`thread_block`], or [`thread_block_timeout`] for
+/// exactly what is left of the deadline.
+pub fn thread_block_until(deadline: Option<Deadline>) -> WaitResult {
+    match deadline {
+        None => thread_block(),
+        Some(d) => thread_block_timeout(d.remaining()),
+    }
 }
 
 /// Declare the occurrence of `event`, waking **all** threads waiting for

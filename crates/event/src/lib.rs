@@ -56,8 +56,9 @@ pub mod record;
 pub mod table;
 
 pub use api::{
-    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, thread_sleep,
-    thread_sleep_guard, thread_wakeup, thread_wakeup_one, wait_asserted, waiters_on,
+    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout,
+    thread_block_until, thread_sleep, thread_sleep_guard, thread_wakeup, thread_wakeup_one,
+    wait_asserted, waiters_on,
 };
 pub use queue::ThreadQueue;
 pub use record::{ThreadHandle, WaitResult};

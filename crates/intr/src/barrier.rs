@@ -75,11 +75,6 @@ impl IntrBarrier {
             BarrierOutcome::Completed
         }
     }
-
-    /// How many participants have entered (diagnostics).
-    pub fn arrived(&self) -> usize {
-        self.arrived.load(Ordering::Acquire)
-    }
 }
 
 /// Perform `action` on every CPU of `machine` with barrier

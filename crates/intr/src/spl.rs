@@ -8,7 +8,7 @@
 use core::fmt;
 
 use machk_sync::probe::{self, EventKind, FaultSite};
-use machk_sync::RawSimpleLock;
+use machk_sync::{RawSimpleLock, SpinSite, Spinner};
 
 use crate::cpu::{current_cpu, Cpu};
 
@@ -258,20 +258,14 @@ impl SplLock {
     }
 
     /// The interrupt-aware spin of [`SplLock::lock`]: try, take any
-    /// deliverable interrupt, spin; every 256 spins yield.
+    /// deliverable interrupt, relax.
     fn spin_lock(&self, cpu: &Cpu) {
-        let mut spins = 0u32;
+        let mut spinner = Spinner::new(SpinSite::Generic);
         while !self.lock.try_lock_raw() {
             // Spinning at low spl still takes interrupts — the
             // property that lets a disciplined system drain barriers.
             cpu.poll();
-            machk_sync::host::spin_hint(machk_sync::host::SpinSite::Generic);
-            spins += 1;
-            if spins >= 256 {
-                // vCPUs are host threads: let a descheduled holder run.
-                machk_sync::host::yield_now();
-                spins = 0;
-            }
+            spinner.relax();
         }
     }
 

@@ -15,7 +15,7 @@ use std::fmt;
 use std::time::Duration;
 
 pub use machk_sync::Deadline;
-use machk_sync::{host, probe};
+use machk_sync::{host, probe, SpinSite, Spinner};
 
 /// Error reported when a deadline expires while a coordination step is
 /// still incomplete — the simulation's verdict that the configured
@@ -102,24 +102,19 @@ pub fn to_error(deadline: &Deadline) -> DeadlockDetected {
     }
 }
 
-/// Spin until `cond` is true or `deadline` expires: 256 spin hints,
-/// then a yield, so on an oversubscribed host the threads `cond` waits
+/// Spin until `cond` is true or `deadline` expires, relaxing through a
+/// [`Spinner`] so on an oversubscribed host the threads `cond` waits
 /// for get CPU time.
 pub fn spin_until(
     deadline: &Deadline,
     mut cond: impl FnMut() -> bool,
 ) -> Result<(), DeadlockDetected> {
-    let mut spins = 0u32;
+    let mut spinner = Spinner::new(SpinSite::Generic);
     while !cond() {
         if deadline.expired() {
             return Err(to_error(deadline));
         }
-        host::spin_hint(host::SpinSite::Generic);
-        spins += 1;
-        if spins >= 256 {
-            host::yield_now();
-            spins = 0;
-        }
+        spinner.relax();
     }
     Ok(())
 }
@@ -138,12 +133,11 @@ pub fn run_threads_with_deadline<R: Send + 'static>(
 ) -> Result<Vec<R>, DeadlockDetected> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
-    // Host threads + host-clock polling instead of an OS channel with a
+    // Host threads + a host-clock spin instead of an OS channel with a
     // wall-clock `recv_timeout`: the same watchdog then works unchanged
     // under `machk-sim`, where the deadline expires in virtual time and
     // a genuinely stuck schedule is reported (with its replay seed)
     // instead of hanging the suite.
-    const POLL: Duration = Duration::from_micros(200);
     let deadline = Deadline::after(limit);
     let n = bodies.len();
     let slots: Arc<Mutex<Vec<Option<R>>>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
@@ -161,12 +155,7 @@ pub fn run_threads_with_deadline<R: Send + 'static>(
             done.fetch_add(1, Ordering::Release);
         });
     }
-    while done.load(Ordering::Acquire) < n {
-        if deadline.expired() {
-            return Err(to_error(&deadline));
-        }
-        host::sleep(POLL.min(deadline.remaining().max(Duration::from_nanos(1))));
-    }
+    spin_until(&deadline, || done.load(Ordering::Acquire) == n)?;
     let mut slots = slots.lock().unwrap();
     Ok(slots.drain(..).map(|s| s.unwrap()).collect())
 }

@@ -48,7 +48,7 @@ use std::time::Duration;
 use machk_core::sync::ring::MpscRing;
 use machk_core::sync::Deadline;
 use machk_core::{
-    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, thread_wakeup,
+    assert_wait, clear_wait, current_thread, thread_block, thread_block_until, thread_wakeup,
     Deactivated, Event, Kobj, ObjHeader, ObjRef, Refable, WaitResult,
 };
 
@@ -276,10 +276,7 @@ impl Port {
             if !self.queue.is_empty() || !self.obj.is_active() {
                 clear_wait(&current_thread(), WaitResult::Awakened);
             }
-            match deadline {
-                None => thread_block(),
-                Some(d) => thread_block_timeout(d.remaining()),
-            };
+            thread_block_until(deadline);
         }
     }
 

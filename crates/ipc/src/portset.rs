@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use machk_core::sync::Deadline;
 use machk_core::{
-    assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, Event, Kobj,
-    ObjHeader, ObjRef, Refable, WaitResult,
+    assert_wait, clear_wait, current_thread, thread_block_until, Event, Kobj, ObjHeader, ObjRef,
+    Refable, WaitResult,
 };
 
 use crate::message::Message;
@@ -163,10 +163,7 @@ impl PortSet {
             if pending {
                 clear_wait(&current_thread(), WaitResult::Awakened);
             }
-            match deadline {
-                None => thread_block(),
-                Some(d) => thread_block_timeout(d.remaining()),
-            };
+            thread_block_until(deadline);
         }
     }
 

@@ -6,7 +6,7 @@
 //! thread operations; [`create_task_with_port`] builds the
 //! object-behind-a-port arrangement of section 10.
 
-use machk_core::{ObjRef, Refable};
+use machk_core::ObjRef;
 use machk_ipc::{DispatchTable, KernError, Message, Port};
 
 use crate::task::{Task, TaskRefExt as _};
@@ -98,11 +98,6 @@ pub fn create_task_with_port() -> (ObjRef<Task>, ObjRef<Port>) {
     let port = Port::create();
     port.set_kernel_object(task.clone().into_dyn());
     (task, port)
-}
-
-/// Type-erase helper for registering further `Task` operations.
-pub fn as_kernel_object(task: &ObjRef<Task>) -> ObjRef<dyn Refable> {
-    task.clone().into_dyn()
 }
 
 #[cfg(test)]

@@ -188,11 +188,6 @@ impl Task {
         self.ipc_space.remove(name)
     }
 
-    /// The task's name space (diagnostics).
-    pub fn ipc_space(&self) -> &PortNameSpace {
-        &self.ipc_space
-    }
-
     // ----- termination -----
 
     /// Terminate a task that is not exported through a port: shutdown

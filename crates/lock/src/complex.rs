@@ -7,17 +7,15 @@
 //! the interlock, inspects or edits the state, and either returns or
 //! waits: blocking waits use the `machk-event` split-wait protocol
 //! (declare the event, release the interlock, block), spinning waits
-//! release the interlock and retry with backoff.
+//! release the interlock and relax through a `Spinner` before retrying.
 
 use core::fmt;
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use machk_sync::host;
-
-use machk_event::{assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event};
+use machk_event::{assert_wait, thread_block_until, thread_wakeup, Event};
 use machk_sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
-use machk_sync::{Deadline, LockTimeout, SimpleLocked, SimpleLockedGuard};
+use machk_sync::{Deadline, LockTimeout, SimpleLocked, SimpleLockedGuard, SpinSite, Spinner};
 
 /// Error returned by a failed read→write upgrade.
 ///
@@ -147,7 +145,7 @@ impl ComplexLock {
     fn wait<'a>(
         &'a self,
         mut s: SimpleLockedGuard<'a, LockState>,
-        spins: &mut u32,
+        spinner: &mut Spinner,
         deadline: Option<Deadline>,
     ) -> SimpleLockedGuard<'a, LockState> {
         if s.can_sleep {
@@ -157,17 +155,11 @@ impl ComplexLock {
             // block to a no-op.
             assert_wait(self.event(), false);
             drop(s);
-            match deadline {
-                None => thread_block(),
-                // What is left, at least 1 ms.
-                Some(d) => thread_block_timeout(d.remaining().max(Duration::from_millis(1))),
-            };
+            thread_block_until(deadline);
         } else {
+            // Spin outside the interlock, then re-take it.
             drop(s);
-            // Spin with linear backoff before re-taking the interlock
-            // (one host scheduling point per round).
-            *spins = (*spins).saturating_add(1).min(64);
-            host::spin_batch(*spins);
+            spinner.relax();
         }
         self.state.lock()
     }
@@ -224,7 +216,7 @@ impl ComplexLock {
             s.recursion_depth += 1;
             return Ok(());
         }
-        let mut spins = 0;
+        let mut spinner = Spinner::new(SpinSite::Generic);
         // Phase 1: claim the want-write bit. This excludes other writers
         // and — because lock_read refuses while it is set — makes the
         // pending writer visible to new readers (writers priority).
@@ -233,7 +225,7 @@ impl ComplexLock {
             if let Some(d) = deadline {
                 d.check()?;
             }
-            s = self.wait(s, &mut spins, deadline);
+            s = self.wait(s, &mut spinner, deadline);
         }
         s.want_write = true;
         // Phase 2: wait for current readers (and any upgrade, which is
@@ -245,7 +237,7 @@ impl ComplexLock {
                 self.wake_waiters(&mut s);
                 return Err(timeout);
             }
-            s = self.wait(s, &mut spins, deadline);
+            s = self.wait(s, &mut spinner, deadline);
         }
         drop(s);
         self.tag.acquired(EventKind::ComplexWrite, t0, waited);
@@ -264,12 +256,12 @@ impl ComplexLock {
             s.read_count += 1;
             return;
         }
-        let mut spins = 0;
+        let mut spinner = Spinner::new(SpinSite::Generic);
         // Writers priority: a pending (or holding) writer or upgrader
         // blocks new readers.
         while s.want_write || s.want_upgrade {
             waited = true;
-            s = self.wait(s, &mut spins, None);
+            s = self.wait(s, &mut spinner, None);
         }
         s.read_count += 1;
         drop(s);
@@ -339,9 +331,9 @@ impl ComplexLock {
             return true;
         }
         s.want_upgrade = true;
-        let mut spins = 0;
+        let mut spinner = Spinner::new(SpinSite::Generic);
         while s.read_count > 0 {
-            s = self.wait(s, &mut spins, None);
+            s = self.wait(s, &mut spinner, None);
         }
         drop(s);
         self.tag.event(EventKind::ComplexUpgradeOk, 0);
@@ -439,9 +431,9 @@ impl ComplexLock {
         }
         s.want_upgrade = true;
         s.read_count -= 1;
-        let mut spins = 0;
+        let mut spinner = Spinner::new(SpinSite::Generic);
         while s.read_count > 0 {
-            s = self.wait(s, &mut spins, None);
+            s = self.wait(s, &mut spinner, None);
         }
         drop(s);
         self.tag.event(EventKind::ComplexUpgradeOk, 0);

@@ -80,31 +80,25 @@ pub struct TraceRing {
     /// Monotonic count of events ever pushed; the next write goes to
     /// `head % capacity`.
     head: AtomicU64,
-    /// Thread tag of the owner, for reports.
-    owner: u32,
 }
 
-impl TraceRing {
-    /// A fresh ring. Most callers never construct one directly — the
-    /// thread-local ring behind [`push`] is made on first use — but a
-    /// standalone ring is handy for stress tests and embedding.
-    pub fn new(owner: u32) -> TraceRing {
+/// A fresh ring. Most callers never construct one directly — the
+/// thread-local ring behind [`push`] is made on first use — but a
+/// standalone ring is handy for stress tests and embedding.
+impl Default for TraceRing {
+    fn default() -> Self {
         TraceRing {
             slots: (0..RING_CAPACITY).map(|_| Slot::new()).collect(),
             head: AtomicU64::new(0),
-            owner,
         }
     }
+}
 
+impl TraceRing {
     /// Total events ever pushed (≥ events currently held).
     pub fn pushed(&self) -> u64 {
         // relaxed: advisory diagnostic counter.
         self.head.load(Ordering::Relaxed)
-    }
-
-    /// The owning thread's tag.
-    pub fn owner(&self) -> u32 {
-        self.owner
     }
 
     /// Owner-only write: overwrite the oldest slot with `ev`.
@@ -182,7 +176,7 @@ fn all_rings() -> &'static Mutex<Vec<Arc<TraceRing>>> {
 
 thread_local! {
     static MY_RING: Arc<TraceRing> = {
-        let ring = Arc::new(TraceRing::new(machk_sync::probe::thread_tag()));
+        let ring = Arc::new(TraceRing::default());
         all_rings().lock().unwrap().push(Arc::clone(&ring));
         ring
     };
@@ -247,7 +241,7 @@ mod tests {
 
     #[test]
     fn ring_returns_pushed_events_in_order() {
-        let ring = TraceRing::new(0);
+        let ring = TraceRing::default();
         for i in 0..100 {
             ring.push_owned(&ev(i));
         }
@@ -260,7 +254,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let ring = TraceRing::new(0);
+        let ring = TraceRing::default();
         let n = (RING_CAPACITY + 123) as u64;
         for i in 0..n {
             ring.push_owned(&ev(i));
@@ -275,7 +269,7 @@ mod tests {
 
     #[test]
     fn snapshot_of_empty_ring_is_empty() {
-        assert!(TraceRing::new(0).snapshot().is_empty());
+        assert!(TraceRing::default().snapshot().is_empty());
     }
 
     #[test]

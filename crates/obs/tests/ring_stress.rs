@@ -46,7 +46,7 @@ fn assert_untorn(e: &TraceEvent) {
 /// pass its checksum.
 #[test]
 fn concurrent_snapshots_never_observe_torn_events() {
-    let ring = Arc::new(TraceRing::new(7));
+    let ring = Arc::new(TraceRing::default());
     let stop = Arc::new(AtomicBool::new(false));
     let writes: u64 = (RING_CAPACITY as u64) * 64;
 

@@ -15,13 +15,14 @@
 //!   covers the interesting space exhaustively.
 //!
 //! Both record every distinct schedule (by trace hash) and carry each
-//! failure's [`ReplayToken`], so any hit reproduces byte-for-byte.
+//! failure's [`ReplayToken`](crate::ReplayToken), so any hit reproduces
+//! byte-for-byte.
 
 use std::collections::HashSet;
 
 use machk_fault::plan::stream_seed;
 
-use crate::config::{ReplayToken, SchedMode, SimConfig, NOT_RUNNABLE};
+use crate::config::{SchedMode, SimConfig, NOT_RUNNABLE};
 use crate::sched::{run_inner, SimError};
 
 /// Bounds for [`dfs`] exploration.
@@ -215,15 +216,4 @@ where
         }
     }
     stats
-}
-
-/// The token that replays DFS run `prefix` under `cfg` (exposed for
-/// reporting; [`SimError`] already carries it on failures).
-pub fn dfs_token(cfg: &SimConfig, prefix: &[u8]) -> ReplayToken {
-    ReplayToken {
-        seed: cfg.seed,
-        cores: cfg.cores,
-        mode: SchedMode::Dfs,
-        forced: prefix.to_vec(),
-    }
 }

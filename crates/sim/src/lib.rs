@@ -63,7 +63,7 @@ pub mod sched;
 pub use config::{
     BadReplayToken, CostModel, ReplayToken, SchedMode, ScheduleTrace, SimConfig, NOT_RUNNABLE,
 };
-pub use explore::{dfs, dfs_token, random_walks, DfsBounds, ExploreStats};
+pub use explore::{dfs, random_walks, DfsBounds, ExploreStats};
 pub use sched::{replay, run, SimError, SimHost, SimReport};
 
 #[cfg(test)]

@@ -9,11 +9,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use machk_event::{assert_wait, thread_block, thread_wakeup, waiters_on, Event, WaitResult};
+use machk_intr::watchdog::spin_until;
 use machk_ipc::{Port, PortError, PortSet};
 use machk_lock::ComplexLock;
 use machk_refcount::ShardedRefCount;
 use machk_sim::{run, SimConfig, SimError};
-use machk_sync::host;
+use machk_sync::{host, Deadline};
 use machk_sync::{Mcs, RawSimpleLock, SpinPolicy, Tas, TasThenTtas, Ticket, Ttas, WithBackoff};
 use machk_vm::{PagePool, Zone};
 
@@ -116,39 +117,63 @@ fn deadline_expires_in_virtual_time() {
 
 #[test]
 fn bounded_waits_expire_in_virtual_time() {
-    // Each `_timeout` form of a blocking call, on an object that never
-    // delivers: every one must report its timeout after at least its
-    // limit of virtual time, and a seed must replay to the same clock.
+    // Each `_timeout` form of a blocking call, a sub-millisecond complex
+    // write and a watchdog spin, on objects that never deliver: every
+    // one must report its timeout after at least its limit of virtual
+    // time and at most one 50 µs park past it, in a bounded number of
+    // scheduling steps, and a seed must replay to the same clock.
     let waits = || {
         run(&SimConfig::DEFAULT.with_seed(0xB7), || {
             let limit = Duration::from_millis(5);
+            let sub_ms = Duration::from_micros(300);
             let port = Port::create();
             let set = PortSet::create();
             set.add(Port::create()).unwrap();
             let pool = PagePool::new(0);
             let zone: Zone<u8> = Zone::new("sim", 1, || 0);
             let _held = zone.alloc();
-            let timed = |wait: &dyn Fn() -> bool| {
+            let lock = ComplexLock::new(true);
+            lock.write_raw();
+            let timed = |limit: Duration, wait: &dyn Fn(Duration) -> bool| {
                 let start = host::now();
-                (wait(), host::now() - start)
+                (wait(limit), limit, host::now() - start)
             };
             [
-                timed(&|| matches!(port.receive_timeout(limit), Err(PortError::TimedOut))),
-                timed(&|| matches!(set.receive_timeout(limit), Err(PortError::TimedOut))),
-                timed(&|| pool.alloc_timeout(limit).is_none()),
-                timed(&|| zone.alloc_timeout(limit).is_none()),
+                timed(limit, &|l| {
+                    matches!(port.receive_timeout(l), Err(PortError::TimedOut))
+                }),
+                timed(limit, &|l| {
+                    matches!(set.receive_timeout(l), Err(PortError::TimedOut))
+                }),
+                timed(limit, &|l| pool.alloc_timeout(l).is_none()),
+                timed(limit, &|l| zone.alloc_timeout(l).is_none()),
+                timed(sub_ms, &|l| lock.write_raw_with_deadline(l).is_err()),
+                timed(limit, &|l| {
+                    spin_until(&Deadline::after(l), || false).is_err()
+                }),
             ]
         })
         .unwrap()
     };
     let first = waits();
-    for (i, &(timed_out, waited_ns)) in first.value.iter().enumerate() {
+    let park = Duration::from_micros(50);
+    for (i, &(timed_out, limit, waited_ns)) in first.value.iter().enumerate() {
         assert!(timed_out, "bounded wait {i} must time out");
+        let waited = Duration::from_nanos(waited_ns);
         assert!(
-            waited_ns >= 5_000_000,
-            "bounded wait {i} honoured its limit in virtual time (waited {waited_ns}ns)"
+            waited >= limit,
+            "bounded wait {i} honoured its limit {limit:?} in virtual time (waited {waited:?})"
+        );
+        assert!(
+            waited <= limit + park,
+            "bounded wait {i} overshot its limit {limit:?} by more than one park (waited {waited:?})"
         );
     }
+    assert!(
+        first.steps < 2_000,
+        "the bounded waits took {} scheduling steps",
+        first.steps
+    );
     let second = waits();
     assert_eq!(
         (first.clock_ns, first.steps),

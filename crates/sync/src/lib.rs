@@ -64,9 +64,10 @@
 //! * **MCS** ([`Mcs`]) — FIFO admission *and* local spinning on
 //!   per-waiter queue nodes (Mellor-Crummey & Scott, 1991).
 //!
-//! All contended waits additionally escalate spin → yield → park under
-//! fixed thresholds (256 spins, 64 yields, then 50 µs parks), since this
-//! reproduction's "processors" are preemptible OS threads.
+//! Every wait on another thread's progress — a contended lock of any
+//! policy, and the stack's other spins — paces itself through one
+//! [`Spinner`]: spin, then yield, then park, since this reproduction's
+//! "processors" are preemptible OS threads.
 //!
 //! ## Usage rules carried over from the paper
 //!
@@ -120,7 +121,7 @@ pub mod simple_locked;
 pub use deadline::{Deadline, JitterBackoff, LockTimeout};
 pub use host::{Host, JoinToken, SpinSite, ThreadToken};
 pub use pad::CachePadded;
-pub use policy::{Backoff, SpinPolicy, Tas, TasThenTtas, Ttas, WithBackoff, WordPolicy};
+pub use policy::{Backoff, SpinPolicy, Spinner, Tas, TasThenTtas, Ttas, WithBackoff, WordPolicy};
 pub use queued::{Mcs, Ticket};
 pub use raw::{RawSimpleLock, SimpleGuard};
 pub use ring::MpscRing;

@@ -201,23 +201,27 @@ impl<P: WordPolicy> SpinPolicy for WithBackoff<P> {
     }
 }
 
-/// Spin-then-yield escalation for contended waits.
+/// The one pacing ladder for a wait on another thread's progress.
 ///
 /// Mach's simple locks spin unconditionally because the holder is, by
 /// construction, *running on another processor*. In this reproduction the
 /// "processors" are OS threads that may be preempted while holding a lock —
 /// on an oversubscribed host an unbounded spin would burn a full scheduler
-/// quantum per acquisition. Every contended wait therefore escalates in
-/// three stages: [`SPIN_LIMIT`] pause-hint spins (the paper's regime),
-/// then [`YIELD_LIMIT`] voluntary reschedules, then short parks of
-/// [`PARK`] each. Short contention — what the paper's TAS/TTAS
-/// discussion is about — never leaves the first stage.
+/// quantum per acquisition. Every such wait therefore escalates in three
+/// stages: 256 pause-hint spins (the paper's regime), then 64 voluntary
+/// reschedules, then short parks of 50 µs each. Short contention — what
+/// the paper's TAS/TTAS discussion is about — never leaves the first
+/// stage.
+///
+/// Every wait in the stack on another thread's progress goes through
+/// it. [`JitterBackoff`](crate::JitterBackoff) paces *retries* of a
+/// failed attempt instead, and is not a wait.
 ///
 /// One `Spinner` tracks a single continuous wait; call [`relax`] once per
 /// failed check of the awaited condition.
 ///
 /// [`relax`]: Spinner::relax
-pub(crate) struct Spinner {
+pub struct Spinner {
     site: SpinSite,
     spins: u32,
     yields: u32,
@@ -231,8 +235,9 @@ const YIELD_LIMIT: u32 = 64;
 const PARK: Duration = Duration::from_micros(50);
 
 impl Spinner {
+    /// A fresh wait whose spins are charged to `site`.
     #[inline]
-    pub(crate) fn new(site: SpinSite) -> Spinner {
+    pub fn new(site: SpinSite) -> Spinner {
         Spinner {
             site,
             spins: 0,
@@ -245,7 +250,7 @@ impl Spinner {
     /// Every stage is a host scheduling point, so under `machk-sim` a
     /// spinning waiter always hands control back to the scheduler.
     #[inline]
-    pub(crate) fn relax(&mut self) {
+    pub fn relax(&mut self) {
         if self.spins < SPIN_LIMIT {
             self.spins += 1;
             host::spin_hint(self.site);

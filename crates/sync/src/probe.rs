@@ -46,6 +46,9 @@ use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::host::SpinSite;
+use crate::policy::Spinner;
+
 /// Whether this build carries probes (the crate's `probe` feature).
 /// Hook bodies and [`Tag`]'s layout follow it; size asserts key on it.
 pub const ENABLED: bool = cfg!(feature = "probe");
@@ -760,14 +763,17 @@ impl TagCell {
                 self.id.store(id, Ordering::Release);
                 id
             }
-            Err(_) => loop {
+            Err(_) => {
                 // Another thread is registering: wait out the sentinel.
-                let id = self.id.load(Ordering::Acquire);
-                if id != 0 && id != REGISTERING {
-                    return id;
+                let mut spinner = Spinner::new(SpinSite::Generic);
+                loop {
+                    let id = self.id.load(Ordering::Acquire);
+                    if id != 0 && id != REGISTERING {
+                        return id;
+                    }
+                    spinner.relax();
                 }
-                core::hint::spin_loop();
-            },
+            }
         }
     }
 

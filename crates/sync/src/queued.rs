@@ -366,15 +366,15 @@ impl SpinPolicy for Mcs {
                     return;
                 }
                 // A successor swapped the tail but has not linked yet;
-                // its store is imminent.
+                // its store is imminent (under a simulated host the
+                // successor must run before its link appears).
+                let mut spinner = Spinner::new(SpinSite::Generic);
                 loop {
                     next = (*node).next.load(Ordering::Acquire);
                     if !next.is_null() {
                         break;
                     }
-                    // Scheduling point: under a simulated host the
-                    // successor needs to run before its link appears.
-                    host::spin_hint(SpinSite::Generic);
+                    spinner.relax();
                 }
             }
             // Hand off: the successor's Acquire load of `waiting`

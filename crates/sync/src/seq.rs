@@ -19,6 +19,9 @@
 use core::cell::UnsafeCell;
 use core::sync::atomic::{fence, AtomicU64, Ordering};
 
+use crate::host::SpinSite;
+use crate::policy::Spinner;
+
 /// A single-writer, many-reader cell: writes never block and never
 /// wait for readers; readers retry if they observe a torn write.
 ///
@@ -94,12 +97,12 @@ impl<T: Copy> SeqCell<T> {
     /// Never blocks the writer; lock-free for readers (obstruction-free
     /// under a storm of writes).
     pub fn read(&self) -> T {
+        let mut spinner = Spinner::new(SpinSite::Generic);
         loop {
             let before = self.seq.load(Ordering::Acquire);
             if before & 1 == 1 {
-                // A write is in flight; spin briefly (a scheduling point,
-                // so a simulated host can run the writer to completion).
-                crate::host::spin_hint(crate::host::SpinSite::Generic);
+                // A write is in flight: wait for the writer to finish.
+                spinner.relax();
                 continue;
             }
             // Speculative read; may race with a writer, which is fine
@@ -112,7 +115,7 @@ impl<T: Copy> SeqCell<T> {
             if before == after {
                 return value;
             }
-            crate::host::spin_hint(crate::host::SpinSite::Generic);
+            spinner.relax();
         }
     }
 

@@ -138,11 +138,6 @@ impl MapEntry {
         self.end
     }
 
-    /// Number of pages the range spans.
-    pub fn page_count(&self) -> u64 {
-        (self.end - self.start) / PAGE_SIZE
-    }
-
     fn contains(&self, addr: u64) -> bool {
         addr >= self.start && addr < self.end
     }

@@ -10,9 +10,7 @@
 use std::time::Duration;
 
 use machk_core::sync::Deadline;
-use machk_core::{
-    assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked,
-};
+use machk_core::{assert_wait, thread_block_until, thread_wakeup, Event, SimpleLocked};
 
 /// A physical page frame number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,10 +69,7 @@ impl PagePool {
                 // Shortage: the split-wait protocol.
                 assert_wait(self.event(), false);
             }
-            match deadline {
-                None => thread_block(),
-                Some(d) => thread_block_timeout(d.remaining()),
-            };
+            thread_block_until(deadline);
         }
     }
 
@@ -97,11 +92,6 @@ impl PagePool {
     /// Frames currently free (racy; diagnostics).
     pub fn free_count(&self) -> usize {
         self.state.lock().free.len()
-    }
-
-    /// Total frames.
-    pub fn total(&self) -> u32 {
-        self.state.lock().total
     }
 }
 

@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 
+use machk_core::sync::{SpinSite, Spinner};
 use machk_core::{ComplexLock, RawSimpleLock, SimpleLocked};
 
 use crate::page::PageId;
@@ -94,11 +95,6 @@ impl Pmap {
         self.lock.unlock_raw();
         r
     }
-
-    /// Number of mappings (diagnostics).
-    pub fn mapping_count(&self) -> usize {
-        self.mappings.lock().len()
-    }
 }
 
 struct PvEntry {
@@ -139,11 +135,6 @@ impl PvSystem {
     /// Pmap `i`.
     pub fn pmap(&self, i: usize) -> &Pmap {
         &self.pmaps[i]
-    }
-
-    /// Number of pmaps.
-    pub fn npmaps(&self) -> usize {
-        self.pmaps.len()
     }
 
     /// The discipline in use.
@@ -266,6 +257,7 @@ impl PvSystem {
     fn page_protect_backout(&self, pa: PhysPage) -> usize {
         let pv = &self.pv[pa.0 as usize];
         let mut revoked = 0usize;
+        let mut spinner = Spinner::new(SpinSite::Generic);
         'restart: loop {
             pv.lock.lock_raw();
             let mappers: Vec<(usize, u64)> = pv.mappers.lock().clone();
@@ -277,10 +269,9 @@ impl PvSystem {
                 let pmap = &self.pmaps[pmap_id];
                 if !pmap.lock.try_lock_raw() {
                     // Backout: drop the pv lock, let the forward-order
-                    // holder finish, retry from scratch. The host hint
-                    // makes the retry a scheduling point under machk-sim.
+                    // holder finish, retry from scratch.
                     pv.lock.unlock_raw();
-                    machk_core::sync::host::spin_hint(machk_core::sync::host::SpinSite::Generic);
+                    spinner.relax();
                     continue 'restart;
                 }
                 {

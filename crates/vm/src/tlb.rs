@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use machk_core::sync::{SpinSite, Spinner};
 use machk_core::SimpleLocked;
 use machk_intr::{
     barrier_synchronize, current_cpu, spl_raise, spl_restore, BarrierOutcome, Machine, SplLevel,
@@ -67,11 +68,6 @@ impl TlbSystem {
         }
     }
 
-    /// The machine this system runs on.
-    pub fn machine(&self) -> &Arc<Machine> {
-        &self.machine
-    }
-
     /// Cache a translation in the calling CPU's TLB.
     pub fn cache_translation(&self, pmap: usize, va: u64, pa: PageId) {
         let cpu = current_cpu().expect("TLB access requires a CPU").id();
@@ -112,19 +108,12 @@ impl TlbSystem {
         // exemption set.
         self.busy[pmap][cpu].store(true, Ordering::SeqCst);
         // Spin masked — this CPU cannot take the barrier IPI, which is
-        // exactly why the exemption logic must exist. (Yield bounds the
-        // spin on oversubscribed hosts; the simulated CPU stays masked.)
-        // Host spin hints: under machk-sim every iteration is a
-        // scheduling point, so the masked spin cannot starve the holder.
-        use machk_core::sync::host;
-        let mut spins = 0u32;
+        // exactly why the exemption logic must exist. (The spinner's
+        // yields and parks bound the spin on oversubscribed hosts; the
+        // simulated CPU stays masked.)
+        let mut spinner = Spinner::new(SpinSite::Generic);
         while !self.pmap_locks[pmap].try_lock() {
-            host::spin_hint(host::SpinSite::Generic);
-            spins += 1;
-            if spins >= 256 {
-                host::yield_now();
-                spins = 0;
-            }
+            spinner.relax();
         }
         PmapGuard {
             system: self,

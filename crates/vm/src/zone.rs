@@ -15,9 +15,7 @@
 use std::time::Duration;
 
 use machk_core::sync::Deadline;
-use machk_core::{
-    assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked,
-};
+use machk_core::{assert_wait, thread_block_until, thread_wakeup, Event, SimpleLocked};
 
 /// Statistics for one zone (diagnostics / experiments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,10 +110,7 @@ impl<T> Zone<T> {
                 assert_wait(self.event(), false);
             }
             waited = true;
-            match deadline {
-                None => thread_block(),
-                Some(d) => thread_block_timeout(d.remaining()),
-            };
+            thread_block_until(deadline);
         }
     }
 
