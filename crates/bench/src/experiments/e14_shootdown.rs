@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use machk_core::sync::host;
+use machk_core::sync::{host, SpinSite, Spinner};
 use machk_intr::{BarrierOutcome, Machine};
 use machk_vm::{PageId, TlbSystem};
 
@@ -190,48 +190,55 @@ fn special_logic_trial() -> bool {
     let tlb = Arc::new(TlbSystem::new(Arc::clone(&machine), 1));
     let stage = Arc::new(AtomicUsize::new(0));
     let ok = Arc::new(AtomicBool::new(true));
-    machine.run(|cpu| match cpu.id() {
-        0 => {
-            tlb.cache_translation(0, 0xC000, PageId(9));
-            let guard = tlb.lock_pmap(0);
-            stage.store(1, Ordering::SeqCst);
-            // Wait for CPU 1 to be visibly attempting the lock, then
-            // shoot down while holding it.
-            let t0 = host::now();
-            while !tlb_busy(&tlb, 1) {
-                if host::now().saturating_sub(t0) > Duration::from_secs(10).as_nanos() as u64 {
-                    ok.store(false, Ordering::SeqCst);
-                    break;
+    // Every loop below waits on another vCPU's progress, so each relaxes
+    // through a `Spinner`: CPU 1's masked `lock_pmap` spin may park, and
+    // under machk-sim a parked thread's timer fires only once no thread
+    // is runnable, so a bare spin on CPU 2 would keep CPU 1 asleep.
+    machine.run(|cpu| {
+        let mut spinner = Spinner::new(SpinSite::Generic);
+        match cpu.id() {
+            0 => {
+                tlb.cache_translation(0, 0xC000, PageId(9));
+                let guard = tlb.lock_pmap(0);
+                stage.store(1, Ordering::SeqCst);
+                // Wait for CPU 1 to be visibly attempting the lock, then
+                // shoot down while holding it.
+                let t0 = host::now();
+                while !tlb_busy(&tlb, 1) {
+                    if host::now().saturating_sub(t0) > Duration::from_secs(10).as_nanos() as u64 {
+                        ok.store(false, Ordering::SeqCst);
+                        break;
+                    }
+                    spinner.relax();
                 }
-                host::spin_hint(host::SpinSite::Generic);
+                let outcome = tlb.shootdown_update_locked(&guard, || {}, Duration::from_secs(10));
+                if outcome != BarrierOutcome::Completed {
+                    ok.store(false, Ordering::SeqCst);
+                }
+                drop(guard);
+                stage.store(2, Ordering::SeqCst);
             }
-            let outcome = tlb.shootdown_update_locked(&guard, || {}, Duration::from_secs(10));
-            if outcome != BarrierOutcome::Completed {
-                ok.store(false, Ordering::SeqCst);
+            1 => {
+                tlb.cache_translation(0, 0xC000, PageId(9));
+                while stage.load(Ordering::SeqCst) < 1 {
+                    cpu.poll();
+                    spinner.relax();
+                }
+                {
+                    let _guard = tlb.lock_pmap(0); // spins masked until CPU 0 releases
+                }
+                // Posted flush delivered at the spl lowering in the guard
+                // drop: our stale entry must be gone.
+                if tlb.cached_translation(0, 0xC000).is_some() {
+                    ok.store(false, Ordering::SeqCst);
+                }
+                stage.store(3, Ordering::SeqCst);
             }
-            drop(guard);
-            stage.store(2, Ordering::SeqCst);
-        }
-        1 => {
-            tlb.cache_translation(0, 0xC000, PageId(9));
-            while stage.load(Ordering::SeqCst) < 1 {
-                cpu.poll();
-                host::spin_hint(host::SpinSite::Generic);
-            }
-            {
-                let _guard = tlb.lock_pmap(0); // spins masked until CPU 0 releases
-            }
-            // Posted flush delivered at the spl lowering in the guard
-            // drop: our stale entry must be gone.
-            if tlb.cached_translation(0, 0xC000).is_some() {
-                ok.store(false, Ordering::SeqCst);
-            }
-            stage.store(3, Ordering::SeqCst);
-        }
-        _ => {
-            while stage.load(Ordering::SeqCst) < 3 {
-                cpu.poll();
-                host::spin_hint(host::SpinSite::Generic);
+            _ => {
+                while stage.load(Ordering::SeqCst) < 3 {
+                    cpu.poll();
+                    spinner.relax();
+                }
             }
         }
     });
