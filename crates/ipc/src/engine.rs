@@ -9,9 +9,9 @@
 //! * **lock-free message rings** inside every [`Port`] with batched
 //!   dequeue ([`Port::receive_batch`]),
 //! * the §10 five-step kernel RPC protocol ([`DispatchTable::msg_rpc`])
-//!   with its [`RpcStats`] reference ledger, one per worker on a cache
-//!   line of its own (and one for the teardown), so workers never
-//!   write a shared ledger line,
+//!   with one [`RpcStats`] reference ledger for every worker and the
+//!   teardown (its counters are striped per thread, so workers do not
+//!   share a line to count),
 //! * a [`ShardedRefCount`] object ledger audited by
 //!   `drain_audit` at the end of every storm.
 //!
@@ -119,8 +119,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use machk_core::sync::host;
 use machk_core::sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
-use machk_core::sync::{host, CachePadded};
 use machk_core::{Kobj, ObjRef, RawSimpleLock, ShardedRefCount};
 
 use crate::message::Message;
@@ -314,8 +314,7 @@ pub struct EngineReport {
     pub recovery_ns_max: u64,
     /// Order-insensitive checksum over every reply payload.
     pub digest: u64,
-    /// Every `RpcStats` translation ledger (one per worker, one for the
-    /// teardown) balanced at quiescence.
+    /// The `RpcStats` translation ledger balanced at quiescence.
     pub rpc_balanced: bool,
     /// Object-ledger audit result (must be 1: only the creation
     /// reference outlives the storm, even after crash reconciliation).
@@ -438,9 +437,8 @@ struct Shared {
     cfg: EngineConfig,
     ns: Arc<PortNameSpace>,
     table: Arc<DispatchTable>,
-    /// The §10 ledgers: one per worker index, shared by its
-    /// incarnations, then one for the teardown terminates.
-    stats: Box<[CachePadded<RpcStats>]>,
+    /// The §10 ledger of every incarnation and the teardown.
+    stats: RpcStats,
     server_port: ObjRef<Port>,
     transfer: ObjRef<Port>,
     stable: Arc<Vec<PortName>>,
@@ -726,7 +724,7 @@ impl Engine {
     /// checkpoint across restarts).
     fn worker_resume(shared: &Shared, index: usize, cp: &mut Checkpoint) -> WorkerTally {
         let cfg = &shared.cfg;
-        let stats = &shared.stats[index];
+        let stats = &shared.stats;
         let generation = cp.generation;
         // Each incarnation declares a fresh fault role: replaying the
         // dead incarnation's decision stream would kill every restart
@@ -1010,7 +1008,7 @@ impl Engine {
             cfg: self.cfg.clone(),
             ns: Arc::clone(&self.ns),
             table: Arc::clone(&self.table),
-            stats: (0..=workers).map(|_| CachePadded::default()).collect(),
+            stats: RpcStats::new(),
             server_port: self.server_port.clone(),
             transfer: self.transfer.clone(),
             stable: Arc::clone(&self.stable),
@@ -1144,7 +1142,7 @@ impl Engine {
                 &self.server_port,
                 || Message::new(OP_TASK_TERMINATE).with_int(u64::from(name.0)),
                 self.cfg.semantics,
-                &shared.stats[workers],
+                &shared.stats,
                 seq_key(TEARDOWN_INDEX, 0, i as u64),
                 &shared.cache,
                 deadline,
@@ -1218,7 +1216,7 @@ impl Engine {
             recovery_ns_total,
             recovery_ns_max,
             digest: 0,
-            rpc_balanced: shared.stats.iter().all(|s| s.balanced()),
+            rpc_balanced: shared.stats.balanced(),
             ledger_total: audit.total,
         };
         for t in tallies {

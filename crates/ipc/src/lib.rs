@@ -57,4 +57,6 @@ pub use message::{Message, MsgElement};
 pub use namespace::{NameTable, PortName, PortNameSpace};
 pub use port::{Port, PortError};
 pub use portset::PortSet;
-pub use rpc::{DispatchTable, KernError, RefSemantics, ReplyCache, RpcError, RpcStats};
+pub use rpc::{
+    DispatchTable, KernError, LedgerCounter, RefSemantics, ReplyCache, RpcError, RpcStats,
+};

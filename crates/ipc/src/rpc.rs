@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use machk_core::sync::probe::{self, FaultSite};
-use machk_core::sync::Deadline;
+use machk_core::sync::{thread_slot, CachePadded, Deadline};
 use machk_core::{Deactivated, JitterBackoff, ObjRef, Refable, SimpleLocked};
 
 use crate::message::Message;
@@ -126,19 +126,61 @@ pub enum RefSemantics {
     Mach30,
 }
 
+/// Stripes per ledger counter; a thread writes stripe `thread_slot() %
+/// STRIPES`. Four gives each of a few concurrent workers a line of its
+/// own; more threads share stripes, which costs speed, not exactness.
+const STRIPES: usize = 4;
+
+/// One §10 ledger counter, striped per thread: each thread adds to the
+/// stripe its [`thread_slot`] picks, each stripe on a cache line of its
+/// own, so threads that share a ledger do not pass one line back and
+/// forth on every RPC. A read sums the stripes.
+#[derive(Default)]
+pub struct LedgerCounter([CachePadded<AtomicU64>; STRIPES]);
+
+impl LedgerCounter {
+    /// Add `v` to the calling thread's stripe; returns that stripe's
+    /// previous value, not the counter's.
+    #[inline]
+    pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
+        self.0[thread_slot() % STRIPES].fetch_add(v, order)
+    }
+
+    /// The sum of every stripe. Exact at quiescence, once every adding
+    /// thread has been joined; while adds run, a sum of values each
+    /// stripe held at some point during the read.
+    pub fn load(&self, order: Ordering) -> u64 {
+        self.0.iter().map(|s| s.load(order)).sum()
+    }
+}
+
+impl core::fmt::Debug for LedgerCounter {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // relaxed: a diagnostic read, exact only at quiescence.
+        self.load(Ordering::Relaxed).fmt(f)
+    }
+}
+
 /// Counters making the reference flow observable (experiment E12).
+///
+/// Each counter is a [`LedgerCounter`]: four 64-byte stripes, so the
+/// ledger is 1 KiB, 64-byte aligned (asserted at compile time). One
+/// ledger serves any number of dispatching threads.
 #[derive(Debug, Default)]
 pub struct RpcStats {
     /// References obtained by port→object translation (step 2).
-    pub translations: AtomicU64,
+    pub translations: LedgerCounter,
     /// References released by interface code (step 4, 2.5 path or 3.0
     /// failure path).
-    pub interface_releases: AtomicU64,
+    pub interface_releases: LedgerCounter,
     /// References consumed by successful operations (3.0 path).
-    pub operation_consumes: AtomicU64,
+    pub operation_consumes: LedgerCounter,
     /// Operations that failed.
-    pub failures: AtomicU64,
+    pub failures: LedgerCounter,
 }
+
+const _: () = assert!(core::mem::size_of::<RpcStats>() == 4 * STRIPES * 64);
+const _: () = assert!(core::mem::align_of::<RpcStats>() == 64);
 
 impl RpcStats {
     /// Fresh zeroed counters.
@@ -148,7 +190,7 @@ impl RpcStats {
 
     fn snapshot(&self) -> (u64, u64, u64, u64) {
         // relaxed: monotone ledger counters; the balance invariant is
-        // checked only at quiescence.
+        // checked only at quiescence, when each sum is exact.
         (
             self.translations.load(Ordering::Relaxed),
             self.interface_releases.load(Ordering::Relaxed),
@@ -627,6 +669,44 @@ mod tests {
             .msg_rpc(&port, Message::new(OP_GET), RefSemantics::Mach25, &stats)
             .unwrap_err();
         assert_eq!(e, RpcError::Operation(KernError::Deactivated));
+        assert!(stats.balanced());
+    }
+
+    #[test]
+    fn striped_counter_sums_every_threads_adds() {
+        let stats = RpcStats::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..100_000 {
+                        stats.translations.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(stats.translations.load(Ordering::Relaxed), 400_000);
+    }
+
+    #[test]
+    fn one_ledger_balances_across_dispatching_threads() {
+        let t = table();
+        let (_obj, port) = object_port();
+        let stats = RpcStats::new();
+        std::thread::scope(|s| {
+            for semantics in [RefSemantics::Mach25, RefSemantics::Mach30].repeat(2) {
+                let (t, port, stats) = (&t, &port, &stats);
+                s.spawn(move || {
+                    for i in 0..1_000 {
+                        let op = if i % 10 == 0 { OP_FAIL } else { OP_ADD };
+                        let msg = Message::new(op).with_int(1);
+                        let _ = t.msg_rpc(port, msg, semantics, stats);
+                    }
+                });
+            }
+        });
+        assert_eq!(stats.translations.load(Ordering::Relaxed), 4_000);
+        assert_eq!(stats.failures.load(Ordering::Relaxed), 400);
+        assert_eq!(stats.operation_consumes.load(Ordering::Relaxed), 1_800);
         assert!(stats.balanced());
     }
 

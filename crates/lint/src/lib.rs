@@ -285,12 +285,15 @@ fn cycle_site<'g>(graph: &'g OrderGraph, cycle: &[String]) -> Option<&'g graph::
 }
 
 /// Pass 5: every `Ordering::Relaxed` must carry a `relaxed: <why>`
-/// comment on its line or within the two lines above (a multi-line
-/// statement's justification sits above the statement). A contiguous
-/// run of Relaxed lines shares one justification — a four-counter
-/// stats snapshot is one decision, not four.
+/// comment on its line, within the two lines above it, or within the
+/// two lines above the start of its statement (a statement rustfmt
+/// splits over several lines keeps its justification on top). A
+/// contiguous run of Relaxed lines shares one justification — a
+/// four-counter stats snapshot is one decision, not four.
 fn relaxed_pass(f: &SourceFile, findings: &mut Vec<Finding>) {
-    let mut sites: Vec<u32> = Vec::new();
+    let starts = statement_starts(&f.toks);
+    // (line, line its statement starts on)
+    let mut sites: Vec<(u32, u32)> = Vec::new();
     for (i, t) in f.toks.iter().enumerate() {
         if t.kind != Kind::Ident || t.text != "Relaxed" {
             continue;
@@ -304,19 +307,19 @@ fn relaxed_pass(f: &SourceFile, findings: &mut Vec<Finding>) {
         if f.items.test_ranges.iter().any(|&(s, e)| i >= s && i <= e) {
             continue;
         }
-        sites.push(t.line);
+        sites.push((t.line, starts[i]));
     }
-    sites.dedup();
+    sites.dedup_by_key(|&mut (line, _)| line);
 
     let mut last_justified: Option<u32> = None;
-    for &line in &sites {
+    for &(line, start) in &sites {
         let own = f.comments.iter().any(|c| {
-            // A justifying comment ends on the line, just above it, or
-            // (for runs of trailing comments, which lex as one block)
-            // spans it.
-            let above = c.end_line <= line && line - c.end_line <= 2;
+            // A justifying comment ends on the line, just above it or
+            // its statement, or (for runs of trailing comments, which
+            // lex as one block) spans it.
+            let above = |l: u32| c.end_line <= l && l - c.end_line <= 2;
             let spans = c.line <= line && line <= c.end_line;
-            (above || spans) && c.text.contains("relaxed:")
+            (above(line) || above(start) || spans) && c.text.contains("relaxed:")
         });
         let inherited = last_justified == Some(line) || last_justified == Some(line - 1);
         if own || inherited {
@@ -343,6 +346,49 @@ fn relaxed_pass(f: &SourceFile, findings: &mut Vec<Finding>) {
             "Ordering::Relaxed without a `// relaxed: <why>` justification — document why no ordering is needed or use a stronger ordering".to_string(),
         ));
     }
+}
+
+/// For each token, the line its statement starts on: the line of the
+/// first token after the last `;`, `,`, `{` or `}` at the level of the
+/// innermost enclosing braces. Parentheses and brackets belong to the
+/// statement they sit in; a block inside them (a closure body) holds
+/// statements of its own.
+fn statement_starts(toks: &[Tok]) -> Vec<u32> {
+    // One frame per open delimiter: whether it is a brace, and for a
+    // brace the start line of its current statement (`None` until the
+    // statement's first token).
+    let mut frames: Vec<(bool, Option<u32>)> = vec![(true, None)];
+    let mut starts = Vec::with_capacity(toks.len());
+    for t in toks {
+        let brace = frames.iter().rposition(|&(b, _)| b).unwrap_or(0);
+        starts.push(*frames[brace].1.get_or_insert(t.line));
+        if t.kind != Kind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "{" => frames.push((true, None)),
+            "(" | "[" => frames.push((false, None)),
+            ")" | "]" if frames.len() > 1 && !frames[frames.len() - 1].0 => {
+                frames.pop();
+            }
+            "}" if frames.len() > 1 => {
+                while frames.len() > 1 && !frames.pop().is_some_and(|(b, _)| b) {}
+                // A block that ends a statement (`if … { … }`) lets the
+                // next token start one; a closure body inside an
+                // argument list does not.
+                if let Some(last) = frames.last_mut().filter(|(b, _)| *b) {
+                    last.1 = None;
+                }
+            }
+            ";" | "," => {
+                if let Some(last) = frames.last_mut().filter(|(b, _)| *b) {
+                    last.1 = None;
+                }
+            }
+            _ => {}
+        }
+    }
+    starts
 }
 
 #[cfg(test)]
@@ -372,6 +418,25 @@ mod relaxed_tests {
                    \x20   a.load(Ordering::Relaxed);\n\
                    }\n";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn closure_bodies_do_not_end_the_statement() {
+        let src = "fn f(a: &AtomicU32) {\n\
+                   \x20   // relaxed: advisory counter.\n\
+                   \x20   g(\n\
+                   \x20       |x| { x + 1 },\n\
+                   \x20       1,\n\
+                   \x20       a.load(Ordering::Relaxed),\n\
+                   \x20   );\n\
+                   \x20   if true {\n\
+                   \x20       x();\n\
+                   \x20   }\n\
+                   \x20   a.load(\n\
+                   \x20       Ordering::Relaxed,\n\
+                   \x20   );\n\
+                   }\n";
+        assert_eq!(run(src), vec![12]);
     }
 
     #[test]

@@ -176,3 +176,13 @@ fn unjustified_relaxed_detected() {
 fn justified_relaxed_clean() {
     assert_clean("relaxed_ok.rs");
 }
+
+#[test]
+fn unjustified_split_relaxed_detected() {
+    assert_one("relaxed_split_bad.rs", Rule::RelaxedUnjustified);
+}
+
+#[test]
+fn justification_above_a_split_statement_clean() {
+    assert_clean("relaxed_split_ok.rs");
+}

@@ -33,14 +33,14 @@
 //! [`CLOSED`]: self#drain-protocol
 
 use core::fmt;
-use core::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU32, Ordering};
 
 use machk_sync::probe::{self, EventKind, FaultSite, LockClass, Tag};
 use machk_sync::RawSimpleLock;
 
 /// Number of count shards. Eight covers the span of per-object
-/// parallelism this reproduction simulates; the slot a thread uses is
-/// assigned round-robin at first use, so threads spread evenly.
+/// parallelism this reproduction simulates; a thread's shard is its
+/// [`machk_sync::thread_slot`], so threads spread evenly.
 const NSHARDS: usize = 8;
 
 /// Shard sentinel: the shard is closed because a drain is in progress
@@ -56,21 +56,8 @@ const CLOSED: u32 = u32::MAX;
 /// `refcount_t`-style hardened counters make.
 const PEGGED: u32 = u32::MAX;
 
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    // Hosted threads (machk-sim) get their slot from the deterministic
-    // host thread id, so identical scheduler seeds see identical shard
-    // layouts; OS threads draw from the round-robin counter as before.
-    static SHARD_SLOT: usize = match machk_sync::host::current_host() {
-        Some(h) => h.current_id() as usize % NSHARDS,
-        // relaxed: round-robin slot draw; only uniqueness-ish matters.
-        None => NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % NSHARDS,
-    };
-}
-
 fn shard_index() -> usize {
-    SHARD_SLOT.with(|s| *s)
+    machk_sync::thread_slot() % NSHARDS
 }
 
 /// One shard, padded to a cache line pair so neighbouring shards never
@@ -274,10 +261,10 @@ impl ShardedRefCount {
         // would reach the sentinel pegs instead of wrapping (the
         // saturation guard; the count becomes immortal, never a bogus
         // final).
+        // relaxed: under the drain lock; the Release shard re-opens
+        // below publish the fold to fast-path takers.
         self.base.store(
             u32::try_from(outstanding).unwrap_or(PEGGED),
-            // relaxed: under the drain lock; the Release shard re-opens
-            // below publish the fold to fast-path takers.
             Ordering::Relaxed,
         );
         for s in &self.shards {

@@ -120,7 +120,7 @@ pub mod simple_locked;
 
 pub use deadline::{Deadline, JitterBackoff, LockTimeout};
 pub use host::{Host, JoinToken, SpinSite, ThreadToken};
-pub use pad::CachePadded;
+pub use pad::{thread_slot, CachePadded};
 pub use policy::{Backoff, SpinPolicy, Spinner, Tas, TasThenTtas, Ttas, WithBackoff, WordPolicy};
 pub use queued::{Mcs, Ticket};
 pub use raw::{RawSimpleLock, SimpleGuard};

@@ -750,14 +750,12 @@ impl TagCell {
 
     #[cold]
     fn register(&self) -> u32 {
-        match self.id.compare_exchange(
-            0,
-            REGISTERING,
-            // relaxed: only elects the registering thread; the name is
-            // published by the table mutex and the Release store.
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
+        // relaxed: only elects the registering thread; the name is
+        // published by the table mutex and the Release store.
+        match self
+            .id
+            .compare_exchange(0, REGISTERING, Ordering::Relaxed, Ordering::Relaxed)
+        {
             Ok(_) => {
                 let id = register(self.name, self.class, self.policy);
                 self.id.store(id, Ordering::Release);
